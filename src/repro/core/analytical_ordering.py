@@ -18,6 +18,15 @@ For a broadcast injected at physical time ``t`` with slack ``S`` from source
   the ordering instant is a global property of the transaction, with ties
   broken by injection order (itself deterministic).
 
+Logically every transaction reaches every endpoint, but most of those
+deliveries are no-ops for a snooping controller that holds nothing for the
+block.  A network built with a home resolver therefore acts as a snoop
+filter: each endpoint keeps its own bit in the per-block
+:attr:`AnalyticalTimestampNetwork.interest` bitmask while it holds any state
+for the block, and the ordered fan-out calls it only for transactions it is
+the source or home of, or whose block it has set a bit for.  Without a home
+resolver every attached endpoint sees every transaction.
+
 The class exposes the same interface as
 :class:`~repro.core.timestamp_network.TimestampAddressNetwork` so the
 TS-Snoop protocol can run on either.  Agreement between the two models on
@@ -84,10 +93,20 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         self._home_resolver = home_resolver
         self._ordered_handlers: Dict[int, OrderedHandler] = {}
         self._early_handlers: Dict[int, EarlyHandler] = {}
-        #: source -> (endpoint, handler, arrival offset) triples in endpoint
-        #: order, rebuilt lazily after attach(); avoids a handler dict
-        #: lookup and an arrival-hops multiply per endpoint per broadcast on
-        #: the ordered fan-out path.
+        #: Snoop filter (read only with a home resolver): block -> bitmask
+        #: of the endpoints holding state for the block (an MSHR, a
+        #: writeback-buffer entry or a valid line), the same int-bitmask
+        #: idiom as the directory's ``sharers_mask``.  Each endpoint
+        #: maintains its own bit.
+        self.interest: Dict[int, int] = {}
+        #: Endpoints called for every broadcast despite the filter; tests
+        #: set it to all endpoints to force the full fan-out.
+        self.always_mask = 0
+        self._attached_mask = 0
+        #: source -> per-endpoint (handler, arrival offset) pairs indexed by
+        #: endpoint (None where nothing is attached), rebuilt lazily after
+        #: attach(); avoids a handler dict lookup and an arrival-hops
+        #: multiply per delivery on the ordered fan-out path.
         self._rows_by_source: Dict[int, list] = {}
         #: broadcast trees are a pure function of the source; memoised
         #: exactly as the detailed network does.
@@ -115,6 +134,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
     ) -> None:
         if not 0 <= endpoint < self.topology.num_endpoints:
             raise ValueError(f"endpoint {endpoint} out of range")
+        self._attached_mask |= 1 << endpoint
         self._ordered_handlers[endpoint] = ordered_handler
         if early_handler is not None:
             self._early_handlers[endpoint] = early_handler
@@ -171,10 +191,12 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             sched_batched(arrival_delay, self._deliver_early, (early, message))
 
         # All endpoints become able to process the transaction at the same
-        # physical instant; one event fans out to every attached handler in
-        # endpoint order.  Transactions whose ordering instants coincide are
-        # tie-broken by source id (the event priority), exactly as the
-        # detailed token network and the paper's Section 2.2 prescribe.
+        # physical instant; one event fans out, in endpoint order, to the
+        # endpoints that are its source or home or hold state for the block
+        # (to every endpoint when there is no home resolver).  Transactions
+        # whose ordering instants coincide are tie-broken by source id (the
+        # event priority), exactly as the detailed token network and the
+        # paper's Section 2.2 prescribe.
         # The pre-bound handler + packed payload replaces a per-broadcast
         # closure (pooled event shells and per-tick batches make the whole
         # path allocation-free).
@@ -184,6 +206,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             (message, tree, injected_at, ordered_time, logical_time),
             message.src,
         )
+        # Logical deliveries: every endpoint, whether or not it is called.
         self._ctr_deliveries.increment(self.topology.num_endpoints)
 
     def _deliver_early(self, packed) -> None:
@@ -191,18 +214,16 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         early(message, self.now)
 
     def _rows_for(self, source: int, tree) -> list:
-        """(endpoint, handler, arrival offset) triples for one source."""
+        """Per-endpoint (handler, arrival offset) pairs for one source."""
         overhead = self.timing.overhead_ns
         switch_ns = self.timing.switch_ns
         arrival_hops = tree.arrival_hops
+        handlers = self._ordered_handlers
         rows = [
-            (
-                endpoint,
-                self._ordered_handlers[endpoint],
-                overhead + arrival_hops[endpoint] * switch_ns,
-            )
+            (handlers[endpoint], overhead + arrival_hops[endpoint] * switch_ns)
+            if endpoint in handlers
+            else None
             for endpoint in self.topology.endpoints()
-            if endpoint in self._ordered_handlers
         ]
         self._rows_by_source[source] = rows
         return rows
@@ -214,7 +235,22 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         if rows is None:
             rows = self._rows_for(source, tree)
         resolver = self._home_resolver
-        home = resolver(message.block) if resolver is not None else -1
+        if resolver is None:
+            home = -1
+            visit = self._attached_mask
+        else:
+            block = message.block
+            home = resolver(block)
+            # Skipped endpoints would have returned without sending,
+            # counting or changing state, and within this one event only
+            # the source can gain state for the block, so the calls made
+            # are exactly the full fan-out's effective ones, in its order.
+            visit = (
+                self.always_mask
+                | self.interest.get(block, 0)
+                | 1 << source
+                | 1 << home
+            ) & self._attached_mask
         pool = self.message_pool
         if pool is not None and pool.enabled:
             # Pooled builds come with a no-retention contract (TS-Snoop
@@ -228,14 +264,22 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             delivery.ordered_time = ordered_time
             delivery.logical_time = logical_time
             delivery.home = home
-            for endpoint, handler, offset in rows:
+            while visit:
+                low = visit & -visit
+                visit ^= low
+                endpoint = low.bit_length() - 1
+                handler, offset = rows[endpoint]
                 delivery.endpoint = endpoint
                 delivery.arrival_time = injected_at + offset
                 handler(delivery)
             delivery.message = None
             pool.release(message)
             return
-        for endpoint, handler, offset in rows:
+        while visit:
+            low = visit & -visit
+            visit ^= low
+            endpoint = low.bit_length() - 1
+            handler, offset = rows[endpoint]
             handler(
                 OrderedDelivery(
                     message=message,

@@ -9,7 +9,7 @@ Suites:
 * ``kernel``  -- scheduler microbenchmark only (writes ``BENCH_kernel.json``)
 * ``figures`` -- Figure 3 / Figure 4 / parallel sweep scenarios (writes
   ``BENCH_figures.json``)
-* ``scale``   -- 64-node timestamp-snooping and 256-node directory runs,
+* ``scale``   -- 64- and 256-node timestamp-snooping and 256-node directory runs,
   packed data path timed against the dict reference (writes
   ``BENCH_scale.json``)
 * ``smoke``   -- kernel+figures files at reduced scale; the CI gate
@@ -47,6 +47,7 @@ _SUITES: Dict[str, List[Tuple[str, Callable[[float], Dict[str, Any]]]]] = {
     ],
     "scale": [
         (SCALE_FILE, sc.scale_snooping),
+        (SCALE_FILE, sc.scale_snooping_256),
         (SCALE_FILE, sc.scale_directory),
         (SCALE_FILE, sc.scale_mesi_directory),
     ],
@@ -62,6 +63,7 @@ _SUITES: Dict[str, List[Tuple[str, Callable[[float], Dict[str, Any]]]]] = {
         (FIGURES_FILE, sc.figure4_traffic),
         (FIGURES_FILE, sc.parallel_sweep),
         (SCALE_FILE, sc.scale_snooping),
+        (SCALE_FILE, sc.scale_snooping_256),
         (SCALE_FILE, sc.scale_directory),
         (SCALE_FILE, sc.scale_mesi_directory),
     ],

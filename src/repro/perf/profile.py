@@ -31,6 +31,7 @@ SCENARIOS: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "figure4_traffic": sc.figure4_traffic,
     "parallel_sweep": sc.parallel_sweep,
     "scale_snooping": sc.scale_snooping,
+    "scale_snooping_256": sc.scale_snooping_256,
     "scale_directory": sc.scale_directory,
     "scale_mesi_directory": sc.scale_mesi_directory,
 }

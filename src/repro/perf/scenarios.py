@@ -306,6 +306,13 @@ def scale_snooping(scale: float = 0.15) -> Dict[str, Any]:
     return _scale_comparison("scale_snooping", "ts-snoop", "butterfly", 64, scale)
 
 
+def scale_snooping_256(scale: float = 0.15) -> Dict[str, Any]:
+    """256-node timestamp snooping on a 16x16 torus, tractable since the
+    snoop filter cut the ordered fan-out to the interested nodes.  Runs at
+    a tenth of the suite scale, about 2 s per run at the suite default."""
+    return _scale_comparison("scale_snooping_256", "ts-snoop", "torus", 256, scale / 10)
+
+
 def scale_directory(scale: float = 0.15) -> Dict[str, Any]:
     """256-node DirOpt on a 16x16 torus (deep event queues, wide directory
     state)."""

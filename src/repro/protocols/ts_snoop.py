@@ -15,9 +15,17 @@ Each node hosts a single :class:`TSSnoopNode` that plays both roles:
 
 The controllers implement optimisation 1 of Section 3 (prefetching data from
 DRAM/SRAM as soon as a transaction *arrives*, sending it only once the
-transaction is *ordered*); optimisation 2 (early processing of other
-processors' transactions) is left disabled, as in the paper's evaluation.
-Both can be toggled for ablation studies.
+transaction is *ordered*), which the ``prefetch`` flag turns off for
+ablation studies.  Optimisation 2 (early processing of other processors'
+transactions) is not implemented; the paper's evaluation leaves it off too.
+
+The builder gives the analytical network a home resolver, so it runs as a
+snoop filter: each node sets its bit in the network's per-block ``interest``
+mask when it allocates an MSHR and clears it
+(:meth:`TSSnoopNode._drop_interest`) once it holds no MSHR, no
+writeback-buffer entry and no valid line for the block.
+A node outside that mask would ignore a remote transaction anyway, so the
+network skips the call and results are unchanged.
 
 Delayed data responses (memory data, cache-to-cache data, writeback data)
 are fire-and-forget sends, so they ride the kernel's per-tick batched
@@ -126,6 +134,12 @@ class TSSnoopNode(CacheControllerBase):
         self.checker = checker
         self.home_blocks: Dict[int, _HomeBlockState] = {}
         self.writeback_buffer: Dict[int, _WritebackEntry] = {}
+        #: The analytical network's snoop-filter map; None on the detailed
+        #: network, which delivers everything and keeps no map.
+        self._interest: Optional[Dict[int, int]] = getattr(
+            address_network, "interest", None
+        )
+        self._interest_bit = 1 << node
         address_network.attach(node, self._on_ordered)
         data_network.attach(node, self._on_data_message)
         # Pre-bound counter handles for the protocol hot path.
@@ -169,6 +183,9 @@ class TSSnoopNode(CacheControllerBase):
         entry = self.mshrs.allocate(block, kind.label, self.now, self.node)
         entry.done = done
         entry.access_type = access_type
+        interest = self._interest
+        if interest is not None:
+            interest[block] = interest.get(block, 0) | self._interest_bit
         # Broadcast shells are owned by the address network, which releases
         # them once the last endpoint has processed the ordered delivery.
         request = self.pool.acquire(kind, self.node, None, block)
@@ -218,6 +235,24 @@ class TSSnoopNode(CacheControllerBase):
         elif state is CacheState.SHARED and exclusive:
             self.cache.set_state(block, CacheState.INVALID)
             self._ctr_invalidations_observed.increment()
+            self._drop_interest(block)
+
+    def _drop_interest(self, block: int) -> None:
+        """Clear this node's snoop-filter bit once it holds nothing for
+        ``block``: no MSHR entry, no writeback-buffer entry, no valid line."""
+        interest = self._interest
+        if (
+            interest is None
+            or self._mshr_get(block) is not None
+            or block in self.writeback_buffer
+            or self._state_of(block) is not CacheState.INVALID
+        ):
+            return
+        remaining = interest.get(block, 0) & ~self._interest_bit
+        if remaining:
+            interest[block] = remaining
+        else:
+            interest.pop(block, None)
 
     # ------------------------------------------------------------ memory side
     def _memory_side(self, delivery: OrderedDelivery) -> None:
@@ -367,6 +402,7 @@ class TSSnoopNode(CacheControllerBase):
         self._send_cache_data(requester, block, version, send_time)
         if exclusive:
             self.cache.set_state(block, CacheState.INVALID)
+            self._drop_interest(block)
         elif self._owned_state:
             # MOESI: downgrade to O (dirty is preserved) and keep supplying
             # data; no writeback, memory's owner bit still points at us.
@@ -390,6 +426,7 @@ class TSSnoopNode(CacheControllerBase):
             wb_entry = self.writeback_buffer[block]
         else:
             wb_entry = self.writeback_buffer.pop(block)
+            self._drop_interest(block)
         send_time = self._cache_response_time(delivery)
         self._send_cache_data(requester, block, wb_entry.version, send_time)
         self._ctr_writeback_buffer_responses.increment()
@@ -437,6 +474,7 @@ class TSSnoopNode(CacheControllerBase):
             # has passed to memory (unless a request beat us to it, in which
             # case the buffer entry is already gone).
             self.writeback_buffer.pop(block, None)
+            self._drop_interest(block)
             return
         entry = self._mshr_get(block)
         if entry is None:
@@ -527,8 +565,11 @@ class TSSnoopNode(CacheControllerBase):
             )
             if eviction.needs_writeback:
                 self._evict_dirty(eviction.victim_block, eviction.victim_version)
+            elif eviction.victim_block is not None:
+                self._drop_interest(eviction.victim_block)
 
         self._settle_owed_responses(entry, block, version)
+        self._drop_interest(block)
 
         record = MissRecord(
             node=self.node,

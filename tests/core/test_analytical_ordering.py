@@ -7,7 +7,7 @@ from repro.core.analytical_ordering import AnalyticalTimestampNetwork
 from repro.core.timestamp_network import TimestampAddressNetwork
 from repro.network import make_topology
 from repro.network.link import TrafficAccountant
-from repro.network.message import Message, MessageKind
+from repro.network.message import Message, MessageKind, SanitizedMessagePool
 from repro.network.timing import NetworkTiming
 from repro.sim.kernel import Simulator
 
@@ -77,6 +77,80 @@ class TestAnalyticalNetwork:
         network.attach(0, lambda d: None)
         with pytest.raises(ValueError):
             network.broadcast(Message(MessageKind.GETS, 0, None, 1), slack=-1)
+
+
+def home_of(block):
+    """Toy interleaving for the filter tests: block b is homed at b % 16."""
+    return block % 16
+
+
+def build_filtered(pool=None):
+    """16-endpoint torus network with a home resolver, so the snoop filter
+    is on.  Returns the simulator, the network and one shared call log of
+    ``(endpoint, block)`` pairs in delivery order."""
+    topology = make_topology("torus")
+    sim = Simulator()
+    network = AnalyticalTimestampNetwork(
+        sim, topology, NetworkTiming(), message_pool=pool, home_resolver=home_of
+    )
+    log = []
+    for endpoint in topology.endpoints():
+        network.attach(
+            endpoint, lambda d, e=endpoint: log.append((e, d.message.block))
+        )
+    return sim, network, log
+
+
+class TestSnoopFilter:
+    def broadcast_all(self, sim, network, sends, pool=None):
+        for source, block in sends:
+            if pool is None:
+                message = Message(MessageKind.GETS, src=source, dst=None, block=block)
+            else:
+                message = pool.acquire(MessageKind.GETS, source, None, block)
+            network.broadcast(message)
+            sim.run()
+
+    def test_endpoint_sees_only_home_source_and_interest(self):
+        sim, network, log = build_filtered()
+        network.interest[40] = 1 << 9
+        # (source, block): home of block b is b % 16.
+        sends = [(0, 18), (5, 33), (1, 40), (3, 4), (7, 25)]
+        self.broadcast_all(sim, network, sends)
+        seen = {e: [b for (d, b) in log if d == e] for e in (2, 5, 9)}
+        assert seen[2] == [18]  # home of 18 only
+        assert seen[5] == [33]  # source of the (5, 33) broadcast only
+        assert seen[9] == [40, 25]  # interest bit, then home of 25
+        # The counter still counts logical deliveries: every endpoint.
+        assert network.stats.counter("deliveries").value == len(sends) * 16
+
+    def test_always_mask_forces_full_fanout(self):
+        sim, network, log = build_filtered()
+        network.always_mask = (1 << 16) - 1
+        self.broadcast_all(sim, network, [(0, 18), (5, 33)])
+        assert log == [(e, 18) for e in range(16)] + [(e, 33) for e in range(16)]
+
+    def test_deliveries_stay_in_ascending_endpoint_order(self):
+        sim, network, log = build_filtered()
+        network.interest[3] = 1 << 14 | 1 << 0 | 1 << 7
+        self.broadcast_all(sim, network, [(11, 3)])
+        assert [e for e, _b in log] == [0, 3, 7, 11, 14]
+
+    def test_interest_changes_take_effect_on_the_next_broadcast(self):
+        sim, network, log = build_filtered()
+        network.interest[16] = 1 << 4
+        self.broadcast_all(sim, network, [(1, 16)])
+        del network.interest[16]
+        self.broadcast_all(sim, network, [(1, 16)])
+        assert [b for (e, b) in log if e == 4] == [16]
+
+    def test_pooled_shell_released_once_after_filtered_fanout(self):
+        # The checked pool raises on a double release and tracks live shells.
+        pool = SanitizedMessagePool()
+        sim, network, log = build_filtered(pool=pool)
+        self.broadcast_all(sim, network, [(1, 16), (6, 3)], pool=pool)
+        assert [e for e, b in log if b == 16] == [0, 1]
+        pool.assert_no_leaks()
 
 
 class TestModelAgreement:

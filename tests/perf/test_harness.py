@@ -173,7 +173,8 @@ class TestHarness:
         assert report["suite"] == "scale"
         names = [scenario["name"] for scenario in report["scenarios"]]
         assert names == [
-            "scale_snooping", "scale_directory", "scale_mesi_directory",
+            "scale_snooping", "scale_snooping_256", "scale_directory",
+            "scale_mesi_directory",
         ]
         for scenario in report["scenarios"]:
             metrics = scenario["metrics"]
@@ -187,7 +188,8 @@ class TestHarness:
 class TestProfile:
     def test_scenario_registry_covers_all_suites(self):
         assert {"kernel_microbench", "figure3_runtime", "figure4_traffic",
-                "parallel_sweep", "scale_snooping", "scale_directory",
+                "parallel_sweep", "scale_snooping", "scale_snooping_256",
+                "scale_directory",
                 "scale_mesi_directory"} <= set(SCENARIOS)
 
     def test_profile_reports_hotspots(self):
