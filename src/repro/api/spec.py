@@ -23,9 +23,9 @@ The same object is what the service layer hashes for its content-addressed
 result cache: :func:`canonical_experiment` resolves a spec (or an explicit
 ``(config, profile)`` pair) into a canonical dictionary that is independent
 of override order, of overrides that restate a default, and of the
-host-side knobs that never change simulated results (``jobs``, scheduler
-and data-path selection, pooling, checking -- all verified bit-identical by
-the equivalence test suites).
+host-side knobs that never change simulated results (``jobs``, data-path
+selection, pooling, checking -- all verified bit-identical by the
+equivalence test suites).
 """
 
 from __future__ import annotations
@@ -63,16 +63,13 @@ _NETWORK_ALIASES = {
 }
 
 #: ``SystemConfig`` fields that never change simulated results -- host-side
-#: parallelism, scheduler/data-path implementation selection, pooling and
-#: checking knobs, each verified bit-identical to its reference by the
-#: equivalence suites.  They are excluded from the canonical form so cache
-#: entries are shared across them.
+#: parallelism, data-path implementation selection, pooling and checking
+#: knobs, each verified bit-identical to its reference by the equivalence
+#: suites.  They are excluded from the canonical form so cache entries are
+#: shared across them.
 RESULT_NEUTRAL_CONFIG_FIELDS = frozenset(
     {
         "jobs",
-        "scheduler",
-        "event_pool",
-        "batched_dispatch",
         "cache_array",
         "packed_streams",
         "message_pooling",

@@ -116,11 +116,8 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         )
         self._ordering_delay_cache: Dict[tuple, int] = {}
         self._logical_counter = 0
-        #: Pre-bound batched push: both the early deliveries and the ordered
-        #: fan-out are fire-and-forget, so every broadcast folds into the
-        #: per-tick dispatch batches instead of paying one kernel event per
-        #: endpoint notification.
-        self._sched_batched = sim.schedule_batched
+        #: Pre-bound push for the early deliveries and the ordered fan-out.
+        self._schedule = sim.schedule
         # Pre-bound counter handles for the per-broadcast fast path.
         self._ctr_broadcasts = self.stats.counter("broadcasts")
         self._ctr_deliveries = self.stats.counter("deliveries")
@@ -180,7 +177,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         # without a separate event.  The scheduled instant *is* the arrival
         # time, so the dispatcher passes only (handler, message) and
         # _deliver_early reads the clock.
-        sched_batched = self._sched_batched
+        schedule = self._schedule
         # repro-lint: disable=DET002 -- insertion order is attach order, which
         # build() fixes to ascending node id; every run replays it identically.
         for endpoint, early in self._early_handlers.items():
@@ -188,7 +185,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
                 self.timing.overhead_ns
                 + tree.arrival_hops[endpoint] * self.timing.switch_ns
             )
-            sched_batched(arrival_delay, self._deliver_early, (early, message))
+            schedule(arrival_delay, self._deliver_early, (early, message))
 
         # All endpoints become able to process the transaction at the same
         # physical instant; one event fans out, in endpoint order, to the
@@ -198,9 +195,8 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         # event priority), exactly as the detailed token network and the
         # paper's Section 2.2 prescribe.
         # The pre-bound handler + packed payload replaces a per-broadcast
-        # closure (pooled event shells and per-tick batches make the whole
-        # path allocation-free).
-        sched_batched(
+        # closure.
+        schedule(
             ordered_delay,
             self._deliver_ordered,
             (message, tree, injected_at, ordered_time, logical_time),

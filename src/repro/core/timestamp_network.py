@@ -178,7 +178,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                 0,
                 self._try_propagate,
                 priority=_TOKEN_PRIORITY,
-                label="seed",
                 arg=node,
             )
 
@@ -207,7 +206,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             self.timing.overhead_ns,
             self._inject,
             priority=_MESSAGE_PRIORITY,
-            label="inject",
             arg=(root, transaction, tree),
         )
 
@@ -288,7 +286,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                 self.timing.switch_ns,
                 self._release_held,
                 priority=_MESSAGE_PRIORITY,
-                label="release-held",
                 arg=(node, transaction, tree),
             )
         else:
@@ -323,7 +320,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                 self.timing.switch_ns,
                 self._arrive_batch,
                 priority=_MESSAGE_PRIORITY,
-                label="hop",
                 arg=(node, outputs, tree),
             )
         # Forwarding may have unblocked token propagation (zero-slack rule).
@@ -381,7 +377,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                     self.timing.switch_ns,
                     self._receive_token_batch,
                     priority=_TOKEN_PRIORITY,
-                    label="token",
                     arg=(node, outputs),
                 )
 

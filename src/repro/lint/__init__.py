@@ -5,7 +5,7 @@ Four rule families guard the invariants the fast-path work depends on:
 * ``DET*`` -- determinism (no set-order, ambient randomness or wall-clock
   dependence inside the simulation packages);
 * ``POOL*`` -- pooled-shell ownership (acquire/release discipline for
-  ``MessagePool`` / ``EventPool``);
+  ``MessagePool``);
 * ``REG*`` -- registry parity (fast implementations mirror their
   reference's public API);
 * ``HOT*`` -- hot-path hygiene in ``# repro-lint: hot`` modules.

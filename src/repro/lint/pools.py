@@ -1,6 +1,6 @@
 """Pool-safety rules (POOL001-POOL003).
 
-``MessagePool`` / ``EventPool`` shells obey an explicit ownership contract:
+``MessagePool`` shells obey an explicit ownership contract:
 whoever consumes a shell releases it exactly once, at its single consumption
 point, after its last read.  These rules run a small per-function dataflow
 walk over that contract:
@@ -35,11 +35,6 @@ from repro.lint.framework import SEVERITY_ERROR, FileContext, Finding, Rule
 #: this table in sync with the protocol docstrings it mirrors.
 CONSUMPTION_POINTS = frozenset(
     {
-        # Event kernel: shells are consumed after dispatch, and cancelled
-        # entries are recycled as they surface from the queues.
-        "EventQueueBase._discard_cancelled",
-        "EventQueueBase._release_bucket_events",
-        "Simulator._dispatch_unit",
         # TS-Snoop: data responses consume the request shell they answer.
         "TSSnoopNode._on_data_message",
         # Directory caches: forwards/invalidations/responses are consumed

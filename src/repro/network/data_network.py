@@ -70,10 +70,9 @@ class DataNetwork(Component):
         self._ctr_messages = self.stats.counter("messages")
         self._ctr_bytes = self.stats.counter("bytes")
         self._record_traffic = accountant.record
-        #: Pre-bound batched push: deliveries are fire-and-forget, so each
-        #: one is two appends to the destination tick's batch (or one pooled
-        #: event per tick when batching is off) -- no per-send closure.
-        self._schedule = sim.schedule_batched
+        #: Pre-bound push: each delivery is one append to the destination
+        #: tick's kernel lane -- no per-send closure.
+        self._schedule = sim.schedule
 
     # -------------------------------------------------------------- receivers
     def attach(self, node: int, handler: DeliveryCallback) -> None:

@@ -94,5 +94,5 @@ class PointToPointOrderedNetwork(VirtualNetwork):
         if ordered_delivery > natural_delivery:
             self._ctr_ordering_stalls.increment()
         self._last_delivery[pair] = ordered_delivery
-        self.sim.schedule_batched_at(ordered_delivery, handler, message)
+        self.sim.schedule_at(ordered_delivery, handler, message)
         return ordered_delivery

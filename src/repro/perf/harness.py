@@ -6,7 +6,7 @@ Usage::
 
 Suites:
 
-* ``kernel``  -- scheduler microbenchmark only (writes ``BENCH_kernel.json``)
+* ``kernel``  -- kernel dispatch microbenchmark only (writes ``BENCH_kernel.json``)
 * ``figures`` -- Figure 3 / Figure 4 / parallel sweep scenarios (writes
   ``BENCH_figures.json``)
 * ``scale``   -- 64- and 256-node timestamp-snooping and 256-node directory runs,

@@ -47,61 +47,34 @@ def calibrate(iterations: int = 2_000_000, repeats: int = 3) -> float:
     return best
 
 
-def _run_scheduler_churn(
-    scheduler: str,
-    chains: int,
-    events: int,
-    event_pool: bool = True,
-    batched: bool = False,
-) -> tuple:
+def _run_kernel_churn(chains: int, events: int) -> tuple:
     """Event churn shaped like the simulator's hot path.
 
-    ``chains`` concurrent hop chains each fan eight same-tick deliveries
-    plus one token-priority event per wave -- the dense near-future
-    distribution that link/switch hops produce and the calendar queue is
-    tuned for.  ``batched=True`` schedules the fan-out through the
-    fire-and-forget tick-batch path (bare pairs in the tick lane) the
-    protocol producers use.
+    ``chains`` concurrent hop chains each fan eight same-tick priority-0
+    deliveries plus one priority-1 event per wave -- the dense near-future
+    distribution that link/switch hops produce -- scheduled with a bare
+    callback plus payload, as the protocol producers do.
     """
-    sim = Simulator(
-        scheduler=scheduler, event_pool=event_pool, batched_dispatch=batched
-    )
+    sim = Simulator()
+    schedule = sim.schedule
     fanout = 8
     count = 0
 
-    if batched:
-        schedule_batched = sim.schedule_batched
-
-        def wave() -> None:
-            nonlocal count
-            count += 1
-            if count * (fanout + 1) >= events:
-                return
-            for _ in range(fanout):
-                schedule_batched(15, _noop_arg, 0)
-            sim.schedule(15, wave, priority=1)
-
-    else:
-
-        def wave() -> None:
-            nonlocal count
-            count += 1
-            if count * (fanout + 1) >= events:
-                return
-            for _ in range(fanout):
-                sim.schedule(15, _noop, priority=0)
-            sim.schedule(15, wave, priority=1)
+    def wave() -> None:
+        nonlocal count
+        count += 1
+        if count * (fanout + 1) >= events:
+            return
+        for _ in range(fanout):
+            schedule(15, _noop_arg, 0)
+        schedule(15, wave, None, 1)
 
     for chain in range(chains):
-        sim.schedule(chain % 7, wave)
+        schedule(chain % 7, wave)
     start = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - start
     return sim.events_processed, elapsed
-
-
-def _noop() -> None:
-    return None
 
 
 def _noop_arg(arg) -> None:
@@ -109,68 +82,24 @@ def _noop_arg(arg) -> None:
 
 
 def kernel_microbench(scale: float = 1.0) -> Dict[str, Any]:
-    """Scheduler/pool/batching microbenchmark (the kernel tentpole metric).
+    """Kernel dispatch microbenchmark: schedule-and-dispatch throughput.
 
-    The headline ``runtime_s`` / ``events_per_sec`` are the default
-    configuration's (calendar queue + event pool + batched dispatch, the
-    path the protocol producers use); the reference heapq numbers, the
-    timing-wheel, no-pool and unbatched variants and the speedups ride
-    along in ``metrics``.
+    A supporting number only: the kernel is a minority of a whole run's
+    wall time, so the ``scale`` suite is the end-to-end measure.
     """
     chains = max(50, int(600 * scale))
     events = max(20_000, int(400_000 * scale))
-
     # Best-of-N absorbs one-off host noise (GC pause, container throttle).
-    def best(
-        scheduler: str,
-        event_pool: bool = True,
-        batched: bool = False,
-        repeats: int = 2,
-    ) -> tuple:
-        return min(
-            (
-                _run_scheduler_churn(scheduler, chains, events, event_pool, batched)
-                for _ in range(repeats)
-            ),
-            key=lambda pair: pair[1],
-        )
-
-    heapq_events, heapq_s = best("heapq", event_pool=False)
-    calendar_events, calendar_s = best("calendar")
-    nopool_events, nopool_s = best("calendar", event_pool=False)
-    wheel_events, wheel_s = best("wheel")
-    batched_events, batched_s = best("calendar", batched=True)
-    event_counts = {
-        heapq_events,
-        calendar_events,
-        nopool_events,
-        wheel_events,
-        batched_events,
-    }
-    assert len(event_counts) == 1, "schedulers processed different work"
-    heapq_eps = heapq_events / heapq_s if heapq_s else 0.0
-    calendar_eps = calendar_events / calendar_s if calendar_s else 0.0
-    nopool_eps = nopool_events / nopool_s if nopool_s else 0.0
-    wheel_eps = wheel_events / wheel_s if wheel_s else 0.0
-    batched_eps = batched_events / batched_s if batched_s else 0.0
+    processed, elapsed = min(
+        (_run_kernel_churn(chains, events) for _ in range(2)),
+        key=lambda pair: pair[1],
+    )
     return make_scenario(
         name="kernel_microbench",
-        runtime_s=batched_s,
+        runtime_s=elapsed,
         peak_rss_kb=peak_rss_kb(),
-        events=batched_events,
-        metrics={
-            "chains": chains,
-            "heapq_runtime_s": heapq_s,
-            "heapq_events_per_sec": heapq_eps,
-            "calendar_events_per_sec": calendar_eps,
-            "calendar_nopool_events_per_sec": nopool_eps,
-            "wheel_events_per_sec": wheel_eps,
-            "batched_events_per_sec": batched_eps,
-            "speedup": batched_eps / heapq_eps if heapq_eps else 0.0,
-            "pool_speedup": calendar_eps / nopool_eps if nopool_eps else 0.0,
-            "wheel_vs_calendar": wheel_eps / calendar_eps if calendar_eps else 0.0,
-            "batch_speedup": batched_eps / calendar_eps if calendar_eps else 0.0,
-        },
+        events=processed,
+        metrics={"chains": chains},
     )
 
 
@@ -219,16 +148,14 @@ def _scale_comparison(
     workload: str = "oltp",
 ) -> Dict[str, Any]:
     """One ``scale``-suite scenario: a large-node run on the packed data
-    path with batched dispatch, timed against the dict/object reference
-    data path and against unbatched dispatch.
+    path, timed against the dict/object reference data path.
 
-    The headline ``runtime_s`` / ``events_per_sec`` are the default fast
-    path's (packed + batched); the reference-data-path and
-    unbatched-dispatch numbers, the speedups and bit-identity checks ride
-    along in ``metrics`` (mirroring ``kernel_microbench``'s
-    calendar-vs-heapq shape).  Each variant is timed best-of-two: single
-    multi-second runs on a shared CI host see one-off noise (GC pause,
-    container throttle) well above the effects being tracked.
+    The headline ``runtime_s`` / ``events_per_sec`` are the default packed
+    path's; the reference-data-path numbers, the speedup and the
+    bit-identity check ride along in ``metrics``.  Each variant is timed
+    best-of-two: single multi-second runs on a shared CI host see one-off
+    noise (GC pause, container throttle) well above the effects being
+    tracked.
     """
 
     def timed_best(config: SystemConfig = None, repeats: int = 2) -> tuple:
@@ -254,26 +181,15 @@ def _scale_comparison(
             protocol=protocol, network=network, num_nodes=num_nodes
         ).with_reference_data_path()
     )
-    unbatched, unbatched_s = timed_best(
-        SystemConfig(
-            protocol=protocol,
-            network=network,
-            num_nodes=num_nodes,
-            batched_dispatch=False,
-        )
-    )
 
     if packed != reference:
         # A hard error, not an assert: a benchmark must never publish packed
         # numbers for a data path that diverged from its reference (and
         # asserts vanish under ``python -O``).
         raise RuntimeError(f"{name}: packed and reference data paths diverged")
-    if packed != unbatched:
-        raise RuntimeError(f"{name}: batched and unbatched dispatch diverged")
     events = packed.sim_events
     packed_eps = events / packed_s if packed_s else 0.0
     reference_eps = reference.sim_events / reference_s if reference_s else 0.0
-    unbatched_eps = unbatched.sim_events / unbatched_s if unbatched_s else 0.0
     speedup = packed_eps / reference_eps if reference_eps else 0.0
     return make_scenario(
         name=name,
@@ -289,12 +205,7 @@ def _scale_comparison(
             "reference_runtime_s": reference_s,
             "reference_events_per_sec": reference_eps,
             "packed_events_per_sec": packed_eps,
-            "unbatched_runtime_s": unbatched_s,
-            "unbatched_events_per_sec": unbatched_eps,
             "speedup_vs_reference": speedup,
-            "batching_speedup": packed_eps / unbatched_eps
-            if unbatched_eps
-            else 0.0,
             "bit_identical": True,
         },
     )

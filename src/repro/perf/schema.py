@@ -15,7 +15,7 @@ A report is one JSON object::
           "events": 120197,
           "events_per_sec": 293163.4,
           "peak_rss_kb": 48000,
-          "metrics": {"heapq_events_per_sec": 170000.0, "speedup": 1.72}
+          "metrics": {"chains": 600}
         },
         ...
       ]

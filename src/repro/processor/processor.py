@@ -193,7 +193,7 @@ class Processor(Component):
         if self._started:
             raise RuntimeError(f"{self.name} started twice")
         self._started = True
-        self.schedule(0, self._advance, label="start")
+        self.schedule(0, self._advance)
 
     def resume(self) -> None:
         """Continue past a phase barrier (see ``phase_boundary``)."""
@@ -201,7 +201,7 @@ class Processor(Component):
             return
         self._stalled_at_phase = False
         self._phase_passed = True
-        self.schedule(0, self._advance, label="resume")
+        self.schedule(0, self._advance)
 
     def _next_reference(self) -> None:
         # Guard order matters: after the warm-up barrier _phase_passed is
@@ -228,12 +228,10 @@ class Processor(Component):
         think_ns = (think + ipns - 1) // ipns
         # The blocking processor has at most one reference in flight, so the
         # pending reference rides on the instance instead of a per-reference
-        # closure; the issue event is fire-and-forget, so it rides the
-        # per-tick dispatch batches (one call layer and one kernel push+pop
-        # per reference add up).
+        # closure.
         self._pending_block = block
         self._pending_access = access_type
-        self.sim.schedule_batched(think_ns, self._issue_pending)
+        self.sim.schedule(think_ns, self._issue_pending)
 
     def _issue_pending(self) -> None:
         self._issue(self._pending_block, self._pending_access)
@@ -275,7 +273,7 @@ class Processor(Component):
         think_ns = (think + ipns - 1) // ipns
         self._pending_block = block
         self._pending_access = access_type
-        self.sim.schedule_batched(think_ns, self._issue_pending_tso)
+        self.sim.schedule(think_ns, self._issue_pending_tso)
 
     def _count_issue_tso(self, access_type: AccessType) -> None:
         self.references_issued += 1
@@ -316,9 +314,7 @@ class Processor(Component):
                 # satisfies the load without touching the coherence fabric.
                 self._count_issue_tso(access_type)
                 self._ctr_sb_forwards.value += 1
-                self.sim.schedule_batched(
-                    self.controller.timing.l2_hit_ns, self._advance
-                )
+                self.sim.schedule(self.controller.timing.l2_hit_ns, self._advance)
             else:
                 self._count_issue_tso(access_type)
                 self.controller.access(block, access_type, self._advance)
@@ -326,7 +322,7 @@ class Processor(Component):
     def _start_drain(self) -> None:
         self._draining = True
         _block, ready = self.store_buffer.head()
-        self.sim.schedule_batched(max(0, ready - self.now), self._drain_head)
+        self.sim.schedule(max(0, ready - self.now), self._drain_head)
 
     def _drain_head(self) -> None:
         block, _ready = self.store_buffer.head()

@@ -237,10 +237,8 @@ class CacheControllerBase(Component, ABC):
                 self.checker.record_write(self.node, block, new_version, self.now)
         elif self.load_observer is not None:
             self.load_observer(block, self.cache.version_of(block))
-        # Hits are the most frequent event in the simulator; completing them
-        # through the per-tick dispatch batches costs two list appends
-        # instead of a kernel push+pop per hit.
-        self.sim.schedule_batched(self.timing.l2_hit_ns, done)
+        # Hits are the most frequent event in the simulator.
+        self.sim.schedule(self.timing.l2_hit_ns, done)
 
     # -------------------------------------------------------------- protocol
     @abstractmethod

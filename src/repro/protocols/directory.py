@@ -22,10 +22,9 @@ exactly as described in Section 4.2; they all share the physical links for
 traffic accounting.
 
 Every delayed directory action -- forwards, invalidation fan-outs, NACKs,
-writeback acks, memory data -- is a fire-and-forget send, so they all go
-through the kernel's per-tick batched dispatch (``schedule_batched``): one
-home controller tick schedules O(distinct delays) kernel events instead of
-O(messages).
+writeback acks, memory data -- is a pre-bound send scheduled with the
+message as its payload: an append to the kernel's lane for the send tick,
+with no per-message closure.
 """
 # repro-lint: hot
 
@@ -109,11 +108,10 @@ class DirectoryCacheController(CacheControllerBase):
         self.request_network = request_network
         self.forward_network = forward_network
         self.response_network = response_network
-        #: Pre-bound send: delayed responses ride the per-tick dispatch
-        #: batches with the message as the payload (no per-response closure,
-        #: no kernel event per message).
+        #: Pre-bound send: delayed responses are scheduled with the message
+        #: as the payload (no per-response closure).
         self._send_on_response = response_network.send
-        self._sched_batched = sim.schedule_batched
+        self._schedule = sim.schedule
         self.checker = checker
         #: the home DirectoryMemoryController of this node, linked by the
         #: protocol factory so invariant checkers can reach the directory
@@ -240,7 +238,7 @@ class DirectoryCacheController(CacheControllerBase):
             from_cache=True,
             acks_expected=0,
         )
-        self._sched_batched(max(0, send_time - self.now), self._send_on_response, data)
+        self._schedule(max(0, send_time - self.now), self._send_on_response, data)
         self._ctr_forwarded_responses.increment()
 
         home = self._home_of(block)
@@ -271,7 +269,7 @@ class DirectoryCacheController(CacheControllerBase):
                     version=version,
                     sharing=True,
                 )
-                self._sched_batched(
+                self._schedule(
                     max(0, send_time - self.now), self._send_on_response, writeback
                 )
             # When serving from the writeback buffer the eviction's
@@ -352,7 +350,7 @@ class DirectoryCacheController(CacheControllerBase):
         self._ctr_nacks_received.increment()
         # Bind the block now: the message shell may be recycled before the
         # retry fires.
-        self._sched_batched(
+        self._schedule(
             self.timing.nack_retry_ns, self._retry, (message.block, entry.req_kind)
         )
 
@@ -486,13 +484,13 @@ class DirectoryMemoryController(Component):
         self.request_network = request_network
         self.forward_network = forward_network
         self.response_network = response_network
-        # Pre-bound sends: every delayed directory action rides the per-tick
-        # dispatch batches with the message as the payload.  All of them
-        # share one delay (the directory+memory access), so a request tick's
-        # whole fan-out lands in a single kernel event.
+        # Pre-bound sends: every delayed directory action is scheduled with
+        # the message as the payload.  All of them share one delay (the
+        # directory+memory access), so a request tick's whole fan-out lands
+        # in one kernel lane.
         self._send_on_response = response_network.send
         self._send_on_forward = forward_network.send
-        self._sched_batched = sim.schedule_batched
+        self._schedule = sim.schedule
         self.directory = DirectoryBank(node)
         #: responses waiting for an in-flight writeback's data
         self._deferred_data: Dict[int, List[Message]] = {}
@@ -581,7 +579,7 @@ class DirectoryMemoryController(Component):
         # Memory owns the block; invalidate sharers and grant M.  The mask
         # iterates in ascending node order, matching the old sorted() walk.
         targets = entry.sharers_excluding(requester)
-        sched_batched = self._sched_batched
+        schedule = self._schedule
         delay = self.timing.memory_access_ns
         send_on_forward = self._send_on_forward
         for sharer in iter_sharers(targets):
@@ -592,7 +590,7 @@ class DirectoryMemoryController(Component):
                 message.block,
                 requester=requester,
             )
-            sched_batched(delay, send_on_forward, invalidate)
+            schedule(delay, send_on_forward, invalidate)
         self._ctr_invalidations_sent.increment(targets.bit_count())
         self._send_data(
             message, entry, exclusive=True, acks_expected=targets.bit_count()
@@ -620,7 +618,7 @@ class DirectoryMemoryController(Component):
         ack = self.pool.acquire(
             MessageKind.WRITEBACK_ACK, self.node, requester, message.block
         )
-        self._sched_batched(self.timing.memory_access_ns, self._send_on_response, ack)
+        self._schedule(self.timing.memory_access_ns, self._send_on_response, ack)
 
     # --------------------------------------------------------------- helpers
     def _busy(self, message: Message, entry: DirectoryEntry) -> None:
@@ -632,9 +630,7 @@ class DirectoryMemoryController(Component):
             message.block,
             **{"from": "home"},
         )
-        self._sched_batched(
-            self.timing.memory_access_ns, self._send_on_response, nack
-        )
+        self._schedule(self.timing.memory_access_ns, self._send_on_response, nack)
         self._ctr_nacks_sent.increment()
 
     def _forward(self, message: Message, owner: int, exclusive: bool) -> None:
@@ -642,9 +638,7 @@ class DirectoryMemoryController(Component):
         forward = self.pool.acquire(
             kind, self.node, owner, message.block, requester=message.src
         )
-        self._sched_batched(
-            self.timing.memory_access_ns, self._send_on_forward, forward
-        )
+        self._schedule(self.timing.memory_access_ns, self._send_on_forward, forward)
         self._ctr_forwards_sent.increment()
 
     def _send_data(
@@ -667,7 +661,7 @@ class DirectoryMemoryController(Component):
             self._deferred_data.setdefault(message.block, []).append(data)
             self._ctr_deferred_memory_responses.increment()
             return
-        self._sched_batched(self.timing.memory_access_ns, self._send_on_response, data)
+        self._schedule(self.timing.memory_access_ns, self._send_on_response, data)
         self._ctr_memory_responses.increment()
 
     # ------------------------------------------------------- writeback plane
@@ -698,9 +692,7 @@ class DirectoryMemoryController(Component):
         pending = self._deferred_data.pop(message.block, [])
         for data in pending:
             data.payload["version"] = entry.version
-            self._sched_batched(
-                self.timing.memory_access_ns, self._send_on_response, data
-            )
+            self._schedule(self.timing.memory_access_ns, self._send_on_response, data)
         self.pool.release(message)
 
     def on_transfer(self, message: Message) -> None:

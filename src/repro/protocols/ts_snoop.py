@@ -28,9 +28,8 @@ A node outside that mask would ignore a remote transaction anyway, so the
 network skips the call and results are unchanged.
 
 Delayed data responses (memory data, cache-to-cache data, writeback data)
-are fire-and-forget sends, so they ride the kernel's per-tick batched
-dispatch: an ordered broadcast that triggers responses from many nodes at
-one instant costs O(distinct send ticks) kernel events, not O(messages).
+are pre-bound sends scheduled with the message as their payload, so they
+allocate no per-response closure.
 """
 # repro-lint: hot
 
@@ -121,11 +120,10 @@ class TSSnoopNode(CacheControllerBase):
         )
         self.address_network = address_network
         self.data_network = data_network
-        #: Pre-bound send: delayed data responses ride the per-tick dispatch
-        #: batches with the message as the payload (no per-response closure,
-        #: no kernel event per message).
+        #: Pre-bound send: delayed data responses are scheduled with the
+        #: message as the payload (no per-response closure).
         self._send_on_data = data_network.send
-        self._sched_batched = sim.schedule_batched
+        self._schedule = sim.schedule
         self.prefetch = prefetch
         #: MOESI: a dirty owner answering a GETS downgrades to O and keeps
         #: supplying data (no sharing writeback); memory's owner bit stays
@@ -330,7 +328,7 @@ class TSSnoopNode(CacheControllerBase):
         data = self.pool.acquire(
             kind, self.node, requester, block, version=version, from_cache=False
         )
-        self._sched_batched(max(0, send_time - self.now), self._send_on_data, data)
+        self._schedule(max(0, send_time - self.now), self._send_on_data, data)
         self._ctr_memory_data_responses.increment()
 
     def _on_writeback_data(self, message: Message) -> None:
@@ -452,7 +450,7 @@ class TSSnoopNode(CacheControllerBase):
             version=version,
             from_cache=True,
         )
-        self._sched_batched(max(0, send_time - self.now), self._send_on_data, data)
+        self._schedule(max(0, send_time - self.now), self._send_on_data, data)
         self._ctr_cache_data_responses.increment()
 
     def _send_writeback_data(self, block: int, version: int, send_time: int) -> None:
@@ -460,9 +458,7 @@ class TSSnoopNode(CacheControllerBase):
         writeback = self.pool.acquire(
             MessageKind.WRITEBACK_DATA, self.node, home, block, version=version
         )
-        self._sched_batched(
-            max(0, send_time - self.now), self._send_on_data, writeback
-        )
+        self._schedule(max(0, send_time - self.now), self._send_on_data, writeback)
         self._ctr_writebacks_sent.increment()
 
     # --------------------------------------------------- own request ordered

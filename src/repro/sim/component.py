@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.stats import StatGroup
 
 
@@ -32,32 +32,21 @@ class Component:
         self,
         delay: int,
         callback: Callable[..., None],
-        *,
-        priority: int = 0,
-        label: str = "",
         arg: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` after ``delay`` ns, tagged with our name.
-
-        ``arg`` is the optional dispatch payload (``callback(arg)``); see
-        :meth:`repro.sim.kernel.Simulator.schedule`.
-        """
-        return self.sim.schedule(
-            delay, callback, priority=priority, label=label or self.name, arg=arg
-        )
+        priority: int = 0,
+    ) -> None:
+        """Run ``callback`` after ``delay`` ns (``callback(arg)`` when ``arg``
+        is not None); see :meth:`repro.sim.kernel.Simulator.schedule`."""
+        self.sim.schedule(delay, callback, arg, priority)
 
     def schedule_at(
         self,
         time: int,
         callback: Callable[..., None],
-        *,
-        priority: int = 0,
-        label: str = "",
         arg: Any = None,
-    ) -> Event:
-        return self.sim.schedule_at(
-            time, callback, priority=priority, label=label or self.name, arg=arg
-        )
+        priority: int = 0,
+    ) -> None:
+        self.sim.schedule_at(time, callback, arg, priority)
 
     # --------------------------------------------------------------- tracing
     def set_trace_hook(

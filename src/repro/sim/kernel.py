@@ -5,1240 +5,53 @@ event ordering exact and makes runs reproducible bit-for-bit, which the
 perturbation methodology of the paper (Section 4.3) relies on: perturbed
 replicas differ *only* in the injected random delays.
 
-Three interchangeable schedulers back the kernel:
+Work runs in ``(time, priority, FIFO)`` order: at equal times lower
+priorities run first, and entries with equal time and priority run in the
+order they were scheduled.  The queue is a calendar of exact-tick buckets.
+Each bucket holds one FIFO lane per priority, and every queued entry is a
+bare ``(callback, arg)`` pair; a small heap of the distinct bucket times
+finds the next tick.  The simulated networks schedule in dense same-tick
+waves, so :meth:`Simulator.run` drains a whole lane per bucket lookup: a
+tight loop of pops and calls.
 
-* :class:`EventQueue` -- the reference binary-heap scheduler.  Simple,
-  obviously correct, O(log n) per operation.
-* :class:`CalendarQueue` -- a bucket (calendar) scheduler keyed by exact
-  timestamp with a FIFO lane per priority inside each bucket.  Most pushes
-  and pops are O(1) dict and deque operations; only the (much smaller) set
-  of *distinct* timestamps goes through a heap.
-* :class:`TimingWheel` -- a hierarchical refinement of the calendar queue:
-  the near future (a power-of-two window of ticks) lives in a flat ring of
-  exact-tick buckets indexed by ``time & mask`` with an occupancy bitmap,
-  so finding the next distinct timestamp is bit arithmetic instead of heap
-  churn; only events beyond the window fall back to the calendar-style
-  far map, pulled forward in whole buckets when the ring drains.
-
-All three produce the exact same pop order -- ``(time, priority, seq)`` --
-which is asserted by property tests and by whole-run bit-identity tests.
-Pick one with ``Simulator(scheduler=...)`` or ``SystemConfig.scheduler``.
-
-Event shells are pooled by default (:class:`EventPool`): the simulator
-recycles each shell at its single consumption point -- right after its
-callback ran, or when a cancelled entry surfaces at the front of a queue --
-so steady-state event traffic allocates nothing.  Every recycle bumps the
-shell's ``generation``; a holder that captured ``event.generation`` at
-schedule time can later call ``event.cancel(generation)`` and a stale
-handle (the shell has moved on to a new event) is a guaranteed no-op.
-``Simulator(event_pool=False)`` / ``SystemConfig.event_pool`` restores
-fresh allocation per event (the reference behaviour; results are
-bit-identical either way).
-
-Scheduling also carries an optional ``arg`` payload: ``schedule(delay,
-callback, arg=payload)`` invokes ``callback(payload)``.  Hot producers pass
-a pre-bound method plus its payload instead of building a per-event
-closure, which is both faster and allocation-free once shells are pooled.
-
-Fire-and-forget work is *batched per tick*: a producer that never cancels
-calls ``schedule_batched(delay, callback, arg)`` and the calendar queue
-appends a bare ``(callback, arg)`` pair -- no :class:`Event` shell, no seq
-ticket -- straight into the exact-tick bucket's priority-0 lane, the same
-FIFO lane cancellable events of that tick live in.  The dispatcher drains
-whole lanes at a time (``pop_due_batch``), so a 256-node directory tick
-costs one bucket lookup plus a tight pair-dispatch loop instead of a
-scheduler push and pop per message.  Because pairs and event shells share
-one lane, the global dispatch order -- ``(time, priority, FIFO)`` -- is
-bit-identical to unbatched dispatch by construction, whatever mix of
-producers shares a tick.  ``Simulator(batched_dispatch=False)`` /
-``SystemConfig.batched_dispatch`` restores one kernel event per callback
-(the reference behaviour; results are bit-identical either way, enforced by
-the differential property suite in ``tests/sim/test_tick_batch.py``), and
-schedulers without lane storage (``heapq``) fall back to it transparently.
+Scheduling returns nothing.  No model object ever withdraws work it has
+scheduled, so the kernel keeps no per-entry handles, shells or counts.
 """
 # repro-lint: hot
 
 from __future__ import annotations
 
-import heapq
-import sys
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Type
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (scheduling in the past, etc.)."""
 
 
-class Event:
-    """A single scheduled callback.
-
-    Events order by ``(time, priority, seq)``.  ``priority`` breaks ties at
-    the same timestamp (lower runs first) and ``seq`` preserves FIFO order
-    for events with identical time and priority.
-
-    ``arg`` is the optional payload handed to ``callback``; ``generation``
-    counts how many times this shell has been recycled through an
-    :class:`EventPool` (see :meth:`cancel`).
-    """
-
-    __slots__ = (
-        "time",
-        "priority",
-        "seq",
-        "callback",
-        "arg",
-        "label",
-        "cancelled",
-        "generation",
-        "_queue",
-    )
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        label: str = "",
-        arg: Any = None,
-        queue: Optional["EventQueueBase"] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.arg = arg
-        self.label = label
-        self.cancelled = False
-        self.generation = 0
-        self._queue = queue
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def cancel(self, generation: Optional[int] = None) -> None:
-        """Cancel the event.
-
-        The queue entry is discarded lazily when it reaches the front, but
-        the owning queue's live count drops immediately so ``len()`` /
-        ``Simulator.pending_events`` stay truthful.  Cancelling twice is a
-        no-op, and with pooling off so is cancelling an event that already
-        ran.
-
-        With event pooling on, a shell handed out by ``schedule()`` is
-        recycled for a *different* event once the original was dispatched,
-        so a blind ``cancel()`` through a kept handle could kill an
-        innocent newer event.  Any caller that might cancel after its
-        event could have fired MUST capture ``event.generation`` at
-        schedule time and pass it here: a mismatch means the handle is
-        stale and the cancel is a guaranteed no-op.  (Passing the
-        generation is always safe -- on unpooled shells it never changes.)
-        """
-        if generation is not None and generation != self.generation:
-            return
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._queue is not None:
-            self._queue._note_cancelled(self)
-            self._queue = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        return (
-            f"<Event t={self.time} prio={self.priority} "
-            f"seq={self.seq} gen={self.generation} {self.label!r}{state}>"
-        )
-
-
-class EventPool:
-    """A free list of :class:`Event` shells.
-
-    The simulator releases each shell at its single consumption point
-    (after dispatch, or when a cancelled entry surfaces in a queue); the
-    schedulers' ``push`` then reuses released shells instead of
-    allocating.  Every release bumps the shell's ``generation`` so stale
-    handles can never resurrect or cancel a reused shell (see
-    :meth:`Event.cancel`).
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: List[Event] = []
-
-    def release(self, event: Event) -> None:
-        """Return a consumed shell to the free list.
-
-        The generation bump invalidates outstanding handles; callback and
-        payload references are dropped immediately so the pool never keeps
-        dead model objects alive.
-        """
-        event.generation += 1
-        event.callback = None
-        event.arg = None
-        event._queue = None
-        self._free.append(event)
-
-    def __len__(self) -> int:
-        """Shells currently free (ready for reuse)."""
-        return len(self._free)
-
-
-class _CheckedFreeList(list):
-    """A free list that rejects double releases (sanitizer mode).
-
-    The kernel's fast paths bypass :meth:`EventPool.release` and append
-    consumed shells straight to ``pool._free`` through a captured bound
-    method, so the checking has to live on the list itself: ``append`` is
-    the single funnel every release takes, ``pop`` the single funnel every
-    reuse takes.  The list's own strong references keep tracked shells
-    alive, so identity keys stay unambiguous while tracked.
-    """
-
-    __slots__ = ("_sites",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._sites: Dict[int, str] = {}
-
-    @staticmethod
-    def _site() -> str:
-        frame = sys._getframe(2)
-        code = frame.f_code
-        return f"{code.co_filename}:{frame.f_lineno} in {code.co_name}"
-
-    def append(self, event: "Event") -> None:
-        # repro-lint: disable=DET005 -- diagnostic identity keys over the
-        # list's own strong references; never feeds back into model state.
-        key = id(event)
-        site = self._sites.get(key)
-        if site is not None:
-            raise SimulationError(
-                f"double release of event shell {event!r}: first released "
-                f"at {site}, released again at {self._site()}"
-            )
-        self._sites[key] = self._site()
-        super().append(event)
-
-    def pop(self, index: int = -1) -> "Event":
-        event = super().pop(index)
-        # repro-lint: disable=DET005 -- diagnostic identity key (see append).
-        del self._sites[id(event)]
-        return event
-
-
-class CheckedEventPool(EventPool):
-    """An :class:`EventPool` whose free list rejects double releases.
-
-    ``Simulator(sanitize=True)`` (via ``SystemConfig.sanitize``) swaps this
-    in; the run loop and the schedulers need no changes because they reach
-    the free list only through ``_free.append`` / ``_free.pop``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._free = _CheckedFreeList()
-
-
-class EventQueueBase:
-    """Interface shared by the pluggable event schedulers.
-
-    ``len()`` counts *live* events only: entries that have been neither
-    popped nor cancelled.  Cancelled entries stay queued until they surface
-    (lazy deletion) but are never counted.  Batched pairs pushed with
-    :meth:`push_batched` count like any other live entry.
-
-    ``pool`` is an optional :class:`EventPool`; when given, ``push`` reuses
-    released shells and the queue releases cancelled entries as they
-    surface.
-    """
-
-    __slots__ = ("_seq", "_live", "_pool")
-
-    #: Registry name; filled in by subclasses.
-    name = "abstract"
-
-    def __init__(self, pool: Optional[EventPool] = None) -> None:
-        self._seq = 0
-        self._live = 0
-        self._pool = pool
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def _note_cancelled(self, event: Event) -> None:
-        """Called by :meth:`Event.cancel` while the event is still queued."""
-        self._live -= 1
-
-    def _discard_cancelled(self, event: Event) -> None:
-        """A cancelled entry surfaced: recycle its shell if pooling is on."""
-        pool = self._pool
-        if pool is not None:
-            pool.release(event)
-
-    def _release_bucket_events(self, bucket: list) -> None:
-        """Recycle whatever is left in a dropped exact-tick bucket.
-
-        Buckets are only dropped once their live count reaches zero, so any
-        remaining entries are cancelled shells awaiting lazy deletion
-        (batched pairs are always live, so none can be left here; the
-        guard is defensive).
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        lane = bucket[1]
-        if lane is not None:
-            for event in lane:
-                if event.__class__ is not tuple:
-                    pool.release(event)
-        lanes = bucket[2]
-        if lanes is not None:
-            for lane in lanes.values():
-                for event in lane:
-                    pool.release(event)
-
-    # Subclass API -------------------------------------------------------
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        arg: Any = None,
-    ) -> Event:
-        raise NotImplementedError
-
-    def pop(self) -> Event:
-        raise NotImplementedError
-
-    def pop_due(self, limit: Optional[int]) -> Optional[Event]:
-        """Pop the earliest live event if its time is <= ``limit``.
-
-        Returns ``None`` when the queue is empty or the earliest live event
-        lies beyond ``limit`` (``limit=None`` means no bound).  This fuses
-        ``peek_time`` + ``pop`` so the simulator's run loop touches the
-        queue's internal structure once per event.
-        """
-        raise NotImplementedError
-
-    def push_batched(self, time: int, callback: Callable[..., None], arg: Any) -> None:
-        """Insert fire-and-forget priority-0 work with no cancel handle.
-
-        Lane-based schedulers (the calendar queue) override this to append
-        a bare ``(callback, arg)`` pair into the exact-tick bucket's
-        priority-0 lane -- the per-message fast path behind
-        ``Simulator.schedule_batched``.  The default degrades to a plain
-        :meth:`push` (one event shell per callback), which keeps every
-        scheduler/batching combination bit-identical.
-        """
-        self.push(time, callback, 0, "", arg)
-
-    def pop_due_batch(self, limit: Optional[int]):
-        """Pop the earliest due *dispatch unit*.
-
-        Lane-based schedulers return ``(time, lane, bucket)`` when the next
-        unit is a whole exact-tick priority-0 lane: the caller dispatches
-        the lane's entries in place (popping left; pairs and event shells
-        interleave in FIFO = seq order) and then settles the live counts by
-        subtracting the number of live entries it consumed from both
-        ``bucket[0]`` and ``_live``.  Otherwise -- and always, in this
-        default -- behaves exactly like :meth:`pop_due`.
-        """
-        return self.pop_due(limit)
-
-    def peek_time(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class EventQueue(EventQueueBase):
-    """The reference scheduler: a min-heap of :class:`Event` objects."""
-
-    __slots__ = ("_heap",)
-
-    name = "heapq"
-
-    def __init__(self, pool: Optional[EventPool] = None) -> None:
-        super().__init__(pool)
-        self._heap: List[Event] = []
-
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        arg: Any = None,
-    ) -> Event:
-        """Insert a new event and return it (so callers may cancel it)."""
-        pool = self._pool
-        if pool is not None and pool._free:
-            event = pool._free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = self._seq
-            event.callback = callback
-            event.arg = arg
-            event.label = label
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, priority, self._seq, callback, label, arg, self)
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                # Already uncounted when it was cancelled.
-                self._discard_cancelled(event)
-                continue
-            self._live -= 1
-            event._queue = None
-            return event
-        raise SimulationError("pop from an empty event queue")
-
-    def pop_due(self, limit: Optional[int]) -> Optional[Event]:
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._discard_cancelled(event)
-                continue
-            if limit is not None and event.time > limit:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            event._queue = None
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the time of the earliest pending event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            self._discard_cancelled(heapq.heappop(self._heap))
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def clear(self) -> None:
-        for event in self._heap:
-            event._queue = None
-        self._heap.clear()
-        self._live = 0
-
-
-class CalendarQueue(EventQueueBase):
-    """A bucket scheduler keyed by exact timestamp.
-
-    The simulated networks schedule events in dense same-tick waves (every
-    hop of a broadcast tree, every token exchange of a wave lands on one
-    timestamp), so buckets are keyed by the *exact* event time.  Each bucket
-    holds one FIFO lane per priority; because ``seq`` increases monotonically
-    with pushes, FIFO order within a ``(time, priority)`` lane *is* seq
-    order, and no sorting is ever needed.  A small heap of distinct
-    timestamps finds the next bucket.
-
-    Pop order is identical to :class:`EventQueue`:
-    ``(time, priority, seq)`` -- verified by property tests.
-
-    :meth:`push_batched` appends bare ``(callback, arg)`` pairs into the
-    priority-0 lanes alongside regular event shells; a queue holding such
-    pairs must be drained with :meth:`pop_due_batch` (as the simulator's
-    dispatch loops do) -- the per-event ``pop``/``pop_due`` are only
-    type-safe on lanes of shells.
-    """
-
-    __slots__ = ("_buckets", "_times", "_saw_negative_priority")
-
-    name = "calendar"
-
-    def __init__(self, pool: Optional[EventPool] = None) -> None:
-        super().__init__(pool)
-        #: Sticky: a negative-priority push ever happened.  Negative
-        #: priorities only appear in tests, so the lane-drain loops can
-        #: guard their orders-before-the-lane re-check behind this flag
-        #: instead of paying a min() over the priority lanes per entry.
-        self._saw_negative_priority = False
-        # time -> [live_count, deque[Event] | None, {priority: deque} | None].
-        # Slot 1 is the dedicated priority-0 lane: virtually every event the
-        # simulated system schedules has priority 0, so the common bucket is
-        # one deque with no lane dict at all.  Slot 2 holds the lanes for
-        # every other priority and is created on demand.  A time appears in
-        # the _times heap exactly once for as long as its bucket exists;
-        # buckets are dropped (and the time popped) once their live count
-        # reaches zero and they surface at the front.
-        self._buckets: Dict[int, list] = {}
-        self._times: List[int] = []
-
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        arg: Any = None,
-    ) -> Event:
-        """Insert a new event and return it (so callers may cancel it)."""
-        pool = self._pool
-        if pool is not None and pool._free:
-            event = pool._free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = self._seq
-            event.callback = callback
-            event.arg = arg
-            event.label = label
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, priority, self._seq, callback, label, arg, self)
-        self._seq += 1
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            if priority == 0:
-                self._buckets[time] = [1, deque((event,)), None]
-            else:
-                if priority < 0:
-                    self._saw_negative_priority = True
-                self._buckets[time] = [1, None, {priority: deque((event,))}]
-            heapq.heappush(self._times, time)
-        else:
-            bucket[0] += 1
-            if priority == 0:
-                lane = bucket[1]
-                if lane is None:
-                    bucket[1] = deque((event,))
-                else:
-                    lane.append(event)
-            else:
-                if priority < 0:
-                    self._saw_negative_priority = True
-                _bucket_append_lane(bucket, event, priority)
-        return event
-
-    def _note_cancelled(self, event: Event) -> None:
-        self._live -= 1
-        bucket = self._buckets.get(event.time)
-        if bucket is not None:
-            bucket[0] -= 1
-
-    def _pop_from_lane(
-        self,
-        bucket: list,
-        lanes: Dict[int, deque],
-        priority: int,
-        live: int,
-    ) -> Optional[Event]:
-        """Pop the first live event of one priority lane (drop the lane when
-        it drains); None when the lane held only cancelled events."""
-        lane = lanes[priority]
-        while lane:
-            event = lane.popleft()
-            if event.cancelled:
-                # Already uncounted when it was cancelled.
-                self._discard_cancelled(event)
-                continue
-            if not lane:
-                del lanes[priority]
-            bucket[0] = live - 1
-            self._live -= 1
-            event._queue = None
-            return event
-        del lanes[priority]
-        return None
-
-    def _pop_from_bucket(self, bucket: list, live: int) -> Optional[Event]:
-        """Pop the (priority, seq)-least live event of a bucket, or None.
-
-        Within one ``(time, priority)`` lane, seq order is FIFO order; the
-        priority-0 lane is consulted first unless a negative-priority lane
-        exists (negative priorities only appear in tests, but order must
-        stay exact).
-        """
-        while True:
-            lane = bucket[1]
-            lanes = bucket[2]
-            if lane is not None:
-                if lanes:
-                    priority = min(lanes)
-                    if priority < 0:
-                        event = self._pop_from_lane(bucket, lanes, priority, live)
-                        if event is not None:
-                            return event
-                        continue
-                while lane:
-                    event = lane.popleft()
-                    if event.cancelled:
-                        # Already uncounted when it was cancelled.
-                        self._discard_cancelled(event)
-                        continue
-                    bucket[0] = live - 1
-                    self._live -= 1
-                    event._queue = None
-                    return event
-                bucket[1] = None
-                continue
-            if lanes:
-                event = self._pop_from_lane(bucket, lanes, min(lanes), live)
-                if event is not None:
-                    return event
-                continue
-            return None
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event."""
-        buckets = self._buckets
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            live = bucket[0]
-            if live > 0:
-                event = self._pop_from_bucket(bucket, live)
-                if event is not None:
-                    return event
-            self._release_bucket_events(bucket)
-            del buckets[time]
-            heapq.heappop(times)
-        raise SimulationError("pop from an empty event queue")
-
-    def pop_due(self, limit: Optional[int]) -> Optional[Event]:
-        buckets = self._buckets
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            live = bucket[0]
-            if live > 0:
-                if limit is not None and time > limit:
-                    return None
-                # Fast path: a pure priority-0 bucket with a live head.
-                lane = bucket[1]
-                if lane and not bucket[2]:
-                    event = lane.popleft()
-                    if not event.cancelled:
-                        bucket[0] = live - 1
-                        self._live -= 1
-                        event._queue = None
-                        return event
-                    self._discard_cancelled(event)
-                    continue
-                event = self._pop_from_bucket(bucket, live)
-                if event is not None:
-                    return event
-            self._release_bucket_events(bucket)
-            del buckets[time]
-            heapq.heappop(times)
-        return None
-
-    def push_batched(self, time: int, callback: Callable[..., None], arg: Any) -> None:
-        """Append a fire-and-forget ``(callback, arg)`` pair to the exact-tick
-        priority-0 lane.
-
-        No :class:`Event` shell, no seq ticket: FIFO position inside the
-        lane *is* seq order, so dispatch order is bit-identical to a plain
-        ``push`` of the same callback.  This is the per-message fast path of
-        batched dispatch.
-        """
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [1, deque(((callback, arg),)), None]
-            heapq.heappush(self._times, time)
-        else:
-            bucket[0] += 1
-            lane = bucket[1]
-            if lane is None:
-                bucket[1] = deque(((callback, arg),))
-            else:
-                lane.append((callback, arg))
-
-    def pop_due_batch(self, limit: Optional[int]):
-        """Pop the earliest due dispatch unit: a whole priority-0 lane when
-        possible (returned as ``(time, lane, bucket)``), else one event.
-
-        Negative-priority lanes (tests only) order before the priority-0
-        lane and are popped per event; buckets holding only positive
-        priority lanes fall back to per-event popping too (those lanes
-        never contain batched pairs).
-        """
-        buckets = self._buckets
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            live = bucket[0]
-            if live > 0:
-                if limit is not None and time > limit:
-                    return None
-                lanes = bucket[2]
-                if lanes:
-                    priority = min(lanes)
-                    if priority < 0:
-                        event = self._pop_from_lane(bucket, lanes, priority, live)
-                        if event is not None:
-                            return event
-                        continue
-                lane = bucket[1]
-                if lane:
-                    return (time, lane, bucket)
-                event = self._pop_from_bucket(bucket, live)
-                if event is not None:
-                    return event
-            self._release_bucket_events(bucket)
-            del buckets[time]
-            heapq.heappop(times)
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the time of the earliest pending event, or ``None``."""
-        buckets = self._buckets
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            if bucket[0] > 0:
-                return time
-            self._release_bucket_events(bucket)
-            del buckets[time]
-            heapq.heappop(times)
-        return None
-
-    def clear(self) -> None:
-        for bucket in self._buckets.values():
-            _bucket_disown(bucket)
-        self._buckets.clear()
-        self._times.clear()
-        self._live = 0
-
-
-def _bucket_append(bucket: list, event: Event, priority: int) -> None:
-    """Append an event to an exact-tick bucket's priority lane."""
-    bucket[0] += 1
-    if priority == 0:
-        lane = bucket[1]
-        if lane is None:
-            bucket[1] = deque((event,))
-        else:
-            lane.append(event)
-    else:
-        _bucket_append_lane(bucket, event, priority)
-
-
-def _bucket_append_lane(bucket: list, event: Event, priority: int) -> None:
-    """Append to a non-zero-priority lane (cold: almost everything is 0)."""
-    lanes = bucket[2]
-    if lanes is None:
-        bucket[2] = {priority: deque((event,))}
-    else:
-        lane = lanes.get(priority)
-        if lane is None:
-            lanes[priority] = deque((event,))
-        else:
-            lane.append(event)
-
-
-def _bucket_disown(bucket: list) -> None:
-    """Drop the queue backlink of every event still inside a bucket."""
-    if bucket[1] is not None:
-        for event in bucket[1]:
-            if event.__class__ is not tuple:
-                event._queue = None
-    if bucket[2] is not None:
-        for lane in bucket[2].values():
-            for event in lane:
-                event._queue = None
-
-
-class TimingWheel(EventQueueBase):
-    """A timing-wheel scheduler: exact-tick ring + calendar-style overflow.
-
-    The near future -- a power-of-two window of ``window`` ticks starting at
-    ``_base`` -- lives in a flat ring of exact-tick buckets indexed by
-    ``time & mask``.  A two-level occupancy bitmap (64-bit words plus a
-    one-word summary) finds the next occupied slot with a handful of small
-    integer operations, so advancing between distinct timestamps costs bit
-    arithmetic instead of the calendar queue's heap sift.  Each ring bucket
-    is the same ``[live, priority-0 lane, lanes]`` structure the calendar
-    queue uses (plus its exact time), so FIFO-per-``(time, priority)``
-    order -- and therefore global ``(time, priority, seq)`` pop order -- is
-    preserved by construction.
-
-    Events beyond the window land in a far map (dict keyed by exact tick
-    plus a heap of distinct ticks, exactly the calendar queue's shape).
-    When the ring drains, the window jumps to the earliest far tick and
-    every far bucket inside the new window moves into the ring *as a whole
-    bucket*, preserving intra-bucket order.  The simulated workloads
-    schedule almost exclusively within a few thousand ticks of ``now``, so
-    the far map is cold.
-
-    Pop order is identical to :class:`EventQueue` -- verified by the same
-    property tests that cover the calendar queue.
-
-    Measured on CPython 3.11 the wheel is at parity with the calendar
-    queue on the kernel microbench (run-to-run host noise decides which
-    wins a given run) but consistently behind it end-to-end on the real
-    workloads (the calendar queue's hot operations are all C; the wheel's
-    bit scans are Python bytecode), so the calendar queue remains the
-    default scheduler.  The wheel stays registered for
-    interpreters/workloads where heap churn dominates -- pick it with
-    ``SystemConfig(scheduler="wheel")``.
-    """
-
-    __slots__ = (
-        "_slots",
-        "_words",
-        "_summary",
-        "_base",
-        "_cursor",
-        "_far",
-        "_far_times",
-        "_mask",
-    )
-
-    name = "wheel"
-
-    #: Default ring size in ticks; covers every latency the simulated
-    #: system composes (think time + network + controller occupancy).
-    WINDOW = 4096
-
-    # The priority-lane pop logic is shared with the calendar queue (the
-    # bucket structure is identical); only ``self._live`` and
-    # ``self._discard_cancelled`` are touched besides the bucket itself.
-    _pop_from_lane = CalendarQueue._pop_from_lane
-    _pop_from_bucket = CalendarQueue._pop_from_bucket
-
-    def __init__(
-        self,
-        pool: Optional[EventPool] = None,
-        window: int = WINDOW,
-    ) -> None:
-        super().__init__(pool)
-        if window <= 0:
-            raise ValueError("window must be positive")
-        size = 64
-        while size < window:
-            size <<= 1
-        self._mask = size - 1
-        self._slots: List[Optional[list]] = [None] * size
-        #: Occupancy bitmap, 64 slots per word; summary bit w set iff
-        #: ``_words[w]`` is non-zero.
-        self._words = [0] * (size >> 6)
-        self._summary = 0
-        #: Window start: the ring covers times in [_base, _base + size).
-        self._base = 0
-        #: Scan position: no *live* ring event has time < _cursor.
-        self._cursor = 0
-        self._far: Dict[int, list] = {}
-        self._far_times: List[int] = []
-
-    # ------------------------------------------------------------------ push
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        arg: Any = None,
-    ) -> Event:
-        """Insert a new event and return it (so callers may cancel it)."""
-        # Inlined shell acquisition: this is the hottest allocation site in
-        # the whole simulator.
-        pool = self._pool
-        if pool is not None and pool._free:
-            event = pool._free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = self._seq
-            event.callback = callback
-            event.arg = arg
-            event.label = label
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, priority, self._seq, callback, label, arg, self)
-        self._seq += 1
-        self._live += 1
-        mask = self._mask
-        if time - self._base <= mask:
-            if time < self._base:
-                # Pushing below the window (raw-queue use only; the
-                # simulator never schedules in the past): rebuild the
-                # window around the new earliest time.
-                self._rebase_down(time)
-            idx = time & mask
-            bucket = self._slots[idx]
-            if bucket is not None and bucket[3] == time:
-                bucket[0] += 1
-                if priority == 0:
-                    lane = bucket[1]
-                    if lane is None:
-                        bucket[1] = deque((event,))
-                    else:
-                        lane.append(event)
-                else:
-                    _bucket_append_lane(bucket, event, priority)
-            else:
-                # Empty slot, or a fully drained bucket left over from a
-                # previous window revolution (live buckets in the window
-                # never collide); (re)build it.
-                if bucket is not None:
-                    self._release_bucket_events(bucket)
-                if priority == 0:
-                    self._slots[idx] = [1, deque((event,)), None, time]
-                else:
-                    self._slots[idx] = [1, None, {priority: deque((event,))}, time]
-                word = idx >> 6
-                self._words[word] |= 1 << (idx & 63)
-                self._summary |= 1 << word
-            if time < self._cursor:
-                self._cursor = time
-        else:
-            bucket = self._far.get(time)
-            if bucket is None:
-                if priority == 0:
-                    self._far[time] = [1, deque((event,)), None, time]
-                else:
-                    self._far[time] = [1, None, {priority: deque((event,))}, time]
-                heapq.heappush(self._far_times, time)
-            else:
-                _bucket_append(bucket, event, priority)
-        return event
-
-    # ---------------------------------------------------------------- cancel
-    def _note_cancelled(self, event: Event) -> None:
-        self._live -= 1
-        time = event.time
-        if time - self._base <= self._mask:
-            bucket = self._slots[time & self._mask]
-            if bucket is not None and bucket[3] == time:
-                bucket[0] -= 1
-        else:
-            bucket = self._far.get(time)
-            if bucket is not None:
-                bucket[0] -= 1
-
-    # -------------------------------------------------------------- occupancy
-    def _find_next(self, idx: int) -> int:
-        """Index of the first occupied slot cyclically at or after ``idx``.
-
-        The caller guarantees the ring is non-empty (``_summary != 0``).
-        """
-        words = self._words
-        word_index = idx >> 6
-        masked = words[word_index] >> (idx & 63)
-        if masked:
-            return idx + ((masked & -masked).bit_length() - 1)
-        summary = self._summary
-        high = summary >> (word_index + 1)
-        if high:
-            word_index = word_index + 1 + ((high & -high).bit_length() - 1)
-        else:
-            low = summary & ((1 << (word_index + 1)) - 1)
-            word_index = (low & -low).bit_length() - 1
-        word = words[word_index]
-        return (word_index << 6) + ((word & -word).bit_length() - 1)
-
-    def _clear_slot(self, idx: int) -> None:
-        """Drop a drained bucket: slot, word bit and (maybe) summary bit."""
-        bucket = self._slots[idx]
-        if bucket is not None:
-            self._release_bucket_events(bucket)
-            self._slots[idx] = None
-        word_index = idx >> 6
-        word = self._words[word_index] & ~(1 << (idx & 63))
-        self._words[word_index] = word
-        if not word:
-            self._summary &= ~(1 << word_index)
-
-    # ------------------------------------------------------------ window ops
-    def _rebase_down(self, time: int) -> None:
-        """Rebuild the window to start at ``time`` (a below-base push)."""
-        slots = self._slots
-        words = self._words
-        far = self._far
-        far_times = self._far_times
-        # Evict every ring bucket to the far map ...
-        summary = self._summary
-        while summary:
-            word_index = (summary & -summary).bit_length() - 1
-            summary &= summary - 1
-            word = words[word_index]
-            words[word_index] = 0
-            while word:
-                idx = (word_index << 6) + ((word & -word).bit_length() - 1)
-                word &= word - 1
-                bucket = slots[idx]
-                slots[idx] = None
-                if bucket is None:
-                    continue
-                if bucket[0] > 0:
-                    far[bucket[3]] = bucket
-                    heapq.heappush(far_times, bucket[3])
-                else:
-                    self._release_bucket_events(bucket)
-        self._summary = 0
-        self._base = time
-        self._cursor = time
-        # ... then pull everything inside the new window back in.
-        self._fill_from_far()
-
-    def _advance_window(self) -> bool:
-        """The ring is empty: jump the window to the earliest far tick.
-
-        Returns False when the far map is empty too (queue exhausted).
-        """
-        far = self._far
-        far_times = self._far_times
-        while far_times:
-            time = far_times[0]
-            bucket = far[time]
-            if bucket[0] > 0:
-                break
-            self._release_bucket_events(bucket)
-            heapq.heappop(far_times)
-            del far[time]
-        if not far_times:
-            return False
-        self._base = far_times[0]
-        self._cursor = self._base
-        self._fill_from_far()
-        return True
-
-    def _fill_from_far(self) -> None:
-        """Move every far bucket inside the current window into the ring."""
-        far = self._far
-        far_times = self._far_times
-        slots = self._slots
-        words = self._words
-        mask = self._mask
-        horizon = self._base + mask
-        summary = self._summary
-        while far_times and far_times[0] <= horizon:
-            time = heapq.heappop(far_times)
-            bucket = far.pop(time)
-            if bucket[0] <= 0:
-                self._release_bucket_events(bucket)
-                continue
-            idx = time & mask
-            slots[idx] = bucket
-            word_index = idx >> 6
-            words[word_index] |= 1 << (idx & 63)
-            summary |= 1 << word_index
-        self._summary = summary
-
-    # ------------------------------------------------------------------- pop
-    def _next_bucket(self) -> Optional[list]:
-        """The ring bucket holding the earliest live event, advancing the
-        cursor to its time; None when ring and far map are both empty."""
-        mask = self._mask
-        slots = self._slots
-        while True:
-            if self._summary == 0:
-                if not self._advance_window():
-                    return None
-                continue
-            idx = self._find_next(self._cursor & mask)
-            bucket = slots[idx]
-            if bucket[0] <= 0:
-                self._clear_slot(idx)
-                continue
-            self._cursor = bucket[3]
-            return bucket
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event."""
-        event = self.pop_due(None)
-        if event is None:
-            raise SimulationError("pop from an empty event queue")
-        return event
-
-    def pop_due(self, limit: Optional[int]) -> Optional[Event]:
-        # Fully inlined: one frame per pop.  The cursor hit (dense same-tick
-        # waves) skips the bitmap entirely; a cursor miss costs a handful of
-        # small-int bit operations to find the next occupied slot.
-        slots = self._slots
-        mask = self._mask
-        while True:
-            cursor = self._cursor
-            idx = cursor & mask
-            bucket = slots[idx]
-            if bucket is None or bucket[3] != cursor or bucket[0] <= 0:
-                if self._summary == 0:
-                    if not self._advance_window():
-                        return None
-                    continue
-                # Inlined _find_next (cyclic scan from the cursor slot).
-                words = self._words
-                word_index = idx >> 6
-                masked = words[word_index] >> (idx & 63)
-                if masked:
-                    idx = idx + ((masked & -masked).bit_length() - 1)
-                else:
-                    summary = self._summary
-                    high = summary >> (word_index + 1)
-                    if high:
-                        word_index = (
-                            word_index + 1 + ((high & -high).bit_length() - 1)
-                        )
-                    else:
-                        low = summary & ((1 << (word_index + 1)) - 1)
-                        word_index = (low & -low).bit_length() - 1
-                    word = words[word_index]
-                    idx = (word_index << 6) + ((word & -word).bit_length() - 1)
-                bucket = slots[idx]
-                if bucket[0] <= 0:
-                    self._clear_slot(idx)
-                    continue
-                self._cursor = bucket[3]
-            if limit is not None and bucket[3] > limit:
-                return None
-            lane = bucket[1]
-            if lane and not bucket[2]:
-                event = lane.popleft()
-                if not event.cancelled:
-                    bucket[0] -= 1
-                    self._live -= 1
-                    event._queue = None
-                    return event
-                self._discard_cancelled(event)
-                continue
-            event = self._pop_from_bucket(bucket, bucket[0])
-            if event is not None:
-                return event
-            # The bucket's live count was consistent but every entry was
-            # cancelled (defensive; mirrors the calendar queue): drop it.
-            bucket[0] = 0
-
-    def peek_time(self) -> Optional[int]:
-        """Return the time of the earliest pending event, or ``None``."""
-        bucket = self._next_bucket()
-        if bucket is None:
-            return None
-        return bucket[3]
-
-    def clear(self) -> None:
-        for bucket in self._slots:
-            if bucket is not None:
-                _bucket_disown(bucket)
-        for bucket in self._far.values():
-            _bucket_disown(bucket)
-        self._slots = [None] * (self._mask + 1)
-        self._words = [0] * ((self._mask + 1) >> 6)
-        self._summary = 0
-        self._base = 0
-        self._cursor = 0
-        self._far.clear()
-        self._far_times.clear()
-        self._live = 0
-
-
-#: Scheduler registry used by :class:`Simulator` and ``SystemConfig``.
-SCHEDULERS: Dict[str, Type[EventQueueBase]] = {
-    EventQueue.name: EventQueue,
-    CalendarQueue.name: CalendarQueue,
-    TimingWheel.name: TimingWheel,
-}
-
-#: The default scheduler.  The calendar queue measures fastest end-to-end
-#: on CPython (its hot operations -- dict lookup, deque append, heap sift
-#: over a handful of distinct ticks -- all run in C, while the wheel's bit
-#: arithmetic runs as Python bytecode); the wheel and ``heapq`` remain
-#: registered alternatives, bit-identical by construction and by test.
-DEFAULT_SCHEDULER = CalendarQueue.name
-
-
-def make_event_queue(
-    scheduler: str = DEFAULT_SCHEDULER,
-    pool: Optional[EventPool] = None,
-) -> EventQueueBase:
-    """Instantiate a scheduler by registry name."""
-    try:
-        queue_type = SCHEDULERS[scheduler]
-    except KeyError:
-        raise SimulationError(
-            f"unknown scheduler {scheduler!r}; choose one of {sorted(SCHEDULERS)}"
-        ) from None
-    return queue_type(pool)
-
-
 class Simulator:
-    """The event-driven simulation engine.
+    """The event-driven simulation engine: the clock and the calendar.
 
-    A :class:`Simulator` owns the clock and the event queue.  Model
-    components call :meth:`schedule` / :meth:`schedule_at` to arrange
-    future cancellable work (one event shell each), or
-    :meth:`schedule_batched` / :meth:`schedule_batched_at` for
-    fire-and-forget work, which is batched per tick: a bare ``(callback,
-    arg)`` pair appended to the tick's priority-0 lane.  :meth:`run` drains
-    events until the queue empties, a time limit is hit, or an event budget
-    is exhausted.
-
-    ``scheduler`` selects the event-queue implementation (see
-    :data:`SCHEDULERS`); ``event_pool`` recycles event shells through an
-    :class:`EventPool` (the default); ``batched_dispatch`` enables the
-    per-tick pair batching (one event shell per callback when False -- the
-    reference dispatch; schedulers without lane storage, like ``heapq``,
-    always behave that way).  Every combination yields bit-identical
-    simulations.  ``sanitize`` swaps the pool for a
-    :class:`CheckedEventPool` that raises on double releases (slower;
-    used by the invariant test suite).
+    Model components call :meth:`schedule` / :meth:`schedule_at` to arrange
+    future work; :meth:`run` drains it until the calendar empties, a time
+    limit is hit, an event budget is exhausted, or :meth:`stop` is called.
     """
 
-    def __init__(
-        self,
-        scheduler: str = DEFAULT_SCHEDULER,
-        event_pool: bool = True,
-        batched_dispatch: bool = True,
-        sanitize: bool = False,
-    ) -> None:
-        if not event_pool:
-            self._event_pool = None
-        elif sanitize:
-            self._event_pool = CheckedEventPool()
-        else:
-            self._event_pool = EventPool()
-        self._queue = make_event_queue(scheduler, self._event_pool)
-        #: Bound pushes: the scheduling fast paths skip one attribute hop.
-        #: ``_push_batched`` is None when batching is off, which routes
-        #: ``schedule_batched`` through the reference one-event-per-callback
-        #: path.
-        self._push = self._queue.push
-        self._push_batched = self._queue.push_batched if batched_dispatch else None
-        self._batched = batched_dispatch
-        # Direct lane handles for the calendar queue: schedule_batched runs
-        # the bucket ops inline instead of paying a second call layer per
-        # message.  Other schedulers go through queue.push_batched.
-        if batched_dispatch and type(self._queue) is CalendarQueue:
-            self._lane_buckets = self._queue._buckets
-            self._lane_times = self._queue._times
-        else:
-            self._lane_buckets = None
-            self._lane_times = None
+    def __init__(self) -> None:
+        #: time -> FIFO lane of priority-0 ``(callback, arg)`` pairs.  Nearly
+        #: everything the simulated system schedules has priority 0, so the
+        #: common push is one dict lookup and one append.  Every bucket time
+        #: has a lane here (empty when the bucket holds only other
+        #: priorities) and one entry in ``_times`` until :meth:`run` retires
+        #: the drained bucket.
+        self._buckets: Dict[int, deque] = {}
+        #: time -> {priority: lane} for positive priorities, made on demand.
+        self._higher: Dict[int, Dict[int, deque]] = {}
+        #: Heap of the bucket times.
+        self._times: List[int] = []
         self._now = 0
         self._events_processed = 0
-        self._running = False
         self._stop_requested = False
 
     # ------------------------------------------------------------------ time
@@ -1253,144 +66,81 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live entries awaiting dispatch (batched pairs count like events).
-
-        Exact at dispatch-unit boundaries; while a tick lane is mid-drain
-        its already-dispatched entries are only subtracted when the lane is
-        settled (end of the lane, budget pause, or ``stop``).
-        """
-        return len(self._queue)
-
-    @property
-    def scheduler(self) -> str:
-        """Registry name of the event-queue implementation in use."""
-        return self._queue.name
-
-    @property
-    def event_pool(self) -> Optional[EventPool]:
-        """The shell pool, or ``None`` when pooling is disabled."""
-        return self._event_pool
-
-    @property
-    def batched_dispatch(self) -> bool:
-        """Whether fire-and-forget work is batched into per-tick lanes."""
-        return self._batched
+        """Entries scheduled but not yet dispatched."""
+        return sum(map(len, self._buckets.values())) + sum(
+            len(lane) for lanes in self._higher.values() for lane in lanes.values()
+        )
 
     # -------------------------------------------------------------- schedule
     def schedule(
         self,
         delay: int,
         callback: Callable[..., None],
-        *,
-        priority: int = 0,
-        label: str = "",
         arg: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` ns from now.
+        priority: int = 0,
+    ) -> None:
+        """Run ``callback`` ``delay`` ns from now.
 
-        ``arg`` is an optional payload: the dispatcher calls
-        ``callback(arg)`` when it is not ``None`` and ``callback()``
-        otherwise, so hot paths can pass a pre-bound method plus payload
-        instead of allocating a closure per event.
+        The dispatcher calls ``callback(arg)``, or ``callback()`` when
+        ``arg`` is None, so hot producers pass a pre-bound method plus its
+        payload instead of allocating a closure per event.  ``priority``
+        breaks ties at equal times (lower first; negative is an error).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._push(self._now + delay, callback, priority, label, arg)
+        time = self._now + delay
+        # The push below is repeated in schedule_at rather than called:
+        # both are per-message hot paths.
+        if priority:
+            self._push_higher(time, callback, arg, priority)
+            return
+        lane = self._buckets.get(time)
+        if lane is None:
+            self._buckets[time] = deque(((callback, arg),))
+            heappush(self._times, time)
+        else:
+            lane.append((callback, arg))
 
     def schedule_at(
         self,
         time: int,
         callback: Callable[..., None],
-        *,
-        priority: int = 0,
-        label: str = "",
         arg: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` at an absolute simulated time."""
+        priority: int = 0,
+    ) -> None:
+        """Absolute-time variant of :meth:`schedule`."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        return self._push(time, callback, priority, label, arg)
-
-    def schedule_batched(
-        self,
-        delay: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = 0,
-    ) -> None:
-        """Schedule fire-and-forget work, batched into its tick's lane.
-
-        The per-message fast path for producers that never cancel: on a
-        lane-based scheduler this appends a bare ``(callback, arg)`` pair to
-        the exact-tick priority-0 lane -- no event shell, no per-entry pop
-        -- and the dispatcher drains the whole lane at once.  Dispatch
-        order is bit-identical to an equivalent ``schedule()`` call because
-        pairs and event shells share the same FIFO lane.
-
-        No handle is returned; use :meth:`schedule` for cancellable work.
-        Non-zero priorities (the ordered fan-out's source tie-break) and
-        ``batched_dispatch=False`` degrade to exactly one kernel event per
-        callback, the reference behaviour.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        buckets = self._lane_buckets
-        if buckets is None or priority != 0:
-            push_batched = self._push_batched
-            if push_batched is not None and priority == 0:
-                push_batched(self._now + delay, callback, arg)
-            else:
-                self._push(self._now + delay, callback, priority, "", arg)
+        if priority:
+            self._push_higher(time, callback, arg, priority)
             return
-        # Inlined CalendarQueue.push_batched: the per-message fast path.
-        time = self._now + delay
-        self._queue._live += 1
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [1, deque(((callback, arg),)), None]
-            heapq.heappush(self._lane_times, time)
+        lane = self._buckets.get(time)
+        if lane is None:
+            self._buckets[time] = deque(((callback, arg),))
+            heappush(self._times, time)
         else:
-            bucket[0] += 1
-            lane = bucket[1]
-            if lane is None:
-                bucket[1] = deque(((callback, arg),))
-            else:
-                lane.append((callback, arg))
+            lane.append((callback, arg))
 
-    def schedule_batched_at(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = 0,
+    def _push_higher(
+        self, time: int, callback: Callable[..., None], arg: Any, priority: int
     ) -> None:
-        """Absolute-time variant of :meth:`schedule_batched`."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self._now}"
-            )
-        buckets = self._lane_buckets
-        if buckets is None or priority != 0:
-            push_batched = self._push_batched
-            if push_batched is not None and priority == 0:
-                push_batched(time, callback, arg)
-            else:
-                self._push(time, callback, priority, "", arg)
+        """Append to a non-zero priority lane (cold: almost all work is 0)."""
+        if priority < 0:
+            raise SimulationError(f"negative priority {priority}")
+        if time not in self._buckets:
+            self._buckets[time] = deque()
+            heappush(self._times, time)
+        lanes = self._higher.get(time)
+        if lanes is None:
+            self._higher[time] = {priority: deque(((callback, arg),))}
             return
-        self._queue._live += 1
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [1, deque(((callback, arg),)), None]
-            heapq.heappush(self._lane_times, time)
+        lane = lanes.get(priority)
+        if lane is None:
+            lanes[priority] = deque(((callback, arg),))
         else:
-            bucket[0] += 1
-            lane = bucket[1]
-            if lane is None:
-                bucket[1] = deque(((callback, arg),))
-            else:
-                lane.append((callback, arg))
+            lane.append((callback, arg))
 
     # ------------------------------------------------------------------- run
     def run(
@@ -1399,269 +149,89 @@ class Simulator:
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Drain the event queue.
+        """Drain the calendar; return the number of entries dispatched.
 
-        Returns the number of events processed during this call (batched
-        pairs count exactly like events).  ``until`` is an inclusive
-        simulated-time bound; ``max_events`` bounds the work done by this
-        call (useful for watchdogs in tests); both are honoured per entry,
-        including inside a tick lane, so runs slice identically whether or
-        not dispatch is batched.
+        ``until`` is an inclusive simulated-time bound; ``max_events``
+        bounds the work done by this call (useful for watchdogs in tests).
+        Both are honoured per entry, also in the middle of a lane, and a
+        later call resumes exactly where this one stopped.
 
         Clock semantics: when ``until`` is given and the call covers the full
-        interval -- every event at or before ``until`` ran, whether the queue
-        drained first or later events remain -- the clock lands exactly on
-        ``until``.  Early exits (:meth:`stop` or the ``max_events`` budget)
-        leave the clock at the last processed event, since the interval was
-        not fully simulated.  The clock never moves backwards.
+        interval -- every entry at or before ``until`` ran, whether the
+        calendar drained first or later entries remain -- the clock lands
+        exactly on ``until``.  Early exits (:meth:`stop` or the
+        ``max_events`` budget) leave the clock at the last dispatched entry,
+        since the interval was not fully simulated.  The clock never moves
+        backwards.
         """
+        buckets = self._buckets
+        higher = self._higher
+        times = self._times
+        budget = 0x7FFFFFFFFFFFFFFF if max_events is None else max_events
         processed = 0
         completed = True
-        self._running = True
         self._stop_requested = False
-        queue = self._queue
-        pop_due_batch = queue.pop_due_batch
-        pool = self._event_pool
-        free_append = pool._free.append if pool is not None else None
-        budget = 0x7FFFFFFFFFFFFFFF if max_events is None else max_events
-        # The loop pulls one *dispatch unit* at a time: a single event, or a
-        # whole exact-tick priority-0 lane drained in place -- one queue
-        # call per tick instead of per event.  events_processed is folded in
-        # once at the end; per-event bookkeeping costs a Python call (or two
-        # bytecodes) per event otherwise.
         try:
-            while True:
+            while times:
+                time = times[0]
+                zero = buckets[time]
+                if zero:
+                    lane = zero
+                    priority = 0
+                else:
+                    lanes = higher.get(time)
+                    if not lanes:
+                        # The bucket drained: retire its time.
+                        heappop(times)
+                        del buckets[time]
+                        if lanes is not None:
+                            del higher[time]
+                        continue
+                    priority = min(lanes)
+                    lane = lanes[priority]
+                    width = len(lanes)
+                if until is not None and time > until:
+                    break
+                if processed >= budget:
+                    completed = False
+                    break
+                self._now = time
+                popleft = lane.popleft
+                # Work the callbacks schedule into this lane is picked up by
+                # this same drain.  Same-tick work at a lower priority orders
+                # before the rest of a positive-priority lane: it lands in the
+                # priority-0 lane or adds a lane, so either sends the loop
+                # back to pick the least priority again.
+                while lane:
+                    callback, arg = popleft()
+                    if arg is None:
+                        callback()
+                    else:
+                        callback(arg)
+                    processed += 1
+                    if processed >= budget or self._stop_requested:
+                        break
+                    if priority and (zero or len(lanes) != width):
+                        break
+                if priority and not lane:
+                    del lanes[priority]
                 if self._stop_requested:
                     completed = False
                     break
-                if processed >= budget:
-                    # The budget only makes this an early exit if an
-                    # eligible event was actually left unprocessed.
-                    next_time = queue.peek_time()
-                    if next_time is not None and (until is None or next_time <= until):
-                        completed = False
-                    break
-                unit = pop_due_batch(until)
-                if unit is None:
-                    break
-                if unit.__class__ is tuple:
-                    # A whole tick lane.  Batched (callback, arg) pairs and
-                    # cancellable event shells interleave in FIFO = seq
-                    # order; work appended to this tick's lane by the
-                    # callbacks themselves is picked up by this same drain,
-                    # exactly as per-event popping would.  The lane stays
-                    # attached to its bucket, so an early exit (stop/budget)
-                    # just leaves the remainder queued; the live counts the
-                    # in-place pops bypassed are settled at the end.
-                    time, lane, bucket = unit
-                    self._now = time
-                    dispatched = 0
-                    popped = 0
-                    remaining = budget - processed
-                    popleft = lane.popleft
-                    # The settlement must survive a raising callback, or the
-                    # live counts drift for the rest of the process; the
-                    # entry mid-dispatch counts as popped (live dropped, like
-                    # the reference pop) but not as processed (the reference
-                    # loop counts after the callback returns).
-                    try:
-                        while lane:
-                            if (
-                                queue._saw_negative_priority
-                                and bucket[2]
-                                and min(bucket[2]) < 0
-                            ):
-                                # A callback scheduled a negative-priority
-                                # event at this same tick: it orders before
-                                # the rest of this lane, so fall back to the
-                                # per-event pop path.  The sticky flag keeps
-                                # the common case (no negative priorities
-                                # ever) to one attribute test per entry.
-                                break
-                            entry = popleft()
-                            if entry.__class__ is tuple:
-                                popped += 1
-                                callback, arg = entry
-                                if arg is None:
-                                    callback()
-                                else:
-                                    callback(arg)
-                            else:
-                                if entry.cancelled:
-                                    # Already uncounted when it was cancelled.
-                                    if free_append is not None:
-                                        entry.generation += 1
-                                        entry.callback = None
-                                        entry.arg = None
-                                        free_append(entry)
-                                    continue
-                                popped += 1
-                                entry._queue = None
-                                callback = entry.callback
-                                arg = entry.arg
-                                if arg is None:
-                                    callback()
-                                else:
-                                    callback(arg)
-                                if free_append is not None:
-                                    entry.generation += 1
-                                    entry.callback = None
-                                    entry.arg = None
-                                    free_append(entry)
-                            dispatched += 1
-                            if dispatched >= remaining or self._stop_requested:
-                                break
-                    finally:
-                        bucket[0] -= popped
-                        queue._live -= popped
-                        processed += dispatched
-                    continue
-                event = unit
-                self._now = event.time
-                callback = event.callback
-                arg = event.arg
-                if arg is None:
-                    callback()
-                else:
-                    callback(arg)
-                if free_append is not None:
-                    # Inlined EventPool.release: this is the per-event hot
-                    # loop (pop already dropped the queue backlink).
-                    event.generation += 1
-                    event.callback = None
-                    event.arg = None
-                    free_append(event)
-                processed += 1
-            if (
-                completed
-                and not self._stop_requested
-                and until is not None
-                and until > self._now
-            ):
-                # stop() on the final event drains the queue, but it is
-                # still an early exit: leave the clock on that event.
+            if completed and until is not None and until > self._now:
                 self._now = until
         finally:
             self._events_processed += processed
-            self._running = False
         return processed
-
-    def _dispatch_unit(self, unit) -> int:
-        """Dispatch one unit from ``pop_due_batch`` (cold paths).
-
-        ``step`` and ``iterate_events`` share this; ``run`` inlines the
-        same logic.  Returns the number of entries dispatched.
-        """
-        pool = self._event_pool
-        if unit.__class__ is tuple:
-            time, lane, bucket = unit
-            self._now = time
-            dispatched = 0
-            popped = 0
-            popleft = lane.popleft
-            try:
-                while lane:
-                    if (
-                        self._queue._saw_negative_priority
-                        and bucket[2]
-                        and min(bucket[2]) < 0
-                    ):
-                        # A newly scheduled negative-priority event at this
-                        # tick orders before the rest of the lane.
-                        break
-                    entry = popleft()
-                    if entry.__class__ is tuple:
-                        popped += 1
-                        callback, arg = entry
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                    else:
-                        if entry.cancelled:
-                            if pool is not None:
-                                pool.release(entry)
-                            continue
-                        popped += 1
-                        entry._queue = None
-                        callback = entry.callback
-                        arg = entry.arg
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        if pool is not None:
-                            pool.release(entry)
-                    dispatched += 1
-            finally:
-                bucket[0] -= popped
-                self._queue._live -= popped
-            return dispatched
-        event = unit
-        self._now = event.time
-        callback = event.callback
-        arg = event.arg
-        if arg is None:
-            callback()
-        else:
-            callback(arg)
-        if pool is not None:
-            pool.release(event)
-        return 1
-
-    def step(self) -> bool:
-        """Process a single dispatch unit.  Returns False when the queue is
-        empty.
-
-        A batched tick lane is one step but counts as ``len(lane)``
-        processed events (matching what the unbatched kernel would have
-        counted).
-        """
-        unit = self._queue.pop_due_batch(None)
-        if unit is None:
-            return False
-        self._events_processed += self._dispatch_unit(unit)
-        return True
 
     def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
+        """Request that :meth:`run` return after the current entry."""
         self._stop_requested = True
 
-    def drain_until_quiescent(self, *, max_events: int = 50_000_000) -> int:
-        """Run until no events remain; guard against runaway models."""
-        processed = self.run(max_events=max_events)
-        if self._queue:
-            raise SimulationError(
-                f"simulation did not quiesce within {max_events} events "
-                f"({len(self._queue)} still pending at t={self._now})"
-            )
-        return processed
-
-    # --------------------------------------------------------------- utility
-    def iterate_events(self, *, until: Optional[int] = None) -> Iterator[int]:
-        """Yield the simulation time after each processed dispatch unit.
-
-        Convenience generator used by interactive examples and a handful of
-        tests that want to observe the simulation advancing.
-
-        Matches :meth:`run`'s clock semantics: once the generator is
-        exhausted (queue drained or no event at or before ``until`` remains),
-        the clock lands on ``until``.  Abandoning the generator early leaves
-        the clock at the last processed event.  A batched tick lane is one
-        yield (its entries all share one timestamp) but counts as
-        ``len(lane)`` processed events.
-        """
-        while True:
-            unit = self._queue.pop_due_batch(until)
-            if unit is None:
-                break
-            self._events_processed += self._dispatch_unit(unit)
-            yield self._now
-        if until is not None and until > self._now:
-            self._now = until
-
     def reset(self) -> None:
-        """Discard all pending events and rewind the clock to zero."""
-        self._queue.clear()
+        """Discard all pending work and rewind the clock to zero."""
+        self._buckets.clear()
+        self._higher.clear()
+        self._times.clear()
         self._now = 0
         self._events_processed = 0

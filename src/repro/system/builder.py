@@ -94,12 +94,7 @@ class SystemBuilder:
                 f"expected {config.num_nodes} streams, got {len(streams)}"
             )
 
-        sim = Simulator(
-            scheduler=config.scheduler,
-            event_pool=config.event_pool,
-            batched_dispatch=config.batched_dispatch,
-            sanitize=config.sanitize,
-        )
+        sim = Simulator()
         topology = make_topology(config.network, config.num_nodes)
         address_space = AddressSpace(
             total_bytes=config.memory_bytes,

@@ -8,7 +8,6 @@ from repro.memory.cache import CACHE_ARRAYS, DEFAULT_CACHE_ARRAY
 from repro.network.timing import NetworkTiming
 from repro.processor.consistency import CONSISTENCY_MODELS
 from repro.protocols.base import ProtocolTiming
-from repro.sim.kernel import DEFAULT_SCHEDULER, SCHEDULERS
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,6 @@ class SystemConfig:
     # per host CPU.  Results are bit-identical regardless of the value.
     jobs: int = 1
 
-    # Event-queue implementation driving the simulation kernel (see
-    # ``repro.sim.kernel.SCHEDULERS``): "calendar" is the fast bucket
-    # scheduler, "wheel" a timing-wheel alternative, "heapq" the reference
-    # heap.  ``event_pool`` recycles kernel event shells through a free
-    # list (fresh allocation per event when False).  ``batched_dispatch``
-    # aggregates the protocols'/networks' fire-and-forget sends into one
-    # kernel event per (tick, priority) (one event per send when False --
-    # the reference dispatch).  Results are bit-identical regardless of
-    # any of the three choices (verified by test).
-    scheduler: str = DEFAULT_SCHEDULER
-    event_pool: bool = True
-    batched_dispatch: bool = True
-
     # Per-access data path (see ``repro.memory.cache.CACHE_ARRAYS``):
     # "packed" stores cache state in parallel int columns, "dict" is the
     # per-line-object reference implementation.  ``packed_streams`` selects
@@ -86,11 +72,11 @@ class SystemConfig:
     # benchmarks by default).
     enable_checker: bool = False
 
-    # Runtime pool sanitizer: swaps the event/message pools for checked
-    # variants that raise on double releases (reporting both release
-    # sites) and report never-released shells with their acquisition
-    # sites.  Cross-validates the static `repro.lint` POOL rules; used by
-    # the invariant test suite (REPRO_SANITIZE=1), off for benchmarks.
+    # Runtime pool sanitizer: swaps the message pool for a checked variant
+    # that raises on double releases (reporting both release sites) and
+    # reports never-released shells with their acquisition sites.
+    # Cross-validates the static `repro.lint` POOL rules; used by the
+    # invariant test suite (REPRO_SANITIZE=1), off for benchmarks.
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -102,11 +88,6 @@ class SystemConfig:
             raise ValueError("slack must be non-negative")
         if self.jobs < 0:
             raise ValueError("jobs must be non-negative (0 = auto)")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose one of {sorted(SCHEDULERS)}"
-            )
         if self.cache_array not in CACHE_ARRAYS:
             raise ValueError(
                 f"unknown cache array {self.cache_array!r}; "

@@ -161,9 +161,21 @@ class TestCanonicalExperiment:
     def test_result_neutral_knobs_hash_identically(self):
         plain = ExperimentSpec.make("oltp")
         knobbed = ExperimentSpec.make(
-            "oltp", jobs=4, scheduler="wheel", enable_checker=True, sanitize=True
+            "oltp", jobs=4, cache_array="dict", enable_checker=True, sanitize=True
         )
         assert self._doc(plain) == self._doc(knobbed)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("scheduler", "heapq"), ("event_pool", False), ("batched_dispatch", False)],
+    )
+    def test_removed_kernel_knobs_are_rejected(self, name, value):
+        with pytest.raises(ExperimentSpecError, match="unknown SystemConfig override"):
+            ExperimentSpec.make("oltp", **{name: value})
+        document = ExperimentSpec.make("oltp").as_document()
+        document["overrides"] = [[name, value]]
+        with pytest.raises(ExperimentSpecError, match=name):
+            ExperimentSpec.from_document(document)
 
     def test_result_relevant_fields_change_the_document(self):
         base = ExperimentSpec.make("oltp")

@@ -1,7 +1,7 @@
 """Executable coherence invariants, checked inside real protocol runs.
 
 Three invariant layers run against every protocol (TS-Snoop, DirClassic,
-DirOpt, MESIDir, MOESISnoop) under both batched and unbatched dispatch:
+DirOpt, MESIDir, MOESISnoop):
 
 * **single-writer / multiple-reader** over the stable cache states,
   re-checked periodically *during* the run (between event slices) and at
@@ -18,8 +18,8 @@ The checkers themselves are validated negatively: corrupting a quiescent
 system must produce violations.
 
 Setting ``REPRO_SANITIZE=1`` in the environment re-runs the whole suite
-with ``SystemConfig.sanitize`` on: the message/event pools are swapped for
-checked variants that raise on double releases and, at quiescence, every
+with ``SystemConfig.sanitize`` on: the message pool is swapped for a
+checked variant that raises on double releases and, at quiescence, every
 run additionally asserts that no pooled message shell leaked.  CI runs the
 suite once in this mode.
 """
@@ -41,23 +41,16 @@ from repro.workloads.profiles import get_profile
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 PROTOCOLS = ("ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop")
 SNOOPERS = ("ts-snoop", "moesi-snoop")
-DISPATCH_MODES = (True, False)
-CASES = [
-    (protocol, batched) for protocol in PROTOCOLS for batched in DISPATCH_MODES
-]
 
 
 def _run_with_invariant_hook(
-    protocol, batched, workload="barnes", scale=0.05, check_every=1500
+    protocol, workload="barnes", scale=0.05, check_every=1500
 ):
     """Run one workload, re-checking SWMR between event slices.
 
     Returns ``(system, mid_run_checks)`` with the system quiescent.
     """
-    config = SystemConfig(
-        protocol=protocol, batched_dispatch=batched, enable_checker=True,
-        sanitize=SANITIZE,
-    )
+    config = SystemConfig(protocol=protocol, enable_checker=True, sanitize=SANITIZE)
     profile = get_profile(workload).scaled(scale)
     streams = build_streams(profile, config)
     system = SystemBuilder(config).build(streams)
@@ -70,7 +63,7 @@ def _run_with_invariant_hook(
         assert processed > 0, f"{protocol}: deadlocked mid-run"
         problems = check_swmr_invariant(system.controllers)
         assert not problems, (
-            f"{protocol} batched={batched}: SWMR violated mid-run: "
+            f"{protocol}: SWMR violated mid-run: "
             f"{problems[:5]}")
         checks += 1
     # Let in-flight writebacks and acknowledgements drain so the home state
@@ -93,9 +86,9 @@ def _final_invariants(protocol, system):
 
 
 class TestInvariantsInsideProtocolScenarios:
-    @pytest.mark.parametrize("protocol,batched", CASES)
-    def test_invariants_hold_throughout(self, protocol, batched):
-        system, checks = _run_with_invariant_hook(protocol, batched)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_invariants_hold_throughout(self, protocol):
+        system, checks = _run_with_invariant_hook(protocol)
         assert checks >= 1, "the mid-run hook never fired"
         assert system.total_misses() > 0, "workload produced no misses"
         system.checker.assert_clean()
@@ -103,19 +96,6 @@ class TestInvariantsInsideProtocolScenarios:
         assert system.checker.reads_recorded > 0
         problems = _final_invariants(protocol, system)
         assert not problems, f"{protocol}: {problems[:8]}"
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_dispatch_modes_agree_on_observables(self, protocol):
-        batched, _ = _run_with_invariant_hook(protocol, True)
-        unbatched, _ = _run_with_invariant_hook(protocol, False)
-        assert batched.total_misses() == unbatched.total_misses()
-        assert (batched.total_cache_to_cache_misses()
-                == unbatched.total_cache_to_cache_misses())
-        assert batched.finish_time() == unbatched.finish_time()
-        assert (batched.checker.writes_recorded
-                == unbatched.checker.writes_recorded)
-        assert (batched.checker.reads_recorded
-                == unbatched.checker.reads_recorded)
 
     def test_invariants_hold_on_torus_network(self):
         config_extra = {"network": "torus"}
@@ -140,7 +120,7 @@ class TestCheckersDetectCorruption:
     """The invariant checkers must actually flag broken states."""
 
     def _quiescent_system(self, protocol):
-        system, _ = _run_with_invariant_hook(protocol, True)
+        system, _ = _run_with_invariant_hook(protocol)
         return system
 
     def _first_shared_holder(self, system):

@@ -40,20 +40,26 @@ def _cells():
         for network in NETWORKS:
             for consistency in CONSISTENCY:
                 for workload in WORKLOADS:
-                    name = f"{protocol}/{network}/{consistency}/{workload}"
-                    cells[name] = dict(
-                        BASE, workload=workload, protocol=protocol,
-                        network=network, consistency=consistency)
+                    cells[f"{protocol}/{network}/{consistency}/{workload}"] = dict(
+                        BASE,
+                        workload=workload,
+                        protocol=protocol,
+                        network=network,
+                        consistency=consistency,
+                    )
     for protocol in ("ts-snoop", "dirclassic", "diropt"):
+        barnes = dict(BASE, workload="barnes", protocol=protocol)
         cells[f"{protocol}/detailed/barnes"] = dict(
-            BASE, workload="barnes", protocol=protocol,
-            detailed_address_network=True)
-        cells[f"{protocol}/replicas2/barnes"] = dict(
-            BASE, workload="barnes", protocol=protocol,
-            perturbation_replicas=2)
+            barnes, detailed_address_network=True
+        )
+        cells[f"{protocol}/replicas2/barnes"] = dict(barnes, perturbation_replicas=2)
     cells["ts-snoop/detailed-slack2/oltp"] = dict(
-        BASE, workload="oltp", protocol="ts-snoop",
-        detailed_address_network=True, slack=2)
+        BASE,
+        workload="oltp",
+        protocol="ts-snoop",
+        detailed_address_network=True,
+        slack=2,
+    )
     return cells
 
 
@@ -86,7 +92,6 @@ def test_runresult_matches_golden(cell, goldens):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    GOLDEN_PATH.write_text(
-        json.dumps({cell: _run(cell) for cell in sorted(CELLS)},
-                   indent=1, sort_keys=True) + "\n")
+    digests = {cell: _run(cell) for cell in sorted(CELLS)}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(CELLS)} digests to {GOLDEN_PATH}")

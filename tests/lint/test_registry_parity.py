@@ -11,7 +11,6 @@ drift injected through monkeypatching.
 
 from repro.lint.parity import check_protocol_registry, compare_registry
 from repro.memory.cache import CACHE_ARRAYS
-from repro.sim.kernel import SCHEDULERS
 
 
 class Reference:
@@ -81,12 +80,6 @@ class TestSyntheticRegistries:
 
 
 class TestLiveRegistries:
-    def test_schedulers_mirror_the_heapq_reference(self):
-        findings = compare_registry(
-            SCHEDULERS, "heapq", "SCHEDULERS", "src/repro/sim/kernel.py"
-        )
-        assert findings == [], [finding.message for finding in findings]
-
     def test_cache_arrays_mirror_the_dict_reference(self):
         findings = compare_registry(
             CACHE_ARRAYS, "dict", "CACHE_ARRAYS", "src/repro/memory/cache.py"

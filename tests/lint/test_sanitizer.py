@@ -1,10 +1,10 @@
 """Runtime pool-sanitizer tests (``SystemConfig.sanitize``).
 
-Unit level: the checked message pool and event free list must catch
-double releases (naming both sites), foreign releases, and leaks with
-their acquisition sites.  System level: a full sanitized run must pass
--- the ownership contract genuinely holds at quiescence -- while an
-injected double release must fail loudly.
+Unit level: the checked message pool must catch double releases (naming
+both sites), foreign releases, and leaks with their acquisition sites.
+System level: a full sanitized run must pass -- the ownership contract
+genuinely holds at quiescence -- while an injected double release must
+fail loudly.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.network.message import (
     PoolSafetyError,
     SanitizedMessagePool,
 )
-from repro.sim.kernel import CheckedEventPool, SimulationError, Simulator
 from repro.system.builder import SystemBuilder, build_streams
 from repro.system.config import SystemConfig
 from repro.workloads.profiles import get_profile
@@ -68,29 +67,6 @@ class TestSanitizedMessagePool:
         pool.assert_no_leaks()
         with pytest.raises(PoolSafetyError):
             pool.release(message)
-
-
-class TestCheckedEventPool:
-    def test_double_release_of_an_event_shell_raises(self):
-        sim = Simulator(sanitize=True)
-        event = sim.schedule(5, lambda: None)
-        sim.run()
-        pool = sim.event_pool
-        with pytest.raises(SimulationError) as excinfo:
-            pool.release(event)  # the kernel already consumed it
-        text = str(excinfo.value)
-        assert "double release of event shell" in text
-        assert "first released at" in text
-
-    def test_sanitized_kernel_recycles_shells_normally(self):
-        sim = Simulator(sanitize=True)
-        fired = []
-        for delay in (1, 2, 3):
-            sim.schedule(delay, fired.append, arg=delay)
-        sim.run()
-        assert fired == [1, 2, 3]
-        assert isinstance(sim.event_pool, CheckedEventPool)
-        assert len(sim.event_pool) > 0  # shells came back to the free list
 
 
 def _sanitized_run(protocol="ts-snoop", workload="barnes", scale=0.01):

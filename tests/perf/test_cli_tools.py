@@ -122,13 +122,12 @@ class TestCompareMarkdownCli:
 
 
 class TestHarnessCli:
-    def test_kernel_suite_reports_batched_metrics(self, tmp_path, capsys):
+    def test_kernel_suite_reports_the_one_kernel(self, tmp_path, capsys):
         args = ["--suite", "kernel", "--scale", "0.02"]
         assert harness_main(args + ["--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "[perf] running kernel_microbench" in out
         report = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-        metrics = report["scenarios"][0]["metrics"]
-        for key in ("batched_events_per_sec", "batch_speedup",
-                    "calendar_events_per_sec", "speedup"):
-            assert metrics[key] > 0
+        scenario = report["scenarios"][0]
+        assert scenario["events_per_sec"] > 0
+        assert scenario["metrics"] == {"chains": 50}

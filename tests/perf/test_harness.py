@@ -154,7 +154,7 @@ class TestHarness:
         assert scenario["name"] == "kernel_microbench"
         assert scenario["events_per_sec"] > 0
         assert scenario["peak_rss_kb"] > 0
-        assert scenario["metrics"]["speedup"] > 0
+        assert scenario["metrics"]["chains"] > 0
 
     def test_cli_round_trip_with_compare(self, tmp_path):
         assert harness_main(["--suite", "kernel", "--scale", "0.05",

@@ -61,8 +61,38 @@ class TestReplicaKey:
 
     def test_key_stable_under_result_neutral_knobs(self):
         plain = _entry()
-        knobbed = _entry(jobs=8, scheduler="heapq", enable_checker=True)
+        knobbed = _entry(jobs=8, packed_streams=False, enable_checker=True)
         assert replica_key(*plain, 0) == replica_key(*knobbed, 0)
+
+    @pytest.mark.parametrize(
+        "spec,keys",
+        [
+            (
+                ExperimentSpec.make("oltp"),
+                ["3ed9bc6955515b3f665af0af03f852223799263c5a420c52fde53b9f257be7be"],
+            ),
+            (
+                ExperimentSpec.make(
+                    "barnes",
+                    protocol="diropt",
+                    network="torus",
+                    scale=0.05,
+                    consistency="tso",
+                    perturbation_replicas=2,
+                    seed=7,
+                ),
+                [
+                    "5ba6e0522f1b3b09eb3b8f5c43669f017a1d6e0c91c26b152b18d826576e102c",
+                    "f43e3ede05747f92ed0c5a48f225039089d9f99d3730e2fad79ca166bfc6e8cb",
+                ],
+            ),
+        ],
+    )
+    def test_keys_are_pinned(self, spec, keys):
+        """On-disk caches and journals written by earlier releases stay
+        valid: these keys were recorded before the kernel-selection knobs
+        (scheduler, event_pool, batched_dispatch) left SystemConfig."""
+        assert entry_keys(spec.config(), spec.profile()) == keys
 
     def test_key_changes_with_result_relevant_fields(self):
         config, profile = _entry(perturbation_replicas=2)

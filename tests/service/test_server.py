@@ -383,6 +383,23 @@ class TestErrorsOverHttp:
         assert "hand-rolled" in body["error"]
         assert "SubmitRequest" in body["error"]
 
+    def test_spec_overriding_a_removed_field_is_400(self):
+        document = SubmitRequest(spec=ExperimentSpec.make("oltp")).to_wire()
+        document["spec"]["overrides"] = [["scheduler", "heapq"]]
+        with ServerThread(jobs=1) as server:
+            request = urllib.request.Request(
+                f"{server.base_url}/v1/jobs",
+                data=json.dumps(document).encode("utf-8"),
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            body = json.loads(excinfo.value.read())
+            excinfo.value.close()
+        assert excinfo.value.code == 400
+        assert "unknown SystemConfig override 'scheduler'" in body["error"]
+
     def test_invalid_json_body_is_400(self):
         with ServerThread(jobs=1) as server:
             request = urllib.request.Request(

@@ -2,117 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import EventQueue, SimulationError
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        order = []
-        queue.push(30, lambda: order.append("c"))
-        queue.push(10, lambda: order.append("a"))
-        queue.push(20, lambda: order.append("b"))
-        while queue:
-            queue.pop().callback()
-        assert order == ["a", "b", "c"]
-
-    def test_fifo_for_equal_times(self):
-        queue = EventQueue()
-        order = []
-        for label in "abcde":
-            queue.push(5, lambda x=label: order.append(x))
-        while queue:
-            queue.pop().callback()
-        assert order == list("abcde")
-
-    def test_priority_breaks_ties(self):
-        queue = EventQueue()
-        order = []
-        queue.push(5, lambda: order.append("low"), priority=1)
-        queue.push(5, lambda: order.append("high"), priority=0)
-        while queue:
-            queue.pop().callback()
-        assert order == ["high", "low"]
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        ran = []
-        event = queue.push(1, lambda: ran.append("cancelled"))
-        queue.push(2, lambda: ran.append("kept"))
-        event.cancel()
-        results = []
-        while queue:
-            results.append(queue.pop())
-        assert ran == []
-        assert len(results) == 1
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1, lambda: None)
-        queue.push(7, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 7
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_len_tracks_live_events(self):
-        queue = EventQueue()
-        a = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
-        assert len(queue) == 2
-        # The heap entry is discarded lazily, but the live count drops the
-        # moment the event is cancelled.
-        a.cancel()
-        assert len(queue) == 1
-        event = queue.pop()
-        assert event.time == 2
-        assert len(queue) == 0
-
-    def test_cancel_decrements_immediately(self):
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in (1, 2, 3)]
-        events[1].cancel()
-        assert len(queue) == 2
-        assert bool(queue) is True
-        events[0].cancel()
-        events[2].cancel()
-        assert len(queue) == 0
-        assert bool(queue) is False
-
-    def test_cancel_twice_counts_once(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(queue) == 1
-
-    def test_cancel_after_pop_is_noop(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
-        assert queue.pop() is event
-        event.cancel()
-        assert len(queue) == 1
-        assert queue.pop().time == 2
-
-    def test_cancel_after_clear_is_noop(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.clear()
-        event.cancel()
-        assert len(queue) == 0
-
-    def test_peek_time_keeps_count_truthful(self):
-        queue = EventQueue()
-        first = queue.push(1, lambda: None)
-        queue.push(7, lambda: None)
-        first.cancel()
-        assert len(queue) == 1
-        assert queue.peek_time() == 7
-        assert len(queue) == 1
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class TestSimulator:
@@ -170,21 +60,6 @@ class TestSimulator:
         assert fired == [1]
         assert sim.pending_events == 1
 
-    def test_step_processes_one_event(self, sim):
-        fired = []
-        sim.schedule(3, lambda: fired.append("x"))
-        assert sim.step() is True
-        assert fired == ["x"]
-        assert sim.step() is False
-
-    def test_drain_until_quiescent_raises_on_runaway(self, sim):
-        def reschedule():
-            sim.schedule(1, reschedule)
-
-        sim.schedule(1, reschedule)
-        with pytest.raises(SimulationError):
-            sim.drain_until_quiescent(max_events=100)
-
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(i, lambda: None)
@@ -197,11 +72,6 @@ class TestSimulator:
         sim.reset()
         assert sim.now == 0
         assert sim.pending_events == 0
-
-    def test_iterate_events_yields_times(self, sim):
-        sim.schedule(2, lambda: None)
-        sim.schedule(4, lambda: None)
-        assert list(sim.iterate_events()) == [2, 4]
 
     # ------------------------------------------------- until clock semantics
     def test_run_until_advances_clock_when_queue_drains(self, sim):
@@ -237,21 +107,89 @@ class TestSimulator:
         sim.run(until=100)
         assert sim.now == 1
 
-    def test_cancelled_events_do_not_stall_run(self, sim):
-        event = sim.schedule(10, lambda: None)
-        event.cancel()
+
+class TestSchedulingApi:
+    def test_payload_and_no_payload_dispatch(self, sim):
+        log = []
+        sim.schedule(3, log.append, "payload")
+        sim.schedule(3, lambda: log.append("bare"))
+        sim.run()
+        assert log == ["payload", "bare"]
+
+    def test_schedule_returns_nothing(self, sim):
+        assert sim.schedule(1, lambda: None) is None
+        assert sim.schedule_at(2, lambda: None, None, 1) is None
+
+    def test_schedule_at_orders_with_relative(self, sim):
+        log = []
+        sim.schedule_at(7, log.append, "absolute")
+        sim.schedule(7, log.append, "relative")
+        sim.schedule_at(6, log.append, "earlier")
+        sim.run()
+        assert log == ["earlier", "absolute", "relative"]
+
+    def test_negative_priority_rejected(self, sim):
+        with pytest.raises(SimulationError, match="negative priority"):
+            sim.schedule(1, lambda: None, None, -1)
+        with pytest.raises(SimulationError, match="negative priority"):
+            sim.schedule_at(1, lambda: None, priority=-2)
         assert sim.pending_events == 0
-        sim.run(until=20)
-        assert sim.now == 20
 
-    def test_iterate_events_until_advances_clock(self, sim):
-        sim.schedule(2, lambda: None)
-        sim.schedule(40, lambda: None)
-        assert list(sim.iterate_events(until=30)) == [2]
-        assert sim.now == 30
+    def test_simulator_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            Simulator(scheduler="heapq")
+
+    def test_pending_events_counts_every_priority(self, sim):
+        sim.schedule(1, lambda: None)
+        sim.schedule(1, lambda: None, None, 2)
+        sim.schedule(4, lambda: None, None, 1)
+        assert sim.pending_events == 3
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_stop_mid_lane_leaves_rest_queued(self, sim):
+        log = []
+        sim.schedule(1, lambda: (log.append("first"), sim.stop()))
+        sim.schedule(1, log.append, "second")
+        sim.run()
+        assert log == ["first"]
         assert sim.pending_events == 1
+        sim.run()
+        assert log == ["first", "second"]
 
-    def test_iterate_events_until_advances_clock_when_drained(self, sim):
-        sim.schedule(2, lambda: None)
-        assert list(sim.iterate_events(until=9)) == [2]
-        assert sim.now == 9
+    def test_same_tick_work_runs_in_the_same_drain(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            sim.schedule(0, log.append, "nested")
+
+        sim.schedule(3, first)
+        assert sim.run() == 2
+        assert log == ["first", "nested"]
+        assert sim.now == 3
+
+    def test_reset_discards_pending_work(self, sim):
+        sim.schedule(4, lambda: None)
+        sim.schedule(4, lambda: None, None, 1)
+        sim.reset()
+        assert sim.pending_events == 0
+        assert sim.run() == 0
+
+    def test_raising_callback_leaves_the_rest_queued(self, sim):
+        log = []
+
+        def boom():
+            raise RuntimeError("mid-lane failure")
+
+        sim.schedule(5, log.append, "before")
+        sim.schedule(5, boom)
+        sim.schedule(5, log.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert log == ["before"]
+        assert sim.events_processed == 1
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == ["before", "after"]
+        assert sim.pending_events == 0
