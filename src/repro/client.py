@@ -1,6 +1,6 @@
 """Blocking HTTP client for the simulation-service gateway.
 
-Pure stdlib (``urllib``): the synchronous counterpart of
+Pure stdlib (``http.client``): the synchronous counterpart of
 :class:`repro.service.server.GatewayServer`, speaking the typed wire
 vocabulary of :mod:`repro.service.wire` end to end::
 
@@ -21,15 +21,26 @@ round-trips every ``RunResult`` field JSON-exactly (see
 An admission rejection (HTTP 429) raises :class:`ServiceRejectedError`
 carrying the server's ``retry_after_s`` estimate, so callers can back off
 for exactly as long as the scheduler suggested rather than guessing.
+
+Connections are persistent: each thread using a client keeps one idle
+HTTP/1.1 connection to the gateway and sends its next request on it, so
+a cache hit costs no TCP set-up; :meth:`ServiceClient.close` (or a
+``with`` block) closes them.  A connection the gateway has closed while
+idle (its read timeout) is noticed before the next request is sent and
+replaced.  If a reused connection fails before any response byte, a GET
+or DELETE is sent once more on a fresh connection; a POST never is,
+because the gateway could have read it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Iterator, Optional
+import urllib.parse
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.api.spec import ExperimentSpec
 from repro.service.events import JobCancelled, JobCompleted, JobEvent, JobFailed
@@ -92,6 +103,20 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host = parts.hostname
+        self._port = parts.port
+        self._prefix = parts.path
+        #: Per thread (by ident): the idle connection its next request uses.
+        self._idle: Dict[int, http.client.HTTPConnection] = {}
+        self._idle_lock = threading.Lock()
 
     # -------------------------------------------------------------- verbs
     def submit(
@@ -131,24 +156,31 @@ class ServiceClient:
         live until (and including) the terminal event; connecting after
         the job finished yields the identical complete sequence.
         """
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events", method="GET"
-        )
+        connection, response = self._send("GET", f"/v1/jobs/{job_id}/events")
+        if response.status != 200:
+            document = self._read_reply(connection, response)
+            raise ServiceClientError(response.status, _error_text(document))
+        released = False
         try:
-            response = urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            raise ServiceClientError(
-                error.code, _error_text(_read_json(error))
-            ) from None
-        with response:
             for line in response:
                 text = line.strip()
                 if not text:
                     continue
                 event = event_from_wire(json.loads(text.decode("utf-8")))
-                yield event
                 if event.terminal:
+                    # Read the zero chunk now: a caller that stops at the
+                    # terminal event leaves the connection reusable.
+                    response.read()
+                    self._release(connection)
+                    released = True
+                yield event
+                if released:
                     return
+        finally:
+            # Abandoned mid-body (or failed): the connection cannot carry
+            # another request.
+            if not released:
+                connection.close()
 
     def wait(self, job_id: str) -> RunResult:
         """Follow the event stream to completion and return the result.
@@ -203,6 +235,19 @@ class ServiceClient:
         # Overridden in tests; default to a short, bounded pause.
         return 0.05
 
+    def close(self) -> None:
+        """Close every thread's idle connection; later requests reconnect."""
+        with self._idle_lock:
+            idle, self._idle = list(self._idle.values()), {}
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        self.close()
+
     def _request(
         self,
         method: str,
@@ -210,23 +255,88 @@ class ServiceClient:
         *,
         body: Optional[Dict[str, Any]] = None,
     ) -> "tuple[int, Dict[str, Any]]":
+        connection, response = self._send(method, path, body=body)
+        return response.status, self._read_reply(connection, response)
+
+    def _read_reply(
+        self,
+        connection: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> Dict[str, Any]:
+        """Read a JSON response body, then hand the connection back."""
+        try:
+            document = _read_json(response)
+        except BaseException:
+            connection.close()
+            raise
+        self._release(connection)
+        return document
+
+    def _send(
+        self,
+        method: str,
+        path: str,
+        *,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; returns its connection and the response, with
+        the headers read.  Hand the connection to ``_release`` once the
+        body has been read; any failure closes it instead."""
         data = (
             json.dumps(body, sort_keys=True).encode("utf-8")
             if body is not None
             else None
         )
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
+        headers = {"Content-Type": "application/json"} if data else {}
+        with self._idle_lock:
+            connection = self._idle.pop(threading.get_ident(), None)
+        if connection is not None and _closed_by_peer(connection):
+            connection.close()
+            connection = None
+        if connection is None:
+            return self._exchange(self._connect(), method, path, data, headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, _read_json(response)
-        except urllib.error.HTTPError as error:
-            with error:
-                return error.code, _read_json(error)
+            return self._exchange(connection, method, path, data, headers)
+        except ConnectionError:
+            if method == "POST":
+                raise
+        # The reused connection was closed before any response byte.
+        return self._exchange(self._connect(), method, path, data, headers)
+
+    def _exchange(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        try:
+            connection.request(method, self._prefix + path, data, headers)
+            return connection, connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return self._connection_class(self._host, self._port, timeout=self.timeout)
+
+    def _release(self, connection: http.client.HTTPConnection) -> None:
+        """Keep a connection whose response is fully read for the next
+        request of this thread (unless the gateway closed it)."""
+        if connection.sock is not None:
+            with self._idle_lock:
+                kept = self._idle.setdefault(threading.get_ident(), connection)
+            if kept is connection:
+                return
+        connection.close()
+
+
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """An idle connection with something to read has been closed (or
+    broken) by the peer: a server sends nothing unasked."""
+    readable, _, _ = select.select([connection.sock], [], [], 0)
+    return bool(readable)
 
 
 def _read_json(response: Any) -> Dict[str, Any]:

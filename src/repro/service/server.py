@@ -18,6 +18,16 @@ Method       Path                       Meaning
 ``GET``      ``/v1/metrics``            the schema-v3 metrics snapshot
 ===========  =========================  =========================================
 
+Connections are persistent (HTTP/1.1 keep-alive): one socket serves
+request after request until the client sends ``Connection: close`` or
+speaks HTTP/1.0, upgrades to a WebSocket, or the gateway answers a
+framing error (``400``/``413``) or a ``500``.  NDJSON event streams use
+``Transfer-Encoding: chunked`` (one chunk per event line, the zero chunk
+after the terminal event), so a stream does not end its connection
+either.  Reading one request -- including the idle wait before it -- is
+bounded by :data:`READ_TIMEOUT_S`; a client that stays silent or
+half-sends a request longer than that has its connection closed.
+
 Event streams are **replayable**: the gateway pumps each job's
 single-consumer :meth:`~repro.service.manager.JobHandle.events` iterator
 into a per-job record the moment the job is submitted, so any number of
@@ -27,7 +37,7 @@ see the identical full sequence from ``JobAdmitted`` (or the lone
 event.
 
 :class:`ServerThread` hosts a manager plus gateway on a dedicated thread
-with its own event loop, which is what lets the *blocking* urllib-based
+with its own event loop, which is what lets the *blocking*
 :class:`repro.client.ServiceClient` drive a gateway from synchronous code
 (tests, the ``--self-test`` loopback pass).
 """
@@ -41,7 +51,18 @@ import json
 import math
 import struct
 import threading
-from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    AsyncIterator,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.service.events import JobEvent
 from repro.service.manager import (
@@ -67,7 +88,20 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: Largest request body the gateway will read (a spec document is tiny).
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest request line or header line, terminator included.
+MAX_LINE_BYTES = 8192
+
+#: Most header lines one request may carry.
+MAX_HEADERS = 100
+
+#: Longest wait, in seconds, for one whole request: the idle time before
+#: its first byte on a kept-alive connection, plus its head and body.
+READ_TIMEOUT_S = 30.0
+
 _JSON_HEADERS = (("Content-Type", "application/json"),)
+
+#: What a non-streaming route answers: status, JSON document, extra headers.
+_Reply = Tuple[int, Dict[str, Any], Tuple[Tuple[str, str], ...]]
 
 _REASONS = {
     200: "OK",
@@ -79,6 +113,26 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+
+class _Request(NamedTuple):
+    """One parsed HTTP request."""
+
+    method: str
+    path: str
+    headers: Dict[str, str]
+    body: bytes
+    #: HTTP/1.1 with neither ``Connection: close`` nor a WebSocket
+    #: upgrade: the socket serves another request after this one.
+    keep_alive: bool
+
+
+class _FramingError(Exception):
+    """Bytes that do not frame as a request; the stream cannot resync."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _JobRecord:
@@ -136,19 +190,27 @@ class GatewayServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._records: Dict[str, _JobRecord] = {}
+        self._writers: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         """Bind and start serving; ``self.port`` holds the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def aclose(self) -> None:
-        """Stop accepting connections and cancel the event pumps."""
+        """Stop accepting, close open connections, cancel the event pumps.
+
+        Open connections are closed before ``wait_closed``, which (from
+        Python 3.12) waits for them: an idle keep-alive client would
+        otherwise hold shutdown open.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         for record in self._records.values():
@@ -178,22 +240,53 @@ class GatewayServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve requests on one connection until it is not kept alive."""
+        self._writers.add(writer)
+        loop = asyncio.get_running_loop()
         try:
-            request = await _read_request(reader)
-            if request is None:
-                return
-            method, path, headers, body = request
-            await self._dispatch(method, path, headers, body, writer)
+            while True:
+                timer = loop.call_later(READ_TIMEOUT_S, _end_reading, reader, writer)
+                try:
+                    request = await _read_request(reader)
+                except _FramingError as error:
+                    _write_response(
+                        writer,
+                        error.status,
+                        error_to_wire(error.status, str(error)),
+                        close=True,
+                    )
+                    break
+                finally:
+                    timer.cancel()
+                if request is None:
+                    break
+                reply = await self._dispatch(request, writer)
+                if reply is not None:
+                    status, document, extra_headers = reply
+                    _write_response(
+                        writer,
+                        status,
+                        document,
+                        extra_headers=extra_headers,
+                        close=not request.keep_alive,
+                    )
+                await writer.drain()
+                if not request.keep_alive:
+                    break
         except ConnectionError:
             pass
         except Exception as error:  # defensive: one bad request, one 500
             try:
                 _write_response(
-                    writer, 500, error_to_wire(500, f"internal error: {error!r}")
+                    writer,
+                    500,
+                    error_to_wire(500, f"internal error: {error!r}"),
+                    close=True,
                 )
             except Exception:
                 pass
         finally:
+            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -201,80 +294,52 @@ class GatewayServer:
                 pass
 
     async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+        self, request: _Request, writer: asyncio.StreamWriter
+    ) -> Optional[_Reply]:
+        """Route one request: the reply to write, or ``None`` when an
+        event-stream route already wrote its own response."""
+        method, path = request.method, request.path
         if path == "/v1/jobs":
             if method != "POST":
-                _write_response(
-                    writer, 405, error_to_wire(405, f"{method} not allowed here")
-                )
-                return
-            await self._submit(body, writer)
-            return
+                return _error(405, f"{method} not allowed here")
+            return await self._submit(request.body)
         if path == "/v1/health" and method == "GET":
-            _write_response(writer, 200, self.manager.health())
-            return
+            return 200, self.manager.health(), ()
         if path == "/v1/metrics" and method == "GET":
-            _write_response(writer, 200, self.manager.snapshot())
-            return
+            return 200, self.manager.snapshot(), ()
         if path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/") :]
             if rest.endswith("/events"):
-                job_id = rest[: -len("/events")]
                 if method != "GET":
-                    _write_response(
-                        writer, 405, error_to_wire(405, "events are GET-only")
-                    )
-                    return
-                await self._events(job_id, headers, writer)
-                return
+                    return _error(405, "events are GET-only")
+                return await self._events(rest[: -len("/events")], request, writer)
             job_id = rest
             handle = self.manager.get_job(job_id)
             if handle is None:
-                _write_response(
-                    writer, 404, error_to_wire(404, f"no such job {job_id!r}")
-                )
-                return
+                return _error(404, f"no such job {job_id!r}")
             if method == "GET":
-                _write_response(writer, 200, (await _status_of(handle)).to_wire())
-                return
+                return 200, (await _status_of(handle)).to_wire(), ()
             if method == "DELETE":
                 cancelled = handle.cancel()
-                _write_response(
-                    writer,
-                    200,
-                    CancelResponse(
-                        job_id=handle.job_id,
-                        cancelled=cancelled,
-                        state=handle.state.value,
-                    ).to_wire(),
+                response = CancelResponse(
+                    job_id=handle.job_id,
+                    cancelled=cancelled,
+                    state=handle.state.value,
                 )
-                return
-            _write_response(
-                writer, 405, error_to_wire(405, f"{method} not allowed here")
-            )
-            return
-        _write_response(writer, 404, error_to_wire(404, f"no route for {path!r}"))
+                return 200, response.to_wire(), ()
+            return _error(405, f"{method} not allowed here")
+        return _error(404, f"no route for {path!r}")
 
     # --------------------------------------------------------------- routes
-    async def _submit(self, body: bytes, writer: asyncio.StreamWriter) -> None:
+    async def _submit(self, body: bytes) -> _Reply:
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            _write_response(
-                writer, 400, error_to_wire(400, f"request body is not JSON: {error}")
-            )
-            return
+            return _error(400, f"request body is not JSON: {error}")
         try:
             request = SubmitRequest.from_wire(document)
         except WireError as error:
-            _write_response(writer, 400, error_to_wire(400, str(error)))
-            return
+            return _error(400, str(error))
         try:
             handle = await self.manager.submit_async(
                 request.spec,
@@ -287,15 +352,8 @@ class GatewayServer:
                 budget=error.budget,
                 retry_after_s=error.retry_after_s,
             )
-            _write_response(
-                writer,
-                429,
-                rejection.to_wire(),
-                extra_headers=(
-                    ("Retry-After", str(max(1, math.ceil(error.retry_after_s)))),
-                ),
-            )
-            return
+            retry_after = str(max(1, math.ceil(error.retry_after_s)))
+            return 429, rejection.to_wire(), (("Retry-After", retry_after),)
         self.track(handle)
         accepted = SubmitAccepted(
             job_id=handle.job_id,
@@ -304,50 +362,51 @@ class GatewayServer:
             priority=handle.priority,
             client_id=handle.client_id,
         )
-        _write_response(writer, 202, accepted.to_wire())
+        return 202, accepted.to_wire(), ()
 
     async def _events(
-        self, job_id: str, headers: Dict[str, str], writer: asyncio.StreamWriter
-    ) -> None:
+        self, job_id: str, request: _Request, writer: asyncio.StreamWriter
+    ) -> Optional[_Reply]:
         handle = self.manager.get_job(job_id)
         if handle is None:
-            _write_response(
-                writer, 404, error_to_wire(404, f"no such job {job_id!r}")
-            )
-            return
+            return _error(404, f"no such job {job_id!r}")
         record = self.track(handle)
-        if headers.get("upgrade", "").lower() == "websocket":
-            await self._events_websocket(record, headers, writer)
-        else:
-            await self._events_ndjson(record, writer)
+        if request.headers.get("upgrade", "").lower() == "websocket":
+            return await self._events_websocket(record, request.headers, writer)
+        await self._events_ndjson(record, writer, chunked=request.keep_alive)
+        return None
 
     async def _events_ndjson(
-        self, record: _JobRecord, writer: asyncio.StreamWriter
+        self, record: _JobRecord, writer: asyncio.StreamWriter, *, chunked: bool
     ) -> None:
+        """One JSON line per event.  ``chunked``: one chunk per line and the
+        zero chunk after the terminal event, so the connection survives;
+        otherwise the body runs until the connection closes."""
+        framing = b"Transfer-Encoding: chunked" if chunked else b"Connection: close"
         writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+            + framing
+            + b"\r\n\r\n"
         )
         async for event in record.stream():
-            line = json.dumps(event_to_wire(event), sort_keys=True)
-            writer.write(line.encode("utf-8") + b"\n")
+            line = json.dumps(event_to_wire(event), sort_keys=True).encode("utf-8")
+            if chunked:
+                writer.write(b"%x\r\n%s\n\r\n" % (len(line) + 1, line))
+            else:
+                writer.write(line + b"\n")
             await writer.drain()
+        if chunked:
+            writer.write(b"0\r\n\r\n")
 
     async def _events_websocket(
         self,
         record: _JobRecord,
         headers: Dict[str, str],
         writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> Optional[_Reply]:
         key = headers.get("sec-websocket-key")
         if not key:
-            _write_response(
-                writer,
-                400,
-                error_to_wire(400, "websocket upgrade without Sec-WebSocket-Key"),
-            )
-            return
+            return _error(400, "websocket upgrade without Sec-WebSocket-Key")
         accept = base64.b64encode(
             hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
         ).decode("ascii")
@@ -365,37 +424,82 @@ class GatewayServer:
             writer.write(_ws_frame(0x1, payload.encode("utf-8")))
             await writer.drain()
         writer.write(_ws_frame(0x8, struct.pack("!H", 1000)))
-        await writer.drain()
+        return None
 
 
 # ---------------------------------------------------------- HTTP plumbing
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request: ``(method, path, headers, body)``."""
+async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
+    """Parse one HTTP/1.x request; ``None`` if the connection closed first.
+
+    Raises :class:`_FramingError` (a 400 or 413) for bytes that do not
+    frame as a request this gateway reads.
+    """
     try:
-        request_line = await reader.readline()
+        line = await _read_line(reader)
+        if not line.strip() or not line.endswith(b"\n"):
+            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise _FramingError(400, f"malformed request line {line[:80]!r}")
+        method, target, version = parts
+        headers: Dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = await _read_line(reader)
+            if not line.endswith(b"\n"):
+                return None
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise _FramingError(400, f"header line without a colon {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _FramingError(400, f"more than {MAX_HEADERS} header lines")
+        if "transfer-encoding" in headers:
+            raise _FramingError(400, "a request body needs Content-Length")
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _FramingError(400, f"bad Content-Length {length_text!r}")
+        length = int(length_text)
+        if length > MAX_BODY_BYTES:
+            raise _FramingError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
+        body = await reader.readexactly(length) if length else b""
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
-    if not request_line.strip():
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, target = parts[0].upper(), parts[1]
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise ValueError(f"request body of {length} bytes exceeds the limit")
-    body = await reader.readexactly(length) if length else b""
-    path = target.split("?", 1)[0]
-    return method, path, headers, body
+    connection = headers.get("connection", "").lower()
+    tokens = {token.strip() for token in connection.split(",")}
+    keep_alive = (
+        version != "HTTP/1.0"
+        and "close" not in tokens
+        and headers.get("upgrade", "").lower() != "websocket"
+    )
+    return _Request(method.upper(), target.split("?", 1)[0], headers, body, keep_alive)
+
+
+def _end_reading(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """The read timeout: stop reading and end the stream.
+
+    Bytes already received still parse, so a request that arrived while
+    the loop was busy (an inline replica computing) is served; an idle or
+    incomplete one reads as end of stream and the connection closes.
+    """
+    writer.transport.pause_reading()
+    reader.feed_eof()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's limit
+        raise _FramingError(
+            400, f"request or header line longer than {MAX_LINE_BYTES} bytes"
+        ) from None
+
+
+def _error(status: int, message: str) -> _Reply:
+    return status, error_to_wire(status, message), ()
 
 
 def _write_response(
@@ -404,6 +508,7 @@ def _write_response(
     document: Dict[str, Any],
     *,
     extra_headers: Tuple[Tuple[str, str], ...] = (),
+    close: bool = False,
 ) -> None:
     body = json.dumps(document, sort_keys=True).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
@@ -411,7 +516,8 @@ def _write_response(
     for name, value in _JSON_HEADERS + extra_headers:
         head.append(f"{name}: {value}")
     head.append(f"Content-Length: {len(body)}")
-    head.append("Connection: close")
+    if close:
+        head.append("Connection: close")
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
 
