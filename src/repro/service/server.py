@@ -24,9 +24,12 @@ speaks HTTP/1.0, upgrades to a WebSocket, or the gateway answers a
 framing error (``400``/``413``) or a ``500``.  NDJSON event streams use
 ``Transfer-Encoding: chunked`` (one chunk per event line, the zero chunk
 after the terminal event), so a stream does not end its connection
-either.  Reading one request -- including the idle wait before it -- is
-bounded by :data:`READ_TIMEOUT_S`; a client that stays silent or
-half-sends a request longer than that has its connection closed.
+either.  A stream writes each batch of available events -- the head
+with the first, the zero chunk with the terminal event -- in one write,
+so a finished job's whole stream is one write.  Reading one request --
+including the idle wait before it -- is bounded by
+:data:`READ_TIMEOUT_S`; a client that stays silent or half-sends a
+request longer than that has its connection closed.
 
 Event streams are **replayable**: the gateway pumps each job's
 single-consumer :meth:`~repro.service.manager.JobHandle.events` iterator
@@ -155,8 +158,12 @@ class _JobRecord:
     def done(self) -> bool:
         return bool(self.events) and self.events[-1].terminal
 
-    async def stream(self) -> AsyncIterator[JobEvent]:
-        """Replay the history, then follow live until the terminal event."""
+    async def batches(self) -> AsyncIterator[List[JobEvent]]:
+        """Replay the history, then follow live until the terminal event.
+
+        Each batch is every event not yet handed out, once there is at
+        least one; the last batch ends with the terminal event.
+        """
         index = 0
         while True:
             async with self.changed:
@@ -164,10 +171,9 @@ class _JobRecord:
                     await self.changed.wait()
                 batch = self.events[index:]
                 index = len(self.events)
-            for event in batch:
-                yield event
-                if event.terminal:
-                    return
+            yield batch
+            if batch[-1].terminal:
+                return
 
 
 class GatewayServer:
@@ -383,20 +389,15 @@ class GatewayServer:
         zero chunk after the terminal event, so the connection survives;
         otherwise the body runs until the connection closes."""
         framing = b"Transfer-Encoding: chunked" if chunked else b"Connection: close"
-        writer.write(
+        await _write_batches(
+            writer,
+            record,
             b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
             + framing
-            + b"\r\n\r\n"
+            + b"\r\n\r\n",
+            _ndjson_chunk if chunked else _ndjson_line,
+            b"0\r\n\r\n" if chunked else b"",
         )
-        async for event in record.stream():
-            line = json.dumps(event_to_wire(event), sort_keys=True).encode("utf-8")
-            if chunked:
-                writer.write(b"%x\r\n%s\n\r\n" % (len(line) + 1, line))
-            else:
-                writer.write(line + b"\n")
-            await writer.drain()
-        if chunked:
-            writer.write(b"0\r\n\r\n")
 
     async def _events_websocket(
         self,
@@ -410,21 +411,53 @@ class GatewayServer:
         accept = base64.b64encode(
             hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
         ).decode("ascii")
-        writer.write(
+        await _write_batches(
+            writer,
+            record,
             (
                 "HTTP/1.1 101 Switching Protocols\r\n"
                 "Upgrade: websocket\r\n"
                 "Connection: Upgrade\r\n"
                 f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
-            ).encode("ascii")
+            ).encode("ascii"),
+            _ws_text_frame,
+            _ws_frame(0x8, struct.pack("!H", 1000)),
         )
-        await writer.drain()
-        async for event in record.stream():
-            payload = json.dumps(event_to_wire(event), sort_keys=True)
-            writer.write(_ws_frame(0x1, payload.encode("utf-8")))
-            await writer.drain()
-        writer.write(_ws_frame(0x8, struct.pack("!H", 1000)))
         return None
+
+
+async def _write_batches(
+    writer: asyncio.StreamWriter,
+    record: _JobRecord,
+    head: bytes,
+    encode: Callable[[bytes], bytes],
+    end: bytes,
+) -> None:
+    """Stream ``record``'s events: ``head``, each event's JSON document
+    through ``encode``, and ``end`` after the terminal event.
+
+    Each batch of available events is one write and one drain (the head
+    goes with the first batch), so a finished job's stream is one write.
+    """
+    out = [head]
+    async for batch in record.batches():
+        for event in batch:
+            document = json.dumps(event_to_wire(event), sort_keys=True)
+            out.append(encode(document.encode("utf-8")))
+        if batch[-1].terminal:
+            out.append(end)
+        writer.write(b"".join(out))
+        out = []
+        await writer.drain()
+
+
+def _ndjson_chunk(line: bytes) -> bytes:
+    """One event line as one HTTP chunk."""
+    return b"%x\r\n%s\n\r\n" % (len(line) + 1, line)
+
+
+def _ndjson_line(line: bytes) -> bytes:
+    return line + b"\n"
 
 
 # ---------------------------------------------------------- HTTP plumbing
@@ -519,6 +552,10 @@ def _write_response(
     if close:
         head.append("Connection: close")
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+
+
+def _ws_text_frame(payload: bytes) -> bytes:
+    return _ws_frame(0x1, payload)
 
 
 def _ws_frame(opcode: int, payload: bytes) -> bytes:

@@ -9,24 +9,33 @@ shutdown with connections still open.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import socket
+import string
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.spec import ExperimentSpec
 from repro.client import ServiceClient
 from repro.service import server as server_module
 from repro.service.server import GatewayServer, ServerThread
-from repro.service.wire import event_from_wire
+from repro.service.events import JobAdmitted, JobCancelled, ReplicaCompleted
+from repro.service.wire import event_from_wire, event_to_wire
 
 SPEC = ExperimentSpec.make("oltp", scale=0.05)
 
 HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: loopback\r\n\r\n"
+
+EMPTY_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 2\r\n\r\n{}"
+)
 
 
 @pytest.fixture
@@ -252,29 +261,36 @@ class _HangUpServer(threading.Thread):
                     continue
             else:
                 return
-            with connection:
-                self._serve(index, connection)
+            # Each connection on its own thread: a connection the client
+            # left open does not block the next one.
+            threading.Thread(
+                target=self._serve, args=(index, connection), daemon=True
+            ).start()
 
     def _serve(self, index, connection) -> None:
-        connection.settimeout(30)
-        stream = connection.makefile("rb")
-        while True:
-            request_line = stream.readline()
-            if not request_line:
-                return
-            length = 0
-            for line in iter(stream.readline, b"\r\n"):
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value)
-            stream.read(length)
-            self.requests.append((index, request_line.split()[0].decode()))
-            if index == 0 and len(self.requests) == 2:
-                return
-            connection.sendall(
-                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                b"Content-Length: 2\r\n\r\n{}"
-            )
+        with connection:
+            connection.settimeout(30)
+            stream = connection.makefile("rb")
+            while True:
+                request_line = stream.readline()
+                if not request_line:
+                    return
+                length = 0
+                for line in iter(stream.readline, b"\r\n"):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                stream.read(length)
+                self.requests.append((index, request_line.split()[0].decode()))
+                if not self._answer(index, connection):
+                    return
+
+    def _answer(self, index, connection) -> bool:
+        """Answer the request just read; ``False`` hangs up instead."""
+        if index == 0 and len(self.requests) == 2:
+            return False
+        connection.sendall(EMPTY_REPLY)
+        return True
 
     def __enter__(self) -> "_HangUpServer":
         self.start()
@@ -285,6 +301,138 @@ class _HangUpServer(threading.Thread):
         self.join(timeout=30)
         self.listener.close()
         assert not self.is_alive()
+
+
+class _ScriptedServer(_HangUpServer):
+    """A stand-in gateway that answers its requests, in order, with the raw
+    ``replies`` (each ``(bytes, hang_up)``: hang up after it, or keep the
+    connection open), then with ``{}``."""
+
+    def __init__(self, *replies) -> None:
+        super().__init__()
+        self.replies = list(replies)
+
+    def _answer(self, index, connection) -> bool:
+        reply, hang_up = self.replies.pop(0) if self.replies else (EMPTY_REPLY, False)
+        connection.sendall(reply)
+        return not hang_up
+
+
+class _CountingSocket(socket.socket):
+    """A client socket that counts its sends."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return super().sendall(data, *args)
+
+
+@pytest.fixture
+def client_sockets(monkeypatch):
+    """The sockets ``socket.create_connection`` opens, as counting ones."""
+    sockets = []
+
+    def create_connection(address, timeout=None, *_args, **_kwargs):
+        sock = _CountingSocket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        sock.connect(address)
+        sockets.append(sock)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    return sockets
+
+
+def _chunked_reply(*chunks):
+    """A 200 NDJSON response carrying ``chunks``, then the zero chunk."""
+    body = b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks)
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n" + body + b"0\r\n\r\n"
+    )
+
+
+class TestClientTransport:
+    def test_event_lines_decode_across_chunk_boundaries(self):
+        events = [
+            JobAdmitted("job-1", label="oltp", total_replicas=1, priority=0),
+            ReplicaCompleted("job-1", replica_index=0, source="cache", runtime_ns=7),
+            JobCancelled("job-1"),
+        ]
+        lines = [
+            json.dumps(event_to_wire(event), sort_keys=True).encode() + b"\n"
+            for event in events
+        ]
+        one_per_line = _chunked_reply(*lines)
+        # The first line split over two chunks, the next two in one chunk.
+        regrouped = _chunked_reply(lines[0][:7], lines[0][7:], lines[1] + lines[2])
+        with _ScriptedServer((one_per_line, False), (regrouped, False)) as fake:
+            with ServiceClient(f"http://127.0.0.1:{fake.port}") as client:
+                streamed = list(client.stream("job-1"))
+                restreamed = list(client.stream("job-1"))
+                assert client.health() == {}
+        assert streamed == restreamed == events
+        # Both bodies were read to their zero chunk: one connection served all.
+        assert fake.requests == [(0, "GET")] * 3
+
+    def test_connection_close_reply_is_not_reused(self):
+        closing = EMPTY_REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        # The stand-in keeps the connection open: only the header says close.
+        with _ScriptedServer((closing, False)) as fake:
+            with ServiceClient(f"http://127.0.0.1:{fake.port}") as client:
+                assert client.health() == {}
+                assert client.health() == {}
+        assert fake.requests == [(0, "GET"), (1, "GET")]
+
+    def test_truncated_body_raises_and_discards_the_connection(self, client_sockets):
+        truncated = EMPTY_REPLY.replace(b"Content-Length: 2", b"Content-Length: 10")
+        with _ScriptedServer((truncated, True)) as fake:
+            with ServiceClient(f"http://127.0.0.1:{fake.port}") as client:
+                with pytest.raises(ConnectionError):
+                    client.health()
+                assert client_sockets[0].fileno() == -1  # closed by the client
+                assert client.health() == {}
+        assert fake.requests == [(0, "GET"), (1, "GET")]
+
+    def test_https_url_speaks_tls_on_the_same_transport(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def accept_one():
+            connection, _ = listener.accept()
+            with connection:
+                received.append(connection.recv(1))
+
+        thread = threading.Thread(target=accept_one, daemon=True)
+        thread.start()
+        client = ServiceClient(f"https://127.0.0.1:{listener.getsockname()[1]}")
+        with pytest.raises(OSError):  # the stand-in hangs up mid-handshake
+            client.health()
+        thread.join(timeout=30)
+        listener.close()
+        # The first byte is a TLS handshake record (the ClientHello).
+        assert received == [b"\x16"]
+
+    def test_every_request_is_one_send_on_a_nodelay_socket(self, client_sockets):
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
+            job_id = client.submit(SPEC).job_id
+            (sock,) = client_sockets
+            nodelay = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            client.wait(job_id)
+            client.status(job_id)
+            client.cancel(job_id)
+            client.health()
+        assert nodelay != 0
+        # POST, GET events, GET, DELETE, GET: five requests, five sends.
+        assert len(client_sockets) == 1
+        assert sock.sends == 5
 
 
 class TestClientRetry:
@@ -397,6 +545,87 @@ class TestFramingErrors:
             assert sock.recv(1) == b""
             jobs = server.call(lambda: len(server.manager.jobs))
         assert jobs == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_gateway():
+    """One gateway for every fuzz example (it never has a job)."""
+    with ServerThread(jobs=1) as server:
+        yield server
+
+
+_TOKEN = st.text(alphabet=string.ascii_letters + string.digits + "-", min_size=1)
+_VALUE = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+    max_size=40,
+)
+
+
+@st.composite
+def _raw_requests(draw):
+    """``(method, path, bytes)``: a valid request line, random header
+    lines, an optional ``Content-Length`` (the body's, or random), optional
+    junk bytes in the head, and a body; the head ends with a blank line."""
+    method = draw(st.sampled_from(["GET", "POST", "DELETE", "PUT"]))
+    path = draw(
+        st.sampled_from(
+            ["/v1/health", "/v1/metrics", "/v1/jobs", "/v1/jobs/job-0", "/nowhere"]
+        )
+    )
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    head = f"{method} {path} {version}\r\n"
+    for name, value in draw(st.lists(st.tuples(_TOKEN, _VALUE), max_size=8)):
+        head += f"{name}: {value}\r\n"
+    body = draw(st.binary(max_size=40))
+    length = draw(
+        st.one_of(
+            st.none(),
+            st.just(str(len(body))),
+            st.integers(0, 2 * server_module.MAX_BODY_BYTES).map(str),
+            _VALUE,
+        )
+    )
+    if length is not None:
+        head += f"Content-Length: {length}\r\n"
+    junk = draw(st.one_of(st.just(b""), st.binary(max_size=40)))
+    return method, path, head.encode("latin-1") + junk + b"\r\n\r\n" + body
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(request=_raw_requests())
+    def test_every_answer_is_well_framed_and_framing_errors_close(
+        self, fuzz_gateway, request
+    ):
+        method, path, raw = request
+        with _connect(fuzz_gateway.port) as sock:
+            sock.sendall(raw)
+            # End of input: the gateway never waits out its read timeout.
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            try:
+                while data := sock.recv(65536):
+                    received += data
+            except ConnectionResetError:
+                pass
+        stream = io.BytesIO(received)
+        responses = []
+        while stream.tell() < len(received):
+            status, headers, body = _read_response(stream)
+            assert len(body) == int(headers["content-length"])
+            document = json.loads(body)
+            responses.append((status, headers))
+            assert status in (200, 202) or 400 <= status < 500, document
+            if status >= 400:
+                assert document["error"]
+        for index, (status, headers) in enumerate(responses):
+            if headers.get("connection") == "close":
+                assert index == len(responses) - 1
+            if status == 413:
+                assert headers["connection"] == "close"
+            if status == 400 and headers.get("connection") != "close":
+                # A kept-alive 400 refuses a well-framed body, not framing.
+                assert (index, method, path) == (0, "POST", "/v1/jobs")
 
 
 class TestShutdown:

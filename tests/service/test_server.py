@@ -14,6 +14,7 @@ multi-client load.
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import hashlib
 import json
@@ -28,6 +29,7 @@ import pytest
 
 from repro import api
 from repro.api.spec import ExperimentSpec
+from repro import client as client_module
 from repro.client import ServiceClient, ServiceClientError, ServiceRejectedError
 from repro.service.cache import ResultCache
 from repro.service.events import (
@@ -204,6 +206,35 @@ class TestAdmissionOverHttp:
             server.call(server.manager.resume_scheduling)
             client.wait(first.job_id)
         assert job_count == 1
+
+
+    def test_run_retries_after_the_rejections_estimate(self, monkeypatch):
+        slept = []
+        with ServerThread(jobs=1, max_pending_cost=1) as server:
+            client = ServiceClient(server.base_url, client_id="flood")
+            server.call(server.manager.pause_scheduling)
+            # An empty queue always admits; three replicas queue enough
+            # cost that the estimate exceeds its 0.05 s floor.
+            first = client.submit(SPEC.with_overrides(perturbation_replicas=3))
+            with pytest.raises(ServiceRejectedError) as excinfo:
+                client.submit(SPEC_DIROPT)
+            estimate = excinfo.value.retry_after_s
+
+            def sleep(seconds):
+                # The back-off: the queued job finishes, freeing the budget.
+                slept.append(seconds)
+                server.call(server.manager.resume_scheduling)
+                with ServiceClient(server.base_url) as other:
+                    other.wait(first.job_id)
+
+            monkeypatch.setattr(client_module.time, "sleep", sleep)
+            result = client.run(SPEC_DIROPT, retries=1)
+            client.close()
+        # The scheduler is paused between the two rejections, so their
+        # estimates agree.
+        assert estimate > 0.05
+        assert slept == [estimate]
+        assert result == api.run_experiment(spec=SPEC_DIROPT)
 
 
 class TestCancelOverHttp:
@@ -412,6 +443,46 @@ class TestErrorsOverHttp:
                 urllib.request.urlopen(request, timeout=30)
             excinfo.value.close()
         assert excinfo.value.code == 400
+
+
+class TestGatewayWrites:
+    """Each batch of available events is one ``StreamWriter.write``; a
+    finished job's whole stream, head included, is one batch."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        writes = []
+        original = asyncio.StreamWriter.write
+
+        def counting(writer, data):
+            writes.append(bytes(data))
+            original(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting)
+        return writes
+
+    def test_finished_job_ndjson_stream_is_one_write(self, writes):
+        with ServerThread(jobs=1) as server:
+            with ServiceClient(server.base_url) as client:
+                job_id = client.submit(SPEC).job_id
+                events = list(client.stream(job_id))
+                writes.clear()
+                assert list(client.stream(job_id)) == events
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert writes[0].endswith(b"\n\r\n0\r\n\r\n")
+
+    def test_finished_job_websocket_stream_is_one_write(self, writes):
+        with ServerThread(jobs=1) as server:
+            with ServiceClient(server.base_url) as client:
+                job_id = client.submit(SPEC).job_id
+                events = list(client.stream(job_id))
+            writes.clear()
+            ws_events, close_code = _ws_events(server.port, job_id)
+        assert ws_events == events
+        assert close_code == 1000
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
 
 
 class TestHealthAndMetricsOverHttp:
