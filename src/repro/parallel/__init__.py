@@ -13,7 +13,11 @@ pool:
 * :mod:`repro.parallel.executor` -- the :mod:`concurrent.futures` pool with
   a serial in-process fallback when ``jobs=1``;
 * :mod:`repro.parallel.sweep` -- matrix expansion and deterministic
-  minimum-replica merging.
+  minimum-replica merging;
+* :mod:`repro.parallel.worker` -- the long-lived replica worker
+  subprocess (``python -m repro.parallel.worker``) behind the service's
+  :class:`~repro.service.manager.WorkerPoolBackend`.  It is not imported
+  here, so ``-m`` runs it as a fresh module.
 
 The ``jobs=`` knob
 ==================

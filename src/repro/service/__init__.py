@@ -7,8 +7,9 @@ This package turns the one-shot experiment API into a long-lived service:
   control, per-job cancellation, in-flight deduplication, and a
   fault-tolerance layer (transient-failure retries with deterministic
   backoff, per-replica deadlines, worker-crash pool rebuilds, replica
-  quarantine, journal-driven crash recovery) over a pluggable
-  worker-pool backend.
+  quarantine, journal-driven crash recovery).  Cache hits resolve at
+  admission; misses compute in :class:`WorkerPoolBackend`, warm worker
+  subprocesses off the event loop.
 * :mod:`repro.service.fairness` -- :class:`DeficitRoundRobinQueue`, the
   weighted deficit-round-robin scheduler behind the manager: one
   priority+FIFO lane per client, starvation bounded by construction.
@@ -92,14 +93,13 @@ from repro.service.manager import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_PENDING_COST,
     AdmissionError,
-    InlinePoolBackend,
     JobCancelledError,
     JobHandle,
     JobManager,
     JobState,
     PoolBackend,
-    ProcessPoolBackend,
     WorkerCrashError,
+    WorkerPoolBackend,
     is_transient,
     job_cost,
     make_backend,
@@ -143,7 +143,6 @@ __all__ = [
     "GatewayServer",
     "InjectedPermanentError",
     "InjectedWorkerCrash",
-    "InlinePoolBackend",
     "JOURNAL_SCHEMA_VERSION",
     "JobAdmitted",
     "JobCancelled",
@@ -162,7 +161,6 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "MetricsSchemaError",
     "PoolBackend",
-    "ProcessPoolBackend",
     "RESULT_SCHEMA_VERSION",
     "ReplicaCompleted",
     "ReplicaFailed",
@@ -180,6 +178,7 @@ __all__ = [
     "WIRE_SCHEMA_VERSION",
     "WireError",
     "WorkerCrashError",
+    "WorkerPoolBackend",
     "entry_keys",
     "error_to_wire",
     "event_from_wire",

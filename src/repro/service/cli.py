@@ -40,6 +40,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
+import signal
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -63,7 +65,7 @@ from repro.service.manager import (
     DEFAULT_MAX_PENDING_COST,
     AdmissionError,
     JobManager,
-    ProcessPoolBackend,
+    WorkerPoolBackend,
 )
 from repro.service.metrics import validate_metrics_snapshot
 from repro.service.server import GatewayServer, ServerThread
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (1 serial, 0 = one per CPU; default 1)",
+        help="worker subprocesses (0 = one per CPU; default 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -663,16 +665,17 @@ def _loopback_gateway(scale: float, problems: List[str]) -> Dict[str, Any]:
         root = Path(tmp)
 
         # Phase A: weighted fairness and wire bit-identity.
-        with ServerThread(
-            jobs=1,
-            cache=ResultCache(root / "cache"),
-            client_weights=weights,
-            record_schedule=True,
-        ) as server:
-            clients = {
-                "alpha": ServiceClient(server.base_url, client_id="alpha"),
-                "beta": ServiceClient(server.base_url, client_id="beta"),
-            }
+        with (
+            ServerThread(
+                jobs=1,
+                cache=ResultCache(root / "cache"),
+                client_weights=weights,
+                record_schedule=True,
+            ) as server,
+            ServiceClient(server.base_url, client_id="alpha") as alpha,
+            ServiceClient(server.base_url, client_id="beta") as beta,
+        ):
+            clients = {"alpha": alpha, "beta": beta}
             server.call(server.manager.pause_scheduling)
             accepted = [
                 ("alpha", spec, clients["alpha"].submit(spec))
@@ -736,8 +739,10 @@ def _loopback_gateway(scale: float, problems: List[str]) -> Dict[str, Any]:
 
         # Phase B: a second gateway over the same cache directory replays
         # the whole sweep over HTTP without any pool submissions.
-        with ServerThread(jobs=1, cache=ResultCache(root / "cache")) as replay:
-            client = ServiceClient(replay.base_url, client_id="replay")
+        with (
+            ServerThread(jobs=1, cache=ResultCache(root / "cache")) as replay,
+            ServiceClient(replay.base_url, client_id="replay") as client,
+        ):
             replayed = [client.run(spec) for spec in all_specs]
             stats["replay_submissions"] = replay.call(
                 lambda: replay.manager.backend.submissions
@@ -760,11 +765,13 @@ def _loopback_gateway(scale: float, problems: List[str]) -> Dict[str, Any]:
             entry.stat().st_size for entry in (root / "cache").glob("??/*.json")
         )
         budget = sizes[0] + sizes[1] + sizes[2] // 2
-        with ServerThread(
-            jobs=1,
-            cache=ResultCache(root / "budgeted", disk_budget_bytes=budget),
-        ) as budgeted:
-            client = ServiceClient(budgeted.base_url, client_id="evict")
+        with (
+            ServerThread(
+                jobs=1,
+                cache=ResultCache(root / "budgeted", disk_budget_bytes=budget),
+            ) as budgeted,
+            ServiceClient(budgeted.base_url, client_id="evict") as client,
+        ):
             for spec in all_specs:
                 client.run(spec)
             metrics = client.metrics()
@@ -790,9 +797,9 @@ async def _kill_and_recover(
 ) -> Dict[str, Any]:
     """The ``--self-test`` kill-and-recover pass.
 
-    Starts a multi-replica sweep on a one-worker process pool with a disk
-    cache and a journal, SIGKILLs the pool worker after the first replica
-    lands, abandons the manager mid-sweep (no drain, no terminal record),
+    Starts a multi-replica sweep on a one-worker pool with a disk cache
+    and a journal, SIGKILLs the worker after the first replica lands,
+    abandons the manager mid-sweep (no drain, no terminal record),
     appends a torn half-record to the journal, then recovers in a fresh
     service life: the torn tail must truncate cleanly, only the missing
     replicas may be recomputed, and the merged result must be bit-identical
@@ -809,7 +816,7 @@ async def _kill_and_recover(
         "torn_bytes_dropped": 0,
     }
 
-    # The unfaulted reference run (memory-only cache, inline backend).
+    # The unfaulted reference run (memory-only cache).
     baseline_manager = JobManager(jobs=1)
     async with baseline_manager:
         baseline_handle = baseline_manager.submit(spec)
@@ -823,7 +830,7 @@ async def _kill_and_recover(
         journal_path = root / "journal.jsonl"
         cache = ResultCache(root / "cache")
         journal = JobJournal(journal_path, fsync=False)
-        backend = ProcessPoolBackend(max_workers=1)
+        backend = WorkerPoolBackend(max_workers=1)
         crashed = JobManager(
             jobs=1, cache=cache, backend=backend, journal=journal
         )
@@ -839,13 +846,11 @@ async def _kill_and_recover(
                 journal.close()
                 return stats
             await asyncio.sleep(0.005)
-        # SIGKILL the pool worker(s), then abandon the manager before it
-        # can observe the crash: no retry, no terminal journal record --
+        # SIGKILL the worker, then abandon the manager before it can
+        # observe the crash: no retry, no terminal journal record --
         # exactly what a service process dying mid-sweep leaves behind.
-        executor = backend.executor
-        if executor is not None:
-            for process in list((executor._processes or {}).values()):
-                process.kill()
+        for pid in backend.worker_pids:
+            os.kill(pid, signal.SIGKILL)
         await crashed.aclose()
         journal.close()
         completed_before = journal.count("replica-completed")

@@ -26,9 +26,10 @@ from __future__ import annotations
 import asyncio
 import errno
 import random
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.parallel.executor import WorkerPoolError
 
 # ------------------------------------------------------------------ sites
 #: The manager's pool backend, once per replica attempt.
@@ -51,7 +52,7 @@ FAULT_SITES = (
 )
 
 # ------------------------------------------------------------------ kinds
-#: A worker process died (raises a :class:`BrokenProcessPool` subclass).
+#: A worker process died (raises a :class:`WorkerPoolError` subclass).
 KIND_CRASH = "crash"
 
 #: The operation never completes / exceeds its deadline.
@@ -79,8 +80,8 @@ FAULT_KINDS = (
 )
 
 
-class InjectedWorkerCrash(BrokenProcessPool):
-    """A planned worker death; subclasses the real pool-broken exception
+class InjectedWorkerCrash(WorkerPoolError):
+    """A planned worker death; subclasses the real worker-death exception
     so the manager's crash-recovery path is exercised end to end."""
 
 
@@ -210,13 +211,13 @@ class FaultPlan:
 class FaultingPoolBackend:
     """A pool backend that injects planned faults in front of ``inner``.
 
-    Duck-types :class:`repro.service.manager.PoolBackend` (run / close /
+    Duck-types :class:`repro.service.manager.PoolBackend` (run / aclose /
     ``max_workers`` / ``submissions``) so this module never imports the
     manager.  Supported kinds at :data:`SITE_BACKEND_RUN`:
 
-    * ``crash`` -- raises :class:`InjectedWorkerCrash` (a real
-      ``BrokenProcessPool`` subclass, so the manager's worker-crash
-      recovery path runs);
+    * ``crash`` -- raises :class:`InjectedWorkerCrash` (a
+      :class:`~repro.parallel.executor.WorkerPoolError` subclass, so the
+      manager's worker-crash recovery path runs);
     * ``timeout`` -- raises :class:`asyncio.TimeoutError` immediately, or,
       with ``hang_on_timeout=True``, blocks forever so the manager's
       per-replica deadline (``asyncio.wait_for``) does the killing;
@@ -252,5 +253,5 @@ class FaultingPoolBackend:
             raise fault_exception(fault)
         return await self.inner.run(job)
 
-    def close(self) -> None:
-        self.inner.close()
+    async def aclose(self) -> None:
+        await self.inner.aclose()

@@ -19,10 +19,12 @@ of :mod:`repro.parallel` to a shared worker pool:
   instead of piling up unbounded queues.  A job is always admitted when
   the queue is empty, however large, so no request can starve.
 * **Content-addressed dedup** -- with a :class:`~repro.service.cache.
-  ResultCache` attached, every replica is looked up before it is
-  simulated, and identical replicas *in flight* are joined (the second
-  job awaits the first's future), so overlapping sweeps from concurrent
-  clients compute each unique replica exactly once.
+  ResultCache` attached, every replica is looked up at admission: a hit
+  completes before :meth:`JobManager.submit_async` returns and never
+  enters the replica queue, so it cannot wait behind a computing miss.
+  Identical replicas *in flight* are joined (the second job awaits the
+  first's future), so overlapping sweeps from concurrent clients compute
+  each unique replica exactly once.
 * **Streaming progress** -- every job exposes an async event iterator
   (:meth:`JobHandle.events`) and an awaitable merged result
   (:meth:`JobHandle.result`); see :mod:`repro.service.events` for the
@@ -31,34 +33,37 @@ of :mod:`repro.parallel` to a shared worker pool:
   replicas: queued replicas are skipped, the stream ends with
   ``JobCancelled``, and ``result()`` raises :class:`JobCancelledError`.
 
-The pool itself is pluggable: :class:`ProcessPoolBackend` fans replicas
-out over a persistent process pool (the service-lifetime analogue of
-:func:`repro.parallel.executor.run_replica_jobs`), while
-:class:`InlinePoolBackend` runs them on the event-loop thread --
-deterministic and pool-free, used by tests, ``--self-test`` and
-single-worker services.  Backends count their submissions, which is how
-the test suite proves a cached replay performs zero simulation work.
+Replicas compute in :class:`WorkerPoolBackend`: ``jobs`` warm worker
+subprocesses (``python -m repro.parallel.worker``), one replica each, so
+the event loop keeps serving requests and cache hits while a miss
+computes -- ``jobs=1`` is one worker outside the service process.  The
+backend is pluggable (pass ``backend=``); backends count their
+submissions, which is how the test suite proves a cached replay performs
+zero simulation work.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
 
+import repro
 from repro.api.spec import ExperimentSpec
 from repro.parallel.executor import (
     WorkerPoolError,
     resolve_jobs,
     worker_crash_message,
 )
-from repro.parallel.jobs import ReplicaJob, execute_replica_job
+from repro.parallel.jobs import ReplicaJob
 from repro.parallel.sweep import select_minimum_replica
+from repro.parallel.worker import HEADER, encode_frame, reply_outcome
 from repro.service.cache import ResultCache, replica_key
 from repro.service.fairness import (
     DEFAULT_CLIENT_ID,
@@ -102,7 +107,7 @@ DEFAULT_BACKOFF_CAP_S = 2.0
 
 
 class WorkerCrashError(WorkerPoolError):
-    """A pool worker died mid-replica; the pool was rebuilt for retry."""
+    """A pool worker died mid-replica; the next run starts a fresh one."""
 
 
 #: The transient failure classes of the retry policy: a worker crash, a
@@ -111,7 +116,6 @@ class WorkerCrashError(WorkerPoolError):
 #: 3.10 and aliased on 3.11+, so both are listed.)  Everything else --
 #: spec errors, model bugs -- is permanent and quarantines immediately.
 TRANSIENT_EXCEPTIONS = (
-    BrokenProcessPool,
     WorkerPoolError,
     asyncio.TimeoutError,
     TimeoutError,
@@ -173,41 +177,36 @@ class PoolBackend:
     async def run(self, job: ReplicaJob) -> RunResult:
         raise NotImplementedError
 
-    def close(self) -> None:
+    async def aclose(self) -> None:
         """Release pool resources (idempotent)."""
 
 
-class InlinePoolBackend(PoolBackend):
-    """Runs replicas synchronously on the event-loop thread.
-
-    Deterministic and process-free: the replica computes between two
-    scheduling points, so tests and ``--self-test`` see a reproducible
-    interleaving.  One logical worker.
-    """
-
-    def __init__(self) -> None:
-        self.submissions = 0
-
-    async def run(self, job: ReplicaJob) -> RunResult:
-        self.submissions += 1
-        # One cooperative yield so cancellations and joiners queued before
-        # this replica get to run first, mirroring a real pool handoff.
-        await asyncio.sleep(0)
-        return execute_replica_job(job)
+#: How long :meth:`WorkerPoolBackend.aclose` lets a worker exit on its own
+#: after closing its stdin, before killing it.
+WORKER_EXIT_TIMEOUT_S = 5.0
 
 
-class ProcessPoolBackend(PoolBackend):
-    """A persistent ``ProcessPoolExecutor`` shared across the service life.
+class WorkerPoolBackend(PoolBackend):
+    """Up to ``max_workers`` warm worker subprocesses, one replica each.
 
-    Unlike :func:`repro.parallel.executor.run_replica_jobs`, which builds a
-    pool per call, the executor here stays warm across jobs, so each
-    worker's per-process stream cache keeps paying off across requests.
+    Each worker is ``python -m repro.parallel.worker``, started by
+    :func:`asyncio.create_subprocess_exec` on the first replica that needs
+    it and kept for the life of the service, so its stream cache stays
+    warm across requests.  The job goes to the worker's stdin and the
+    result comes back on its stdout (see :mod:`repro.parallel.worker`), so
+    the event loop only waits on pipes while a replica computes.  A plain
+    subprocess inherits none of the gateway's sockets (``close_fds``) and
+    starts no helper processes.  The manager runs at most ``max_workers``
+    replicas at a time, so at most that many workers are live.
 
-    A worker death (``BrokenProcessPool``) no longer poisons the backend:
-    the broken executor is discarded, :class:`WorkerCrashError` is raised
-    with an actionable message, and the next submission lazily builds a
-    fresh pool -- so the manager's retry policy transparently requeues the
-    in-flight replicas that died with the pool.
+    A worker that dies mid-replica (end of file or a short read on its
+    reply) is reaped and :class:`WorkerCrashError` is raised; the next
+    run starts a fresh worker, so the manager's retry policy requeues the
+    replica.  A run that is cancelled -- by ``replica_timeout`` or by
+    :meth:`JobManager.aclose` -- kills its worker, so an abandoned
+    replica stops using CPU.  A fresh worker's start-up (about 0.1 s of
+    imports) counts against its first replica's deadline.  :meth:`aclose`
+    stops every worker and waits for each to exit.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -215,59 +214,98 @@ class ProcessPoolBackend(PoolBackend):
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
         self.submissions = 0
+        #: Workers replaced because one crashed mid-replica.
         self.pool_rebuilds = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._idle: List[asyncio.subprocess.Process] = []
+        self._live: List[asyncio.subprocess.Process] = []
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """The pid of every worker started and not yet reaped."""
+        return [process.pid for process in self._live]
 
     async def run(self, job: ReplicaJob) -> RunResult:
         self.submissions += 1
-        loop = asyncio.get_running_loop()
+        frame = encode_frame(job)
+        process = self._idle.pop() if self._idle else await self._spawn()
         try:
-            return await loop.run_in_executor(
-                self._ensure_executor(), execute_replica_job, job
-            )
-        except BrokenProcessPool as error:
-            self._discard_broken_pool()
+            reply = await self._exchange(process, frame, job.replica_index)
+        except BaseException as error:
+            # Crashed, or cancelled mid-replica: its state is unknown.
+            if isinstance(error, WorkerCrashError):
+                self.pool_rebuilds += 1
+            await self._stop(process, grace_s=0.0)
+            raise
+        self._idle.append(process)
+        return reply_outcome(reply)
+
+    async def _spawn(self) -> asyncio.subprocess.Process:
+        process = await asyncio.create_subprocess_exec(
+            sys.executable,
+            "-m",
+            "repro.parallel.worker",
+            stdin=asyncio.subprocess.PIPE,
+            stdout=asyncio.subprocess.PIPE,
+            env=_worker_environment(),
+        )
+        self._live.append(process)
+        return process
+
+    @staticmethod
+    async def _exchange(
+        process: asyncio.subprocess.Process, frame: bytes, replica_index: int
+    ) -> bytes:
+        """Send one request frame; the body of the reply frame."""
+        assert process.stdin is not None and process.stdout is not None
+        try:
+            process.stdin.write(frame)
+            await process.stdin.drain()
+            header = await process.stdout.readexactly(HEADER.size)
+            (size,) = HEADER.unpack(header)
+            return await process.stdout.readexactly(size)
+        except (asyncio.IncompleteReadError, ConnectionError) as error:
             raise WorkerCrashError(
-                worker_crash_message(
-                    f"simulating replica {job.replica_index}"
-                )
+                worker_crash_message(f"simulating replica {replica_index}")
             ) from error
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
+    async def _stop(self, process: asyncio.subprocess.Process, grace_s: float) -> None:
+        """Close the worker's stdin, give it ``grace_s`` to exit, then kill
+        it; returns once it is reaped."""
+        assert process.stdin is not None
+        process.stdin.close()
+        if grace_s > 0:
+            try:
+                await asyncio.wait_for(process.wait(), grace_s)
+            except asyncio.TimeoutError:
+                pass
+        if process.returncode is None:
+            try:
+                process.kill()
+            except ProcessLookupError:
+                pass  # exited since the check; wait() below reaps it
+        await process.wait()
+        if process in self._live:
+            self._live.remove(process)
 
-    def _discard_broken_pool(self) -> None:
-        """Drop the broken executor; the next run() builds a fresh pool."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            self.pool_rebuilds += 1
+    async def aclose(self) -> None:
+        self._idle.clear()
+        await asyncio.gather(
+            *(self._stop(process, WORKER_EXIT_TIMEOUT_S) for process in self._live)
+        )
 
-    @property
-    def executor(self) -> Optional[ProcessPoolExecutor]:
-        """The live executor, if one has been built (tests kill its workers)."""
-        return self._executor
 
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+def _worker_environment() -> Dict[str, str]:
+    """This environment, with the directory ``repro`` was imported from
+    first on ``PYTHONPATH`` (the parent may have found it via ``sys.path``)."""
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH", "")
+    paths = [source] + [path for path in inherited.split(os.pathsep) if path]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def make_backend(jobs: Optional[int] = 1) -> PoolBackend:
-    """Backend for a ``jobs`` knob: inline when serial, process pool else.
-
-    The process-pool backend carries the same worker-bootstrap-failure
-    guard as :func:`repro.parallel.executor.run_replica_jobs`: a dead
-    worker surfaces as :class:`WorkerCrashError` (with the likely causes
-    spelled out), never as a bare ``BrokenProcessPool``.
-    """
-    workers = resolve_jobs(jobs)
-    if workers <= 1:
-        return InlinePoolBackend()
-    return ProcessPoolBackend(workers)
+    """The worker backend for a ``jobs`` knob (0 = one worker per CPU)."""
+    return WorkerPoolBackend(resolve_jobs(jobs))
 
 
 # ------------------------------------------------------------------- jobs
@@ -372,10 +410,10 @@ class JobManager:
             result = await handle.result()
             await manager.drain()
 
-    ``jobs`` picks the backend (1 = inline on the event loop, N = an
-    ``N``-worker persistent process pool, 0 = one worker per CPU); pass
-    ``backend=`` to inject a custom one.  ``max_pending_cost=None``
-    disables admission control.
+    ``jobs`` is the number of worker subprocesses of the
+    :class:`WorkerPoolBackend` (0 = one per CPU); pass ``backend=`` to
+    inject a custom one.  ``max_pending_cost=None`` disables admission
+    control.
 
     **Fault tolerance**: replica failures are classified by
     :func:`is_transient`; transient ones (worker crash, deadline overrun,
@@ -472,7 +510,7 @@ class JobManager:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers.clear()
-        self.backend.close()
+        await self.backend.aclose()
 
     # --------------------------------------------------------------- submit
     def submit(
@@ -575,11 +613,25 @@ class JobManager:
         return handle
 
     def _activate(self, handle: JobHandle, unit_cost: int) -> None:
-        """Admit a prepared handle: count it, journal it, enqueue its units."""
+        """Admit a prepared handle: count it, journal it, record its cached
+        replicas at once and enqueue the rest.
+
+        A cache hit never waits behind a computing replica: it completes
+        here, before :meth:`submit_async` returns.  Only the replicas the
+        cache lacks enter the scheduler (``_process`` still checks the
+        cache and joins in-flight twins when they dequeue).
+        """
         keys = handle.keys
         handle.admitted = True
+        cached: Dict[int, RunResult] = {}
+        if self.cache is not None:
+            for index, key in enumerate(keys):
+                result = self.cache.get(key)
+                if result is not None:
+                    cached[index] = result
+        queued = len(keys) - len(cached)
         self.metrics.jobs_submitted += 1
-        self.metrics.note_enqueued(len(keys), unit_cost * len(keys))
+        self.metrics.note_enqueued(queued, unit_cost * queued)
         self._journal_record(
             handle,
             "job-submitted",
@@ -598,8 +650,16 @@ class JobManager:
                 priority=handle.priority,
             ),
         )
+        self._note_cache_health(handle)
+        if cached:
+            handle.state = JobState.RUNNING
+        for index, result in cached.items():
+            self.metrics.replicas_from_cache += 1
+            self._record(handle, index, keys[index], result, SOURCE_CACHE)
         config, profile = handle.config, handle.profile
         for index, key in enumerate(keys):
+            if index in cached:
+                continue
             unit = _ReplicaUnit(
                 handle=handle,
                 replica_index=index,
@@ -610,7 +670,6 @@ class JobManager:
             self._queue.put_nowait(
                 handle.client_id, handle.priority, unit_cost, unit
             )
-        return None
 
     def recover(self) -> List[JobHandle]:
         """Resubmit the journal's unfinished jobs; returns their handles.
@@ -828,7 +887,7 @@ class JobManager:
 
     def _note_failure(self, error: BaseException) -> bool:
         """Count one failed attempt by class; ``True`` when transient."""
-        if isinstance(error, (BrokenProcessPool, WorkerPoolError)):
+        if isinstance(error, WorkerPoolError):
             self.metrics.worker_crashes += 1
             return True
         if isinstance(error, (asyncio.TimeoutError, TimeoutError)):

@@ -515,7 +515,7 @@ def _end_reading(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> 
     """The read timeout: stop reading and end the stream.
 
     Bytes already received still parse, so a request that arrived while
-    the loop was busy (an inline replica computing) is served; an idle or
+    the loop was busy (a slow handler) is served; an idle or
     incomplete one reads as end of stream and the connection closes.
     """
     writer.transport.pause_reading()

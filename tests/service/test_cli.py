@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -154,7 +155,7 @@ class TestFaultToleranceFlags:
             assert (tmp_path / "journal" / "journal.jsonl").is_file()
         finally:
             manager.journal.close()
-            manager.backend.close()
+            asyncio.run(manager.backend.aclose())
 
     def test_journal_flag_records_the_run(self, tmp_path, capsys):
         journal_dir = str(tmp_path / "journal")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
 import tempfile
 from pathlib import Path
 
@@ -53,13 +54,13 @@ from repro.service.faults import (
 )
 from repro.service.journal import JobJournal
 from repro.service.manager import (
-    InlinePoolBackend,
     JobManager,
     JobState,
-    ProcessPoolBackend,
+    WorkerPoolBackend,
     is_transient,
 )
 from repro.service.metrics import validate_metrics_snapshot
+from tests.service.backends import InlinePoolBackend, process_exists
 
 SCALE = 0.05
 
@@ -251,20 +252,25 @@ class TestRetryPolicy:
 
 class TestWorkerCrashRecovery:
     def test_dead_pool_worker_is_rebuilt_and_replica_requeued(self):
+        warm = ReplicaJob(config=SPEC.config(), profile=SPEC.profile(), replica_index=0)
+
         async def scenario():
-            backend = ProcessPoolBackend(max_workers=1)
+            backend = WorkerPoolBackend(max_workers=1)
             # Warm the pool (workers spawn lazily), then kill its worker.
-            backend._ensure_executor().submit(os.getpid).result()
-            for process in backend.executor._processes.values():
-                process.kill()
+            await backend.run(warm)
+            (killed,) = backend.worker_pids
+            os.kill(killed, signal.SIGKILL)
             async with JobManager(backend=backend, sleep=_no_sleep) as manager:
                 handle = manager.submit(SPEC)
                 await manager.drain()
                 result = await handle.result()
+                assert killed not in backend.worker_pids
+                assert not process_exists(killed)
                 return backend, manager, result
 
         backend, manager, result = asyncio.run(scenario())
         assert result == _clean_result(SPEC)
+        assert backend.worker_pids == []
         assert backend.pool_rebuilds == 1
         assert manager.metrics.worker_crashes == 1
         assert manager.metrics.replicas_retried == 1

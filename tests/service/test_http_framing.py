@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 import socket
 import string
 import sys
@@ -26,7 +27,8 @@ from repro.client import ServiceClient
 from repro.service import server as server_module
 from repro.service.server import GatewayServer, ServerThread
 from repro.service.events import JobAdmitted, JobCancelled, ReplicaCompleted
-from repro.service.wire import event_from_wire, event_to_wire
+from repro.service.wire import SubmitRequest, event_from_wire, event_to_wire
+from tests.service.backends import child_pids
 
 SPEC = ExperimentSpec.make("oltp", scale=0.05)
 
@@ -626,6 +628,51 @@ class TestParserFuzz:
             if status == 400 and headers.get("connection") != "close":
                 # A kept-alive 400 refuses a well-framed body, not framing.
                 assert (index, method, path) == (0, "POST", "/v1/jobs")
+
+
+def _socket_fds(pid):
+    """The socket descriptors process ``pid`` holds."""
+    fd_dir = f"/proc/{pid}/fd"
+    links = []
+    for fd in os.listdir(fd_dir):
+        try:
+            links.append(os.readlink(f"{fd_dir}/{fd}"))
+        except OSError:
+            continue  # closed while we looked
+    return [link for link in links if link.startswith("socket:")]
+
+
+class TestWorkerIsolation:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_workers_hold_no_gateway_socket(self, monkeypatch, jobs):
+        """A keep-alive connection open while the first replica computes
+        is really closed by the read timeout: no worker process holds a
+        copy of a gateway socket that would keep it from reaching EOF."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        body = json.dumps(SubmitRequest(spec=SPEC).to_wire()).encode()
+        submit = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        with ServerThread(jobs=jobs) as server, _connect(server.port) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(submit)
+            status, _headers, reply = _read_response(stream)
+            assert status == 202
+            job_id = json.loads(reply)["job_id"]
+            sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n\r\n".encode())
+            _status, _headers, chunks = _read_response(stream)
+            assert event_from_wire(json.loads(chunks[-1])).terminal
+            workers = child_pids()
+            held = {pid: _socket_fds(pid) for pid in workers}
+            sock.settimeout(1.0)
+            try:
+                eof = sock.recv(1) == b""
+            except TimeoutError:
+                eof = False
+        assert workers, "the computed replica started no worker process"
+        assert held == {pid: [] for pid in workers}
+        assert eof, "the timed-out connection did not reach EOF within 1 s"
 
 
 class TestShutdown:

@@ -4,21 +4,24 @@ Covers the service acceptance properties: overlapping concurrent sweeps
 compute each unique replica exactly once; a cached replay performs zero
 pool submissions; admission control rejects with a retry hint once the
 pending-cost budget is exhausted; cancellation mid-sweep skips the
-remaining replicas; and every job streams its events in the documented
-order.  All tests use the deterministic inline backend -- the process-pool
-backend shares its execution path with :mod:`repro.parallel`, whose
-equivalence suite already covers pooled execution.
+remaining replicas; cache hits resolve at admission and never wait
+behind a computing miss; and every job streams its events in the
+documented order.  Tests that gate, record or fail runs use the
+in-process test double of :mod:`tests.service.backends`; the rest run on
+the service's real worker subprocesses.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
 from repro import api
 from repro.api.spec import ExperimentSpec
-from repro.service.cache import ResultCache
+from repro.parallel.jobs import ReplicaJob, execute_replica_job
+from repro.service.cache import ResultCache, replica_key
 from repro.service.events import (
     SOURCE_CACHE,
     SOURCE_COMPUTED,
@@ -33,15 +36,15 @@ from repro.service.events import (
 )
 from repro.service.manager import (
     AdmissionError,
-    InlinePoolBackend,
     JobCancelledError,
     JobManager,
     JobState,
-    ProcessPoolBackend,
+    WorkerPoolBackend,
     make_backend,
     replica_cost,
 )
 from repro.service.metrics import validate_metrics_snapshot
+from tests.service.backends import InlinePoolBackend
 
 SCALE = 0.05
 
@@ -285,6 +288,109 @@ class TestDeduplication:
         assert [e.source for e in replica_events] == [SOURCE_CACHE]
 
 
+def _cached(spec, indices=None):
+    """A memory cache holding the replicas ``indices`` of ``spec``."""
+    config, profile = spec.config(), spec.profile()
+    if indices is None:
+        indices = range(config.perturbation_replicas)
+    cache = ResultCache()
+    for index in indices:
+        job = ReplicaJob(config=config, profile=profile, replica_index=index)
+        cache.put(replica_key(config, profile, index), execute_replica_job(job))
+    return cache
+
+
+class TestAdmissionResolve:
+    def test_fully_cached_job_is_terminal_when_submit_async_returns(self):
+        spec = SPEC.with_overrides(perturbation_replicas=2)
+        cache = _cached(spec)
+
+        async def scenario():
+            backend = InlinePoolBackend()
+            async with JobManager(backend=backend, cache=cache) as manager:
+                handle = await manager.submit_async(spec)
+                state = handle.state
+                events = await _collect(handle)
+                return manager, backend, state, events, await handle.result()
+
+        manager, backend, state, events, result = asyncio.run(scenario())
+        assert state is JobState.COMPLETED
+        assert [type(event) for event in events] == [
+            JobAdmitted,
+            ReplicaCompleted,
+            JobProgress,
+            ReplicaCompleted,
+            JobProgress,
+            JobCompleted,
+        ]
+        replicas = [e for e in events if isinstance(e, ReplicaCompleted)]
+        assert [e.source for e in replicas] == [SOURCE_CACHE, SOURCE_CACHE]
+        assert [e.replica_index for e in replicas] == [0, 1]
+        assert result == api.run_experiment(spec=spec)
+        assert manager.metrics.replicas_from_cache == 2
+        assert manager.metrics.queue_depth == 0
+        assert manager.metrics.pending_cost == 0
+        assert manager.metrics.peak_queue_depth == 0
+        assert backend.submissions == 0
+
+    def test_only_uncached_replicas_enter_the_queue(self):
+        spec = SPEC.with_overrides(perturbation_replicas=3)
+        cache = _cached(spec, indices=[1])
+        unit = replica_cost(spec.config(), spec.profile())
+
+        async def scenario():
+            backend = RecordingBackend()
+            manager = JobManager(backend=backend, cache=cache)
+            handle = manager.submit(spec)  # workers not started yet
+            queued = (manager.metrics.queue_depth, manager.metrics.pending_cost)
+            async with manager:
+                await manager.drain()
+                events = await _collect(handle)
+            return manager, backend, queued, events, await handle.result()
+
+        manager, backend, queued, events, result = asyncio.run(scenario())
+        assert queued == (2, 2 * unit)
+        assert [index for _protocol, index in backend.order] == [0, 2]
+        _assert_stream_shape(events)
+        replicas = [e for e in events if isinstance(e, ReplicaCompleted)]
+        assert [(e.replica_index, e.source) for e in replicas] == [
+            (1, SOURCE_CACHE),
+            (0, SOURCE_COMPUTED),
+            (2, SOURCE_COMPUTED),
+        ]
+        assert result == api.run_experiment(spec=spec)
+        assert manager.metrics.pending_cost == 0
+
+    def test_hit_completes_while_another_clients_miss_computes(self):
+        cache = _cached(SPEC)
+
+        async def scenario():
+            backend = GatedBackend()
+            async with JobManager(backend=backend, cache=cache) as manager:
+                miss = await manager.submit_async(SPEC_DIROPT, client_id="a")
+                while backend.started == 0:
+                    await asyncio.sleep(0)  # a's miss holds the only worker
+                hit = await manager.submit_async(SPEC, client_id="b")
+                order = []
+                waits = [
+                    asyncio.ensure_future(_finish(handle, order))
+                    for handle in (miss, hit)
+                ]
+                for _ in range(100):  # a queued hit would wait here
+                    if order:
+                        break
+                    await asyncio.sleep(0)
+                backend.gate.set()
+                await asyncio.gather(*waits)
+                return order
+
+        async def _finish(handle, order):
+            await handle.result()
+            order.append(handle.client_id)
+
+        assert asyncio.run(scenario()) == ["b", "a"]
+
+
 class TestAdmissionControl:
     def test_empty_queue_always_admits(self):
         async def scenario():
@@ -511,9 +617,10 @@ class TestLifecycleAndMetrics:
         asyncio.run(scenario())
 
     def test_make_backend_selects_by_jobs(self):
-        assert isinstance(make_backend(1), InlinePoolBackend)
-        assert isinstance(make_backend(None), InlinePoolBackend)
-        pooled = make_backend(2)
-        assert isinstance(pooled, ProcessPoolBackend)
-        assert pooled.max_workers == 2
-        pooled.close()  # never started: close must be a no-op
+        cpus = os.cpu_count() or 1
+        for jobs, workers in ((1, 1), (None, 1), (2, 2), (0, cpus)):
+            backend = make_backend(jobs)
+            assert isinstance(backend, WorkerPoolBackend)
+            assert backend.max_workers == workers
+            assert backend.worker_pids == []  # workers start on first use
+            asyncio.run(backend.aclose())  # never started: a no-op

@@ -111,8 +111,10 @@ def _ws_events(port: int, job_id: str):
 
 class TestSubmitStreamResult:
     def test_gateway_result_bit_identical_to_direct_api(self):
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url, client_id="e2e")
+        with (
+            ServerThread(jobs=1) as server,
+            ServiceClient(server.base_url, client_id="e2e") as client,
+        ):
             accepted = client.submit(SPEC)
             assert accepted.total_replicas == 1
             assert accepted.client_id == "e2e"
@@ -125,24 +127,21 @@ class TestSubmitStreamResult:
 
     def test_multi_replica_stream_ordering_over_http(self):
         spec = SPEC.with_overrides(perturbation_replicas=3)
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             accepted = client.submit(spec)
             events = list(client.stream(accepted.job_id))
         _assert_stream_shape(events)
         assert len([e for e in events if isinstance(e, ReplicaCompleted)]) == 3
 
     def test_stream_replays_identically_after_completion(self):
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             accepted = client.submit(SPEC)
             live = list(client.stream(accepted.job_id))
             replay = list(client.stream(accepted.job_id))
         assert replay == live
 
     def test_websocket_stream_matches_ndjson(self):
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             accepted = client.submit(SPEC)
             ndjson = list(client.stream(accepted.job_id))
             ws, close_code = _ws_events(server.port, accepted.job_id)
@@ -151,11 +150,15 @@ class TestSubmitStreamResult:
         _assert_stream_shape(ws)
 
     def test_cached_replay_over_http_zero_pool_submissions(self, tmp_path):
-        with ServerThread(jobs=1, cache=ResultCache(tmp_path / "cache")) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            ServerThread(jobs=1, cache=ResultCache(tmp_path / "cache")) as server,
+            ServiceClient(server.base_url) as client,
+        ):
             fresh = client.run(SPEC)
-        with ServerThread(jobs=1, cache=ResultCache(tmp_path / "cache")) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            ServerThread(jobs=1, cache=ResultCache(tmp_path / "cache")) as server,
+            ServiceClient(server.base_url) as client,
+        ):
             replayed = client.run(SPEC)
             submissions = server.call(lambda: server.manager.backend.submissions)
         assert submissions == 0
@@ -164,8 +167,10 @@ class TestSubmitStreamResult:
 
 class TestAdmissionOverHttp:
     def test_429_body_and_retry_after_header_arithmetic(self):
-        with ServerThread(jobs=1, max_pending_cost=1) as server:
-            client = ServiceClient(server.base_url, client_id="flood")
+        with (
+            ServerThread(jobs=1, max_pending_cost=1) as server,
+            ServiceClient(server.base_url, client_id="flood") as client,
+        ):
             server.call(server.manager.pause_scheduling)
             first = client.submit(SPEC)  # an empty queue always admits
             with pytest.raises(ServiceRejectedError) as excinfo:
@@ -196,8 +201,10 @@ class TestAdmissionOverHttp:
         assert int(header) == max(1, math.ceil(body["retry_after_s"]))
 
     def test_rejected_submission_registers_no_job(self):
-        with ServerThread(jobs=1, max_pending_cost=1) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            ServerThread(jobs=1, max_pending_cost=1) as server,
+            ServiceClient(server.base_url) as client,
+        ):
             server.call(server.manager.pause_scheduling)
             first = client.submit(SPEC)
             with pytest.raises(ServiceRejectedError):
@@ -210,8 +217,10 @@ class TestAdmissionOverHttp:
 
     def test_run_retries_after_the_rejections_estimate(self, monkeypatch):
         slept = []
-        with ServerThread(jobs=1, max_pending_cost=1) as server:
-            client = ServiceClient(server.base_url, client_id="flood")
+        with (
+            ServerThread(jobs=1, max_pending_cost=1) as server,
+            ServiceClient(server.base_url, client_id="flood") as client,
+        ):
             server.call(server.manager.pause_scheduling)
             # An empty queue always admits; three replicas queue enough
             # cost that the estimate exceeds its 0.05 s floor.
@@ -239,8 +248,7 @@ class TestAdmissionOverHttp:
 
 class TestCancelOverHttp:
     def test_delete_cancels_queued_job_and_stream_terminates(self):
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             server.call(server.manager.pause_scheduling)
             accepted = client.submit(SPEC)
             response = client.cancel(accepted.job_id)
@@ -259,8 +267,7 @@ class TestCancelOverHttp:
     def test_wait_on_cancelled_job_raises(self):
         from repro.service.manager import JobCancelledError
 
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             server.call(server.manager.pause_scheduling)
             accepted = client.submit(SPEC)
             client.cancel(accepted.job_id)
@@ -288,13 +295,14 @@ class TestConcurrentClients:
         }
         streams: dict = {}
         errors: list = []
-        with ServerThread(
-            jobs=1, client_weights=weights, record_schedule=True
-        ) as server:
-            clients = {
-                name: ServiceClient(server.base_url, client_id=name)
-                for name in weights
-            }
+        with (
+            ServerThread(
+                jobs=1, client_weights=weights, record_schedule=True
+            ) as server,
+            ServiceClient(server.base_url, client_id="alpha") as alpha,
+            ServiceClient(server.base_url, client_id="beta") as beta,
+        ):
+            clients = {"alpha": alpha, "beta": beta}
             server.call(server.manager.pause_scheduling)
             tickets = {
                 name: [clients[name].submit(spec) for spec in specs[name]]
@@ -339,8 +347,7 @@ class TestConcurrentClients:
 
     def test_websocket_and_ndjson_clients_share_one_job(self):
         spec = SPEC.with_overrides(perturbation_replicas=2)
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             server.call(server.manager.pause_scheduling)
             accepted = client.submit(spec)
             collected: dict = {}
@@ -369,8 +376,7 @@ class TestConcurrentClients:
 
 class TestErrorsOverHttp:
     def test_unknown_job_is_404(self):
-        with ServerThread(jobs=1) as server:
-            client = ServiceClient(server.base_url)
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             with pytest.raises(ServiceClientError) as excinfo:
                 client.status("job-999")
             assert excinfo.value.status == 404
@@ -487,8 +493,10 @@ class TestGatewayWrites:
 
 class TestHealthAndMetricsOverHttp:
     def test_metrics_snapshot_validates_and_reports_clients(self):
-        with ServerThread(jobs=1, client_weights={"vip": 3}) as server:
-            client = ServiceClient(server.base_url, client_id="vip")
+        with (
+            ServerThread(jobs=1, client_weights={"vip": 3}) as server,
+            ServiceClient(server.base_url, client_id="vip") as client,
+        ):
             client.run(SPEC)
             snapshot = client.metrics()
             health = client.health()
