@@ -23,9 +23,8 @@ The same object is what the service layer hashes for its content-addressed
 result cache: :func:`canonical_experiment` resolves a spec (or an explicit
 ``(config, profile)`` pair) into a canonical dictionary that is independent
 of override order, of overrides that restate a default, and of the
-host-side knobs that never change simulated results (``jobs``, data-path
-selection, pooling, checking -- all verified bit-identical by the
-equivalence test suites).
+host-side knobs that never change simulated results (``jobs`` and the
+checking knobs).
 """
 
 from __future__ import annotations
@@ -63,20 +62,9 @@ _NETWORK_ALIASES = {
 }
 
 #: ``SystemConfig`` fields that never change simulated results -- host-side
-#: parallelism, data-path implementation selection, pooling and checking
-#: knobs, each verified bit-identical to its reference by the equivalence
-#: suites.  They are excluded from the canonical form so cache entries are
-#: shared across them.
-RESULT_NEUTRAL_CONFIG_FIELDS = frozenset(
-    {
-        "jobs",
-        "cache_array",
-        "packed_streams",
-        "message_pooling",
-        "enable_checker",
-        "sanitize",
-    }
-)
+#: parallelism and the checking knobs.  They are excluded from the
+#: canonical form so cache entries are shared across them.
+RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"jobs", "enable_checker", "sanitize"})
 
 #: Config fields owned by dedicated spec fields; overriding them through
 #: ``overrides`` would silently fight the spec, so it is rejected.
@@ -151,8 +139,15 @@ class ExperimentSpec:
             raise ExperimentSpecError(f"scale must be positive, got {self.scale!r}")
         object.__setattr__(self, "overrides", _normalise_overrides(self.overrides))
         # Building the effective config validates override *values* eagerly
-        # too (SystemConfig.__post_init__ checks ranges and registry names).
-        self.config()
+        # too (SystemConfig.__post_init__ checks ranges, cache geometry and
+        # registry names); a bad value is a spec error, not a crash.
+        try:
+            self.config()
+        except (ValueError, TypeError) as error:
+            raise ExperimentSpecError(
+                "invalid SystemConfig override value in "
+                f"{dict(self.overrides)!r}: {error}"
+            ) from None
 
     # ------------------------------------------------------------ factory
     @classmethod

@@ -248,13 +248,14 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
                 | 1 << home
             ) & self._attached_mask
         pool = self.message_pool
-        if pool is not None and pool.enabled:
+        if pool is not None:
             # Pooled builds come with a no-retention contract (TS-Snoop
             # handlers copy the scalars they keep), so one OrderedDelivery
             # shell is mutated across the whole fan-out and the message
             # shell is recycled once the last endpoint has processed it.
-            # The reference data path (pooling disabled) keeps the
-            # one-delivery-per-endpoint allocation below.
+            # A network built without a pool (standalone use, whose
+            # handlers may keep their deliveries) allocates one delivery
+            # per endpoint below.
             delivery = self._delivery_scratch
             delivery.message = message
             delivery.ordered_time = ordered_time

@@ -6,8 +6,8 @@ Four rule families guard the invariants the fast-path work depends on:
   dependence inside the simulation packages);
 * ``POOL*`` -- pooled-shell ownership (acquire/release discipline for
   ``MessagePool``);
-* ``REG*`` -- registry parity (fast implementations mirror their
-  reference's public API);
+* ``REG*`` -- registry parity (the protocol registry, its name enum and
+  the API's protocol names stay in lockstep);
 * ``HOT*`` -- hot-path hygiene in ``# repro-lint: hot`` modules.
 
 See :mod:`repro.lint.framework` for the suppression-comment syntax and

@@ -10,13 +10,9 @@ from repro.memory.coherence import (
     owns_data,
 )
 from repro.memory.cache import (
-    CACHE_ARRAYS,
-    DEFAULT_CACHE_ARRAY,
-    CacheArray,
     CacheLine,
     EvictionResult,
     PackedCacheArray,
-    make_cache_array,
 )
 from repro.memory.mshr import MSHRFile, MSHREntry, MSHRFullError
 
@@ -29,11 +25,7 @@ __all__ = [
     "can_read",
     "can_write",
     "owns_data",
-    "CacheArray",
     "PackedCacheArray",
-    "CACHE_ARRAYS",
-    "DEFAULT_CACHE_ARRAY",
-    "make_cache_array",
     "CacheLine",
     "EvictionResult",
     "MSHRFile",

@@ -139,15 +139,11 @@ class MessagePool:
     forwards and deferred home responses are released by the code that later
     consumes them).  Every acquire -- fresh or recycled -- draws a new
     ``msg_id``, so identifiers never collide with a still-tracked message.
-
-    ``enabled=False`` turns the pool into a plain constructor (the reference
-    data path used by the equivalence tests).
     """
 
-    __slots__ = ("enabled", "_free")
+    __slots__ = ("_free",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._free: list = []
 
     def acquire(
@@ -174,8 +170,7 @@ class MessagePool:
         return message
 
     def release(self, message: Message) -> None:
-        if self.enabled:
-            self._free.append(message)
+        self._free.append(message)
 
     def __len__(self) -> int:
         return len(self._free)
@@ -205,8 +200,8 @@ class SanitizedMessagePool(MessagePool):
 
     __slots__ = ("_live", "_released")
 
-    def __init__(self, enabled: bool = True) -> None:
-        super().__init__(enabled)
+    def __init__(self) -> None:
+        super().__init__()
         self._live: Dict[int, Tuple[Message, str]] = {}
         self._released: Dict[int, Tuple[Message, str]] = {}
 

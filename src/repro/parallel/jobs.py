@@ -49,19 +49,19 @@ class ReplicaJob:
             )
 
 
-# Per-process memo table; key is (profile, num_nodes, seed, packed), the
-# only inputs build_streams depends on.  Bounded LRU so long-lived processes
+# Per-process memo table; key is (profile, num_nodes, seed), the only
+# inputs build_streams depends on.  Bounded LRU so long-lived processes
 # sweeping many distinct (profile, scale, seed) combinations don't pin every
 # stream set they ever built.
 _STREAM_CACHE_LIMIT = 8
-_StreamKey = Tuple[WorkloadProfile, int, int, bool]
+_StreamKey = Tuple[WorkloadProfile, int, int]
 _STREAM_CACHE: "OrderedDict[_StreamKey, List[Sequence[Reference]]]" = OrderedDict()
 
 
 def stream_cache_key(
     profile: WorkloadProfile, config: SystemConfig
 ) -> _StreamKey:
-    return (profile, config.num_nodes, config.seed, config.packed_streams)
+    return (profile, config.num_nodes, config.seed)
 
 
 def build_streams_cached(

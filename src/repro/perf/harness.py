@@ -9,9 +9,8 @@ Suites:
 * ``kernel``  -- kernel dispatch microbenchmark only (writes ``BENCH_kernel.json``)
 * ``figures`` -- Figure 3 / Figure 4 / parallel sweep scenarios (writes
   ``BENCH_figures.json``)
-* ``scale``   -- 64- and 256-node timestamp-snooping and 256-node directory runs,
-  packed data path timed against the dict reference (writes
-  ``BENCH_scale.json``)
+* ``scale``   -- 64- and 256-node timestamp-snooping and 256-node directory runs
+  (writes ``BENCH_scale.json``)
 * ``smoke``   -- kernel+figures files at reduced scale; the CI gate
 * ``full``    -- every file at full scale
 

@@ -16,7 +16,6 @@ from typing import Any, Dict
 from repro import api
 from repro.perf.schema import make_scenario
 from repro.sim.kernel import Simulator
-from repro.system.config import SystemConfig
 
 
 def peak_rss_kb() -> int:
@@ -139,7 +138,7 @@ def figure4_traffic(scale: float = 0.3) -> Dict[str, Any]:
     )
 
 
-def _scale_comparison(
+def _scale_run(
     name: str,
     protocol: str,
     network: str,
@@ -147,53 +146,30 @@ def _scale_comparison(
     scale: float,
     workload: str = "oltp",
 ) -> Dict[str, Any]:
-    """One ``scale``-suite scenario: a large-node run on the packed data
-    path, timed against the dict/object reference data path.
+    """One ``scale``-suite scenario: a large-node run, timed best-of-two.
 
-    The headline ``runtime_s`` / ``events_per_sec`` are the default packed
-    path's; the reference-data-path numbers, the speedup and the
-    bit-identity check ride along in ``metrics``.  Each variant is timed
-    best-of-two: single multi-second runs on a shared CI host see one-off
-    noise (GC pause, container throttle) well above the effects being
-    tracked.
+    Single multi-second runs on a shared CI host see one-off noise (GC
+    pause, container throttle) well above the effects being tracked.
+    Bit-identity of whole runs is pinned by the golden ``RunResult``
+    digests in the test suite, not re-checked here.
     """
-
-    def timed_best(config: SystemConfig = None, repeats: int = 2) -> tuple:
-        best = None
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = api.run_experiment(
-                workload=workload,
-                protocol=protocol,
-                network=network,
-                scale=scale,
-                num_nodes=num_nodes,
-                config=config,
-            )
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
-
-    packed, packed_s = timed_best()
-    reference, reference_s = timed_best(
-        SystemConfig(
-            protocol=protocol, network=network, num_nodes=num_nodes
-        ).with_reference_data_path()
-    )
-
-    if packed != reference:
-        # A hard error, not an assert: a benchmark must never publish packed
-        # numbers for a data path that diverged from its reference (and
-        # asserts vanish under ``python -O``).
-        raise RuntimeError(f"{name}: packed and reference data paths diverged")
-    events = packed.sim_events
-    packed_eps = events / packed_s if packed_s else 0.0
-    reference_eps = reference.sim_events / reference_s if reference_s else 0.0
-    speedup = packed_eps / reference_eps if reference_eps else 0.0
+    best = None
+    result = None
+    for _ in range(2):
+        start = time.perf_counter()
+        result = api.run_experiment(
+            workload=workload,
+            protocol=protocol,
+            network=network,
+            scale=scale,
+            num_nodes=num_nodes,
+        )
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    events = result.sim_events
     return make_scenario(
         name=name,
-        runtime_s=packed_s,
+        runtime_s=best,
         peak_rss_kb=peak_rss_kb(),
         events=events,
         metrics={
@@ -202,11 +178,6 @@ def _scale_comparison(
             "protocol": protocol,
             "network": network,
             "workload": workload,
-            "reference_runtime_s": reference_s,
-            "reference_events_per_sec": reference_eps,
-            "packed_events_per_sec": packed_eps,
-            "speedup_vs_reference": speedup,
-            "bit_identical": True,
         },
     )
 
@@ -214,26 +185,26 @@ def _scale_comparison(
 def scale_snooping(scale: float = 0.15) -> Dict[str, Any]:
     """64-node timestamp snooping on a radix-8 butterfly (broadcast fan-out
     is the dominant cost at this node count)."""
-    return _scale_comparison("scale_snooping", "ts-snoop", "butterfly", 64, scale)
+    return _scale_run("scale_snooping", "ts-snoop", "butterfly", 64, scale)
 
 
 def scale_snooping_256(scale: float = 0.15) -> Dict[str, Any]:
     """256-node timestamp snooping on a 16x16 torus, tractable since the
     snoop filter cut the ordered fan-out to the interested nodes.  Runs at
     a tenth of the suite scale, about 2 s per run at the suite default."""
-    return _scale_comparison("scale_snooping_256", "ts-snoop", "torus", 256, scale / 10)
+    return _scale_run("scale_snooping_256", "ts-snoop", "torus", 256, scale / 10)
 
 
 def scale_directory(scale: float = 0.15) -> Dict[str, Any]:
     """256-node DirOpt on a 16x16 torus (deep event queues, wide directory
     state)."""
-    return _scale_comparison("scale_directory", "diropt", "torus", 256, scale)
+    return _scale_run("scale_directory", "diropt", "torus", 256, scale)
 
 
 def scale_mesi_directory(scale: float = 0.15) -> Dict[str, Any]:
     """64-node MESI directory on an 8x8 torus (clean-exclusive grants trim
     upgrade misses, so the event mix differs from the MSI directories)."""
-    return _scale_comparison("scale_mesi_directory", "mesi-dir", "torus", 64, scale)
+    return _scale_run("scale_mesi_directory", "mesi-dir", "torus", 64, scale)
 
 
 def parallel_sweep(scale: float = 0.2, jobs: int = 2) -> Dict[str, Any]:

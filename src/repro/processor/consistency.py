@@ -320,7 +320,7 @@ def check_swmr_invariant(controllers: Iterable) -> List[str]:
     """Check the single-writer / multiple-reader invariant on stable states.
 
     ``controllers`` is any iterable of objects exposing a ``cache``
-    (CacheArray) attribute.  Returns a list of human-readable violations
+    (PackedCacheArray) attribute.  Returns a list of human-readable violations
     (empty when the invariant holds).  Only *stable* states are examined, so
     this should be called when the system is quiescent (no in-flight
     transactions), as the integration tests do.

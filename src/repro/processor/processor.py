@@ -6,10 +6,10 @@ two data cache".  We do exactly the same: each processor executes
 instructions at a fixed rate between its level-two references and blocks on
 every reference until the cache controller reports completion.
 
-The issue loop reads references through a *puller* chosen once at
-construction: packed streams yield plain ints straight from their columns,
-eager ``Reference`` lists are indexed in place, and bare iterators keep
-working for hand-fed tests.  No path materialises new per-reference objects.
+The issue loop reads references through a *puller* over the stream's packed
+columns, which yields plain ints and materialises no per-reference objects.
+Hand-written ``Reference`` lists and iterators (tests, traces) are packed
+once at construction.
 
 ``ProcessorConfig.consistency`` selects the memory model:
 
@@ -27,7 +27,7 @@ working for hand-fed tests.  No path materialises new per-reference objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.memory.coherence import ACCESS_FROM_CODE, AccessType
 from repro.processor.consistency import (
@@ -39,7 +39,7 @@ from repro.processor.consistency import (
 from repro.protocols.base import CacheControllerBase
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
-from repro.workloads.generator import Reference
+from repro.workloads.generator import PackedReferenceStream, Reference
 
 
 @dataclass(frozen=True)
@@ -128,64 +128,31 @@ class Processor(Component):
 
     @staticmethod
     def _make_puller(stream) -> Callable[[], Optional[tuple]]:
-        """A zero-allocation-per-call reader over any supported stream shape.
+        """A zero-allocation-per-call reader over the stream's packed columns.
 
         Returns ``(block, access_type, think_instructions)`` tuples and then
-        ``None`` forever once the stream is exhausted.
+        ``None`` forever once the stream is exhausted.  A stream that is not
+        already packed (a hand-written ``List[Reference]`` or an iterator)
+        is packed once here.
         """
-        columns = getattr(stream, "columns", None)
-        if columns is not None:
-            blocks, codes, think = columns()
-            decode = ACCESS_FROM_CODE
-            length = len(blocks)
-            cursor = 0
-
-            # repro-lint: disable=HOT001 -- one closure per processor at
-            # construction; the per-call pull path allocates nothing.
-            def pull_packed() -> Optional[tuple]:
-                nonlocal cursor
-                i = cursor
-                if i >= length:
-                    return None
-                cursor = i + 1
-                return blocks[i], decode[codes[i]], think[i]
-
-            return pull_packed
-        if isinstance(stream, Sequence):
-            length = len(stream)
-            cursor = 0
-
-            # repro-lint: disable=HOT001 -- one closure per processor at
-            # construction; the per-call pull path allocates nothing.
-            def pull_sequence() -> Optional[tuple]:
-                nonlocal cursor
-                i = cursor
-                if i >= length:
-                    return None
-                cursor = i + 1
-                reference = stream[i]
-                return (
-                    reference.block,
-                    reference.access_type,
-                    reference.think_instructions,
-                )
-
-            return pull_sequence
-        iterator = iter(stream)
+        if not isinstance(stream, PackedReferenceStream):
+            stream = PackedReferenceStream.from_references(stream)
+        blocks, codes, think = stream.columns()
+        decode = ACCESS_FROM_CODE
+        length = len(blocks)
+        cursor = 0
 
         # repro-lint: disable=HOT001 -- one closure per processor at
         # construction; the per-call pull path allocates nothing.
-        def pull_iterator() -> Optional[tuple]:
-            reference = next(iterator, None)
-            if reference is None:
+        def pull() -> Optional[tuple]:
+            nonlocal cursor
+            i = cursor
+            if i >= length:
                 return None
-            return (
-                reference.block,
-                reference.access_type,
-                reference.think_instructions,
-            )
+            cursor = i + 1
+            return blocks[i], decode[codes[i]], think[i]
 
-        return pull_iterator
+        return pull
 
     # ------------------------------------------------------------------ run
     def start(self) -> None:

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.memory.block import AddressSpace
-from repro.memory.cache import AnyCacheArray
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.memory.mshr import MSHRFile
 from repro.network.link import TrafficAccountant
@@ -112,7 +112,7 @@ class ProtocolBuildContext:
     sim: Simulator
     topology: Topology
     address_space: AddressSpace
-    caches: List[AnyCacheArray]
+    caches: List[PackedCacheArray]
     protocol_timing: ProtocolTiming
     network_timing: NetworkTiming
     accountant: TrafficAccountant
@@ -160,7 +160,7 @@ class CacheControllerBase(Component, ABC):
         sim: Simulator,
         node: int,
         address_space: AddressSpace,
-        cache: AnyCacheArray,
+        cache: PackedCacheArray,
         timing: ProtocolTiming,
         name: str,
         pool: Optional[MessagePool] = None,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.memory.block import AddressSpace
-from repro.memory.cache import AnyCacheArray
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.network.message import Message, MessageKind, MessagePool
 from repro.network.virtual_network import (
@@ -85,7 +85,7 @@ class DirectoryCacheController(CacheControllerBase):
         sim: Simulator,
         node: int,
         address_space: AddressSpace,
-        cache: AnyCacheArray,
+        cache: PackedCacheArray,
         timing: ProtocolTiming,
         policy: DirectoryPolicy,
         request_network: VirtualNetwork,

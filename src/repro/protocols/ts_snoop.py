@@ -45,7 +45,7 @@ from repro.core.timestamp_network import (
     TimestampAddressNetwork,
 )
 from repro.memory.block import AddressSpace
-from repro.memory.cache import AnyCacheArray
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.network.data_network import DataNetwork
 from repro.network.message import Message, MessageKind, MessagePool
@@ -100,7 +100,7 @@ class TSSnoopNode(CacheControllerBase):
         sim: Simulator,
         node: int,
         address_space: AddressSpace,
-        cache: AnyCacheArray,
+        cache: PackedCacheArray,
         timing: ProtocolTiming,
         address_network: AddressNetworkInterface,
         data_network: DataNetwork,

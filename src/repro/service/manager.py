@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import repro
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExperimentSpec, ExperimentSpecError
 from repro.parallel.executor import (
     WorkerPoolError,
     resolve_jobs,
@@ -681,6 +681,11 @@ class JobManager:
         :class:`~repro.service.cache.ResultCache` frontier, so only the
         missing replicas are actually recomputed; the merged result is
         bit-identical to an uninterrupted run.
+
+        An entry whose spec no longer validates (say, one that overrides a
+        since-removed config field) is journaled ``job-failed`` with the
+        spec error and counted in ``jobs_failed``; the other entries are
+        still recovered.
         """
         if self._closed:
             raise RuntimeError("manager is closed")
@@ -688,7 +693,14 @@ class JobManager:
             return []
         handles: List[JobHandle] = []
         for entry in self.journal.unfinished_jobs():
-            spec = ExperimentSpec.from_document(entry.spec)
+            try:
+                spec = ExperimentSpec.from_document(entry.spec)
+            except ExperimentSpecError as error:
+                self.metrics.jobs_failed += 1
+                self._journal_record(
+                    None, "job-failed", job=entry.job_id, error=repr(error)
+                )
+                continue
             config = spec.config(self.base_config)
             profile = spec.profile()
             handle = self._launch(

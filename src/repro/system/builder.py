@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.memory.block import AddressSpace
-from repro.memory.cache import make_cache_array
+from repro.memory.cache import PackedCacheArray
 from repro.network import make_topology
 from repro.network.link import TrafficAccountant
 from repro.network.message import MessagePool, SanitizedMessagePool
@@ -21,7 +21,7 @@ from repro.protocols.base import (
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import DeterministicRandom, PerturbationModel
 from repro.system.config import SystemConfig
-from repro.workloads.generator import Reference
+from repro.workloads.generator import PackedReferenceStream, Reference
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -103,8 +103,7 @@ class SystemBuilder:
         )
         accountant = TrafficAccountant(num_links=topology.num_links)
         caches = [
-            make_cache_array(
-                config.cache_array,
+            PackedCacheArray(
                 size_bytes=config.cache_size_bytes,
                 associativity=config.cache_associativity,
                 block_size=config.block_size_bytes,
@@ -117,7 +116,7 @@ class SystemBuilder:
         protocol = make_protocol(config.protocol)
         self._apply_protocol_options(protocol)
         pool_type = SanitizedMessagePool if config.sanitize else MessagePool
-        message_pool = pool_type(enabled=config.message_pooling)
+        message_pool = pool_type()
         context = ProtocolBuildContext(
             sim=sim,
             topology=topology,
@@ -175,17 +174,15 @@ class SystemBuilder:
 
 def build_streams(
     profile: WorkloadProfile, config: SystemConfig, seed: Optional[int] = None
-) -> List[Sequence[Reference]]:
+) -> List[PackedReferenceStream]:
     """Generate the per-node reference streams for a workload profile.
 
-    The streams depend only on the profile, node count, seed and packing
-    flag -- never on the protocol or network -- so every protocol is
-    measured on the identical input, and perturbed replicas replay the
-    identical streams.  Packed and unpacked streams are element-wise equal;
-    packing only changes the storage layout.
+    The streams depend only on the profile, node count and seed -- never
+    on the protocol or network -- so every protocol is measured on the
+    identical input, and perturbed replicas replay the identical streams.
     """
     from repro.workloads.generator import WorkloadGenerator
 
     rng = DeterministicRandom(config.seed if seed is None else seed)
     generator = WorkloadGenerator(profile, config.num_nodes, rng)
-    return generator.build_streams(packed=config.packed_streams)
+    return generator.build_streams()

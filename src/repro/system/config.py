@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.memory.cache import CACHE_ARRAYS, DEFAULT_CACHE_ARRAY
 from repro.network.timing import NetworkTiming
 from repro.processor.consistency import CONSISTENCY_MODELS
 from repro.protocols.base import ProtocolTiming
@@ -57,17 +56,6 @@ class SystemConfig:
     # per host CPU.  Results are bit-identical regardless of the value.
     jobs: int = 1
 
-    # Per-access data path (see ``repro.memory.cache.CACHE_ARRAYS``):
-    # "packed" stores cache state in parallel int columns, "dict" is the
-    # per-line-object reference implementation.  ``packed_streams`` selects
-    # column-packed reference streams; ``message_pooling`` recycles protocol
-    # message shells through a free list.  All three are bit-identical to
-    # their reference counterparts (verified by equivalence tests); flip
-    # them together with :meth:`with_reference_data_path`.
-    cache_array: str = DEFAULT_CACHE_ARRAY
-    packed_streams: bool = True
-    message_pooling: bool = True
-
     # Consistency checking (slows runs slightly; on for tests, off for
     # benchmarks by default).
     enable_checker: bool = False
@@ -88,11 +76,6 @@ class SystemConfig:
             raise ValueError("slack must be non-negative")
         if self.jobs < 0:
             raise ValueError("jobs must be non-negative (0 = auto)")
-        if self.cache_array not in CACHE_ARRAYS:
-            raise ValueError(
-                f"unknown cache array {self.cache_array!r}; "
-                f"choose one of {sorted(CACHE_ARRAYS)}"
-            )
         if self.consistency not in CONSISTENCY_MODELS:
             raise ValueError(
                 f"unknown consistency model {self.consistency!r}; "
@@ -102,6 +85,17 @@ class SystemConfig:
             self.block_size_bytes - 1
         ):
             raise ValueError("block_size_bytes must be a power of two")
+        if self.cache_size_bytes <= 0:
+            raise ValueError("cache_size_bytes must be positive")
+        if self.cache_associativity <= 0:
+            raise ValueError("cache_associativity must be positive")
+        if self.cache_size_bytes % (self.cache_associativity * self.block_size_bytes):
+            raise ValueError(
+                "cache_size_bytes must be a multiple of "
+                "cache_associativity * block_size_bytes"
+            )
+        if self.instructions_per_ns <= 0:
+            raise ValueError("instructions_per_ns must be positive")
 
     # ------------------------------------------------------------- variants
     def with_protocol(self, protocol: str) -> "SystemConfig":
@@ -112,13 +106,6 @@ class SystemConfig:
 
     def with_options(self, **kwargs) -> "SystemConfig":
         return replace(self, **kwargs)
-
-    def with_reference_data_path(self) -> "SystemConfig":
-        """The dict/object reference data path (equivalence tests, perf
-        baselines); results are bit-identical to the packed default."""
-        return replace(
-            self, cache_array="dict", packed_streams=False, message_pooling=False
-        )
 
     @property
     def label(self) -> str:

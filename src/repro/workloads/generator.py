@@ -1,13 +1,14 @@
 """Reference streams fed to the processors.
 
-Streams are *packed* by default: :class:`PackedReferenceStream` stores the
-block number, access-type code and think time of every reference as three
+Streams are *packed*: :class:`PackedReferenceStream` stores the block
+number, access-type code and think time of every reference as three
 parallel ``array`` columns instead of one frozen dataclass per reference.
 A few-million-reference run therefore builds three flat buffers rather than
 millions of heap objects, and the processor's issue loop reads plain ints.
 :class:`Reference` remains the logical unit: indexing or iterating a packed
-stream materialises equal ``Reference`` views on demand, and hand-written
-``List[Reference]`` streams stay fully supported (tests, traces).
+stream materialises equal ``Reference`` views on demand, and a processor
+handed a hand-written ``List[Reference]`` (tests, traces) packs it once at
+construction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.memory.coherence import ACCESS_FROM_CODE, AccessType
 
@@ -61,7 +62,7 @@ class PackedReferenceStream(Sequence):
     @classmethod
     def from_references(
         cls,
-        references: Sequence[Reference],
+        references: Iterable[Reference],
     ) -> "PackedReferenceStream":
         blocks = array("q")
         codes = array("b")
@@ -119,10 +120,6 @@ class PackedReferenceStream(Sequence):
         return f"<PackedReferenceStream {len(self)} refs>"
 
 
-#: Anything the builder accepts as one node's stream.
-StreamLike = Union[Sequence[Reference], PackedReferenceStream]
-
-
 class WorkloadGenerator:
     """Builds per-processor reference streams from a workload profile.
 
@@ -148,14 +145,12 @@ class WorkloadGenerator:
         self._cum_weights = list(accumulate(self._weights))
         self._total_weight = self._cum_weights[-1] + 0.0
 
-    def build_streams(self, packed: bool = True) -> List[StreamLike]:
+    def build_streams(self) -> List[PackedReferenceStream]:
         """One eager reference stream per node (warm-up + measured phases)."""
         total = self.profile.references_per_node
-        return [
-            self._build_stream(node, total, packed) for node in range(self.num_nodes)
-        ]
+        return [self._build_stream(node, total) for node in range(self.num_nodes)]
 
-    def _build_stream(self, node: int, length: int, packed: bool = True) -> StreamLike:
+    def _build_stream(self, node: int, length: int) -> PackedReferenceStream:
         node_rng = self.rng.fork(node + 1)
         rng_random = node_rng.random
         patterns = self._pattern_objects
@@ -177,10 +172,7 @@ class WorkloadGenerator:
             append_block(block)
             append_code(access_type.code)
             append_think(geometric(mean_think))
-        stream = PackedReferenceStream(blocks, codes, think)
-        if packed:
-            return stream
-        return list(stream)
+        return PackedReferenceStream(blocks, codes, think)
 
     def footprint_blocks(self) -> int:
         """Distinct blocks the profile can touch (reported in Table 3)."""
@@ -188,5 +180,5 @@ class WorkloadGenerator:
 
 
 def stream_iterator(stream: Sequence[Reference]) -> Iterator[Reference]:
-    """Plain iterator over an eager stream (what the processor consumes)."""
+    """Plain iterator over an eager stream."""
     return iter(stream)

@@ -62,11 +62,27 @@ class TestValidation:
         with pytest.raises(ExperimentSpecError, match="scale"):
             ExperimentSpec.make("oltp", scale=0)
 
-    def test_bad_override_value_rejected_eagerly(self):
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("num_nodes", -1),
+            ("num_nodes", 0),
+            ("slack", -1),
+            ("slack", "two"),
+            ("block_size_bytes", 48),
+            ("cache_associativity", 0),
+            ("cache_associativity", -4),
+            ("cache_size_bytes", 0),
+            ("cache_size_bytes", 1000),
+            ("instructions_per_ns", 0),
+        ],
+    )
+    def test_bad_override_value_rejected_eagerly(self, name, value):
         # Value validation is SystemConfig's, but it must fire at spec
-        # construction, not at run time.
-        with pytest.raises(ValueError):
-            ExperimentSpec.make("oltp", num_nodes=-1)
+        # construction, not at run time, and as a spec error (not a bare
+        # ValueError or TypeError) so the gateway answers 400.
+        with pytest.raises(ExperimentSpecError, match=name):
+            ExperimentSpec.make("oltp", **{name: value})
 
     def test_malformed_overrides_tuple(self):
         with pytest.raises(ExperimentSpecError, match="pairs"):
@@ -161,15 +177,22 @@ class TestCanonicalExperiment:
     def test_result_neutral_knobs_hash_identically(self):
         plain = ExperimentSpec.make("oltp")
         knobbed = ExperimentSpec.make(
-            "oltp", jobs=4, cache_array="dict", enable_checker=True, sanitize=True
+            "oltp", jobs=4, enable_checker=True, sanitize=True
         )
         assert self._doc(plain) == self._doc(knobbed)
 
     @pytest.mark.parametrize(
         "name,value",
-        [("scheduler", "heapq"), ("event_pool", False), ("batched_dispatch", False)],
+        [
+            ("scheduler", "heapq"),
+            ("event_pool", False),
+            ("batched_dispatch", False),
+            ("cache_array", "dict"),
+            ("packed_streams", False),
+            ("message_pooling", False),
+        ],
     )
-    def test_removed_kernel_knobs_are_rejected(self, name, value):
+    def test_removed_knobs_are_rejected(self, name, value):
         with pytest.raises(ExperimentSpecError, match="unknown SystemConfig override"):
             ExperimentSpec.make("oltp", **{name: value})
         document = ExperimentSpec.make("oltp").as_document()

@@ -101,7 +101,7 @@ class TestRuleCatalog:
         for rule_id in (
             "DET001", "DET002", "DET003", "DET004", "DET005",
             "POOL001", "POOL002", "POOL003",
-            "REG001",
+            "REG002",
             "HOT001", "HOT002", "HOT003", "HOT004",
             "LNT001", "LNT999",
         ):

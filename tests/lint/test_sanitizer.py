@@ -60,14 +60,6 @@ class TestSanitizedMessagePool:
         pool.release(again)  # no false double-release
         pool.assert_no_leaks()
 
-    def test_disabled_pool_still_tracks_ownership(self):
-        pool = SanitizedMessagePool(enabled=False)
-        message = pool.acquire(MessageKind.GETS, 0, 1, 2)
-        pool.release(message)
-        pool.assert_no_leaks()
-        with pytest.raises(PoolSafetyError):
-            pool.release(message)
-
 
 def _sanitized_run(protocol="ts-snoop", workload="barnes", scale=0.01):
     config = SystemConfig(

@@ -1,25 +1,25 @@
-"""Unit tests for the set-associative cache array."""
+"""Unit tests for the set-associative cache array (PackedCacheArray)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import CacheArray
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import CacheState
 
 
-def small_cache(associativity: int = 2, sets: int = 4) -> CacheArray:
-    return CacheArray(size_bytes=associativity * sets * 64,
-                      associativity=associativity, block_size=64)
+def small_cache(associativity: int = 2, sets: int = 4) -> PackedCacheArray:
+    return PackedCacheArray(size_bytes=associativity * sets * 64,
+                            associativity=associativity, block_size=64)
 
 
 class TestGeometry:
     def test_paper_configuration(self):
-        cache = CacheArray()
+        cache = PackedCacheArray()
         assert cache.num_sets == 4 * 1024 * 1024 // (4 * 64)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            CacheArray(size_bytes=1000, associativity=3, block_size=64)
+            PackedCacheArray(size_bytes=1000, associativity=3, block_size=64)
 
     def test_set_index_wraps(self):
         cache = small_cache()

@@ -1,21 +1,16 @@
-"""PackedCacheArray: unit behaviour + property equivalence with CacheArray.
+"""PackedCacheArray: unit behaviour + property equivalence with an oracle.
 
 The packed array must be observationally identical to the dict/object
-reference implementation for every sequence of lookup / install / touch /
-set_state / write / evict operations (mirroring the calendar-vs-heapq
-property tests in ``tests/sim/test_calendar_queue.py``).
+oracle in ``tests/memory/reference_cache.py`` for every sequence of lookup /
+install / touch / set_state / write / evict operations (mirroring the
+calendar-vs-heapq property tests in ``tests/sim/test_calendar_queue.py``).
 """
 
 import pytest
 
-from repro.memory.cache import (
-    CACHE_ARRAYS,
-    DEFAULT_CACHE_ARRAY,
-    CacheArray,
-    PackedCacheArray,
-    make_cache_array,
-)
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import CacheState
+from tests.memory.reference_cache import CacheArray
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -27,19 +22,6 @@ def tiny(cls):
 
 
 # ---------------------------------------------------------------- unit tests
-class TestRegistry:
-    def test_both_implementations_registered(self):
-        assert CACHE_ARRAYS == {"dict": CacheArray, "packed": PackedCacheArray}
-
-    def test_packed_is_default(self):
-        assert DEFAULT_CACHE_ARRAY == "packed"
-        assert isinstance(make_cache_array(), PackedCacheArray)
-
-    def test_unknown_implementation_rejected(self):
-        with pytest.raises(ValueError):
-            make_cache_array("btree")
-
-
 class TestPackedBasics:
     def test_missing_block_reads_invalid(self):
         cache = tiny(PackedCacheArray)

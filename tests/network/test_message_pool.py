@@ -34,14 +34,6 @@ class TestMessagePool:
         second = pool.acquire(MessageKind.GETS, 0, 1, 2)
         assert second.msg_id != first_id
 
-    def test_disabled_pool_never_recycles(self):
-        pool = MessagePool(enabled=False)
-        first = pool.acquire(MessageKind.GETS, 0, 1, 2)
-        pool.release(first)
-        assert len(pool) == 0
-        second = pool.acquire(MessageKind.GETS, 0, 1, 2)
-        assert second is not first
-
     def test_pool_accepts_plainly_constructed_messages(self):
         pool = MessagePool()
         message = Message(kind=MessageKind.INV_ACK, src=0, dst=1, block=3)

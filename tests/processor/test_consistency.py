@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.cache import CacheArray
+from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import CacheState
 from repro.processor.consistency import (
     STORE_BUFFER_CAPACITY,
@@ -74,7 +74,7 @@ class TestCoherenceChecker:
 
 class _FakeController:
     def __init__(self):
-        self.cache = CacheArray(size_bytes=8 * 1024, associativity=4)
+        self.cache = PackedCacheArray(size_bytes=8 * 1024, associativity=4)
 
 
 class TestSWMRInvariant:

@@ -6,6 +6,7 @@ from repro.processor.processor import Processor, ProcessorConfig
 from repro.protocols.base import ProtocolTiming
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
+from repro.workloads.generator import PackedReferenceStream
 
 from tests.conftest import ref
 
@@ -103,6 +104,41 @@ class TestProcessor:
         sim.run()
         assert cpu.finished
         assert cpu.finish_time == 0
+
+
+def _issued(stream):
+    """Every (time, block, access) a processor issues, plus its totals."""
+    sim = Simulator()
+    controller = FakeController(sim, latency=7)
+    cpu = Processor(sim, 0, controller, stream)
+    cpu.start()
+    sim.run()
+    return controller.accesses, cpu.instructions_executed, cpu.references_issued
+
+
+class TestStreamShapes:
+    """Every accepted stream shape drives the one packed-column puller."""
+
+    REFERENCES = [ref(3, "load", think=5), ref(9, "store", think=0),
+                  ref(3, "atomic", think=13), ref(0, "load", think=1)]
+
+    def test_list_iterator_and_packed_stream_issue_identically(self):
+        packed = PackedReferenceStream.from_references(self.REFERENCES)
+        from_list = _issued(list(self.REFERENCES))
+        assert _issued(iter(self.REFERENCES)) == from_list
+        assert _issued(packed) == from_list
+        accesses, instructions, issued = from_list
+        assert [(b, a) for _t, b, a in accesses] == [
+            (r.block, r.access_type) for r in self.REFERENCES]
+        assert instructions == sum(r.think_instructions
+                                   for r in self.REFERENCES)
+        assert issued == len(self.REFERENCES)
+
+    def test_packed_stream_is_read_in_place(self):
+        packed = PackedReferenceStream.from_references(self.REFERENCES)
+        before = packed.columns()
+        _issued(packed)
+        assert packed.columns() == before
 
 
 class FakeTSOController(FakeController):

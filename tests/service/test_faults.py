@@ -478,6 +478,48 @@ class TestJournalRecovery:
         validate_metrics_snapshot(snapshot)
         assert snapshot["jobs"]["jobs_recovered"] == 1
 
+    def test_stale_spec_fails_its_job_and_the_rest_recover(self, tmp_path):
+        # A journal written before a config field was removed: its spec no
+        # longer validates, so that job fails alone and the valid job beside
+        # it is still recovered.
+        stale = SPEC.as_document()
+        stale["overrides"] = [["cache_array", "dict"]]
+        key = replica_key(SPEC.config(), SPEC.profile(), 0)
+        with JobJournal(tmp_path / "journal.jsonl", fsync=False) as journal:
+            journal.append(
+                "job-submitted", job="job-1", priority=0, spec=stale, keys=[key]
+            )
+            journal.append(
+                "job-submitted",
+                job="job-2",
+                priority=0,
+                spec=SPEC.as_document(),
+                keys=[key],
+            )
+
+        async def scenario(journal):
+            async with JobManager(
+                backend=InlinePoolBackend(), journal=journal, sleep=_no_sleep
+            ) as manager:
+                handles = manager.recover()
+                await manager.drain()
+                results = [await handle.result() for handle in handles]
+                return manager, handles, results
+
+        journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)
+        manager, handles, results = asyncio.run(scenario(journal))
+        journal.close()
+        assert results == [_clean_result(SPEC)]
+        assert manager.metrics.jobs_failed == 1
+        assert manager.metrics.jobs_recovered == 1
+        states = journal.job_states()
+        assert states["job-1"].terminal == "job-failed"
+        assert states["job-2"].recovered_to == handles[0].job_id
+        assert journal.unfinished_jobs() == []
+        (failed,) = [r for r in journal.records if r["type"] == "job-failed"]
+        assert failed["job"] == "job-1"
+        assert "cache_array" in failed["error"]
+
     def test_recover_is_a_noop_without_unfinished_work(self, tmp_path):
         async def scenario():
             journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)

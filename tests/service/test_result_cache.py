@@ -61,7 +61,7 @@ class TestReplicaKey:
 
     def test_key_stable_under_result_neutral_knobs(self):
         plain = _entry()
-        knobbed = _entry(jobs=8, packed_streams=False, enable_checker=True)
+        knobbed = _entry(jobs=8, enable_checker=True, sanitize=True)
         assert replica_key(*plain, 0) == replica_key(*knobbed, 0)
 
     @pytest.mark.parametrize(

@@ -420,9 +420,28 @@ class TestErrorsOverHttp:
         assert "hand-rolled" in body["error"]
         assert "SubmitRequest" in body["error"]
 
-    def test_spec_overriding_a_removed_field_is_400(self):
+    @pytest.mark.parametrize(
+        "name,value,reason",
+        [
+            ("scheduler", "heapq", "unknown SystemConfig override 'scheduler'"),
+            ("cache_array", "dict", "unknown SystemConfig override 'cache_array'"),
+            ("packed_streams", False, "unknown SystemConfig override"),
+            ("message_pooling", False, "unknown SystemConfig override"),
+            ("slack", -1, "slack must be non-negative"),
+            ("block_size_bytes", 48, "block_size_bytes must be a power of two"),
+            ("num_nodes", 0, "num_nodes must be positive"),
+            ("cache_associativity", 0, "cache_associativity must be positive"),
+            ("cache_associativity", -4, "cache_associativity must be positive"),
+            ("cache_size_bytes", 0, "cache_size_bytes must be positive"),
+            ("cache_size_bytes", 1000, "cache_size_bytes must be a multiple"),
+            ("instructions_per_ns", 0, "instructions_per_ns must be positive"),
+        ],
+    )
+    def test_spec_with_a_bad_override_is_400(self, name, value, reason):
+        # Removed fields, out-of-range values and bad cache geometry are
+        # rejected at submit, never accepted and then failed in a worker.
         document = SubmitRequest(spec=ExperimentSpec.make("oltp")).to_wire()
-        document["spec"]["overrides"] = [["scheduler", "heapq"]]
+        document["spec"]["overrides"] = [[name, value]]
         with ServerThread(jobs=1) as server:
             request = urllib.request.Request(
                 f"{server.base_url}/v1/jobs",
@@ -434,8 +453,10 @@ class TestErrorsOverHttp:
                 urllib.request.urlopen(request, timeout=30)
             body = json.loads(excinfo.value.read())
             excinfo.value.close()
+            jobs_submitted = server.manager.metrics.jobs_submitted
         assert excinfo.value.code == 400
-        assert "unknown SystemConfig override 'scheduler'" in body["error"]
+        assert reason in body["error"]
+        assert jobs_submitted == 0
 
     def test_invalid_json_body_is_400(self):
         with ServerThread(jobs=1) as server:
