@@ -22,6 +22,9 @@ An admission rejection (HTTP 429) raises :class:`ServiceRejectedError`
 carrying the server's ``retry_after_s`` estimate, so callers can back off
 for exactly as long as the scheduler suggested rather than guessing;
 ``run(spec, retries=N)`` sleeps that long before each resubmission.
+The gateway keeps a bounded number of finished jobs; a job route on one
+it has dropped (HTTP 410) raises :class:`JobGoneError`, and resubmitting
+the same spec returns its result from the result cache.
 
 The transport is a small HTTP/1.1 client on a plain socket
 (``TCP_NODELAY`` set; wrapped in TLS for ``https`` URLs).  Each request,
@@ -73,6 +76,7 @@ from repro.service.wire import (
 from repro.system.results import RunResult
 
 __all__ = [
+    "JobGoneError",
     "ServiceClient",
     "ServiceClientError",
     "ServiceRejectedError",
@@ -109,6 +113,16 @@ class ServiceRejectedError(ServiceClientError):
             f"admission rejected (pending cost {rejection.pending_cost} over "
             f"budget {rejection.budget}); retry after {rejection.retry_after_s:.2f}s",
         )
+
+
+class JobGoneError(ServiceClientError):
+    """The job finished and the gateway no longer holds it (HTTP 410).
+
+    Resubmitting the same spec returns its result from the result cache.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(410, message)
 
 
 class ServiceClient:
@@ -162,17 +176,17 @@ class ServiceClient:
         return SubmitAccepted.from_wire(document)
 
     def status(self, job_id: str) -> JobStatus:
-        """``GET /v1/jobs/{id}``."""
+        """``GET /v1/jobs/{id}``; raises :class:`JobGoneError` on 410."""
         status, document = self._request("GET", f"/v1/jobs/{job_id}")
         if status != 200:
-            raise ServiceClientError(status, _error_text(document))
+            raise _job_error(status, document)
         return JobStatus.from_wire(document)
 
     def cancel(self, job_id: str) -> CancelResponse:
-        """``DELETE /v1/jobs/{id}``."""
+        """``DELETE /v1/jobs/{id}``; raises :class:`JobGoneError` on 410."""
         status, document = self._request("DELETE", f"/v1/jobs/{job_id}")
         if status != 200:
-            raise ServiceClientError(status, _error_text(document))
+            raise _job_error(status, document)
         return CancelResponse.from_wire(document)
 
     def stream(self, job_id: str) -> Iterator[JobEvent]:
@@ -180,12 +194,13 @@ class ServiceClient:
 
         Replays the job's full history from ``JobAdmitted`` and follows
         live until (and including) the terminal event; connecting after
-        the job finished yields the identical complete sequence.
+        the job finished yields the identical complete sequence, until
+        the gateway drops the finished job (:class:`JobGoneError`).
         """
         connection, response = self._send("GET", f"/v1/jobs/{job_id}/events")
         if response.status != 200:
             document = self._read_reply(connection, response)
-            raise ServiceClientError(response.status, _error_text(document))
+            raise _job_error(response.status, document)
         lines = response.lines()
         released = False
         try:
@@ -214,7 +229,8 @@ class ServiceClient:
         """Follow the event stream to completion and return the result.
 
         Raises :class:`~repro.service.manager.JobCancelledError` if the
-        job was cancelled and :class:`ServiceClientError` if it failed.
+        job was cancelled, :class:`JobGoneError` if the gateway no longer
+        holds it, and :class:`ServiceClientError` if it failed.
         """
         for event in self.stream(job_id):
             if isinstance(event, JobCompleted):
@@ -256,7 +272,7 @@ class ServiceClient:
         return document
 
     def metrics(self) -> Dict[str, Any]:
-        """``GET /v1/metrics`` (the schema-v3 snapshot)."""
+        """``GET /v1/metrics`` (the schema-v4 snapshot)."""
         status, document = self._request("GET", "/v1/metrics")
         if status != 200:
             raise ServiceClientError(status, _error_text(document))
@@ -495,3 +511,10 @@ def _json_document(raw: bytes) -> Dict[str, Any]:
 
 def _error_text(document: Dict[str, Any]) -> str:
     return str(document.get("error", document))
+
+
+def _job_error(status: int, document: Dict[str, Any]) -> ServiceClientError:
+    """The error a job route's non-200 answer raises."""
+    if status == 410:
+        return JobGoneError(_error_text(document))
+    return ServiceClientError(status, _error_text(document))

@@ -36,7 +36,7 @@ This package turns the one-shot experiment API into a long-lived service:
 * :mod:`repro.service.events` -- the streaming progress events yielded
   by :meth:`JobHandle.events` and their ordering contract.
 * :mod:`repro.service.metrics` -- :class:`ServiceMetrics`, queue /
-  cache / fault / health / per-client counters rendered as a schema-v3
+  cache / fault / health / per-client counters rendered as a schema-v4
   JSON snapshot.
 * :mod:`repro.service.cli` -- the ``python -m repro.service`` front-end,
   including the ``--self-test`` exercise (with its kill-and-recover

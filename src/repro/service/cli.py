@@ -414,7 +414,6 @@ async def _listen(args: argparse.Namespace) -> int:
         gateway = GatewayServer(manager, host=host, port=port)
         await gateway.start()
         for handle in manager.recover():
-            gateway.track(handle)
             print(f"recovered {handle.job_id} {handle.spec.label} from the journal")
         print(f"serving on http://{host}:{gateway.port}", flush=True)
         try:
@@ -600,6 +599,14 @@ async def _self_test(args: argparse.Namespace) -> int:
         validate_metrics_snapshot(snapshot)
     except Exception as error:
         problems.append(f"metrics snapshot failed validation: {error}")
+    else:
+        jobs = snapshot["jobs"]
+        _check(
+            jobs["jobs_retained"] == len(manager.jobs) and jobs["jobs_evicted"] == 0,
+            f"retention counters {jobs['jobs_retained']}/{jobs['jobs_evicted']} "
+            f"do not match the {len(manager.jobs)} held jobs and no evictions",
+            problems,
+        )
     if args.metrics_out:
         path = Path(args.metrics_out)
         path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")

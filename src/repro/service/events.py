@@ -1,5 +1,10 @@
 """Streaming progress events yielded by :meth:`JobHandle.events`.
 
+A job's events are one replayable log: every :meth:`JobHandle.events`
+consumer -- however many, whenever it starts, even after the job
+finished -- replays the log from the first event and then follows live,
+so all of them see the identical sequence.
+
 Every submitted job streams a strictly-ordered event sequence:
 
 1. exactly one :class:`JobAdmitted` first;

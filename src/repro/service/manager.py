@@ -25,10 +25,16 @@ of :mod:`repro.parallel` to a shared worker pool:
   Identical replicas *in flight* are joined (the second job awaits the
   first's future), so overlapping sweeps from concurrent clients compute
   each unique replica exactly once.
-* **Streaming progress** -- every job exposes an async event iterator
-  (:meth:`JobHandle.events`) and an awaitable merged result
+* **Streaming progress** -- every job keeps one event log, replayed by
+  :meth:`JobHandle.events` to any number of consumers (concurrent or
+  late) before it follows live, and an awaitable merged result
   (:meth:`JobHandle.result`); see :mod:`repro.service.events` for the
   ordering contract.
+* **Bounded retention** -- :attr:`JobManager.jobs` holds every queued
+  and running job plus the last :data:`RETAINED_TERMINAL_JOBS` finished
+  ones, in completion order; past that the oldest finished job is
+  dropped.  A finished handle keeps only its event log, state, counts
+  and merged result.
 * **Cancellation** -- :meth:`JobHandle.cancel` takes effect between
   replicas: queued replicas are skipped, the stream ends with
   ``JobCancelled``, and ``result()`` raises :class:`JobCancelledError`.
@@ -45,10 +51,10 @@ zero simulation work.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -104,6 +110,12 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: Deterministic exponential backoff: ``base * 2**(attempt-1)``, capped.
 DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
+
+#: How many finished jobs the manager keeps, in completion order, for
+#: status polls and event replays.  Past it the oldest finished job is
+#: dropped (its id then answers 410 Gone over the gateway); queued and
+#: running jobs are never dropped.  A module constant, not a knob.
+RETAINED_TERMINAL_JOBS = 1024
 
 
 class WorkerCrashError(WorkerPoolError):
@@ -320,12 +332,23 @@ class _ReplicaUnit:
     cost: int
 
 
-class JobHandle:
-    """A submitted job: streaming events, awaitable result, cancellation.
+#: Job states after which nothing about a job changes.
+_FINISHED_STATES = (JobState.COMPLETED, JobState.CANCELLED, JobState.FAILED)
 
-    Events are single-consumer: exactly one ``async for`` over
-    :meth:`events` sees the stream.  :meth:`result` may be awaited by any
-    number of tasks.
+
+class JobHandle:
+    """A submitted job: replayable events, awaitable result, cancellation.
+
+    The job's events are kept in one list.  :meth:`events` replays it and
+    then follows live, so any number of consumers -- concurrent or late
+    -- see the identical sequence; :meth:`result` may be awaited by any
+    number of tasks.  Both wait on one future, created only when someone
+    waits on a live job and resolved by the next event.
+
+    Once the job finishes, the handle drops what neither the replay nor a
+    status poll reads: ``config``, ``profile``, ``keys`` and the
+    per-replica results become ``None`` (``total_replicas``,
+    ``completed_replicas`` and the merged result stay).
     """
 
     def __init__(
@@ -341,30 +364,28 @@ class JobHandle:
     ) -> None:
         self.job_id = job_id
         self.spec = spec
-        self.config = config
-        self.profile = profile
+        self.config: Optional[SystemConfig] = config
+        self.profile: Optional[WorkloadProfile] = profile
         self.priority = priority
         self.client_id = client_id
-        self.keys = keys
+        self.keys: Optional[List[str]] = keys
+        self.total_replicas = len(keys)
+        #: How many replicas have finished so far (gauge for status polls).
+        self.completed_replicas = 0
         self.admitted = False
         self.state = JobState.QUEUED
         self._cancel = cancel
-        self._results: Dict[int, RunResult] = {}
+        self._results: Optional[Dict[int, RunResult]] = {}
         self._failures: Dict[int, str] = {}
-        self._events: "asyncio.Queue[JobEvent]" = asyncio.Queue()
-        self._stream_closed = False
-        self._done = asyncio.Event()
+        self._log: List[JobEvent] = []
+        self._changed: Optional["asyncio.Future[None]"] = None
         self._merged: Optional[RunResult] = None
         self._error: Optional[BaseException] = None
 
     @property
-    def total_replicas(self) -> int:
-        return len(self.keys)
-
-    @property
-    def completed_replicas(self) -> int:
-        """How many replicas have finished so far (gauge for status polls)."""
-        return len(self._results)
+    def finished(self) -> bool:
+        """Whether the job reached a terminal state."""
+        return self.state in _FINISHED_STATES
 
     @property
     def quarantined(self) -> Dict[int, str]:
@@ -379,21 +400,51 @@ class JobHandle:
         """Request cancellation; ``True`` if the job was still live."""
         return self._cancel(self)
 
-    async def events(self) -> AsyncIterator[JobEvent]:
-        """Yield progress events until (and including) the terminal one."""
+    async def batches(self) -> AsyncIterator[List[JobEvent]]:
+        """Replay the event log, then follow live until the terminal event.
+
+        Each batch is every event not yet handed out, once there is at
+        least one; the last batch ends with the terminal event.
+        """
+        index = 0
         while True:
-            event = await self._events.get()
-            yield event
-            if event.terminal:
+            if index == len(self._log):
+                await self._next_event()
+            batch = self._log[index:]
+            index = len(self._log)
+            yield batch
+            if batch[-1].terminal:
                 return
+
+    async def events(self) -> AsyncIterator[JobEvent]:
+        """Yield every event from the first through the terminal one."""
+        async for batch in self.batches():
+            for event in batch:
+                yield event
 
     async def result(self) -> RunResult:
         """The merged minimum-replica result (raises if cancelled/failed)."""
-        await self._done.wait()
+        while not self.finished:
+            await self._next_event()
         if self._error is not None:
             raise self._error
         assert self._merged is not None
         return self._merged
+
+    def _append(self, event: JobEvent) -> None:
+        """Log one event (none after the terminal one) and wake waiters."""
+        if self._log and self._log[-1].terminal:
+            return
+        self._log.append(event)
+        changed, self._changed = self._changed, None
+        if changed is not None:
+            changed.set_result(None)
+
+    async def _next_event(self) -> None:
+        if self._changed is None:
+            self._changed = asyncio.get_running_loop().create_future()
+        # Shielded: a cancelled waiter must not cancel the shared future.
+        await asyncio.shield(self._changed)
 
 
 # ---------------------------------------------------------------- manager
@@ -468,13 +519,17 @@ class JobManager:
             weights=client_weights, record_schedule=record_schedule
         )
         self._queue = self.scheduler
-        #: Every handle this manager ever created, by job id (the registry
-        #: behind ``GET /v1/jobs/{id}`` and cross-request cancellation).
+        #: Every live handle plus the last :data:`RETAINED_TERMINAL_JOBS`
+        #: finished ones, by job id (the registry behind
+        #: ``GET /v1/jobs/{id}`` and cross-request cancellation).
         self.jobs: Dict[str, JobHandle] = {}
+        #: Ids of the finished jobs in ``jobs``, oldest first.
+        self._finished: deque[str] = deque()
         # Job ids stay unique across every service life sharing one
         # journal: numbering continues after the journalled submissions.
-        start = 1 if journal is None else journal.count("job-submitted") + 1
-        self._job_numbers = itertools.count(start)
+        self._next_job_number = (
+            1 if journal is None else journal.count("job-submitted") + 1
+        )
         self._inflight: Dict[str, "asyncio.Future[RunResult]"] = {}
         self._workers: List["asyncio.Task[None]"] = []
         self._cost_rate = _DEFAULT_COST_RATE
@@ -575,8 +630,24 @@ class JobManager:
         return handle
 
     def get_job(self, job_id: str) -> Optional[JobHandle]:
-        """The handle registered under ``job_id``, if this manager made one."""
+        """The handle registered under ``job_id``, if it is still held."""
         return self.jobs.get(job_id)
+
+    def evicted(self, job_id: str) -> bool:
+        """Whether ``job_id`` names a job this manager numbered but no
+        longer holds (dropped past :data:`RETAINED_TERMINAL_JOBS`).
+
+        Decided from the id alone -- no set of dropped ids is kept.
+        """
+        prefix, _, number = job_id.partition("-")
+        return (
+            prefix == "job"
+            and number.isascii()
+            and number.isdigit()
+            and number == str(int(number))
+            and int(number) < self._next_job_number
+            and job_id not in self.jobs
+        )
 
     def _launch(
         self,
@@ -601,7 +672,8 @@ class JobManager:
         client_id: str,
     ) -> JobHandle:
         """Create and register a handle (no admission, nothing enqueued)."""
-        job_id = f"job-{next(self._job_numbers)}"
+        job_id = f"job-{self._next_job_number}"
+        self._next_job_number += 1
         keys = [
             replica_key(config, profile, index)
             for index in range(config.perturbation_replicas)
@@ -621,7 +693,8 @@ class JobManager:
         cache lacks enter the scheduler (``_process`` still checks the
         cache and joins in-flight twins when they dequeue).
         """
-        keys = handle.keys
+        keys, config, profile = handle.keys, handle.config, handle.profile
+        assert keys is not None and config is not None and profile is not None
         handle.admitted = True
         cached: Dict[int, RunResult] = {}
         if self.cache is not None:
@@ -656,7 +729,6 @@ class JobManager:
         for index, result in cached.items():
             self.metrics.replicas_from_cache += 1
             self._record(handle, index, keys[index], result, SOURCE_CACHE)
-        config, profile = handle.config, handle.profile
         for index, key in enumerate(keys):
             if index in cached:
                 continue
@@ -741,18 +813,13 @@ class JobManager:
 
     # --------------------------------------------------------------- cancel
     def _cancel(self, handle: JobHandle) -> bool:
-        if handle.state in (
-            JobState.COMPLETED,
-            JobState.CANCELLED,
-            JobState.FAILED,
-        ):
+        if handle.finished:
             return False
         handle.state = JobState.CANCELLED
         self.metrics.jobs_cancelled += 1
         handle._error = JobCancelledError(handle.job_id)
         self._journal_record(handle, "job-cancelled", job=handle.job_id)
-        self._emit(handle, JobCancelled(handle.job_id))
-        handle._done.set()
+        self._retire(handle, JobCancelled(handle.job_id))
         return True
 
     # -------------------------------------------------------------- workers
@@ -781,7 +848,7 @@ class JobManager:
     async def _process(self, unit: _ReplicaUnit) -> None:
         handle = unit.handle
         self.metrics.note_dequeued(unit.cost)
-        if handle.state in (JobState.CANCELLED, JobState.FAILED):
+        if handle.finished:
             self.metrics.replicas_skipped_cancelled += 1
             return
         if handle.state is JobState.QUEUED:
@@ -811,7 +878,7 @@ class JobManager:
                 result = await self._compute(unit)
                 if result is None:
                     return  # quarantined
-        if handle.state in (JobState.CANCELLED, JobState.FAILED):
+        if handle.finished:
             self.metrics.replicas_skipped_cancelled += 1
             return
         self._record(handle, unit.replica_index, unit.key, result, source)
@@ -915,7 +982,10 @@ class JobManager:
         result: RunResult,
         source: str,
     ) -> None:
-        handle._results[replica_index] = result
+        results = handle._results
+        assert results is not None
+        results[replica_index] = result
+        handle.completed_replicas = len(results)
         self._journal_record(
             handle,
             "replica-completed",
@@ -933,7 +1003,7 @@ class JobManager:
                 runtime_ns=result.runtime_ns,
             ),
         )
-        finished = list(handle._results.values())
+        finished = list(results.values())
         self._emit(
             handle,
             JobProgress(
@@ -954,11 +1024,7 @@ class JobManager:
         attempts: int,
     ) -> None:
         """Record one exhausted replica without killing its siblings."""
-        if handle.state in (
-            JobState.COMPLETED,
-            JobState.CANCELLED,
-            JobState.FAILED,
-        ):
+        if handle.finished:
             return
         permanent = not is_transient(error)
         handle._failures[replica_index] = repr(error)
@@ -994,33 +1060,20 @@ class JobManager:
 
     def _finish_if_done(self, handle: JobHandle) -> None:
         """Complete the job once every replica has settled (done or failed)."""
-        if handle.state in (
-            JobState.COMPLETED,
-            JobState.CANCELLED,
-            JobState.FAILED,
-        ):
+        results = handle._results
+        if handle.finished or not results:
             return
-        settled = len(handle._results) + len(handle._failures)
-        if settled < handle.total_replicas or not handle._results:
+        if len(results) + len(handle._failures) < handle.total_replicas:
             return
-        ordered = [
-            handle._results[index]
-            for index in sorted(handle._results)
-        ]
-        merged = select_minimum_replica(ordered)
+        merged = select_minimum_replica([results[index] for index in sorted(results)])
         handle.state = JobState.COMPLETED
         handle._merged = merged
         self.metrics.jobs_completed += 1
         self._journal_record(handle, "job-completed", job=handle.job_id)
-        self._emit(handle, JobCompleted(handle.job_id, result=merged))
-        handle._done.set()
+        self._retire(handle, JobCompleted(handle.job_id, result=merged))
 
     def _fail(self, handle: JobHandle, error: BaseException) -> None:
-        if handle.state in (
-            JobState.COMPLETED,
-            JobState.CANCELLED,
-            JobState.FAILED,
-        ):
+        if handle.finished:
             return
         handle.state = JobState.FAILED
         self.metrics.jobs_failed += 1
@@ -1028,15 +1081,20 @@ class JobManager:
         self._journal_record(
             handle, "job-failed", job=handle.job_id, error=repr(error)
         )
-        self._emit(handle, JobFailed(handle.job_id, error=repr(error)))
-        handle._done.set()
+        self._retire(handle, JobFailed(handle.job_id, error=repr(error)))
+
+    def _retire(self, handle: JobHandle, terminal: JobEvent) -> None:
+        """Emit a finished job's terminal event, compact its handle and
+        retain it, dropping the oldest finished job past the bound."""
+        self._emit(handle, terminal)
+        handle.config = handle.profile = handle.keys = handle._results = None
+        self._finished.append(handle.job_id)
+        while len(self._finished) > RETAINED_TERMINAL_JOBS:
+            del self.jobs[self._finished.popleft()]
+            self.metrics.jobs_evicted += 1
 
     def _emit(self, handle: JobHandle, event: JobEvent) -> None:
-        if handle._stream_closed:
-            return
-        handle._events.put_nowait(event)
-        if event.terminal:
-            handle._stream_closed = True
+        handle._append(event)
 
     def _observe_rate(self, cost: int, elapsed: float) -> None:
         if elapsed > 0:
@@ -1092,6 +1150,7 @@ class JobManager:
     def snapshot(self) -> Dict[str, Any]:
         """Metrics snapshot including cache stats, health and client shares."""
         cache_stats = self.cache.stats_dict() if self.cache is not None else None
+        self.metrics.jobs_retained = len(self.jobs)
         return self.metrics.snapshot(
             cache_stats, self.health(), self.scheduler.clients_dict()
         )

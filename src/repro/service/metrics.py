@@ -15,8 +15,10 @@ from typing import Any, Dict, Optional
 #: Version of the metrics snapshot document.  v2 added the ``faults`` and
 #: ``health`` sections plus the recovery counters; v3 added the
 #: ``clients`` section (per-client weight / served cost / backlog from the
-#: deficit-round-robin scheduler) and the disk-eviction cache statistics.
-METRICS_SCHEMA_VERSION = 3
+#: deficit-round-robin scheduler) and the disk-eviction cache statistics;
+#: v4 added the job-retention counters ``jobs_evicted`` and
+#: ``jobs_retained`` to the ``jobs`` section.
+METRICS_SCHEMA_VERSION = 4
 
 #: ``kind`` discriminator of metrics snapshot documents.
 METRICS_KIND = "repro.service.metrics"
@@ -29,6 +31,8 @@ _SECTION_FIELDS = {
         "jobs_cancelled",
         "jobs_failed",
         "jobs_recovered",
+        "jobs_evicted",
+        "jobs_retained",
     ),
     "replicas": (
         "replicas_computed",
@@ -69,6 +73,10 @@ class ServiceMetrics:
     jobs_cancelled: int = 0
     jobs_failed: int = 0
     jobs_recovered: int = 0
+    # Finished jobs dropped from the registry, and the jobs it holds (set
+    # by the manager when it takes a snapshot).
+    jobs_evicted: int = 0
+    jobs_retained: int = 0
 
     # Replica outcomes.
     replicas_computed: int = 0
@@ -121,7 +129,7 @@ class ServiceMetrics:
         health: Optional[Dict[str, Any]] = None,
         clients: Optional[Dict[str, Dict[str, int]]] = None,
     ) -> Dict[str, Any]:
-        """The schema-v3 JSON document archived by CI and the perf harness.
+        """The schema-v4 JSON document archived by CI and the perf harness.
 
         ``health`` is the manager's degradation report (see
         :meth:`repro.service.manager.JobManager.health`); a snapshot taken

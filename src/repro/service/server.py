@@ -14,8 +14,10 @@ Method       Path                       Meaning
 ``GET``      ``/v1/jobs/{id}/events``   the job's event stream -- NDJSON by default,
                                         RFC 6455 WebSocket text frames when the
                                         request carries ``Upgrade: websocket``
+                                        (the three job routes answer ``410`` for a
+                                        finished job the manager no longer holds)
 ``GET``      ``/v1/health``             the manager's degradation report
-``GET``      ``/v1/metrics``            the schema-v3 metrics snapshot
+``GET``      ``/v1/metrics``            the schema-v4 metrics snapshot
 ===========  =========================  =========================================
 
 Connections are persistent (HTTP/1.1 keep-alive): one socket serves
@@ -31,13 +33,19 @@ including the idle wait before it -- is bounded by
 :data:`READ_TIMEOUT_S`; a client that stays silent or half-sends a
 request longer than that has its connection closed.
 
-Event streams are **replayable**: the gateway pumps each job's
-single-consumer :meth:`~repro.service.manager.JobHandle.events` iterator
-into a per-job record the moment the job is submitted, so any number of
-stream requests -- connecting at any time, even after the job finished --
-see the identical full sequence from ``JobAdmitted`` (or the lone
+Event streams are **replayable**: each
+:class:`~repro.service.manager.JobHandle` keeps its event log, and a
+stream request replays it and then follows live, so any number of stream
+requests -- connecting at any time, even after the job finished -- see
+the identical full sequence from ``JobAdmitted`` (or the lone
 ``JobCancelled`` of a cancel-before-admit race) through the terminal
-event.
+event.  The gateway keeps no per-job state of its own.
+
+Finished jobs are held only up to
+:data:`~repro.service.manager.RETAINED_TERMINAL_JOBS`, oldest dropped
+first.  A dropped job's id answers ``410 Gone`` on every job route; its
+result stays reachable by resubmitting the same spec, which the result
+cache answers as a hit.  An id the manager never issued stays ``404``.
 
 :class:`ServerThread` hosts a manager plus gateway on a dedicated thread
 with its own event loop, which is what lets the *blocking*
@@ -56,18 +64,15 @@ import struct
 import threading
 from typing import (
     Any,
-    AsyncIterator,
     Awaitable,
     Callable,
     Dict,
-    List,
     NamedTuple,
     Optional,
     Set,
     Tuple,
 )
 
-from repro.service.events import JobEvent
 from repro.service.manager import (
     AdmissionError,
     JobHandle,
@@ -112,6 +117,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    410: "Gone",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -138,50 +144,12 @@ class _FramingError(Exception):
         self.status = status
 
 
-class _JobRecord:
-    """One job's replayable event history plus its pump task."""
-
-    def __init__(self, handle: JobHandle) -> None:
-        self.handle = handle
-        self.events: List[JobEvent] = []
-        self.changed = asyncio.Condition()
-        self.pump: Optional["asyncio.Task[None]"] = None
-
-    async def run_pump(self) -> None:
-        """Copy the handle's single-consumer stream into the record."""
-        async for event in self.handle.events():
-            async with self.changed:
-                self.events.append(event)
-                self.changed.notify_all()
-
-    @property
-    def done(self) -> bool:
-        return bool(self.events) and self.events[-1].terminal
-
-    async def batches(self) -> AsyncIterator[List[JobEvent]]:
-        """Replay the history, then follow live until the terminal event.
-
-        Each batch is every event not yet handed out, once there is at
-        least one; the last batch ends with the terminal event.
-        """
-        index = 0
-        while True:
-            async with self.changed:
-                while index >= len(self.events):
-                    await self.changed.wait()
-                batch = self.events[index:]
-                index = len(self.events)
-            yield batch
-            if batch[-1].terminal:
-                return
-
-
 class GatewayServer:
     """The asyncio HTTP/WebSocket front-end of one job manager.
 
     The manager must already be started (workers running) and stays owned
-    by the caller; the gateway only owns its listening socket and the
-    per-job pump tasks.
+    by the caller; the gateway only owns its listening socket and open
+    connections.
     """
 
     def __init__(
@@ -195,7 +163,6 @@ class GatewayServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._records: Dict[str, _JobRecord] = {}
         self._writers: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------ lifecycle
@@ -207,7 +174,7 @@ class GatewayServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def aclose(self) -> None:
-        """Stop accepting, close open connections, cancel the event pumps.
+        """Stop accepting and close open connections.
 
         Open connections are closed before ``wait_closed``, which (from
         Python 3.12) waits for them: an idle keep-alive client would
@@ -219,12 +186,6 @@ class GatewayServer:
                 writer.close()
             await self._server.wait_closed()
             self._server = None
-        for record in self._records.values():
-            if record.pump is not None and not record.pump.done():
-                record.pump.cancel()
-        pumps = [r.pump for r in self._records.values() if r.pump is not None]
-        if pumps:
-            await asyncio.gather(*pumps, return_exceptions=True)
 
     async def __aenter__(self) -> "GatewayServer":
         await self.start()
@@ -234,15 +195,6 @@ class GatewayServer:
         await self.aclose()
 
     # ------------------------------------------------------------- plumbing
-    def track(self, handle: JobHandle) -> _JobRecord:
-        """Start pumping ``handle``'s events into a replayable record."""
-        record = self._records.get(handle.job_id)
-        if record is None:
-            record = _JobRecord(handle)
-            record.pump = asyncio.create_task(record.run_pump())
-            self._records[handle.job_id] = record
-        return record
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -319,10 +271,9 @@ class GatewayServer:
                 if method != "GET":
                     return _error(405, "events are GET-only")
                 return await self._events(rest[: -len("/events")], request, writer)
-            job_id = rest
-            handle = self.manager.get_job(job_id)
+            handle = self.manager.get_job(rest)
             if handle is None:
-                return _error(404, f"no such job {job_id!r}")
+                return self._unknown_job(rest)
             if method == "GET":
                 return 200, (await _status_of(handle)).to_wire(), ()
             if method == "DELETE":
@@ -335,6 +286,16 @@ class GatewayServer:
                 return 200, response.to_wire(), ()
             return _error(405, f"{method} not allowed here")
         return _error(404, f"no route for {path!r}")
+
+    def _unknown_job(self, job_id: str) -> _Reply:
+        """410 for a finished job the manager has dropped, else 404."""
+        if self.manager.evicted(job_id):
+            return _error(
+                410,
+                f"job {job_id!r} finished and is no longer held; resubmit "
+                "the same spec to get its result from the result cache as a hit",
+            )
+        return _error(404, f"no such job {job_id!r}")
 
     # --------------------------------------------------------------- routes
     async def _submit(self, body: bytes) -> _Reply:
@@ -360,7 +321,6 @@ class GatewayServer:
             )
             retry_after = str(max(1, math.ceil(error.retry_after_s)))
             return 429, rejection.to_wire(), (("Retry-After", retry_after),)
-        self.track(handle)
         accepted = SubmitAccepted(
             job_id=handle.job_id,
             label=handle.spec.label,
@@ -375,15 +335,14 @@ class GatewayServer:
     ) -> Optional[_Reply]:
         handle = self.manager.get_job(job_id)
         if handle is None:
-            return _error(404, f"no such job {job_id!r}")
-        record = self.track(handle)
+            return self._unknown_job(job_id)
         if request.headers.get("upgrade", "").lower() == "websocket":
-            return await self._events_websocket(record, request.headers, writer)
-        await self._events_ndjson(record, writer, chunked=request.keep_alive)
+            return await self._events_websocket(handle, request.headers, writer)
+        await self._events_ndjson(handle, writer, chunked=request.keep_alive)
         return None
 
     async def _events_ndjson(
-        self, record: _JobRecord, writer: asyncio.StreamWriter, *, chunked: bool
+        self, handle: JobHandle, writer: asyncio.StreamWriter, *, chunked: bool
     ) -> None:
         """One JSON line per event.  ``chunked``: one chunk per line and the
         zero chunk after the terminal event, so the connection survives;
@@ -391,7 +350,7 @@ class GatewayServer:
         framing = b"Transfer-Encoding: chunked" if chunked else b"Connection: close"
         await _write_batches(
             writer,
-            record,
+            handle,
             b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
             + framing
             + b"\r\n\r\n",
@@ -401,7 +360,7 @@ class GatewayServer:
 
     async def _events_websocket(
         self,
-        record: _JobRecord,
+        handle: JobHandle,
         headers: Dict[str, str],
         writer: asyncio.StreamWriter,
     ) -> Optional[_Reply]:
@@ -413,7 +372,7 @@ class GatewayServer:
         ).decode("ascii")
         await _write_batches(
             writer,
-            record,
+            handle,
             (
                 "HTTP/1.1 101 Switching Protocols\r\n"
                 "Upgrade: websocket\r\n"
@@ -428,19 +387,19 @@ class GatewayServer:
 
 async def _write_batches(
     writer: asyncio.StreamWriter,
-    record: _JobRecord,
+    handle: JobHandle,
     head: bytes,
     encode: Callable[[bytes], bytes],
     end: bytes,
 ) -> None:
-    """Stream ``record``'s events: ``head``, each event's JSON document
+    """Stream ``handle``'s events: ``head``, each event's JSON document
     through ``encode``, and ``end`` after the terminal event.
 
     Each batch of available events is one write and one drain (the head
     goes with the first batch), so a finished job's stream is one write.
     """
     out = [head]
-    async for batch in record.batches():
+    async for batch in handle.batches():
         for event in batch:
             document = json.dumps(event_to_wire(event), sort_keys=True)
             out.append(encode(document.encode("utf-8")))

@@ -30,7 +30,13 @@ import pytest
 from repro import api
 from repro.api.spec import ExperimentSpec
 from repro import client as client_module
-from repro.client import ServiceClient, ServiceClientError, ServiceRejectedError
+from repro.client import (
+    JobGoneError,
+    ServiceClient,
+    ServiceClientError,
+    ServiceRejectedError,
+)
+from repro.service import manager as manager_module
 from repro.service.cache import ResultCache
 from repro.service.events import (
     JobAdmitted,
@@ -42,6 +48,7 @@ from repro.service.events import (
 from repro.service.metrics import validate_metrics_snapshot
 from repro.service.server import ServerThread
 from repro.service.wire import SubmitRequest, event_from_wire
+from tests.service.backends import InlinePoolBackend
 
 SCALE = 0.05
 
@@ -470,6 +477,71 @@ class TestErrorsOverHttp:
                 urllib.request.urlopen(request, timeout=30)
             excinfo.value.close()
         assert excinfo.value.code == 400
+
+
+#: The client call behind each job route; each raises on a non-200 answer.
+JOB_ROUTES = {
+    "GET": lambda client, job_id: client.status(job_id),
+    "DELETE": lambda client, job_id: client.cancel(job_id),
+    "GET events": lambda client, job_id: list(client.stream(job_id)),
+}
+
+
+@pytest.fixture
+def evicting_server(monkeypatch):
+    """A gateway keeping two finished jobs, after three runs of ``SPEC``:
+    ``job-1`` (computed) is evicted, ``job-2`` and ``job-3`` (hits) held."""
+    monkeypatch.setattr(manager_module, "RETAINED_TERMINAL_JOBS", 2)
+    with (
+        ServerThread(backend=InlinePoolBackend(), cache=ResultCache()) as server,
+        ServiceClient(server.base_url) as client,
+    ):
+        first = client.run(SPEC)
+        for _ in range(2):
+            client.run(SPEC)
+        yield server, client, first
+
+
+class TestEvictionOverHttp:
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_evicted_job_is_410_gone(self, evicting_server, route):
+        _server, client, _first = evicting_server
+        with pytest.raises(JobGoneError) as excinfo:
+            JOB_ROUTES[route](client, "job-1")
+        assert excinfo.value.status == 410
+        assert "resubmit the same spec" in str(excinfo.value)
+        JOB_ROUTES[route](client, "job-2")  # a held job still answers
+
+    def test_wait_and_raw_status_line_on_an_evicted_job(self, evicting_server):
+        server, client, _first = evicting_server
+        with pytest.raises(JobGoneError):
+            client.wait("job-1")
+        request = urllib.request.Request(f"{server.base_url}/v1/jobs/job-1")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert (excinfo.value.code, excinfo.value.reason) == (410, "Gone")
+        excinfo.value.close()
+
+    def test_resubmitting_an_evicted_spec_is_a_cache_hit(self, evicting_server):
+        server, client, first = evicting_server
+        assert client.run(SPEC) == first
+        snapshot = client.metrics()
+        assert snapshot["replicas"]["replicas_computed"] == 1
+        assert snapshot["replicas"]["replicas_from_cache"] == 3
+        assert snapshot["jobs"]["jobs_evicted"] == 2
+        assert snapshot["jobs"]["jobs_retained"] == 2
+        assert server.call(lambda: sorted(server.manager.jobs)) == ["job-3", "job-4"]
+
+    @pytest.mark.parametrize("job_id", ["job-999999", "job-x", "job-01"])
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_never_issued_or_malformed_id_stays_404(
+        self, evicting_server, route, job_id
+    ):
+        _server, client, _first = evicting_server
+        with pytest.raises(ServiceClientError) as excinfo:
+            JOB_ROUTES[route](client, job_id)
+        assert excinfo.value.status == 404
+        assert not isinstance(excinfo.value, JobGoneError)
 
 
 class TestGatewayWrites:
