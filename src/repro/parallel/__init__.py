@@ -42,8 +42,8 @@ parallel execution bit-identical to serial:
    and reference streams are a pure function of (profile, num_nodes, seed);
 2. the executor returns results in submission order regardless of how the
    pool interleaved the work;
-3. the minimum-replica merge replays the serial loop's exact selection rule,
-   including its tie-break toward the lowest replica index.
+3. serial and parallel runs share one minimum-replica merge, whose
+   tie-break toward the lowest replica index depends only on that order.
 
 ``tests/parallel/test_parallel_sweep.py`` pins this guarantee by comparing
 ``compare_protocols(jobs=4)`` field-for-field against ``jobs=1``.

@@ -92,7 +92,7 @@ def clear_stream_cache() -> None:
 def replica_perturbation(
     config: SystemConfig, replica_index: int
 ) -> PerturbationModel:
-    """The perturbation model the serial runner would use for this replica."""
+    """The perturbation model of replica ``replica_index`` of ``config``."""
     replicas = list(
         PerturbationModel.replicas(
             config.seed,

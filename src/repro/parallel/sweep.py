@@ -24,11 +24,11 @@ MatrixEntry = Tuple[SystemConfig, WorkloadProfile]
 
 
 def select_minimum_replica(results: Sequence[RunResult]) -> RunResult:
-    """Pick the minimum-runtime replica, exactly as the serial loop does.
+    """Pick the minimum-runtime replica.
 
-    Ties break toward the lowest replica index (the serial loop keeps the
-    first result unless a strictly faster one appears), which is what makes
-    the parallel merge bit-identical to serial execution.
+    Ties break toward the lowest replica index (the first result is kept
+    unless a strictly faster one appears), so with results in submission
+    order the merge is the same for every ``jobs`` value.
     """
     if not results:
         raise ValueError("no replica results to merge")

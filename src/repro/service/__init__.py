@@ -38,9 +38,8 @@ This package turns the one-shot experiment API into a long-lived service:
 * :mod:`repro.service.metrics` -- :class:`ServiceMetrics`, queue /
   cache / fault / health / per-client counters rendered as a schema-v4
   JSON snapshot.
-* :mod:`repro.service.cli` -- the ``python -m repro.service`` front-end,
-  including the ``--self-test`` exercise (with its kill-and-recover
-  pass) CI runs as a smoke test.
+* :mod:`repro.service.cli` -- the ``python -m repro.service`` front-end:
+  one-shot requests, the ``--listen`` gateway and the ``--litmus`` gate.
 """
 
 from __future__ import annotations

@@ -203,6 +203,11 @@ class ResultCache:
             raise ValueError("memory_entries must be non-negative")
         if disk_budget_bytes is not None and disk_budget_bytes < 1:
             raise ValueError("disk_budget_bytes must be positive (or None)")
+        if disk_budget_bytes is not None and path is None:
+            raise ValueError(
+                "disk_budget_bytes needs a path: a memory-only cache has no "
+                "disk store to bound"
+            )
         self.path = Path(path) if path is not None else None
         self.memory_entries = memory_entries
         self.disk_budget_bytes = disk_budget_bytes

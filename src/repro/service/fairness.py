@@ -21,9 +21,8 @@ serves clients deficit-round-robin:
 
 The queue mirrors the ``asyncio.Queue`` surface the manager's workers
 consume (``put_nowait`` / ``get`` / ``task_done`` / ``join``) and adds
-``hold()`` / ``release()`` -- a scheduling gate used by tests and the
-``--self-test`` fairness pass to build a deterministic backlog before any
-unit is dispatched.
+``hold()`` / ``release()`` -- a scheduling gate tests use to build a
+deterministic backlog before any unit is dispatched.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class DeficitRoundRobinQueue:
     ``weights`` maps client ids to positive integer weights (missing
     clients get ``default_weight``).  ``record_schedule=True`` keeps the
     full serve log as ``(client_id, cost)`` tuples -- unbounded, so it is
-    off by default and enabled by tests and the self-test fairness pass.
+    off by default and enabled by the fairness tests.
     """
 
     def __init__(

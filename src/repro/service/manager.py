@@ -826,8 +826,8 @@ class JobManager:
     def pause_scheduling(self) -> None:
         """Hold every queued unit back (enqueues still accepted).
 
-        Used by tests and the ``--self-test`` fairness pass to build a
-        deterministic multi-client backlog before any unit dispatches.
+        Used by tests to build a deterministic multi-client backlog before
+        any unit dispatches.
         """
         self._queue.hold()
 

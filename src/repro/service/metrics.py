@@ -9,7 +9,7 @@ and CI can archive service behaviour next to the benchmark numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 #: Version of the metrics snapshot document.  v2 added the ``faults`` and
@@ -100,8 +100,6 @@ class ServiceMetrics:
     workers_busy: int = 0
     peak_workers_busy: int = 0
 
-    extra: Dict[str, Any] = field(default_factory=dict)
-
     # ------------------------------------------------------------- updates
     def note_enqueued(self, units: int, cost: int) -> None:
         self.queue_depth += units
@@ -156,16 +154,7 @@ class ServiceMetrics:
             if health is not None
             else {"degraded": False, "components": {}}
         )
-        if self.extra:
-            document["extra"] = dict(self.extra)
         return document
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name != "extra"
-        }
 
 
 def validate_metrics_snapshot(document: Any) -> None:

@@ -50,7 +50,7 @@ cache answers as a hit.  An id the manager never issued stays ``404``.
 :class:`ServerThread` hosts a manager plus gateway on a dedicated thread
 with its own event loop, which is what lets the *blocking*
 :class:`repro.client.ServiceClient` drive a gateway from synchronous code
-(tests, the ``--self-test`` loopback pass).
+(tests, the ``service-mix`` benchmark).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.sim.kernel import SimulationError
 from repro.sim.randomness import PerturbationModel
-from repro.system.builder import BuiltSystem, SystemBuilder, build_streams
+from repro.system.builder import BuiltSystem, SystemBuilder
 from repro.system.config import SystemConfig
 from repro.system.results import RunResult
 from repro.workloads.generator import Reference
@@ -58,24 +58,12 @@ class SimulationRunner:
         ``jobs`` knob; 1 = serial, 0 = one worker per CPU).  Parallel runs
         are bit-identical to serial ones -- see :mod:`repro.parallel`.
         """
-        from repro.parallel.executor import resolve_jobs, run_replica_jobs
+        from repro.parallel.executor import run_replica_jobs
         from repro.parallel.sweep import expand_entry, select_minimum_replica
 
-        workers = resolve_jobs(self.config.jobs if jobs is None else jobs)
-        if workers > 1 and self.config.perturbation_replicas > 1:
-            specs = expand_entry(self.config, self.profile, streams=streams)
-            return select_minimum_replica(run_replica_jobs(specs, jobs=workers))
-
-        if streams is None:
-            streams = build_streams(self.profile, self.config)
-        replicas = PerturbationModel.replicas(
-            self.config.seed,
-            self.config.perturbation_replicas,
-            self.config.perturbation_max_delay_ns,
-        )
-        return select_minimum_replica(
-            [self._run_once(streams, perturbation) for perturbation in replicas]
-        )
+        specs = expand_entry(self.config, self.profile, streams=streams)
+        workers = self.config.jobs if jobs is None else jobs
+        return select_minimum_replica(run_replica_jobs(specs, jobs=workers))
 
     # ------------------------------------------------------------- one run
     def run_replica(
@@ -83,14 +71,7 @@ class SimulationRunner:
         streams: Sequence[Sequence[Reference]],
         perturbation: PerturbationModel,
     ) -> RunResult:
-        """Run exactly one perturbation replica (the parallel worker path)."""
-        return self._run_once(streams, perturbation)
-
-    def _run_once(
-        self,
-        streams: Sequence[Sequence[Reference]],
-        perturbation: PerturbationModel,
-    ) -> RunResult:
+        """Run exactly one perturbation replica (every replica job runs here)."""
         profile = self.profile
         config = self.config
         phase = _PhaseBookkeeping()

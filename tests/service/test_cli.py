@@ -13,8 +13,6 @@ from repro.service.cli import _make_manager, build_parser, main, parse_request
 from repro.service.journal import JobJournal
 from repro.service.metrics import validate_metrics_snapshot
 
-SCALE_ARGS = ["--scale", "0.05"]
-
 
 class TestParseRequest:
     def test_bare_workload(self):
@@ -125,6 +123,24 @@ class TestServeMode:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "jobs must be non-negative"),
+            (["--memory-entries", "-5"], "memory_entries must be non-negative"),
+            (["--client-weight", "a=0"], "client weight must be a positive"),
+            (["--cache-budget", "0"], "disk_budget_bytes must be positive"),
+            (["--cache-budget", "100"], "disk_budget_bytes needs a path"),
+        ],
+    )
+    def test_rejected_flag_value_is_a_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oltp,scale=0.05", *flags])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {message}" in err
+
     def test_persistent_cache_dir(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["oltp,scale=0.05", "--quiet", "--cache-dir", cache_dir]) == 0
@@ -223,25 +239,3 @@ class TestFaultToleranceFlags:
         with JobJournal(journal_dir / "journal.jsonl") as journal:
             assert journal.unfinished_jobs() == []
             assert journal.count("job-recovered") == 1
-
-
-class TestSelfTest:
-    def test_self_test_passes_and_writes_metrics(self, tmp_path, capsys):
-        metrics_path = tmp_path / "service-metrics.json"
-        code = main(
-            ["--self-test", "--quiet", "--metrics-out", str(metrics_path)]
-            + SCALE_ARGS
-        )
-        assert code == 0
-        assert "self-test ok" in capsys.readouterr().out
-        snapshot = json.loads(metrics_path.read_text())
-        validate_metrics_snapshot(snapshot)
-        assert snapshot["extra"]["self_test"]["replay_submissions"] == 0
-        recover = snapshot["extra"]["self_test"]["kill_and_recover"]
-        assert recover["recovered_jobs"] == 1
-        assert recover["torn_bytes_dropped"] > 0
-        assert 0 < recover["recovery_submissions"] < recover["total_replicas"]
-
-    def test_self_test_rejects_requests(self):
-        with pytest.raises(SystemExit):
-            main(["--self-test", "oltp"])

@@ -478,6 +478,63 @@ class TestJournalRecovery:
         validate_metrics_snapshot(snapshot)
         assert snapshot["jobs"]["jobs_recovered"] == 1
 
+    def test_killed_service_recovers_from_journal_and_cache(self, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+
+        # First life: a real one-worker pool.  Once the first replica lands,
+        # SIGKILL the worker and abandon the manager before it can observe
+        # the crash -- no retry, no terminal record, as if the service died.
+        async def crash():
+            journal = JobJournal(journal_path, fsync=False)
+            backend = WorkerPoolBackend(max_workers=1)
+            manager = JobManager(
+                cache=ResultCache(tmp_path / "cache"),
+                backend=backend,
+                journal=journal,
+            )
+            await manager.start()
+            manager.submit(SPEC3)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 120.0
+            while journal.count("replica-completed") < 1 and loop.time() < deadline:
+                await asyncio.sleep(0.005)
+            for pid in backend.worker_pids:
+                os.kill(pid, signal.SIGKILL)
+            await manager.aclose()
+            journal.close()
+            return journal.count("replica-completed")
+
+        completed_before = asyncio.run(crash())
+        assert completed_before >= 1
+        with open(journal_path, "ab") as handle:
+            handle.write(b'deadbeef {"type":"replica-comp')
+
+        # Second life over the same journal and cache directory.
+        async def recover(journal):
+            async with JobManager(
+                cache=ResultCache(tmp_path / "cache"),
+                journal=journal,
+                sleep=_no_sleep,
+            ) as manager:
+                handles = manager.recover()
+                await manager.drain()
+                streams = [await _collect(handle) for handle in handles]
+                results = [await handle.result() for handle in handles]
+                return manager, streams, results
+
+        journal = JobJournal(journal_path, fsync=False)
+        assert journal.torn_bytes_dropped > 0
+        manager, streams, results = asyncio.run(recover(journal))
+        journal.close()
+        assert len(streams) == 1
+        _assert_contract(streams[0], max_attempts=manager.max_attempts)
+        submissions = manager.backend.submissions
+        from_cache = manager.metrics.replicas_from_cache
+        assert submissions + from_cache == 3
+        assert from_cache >= completed_before
+        assert submissions < 3
+        assert results == [_clean_result(SPEC3)]
+
     def test_stale_spec_fails_its_job_and_the_rest_recover(self, tmp_path):
         # A journal written before a config field was removed: its spec no
         # longer validates, so that job fails alone and the valid job beside

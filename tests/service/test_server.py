@@ -170,6 +170,23 @@ class TestSubmitStreamResult:
             submissions = server.call(lambda: server.manager.backend.submissions)
         assert submissions == 0
         assert replayed == fresh
+        # A third life writes three entries into a disk budget of about
+        # 2.5 of them: least-recently-used entries go, the store stays
+        # under the budget.
+        (size,) = [entry.stat().st_size for entry in tmp_path.glob("cache/??/*.json")]
+        budget = 2 * size + size // 2
+        with (
+            ServerThread(
+                jobs=1,
+                cache=ResultCache(tmp_path / "budgeted", disk_budget_bytes=budget),
+            ) as server,
+            ServiceClient(server.base_url) as client,
+        ):
+            for spec in (SPEC, SPEC_DIROPT, SPEC.with_overrides(slack=2)):
+                client.run(spec)
+            cache_stats = client.metrics()["cache"]
+        assert cache_stats["disk_evictions"] > 0
+        assert cache_stats["disk_bytes"] <= budget
 
 
 class TestAdmissionOverHttp:
@@ -344,6 +361,7 @@ class TestConcurrentClients:
         # The 2:1 split holds while both lanes stay backlogged.
         backlog = {name: len(specs[name]) for name in weights}
         served = {name: 0 for name in weights}
+        prefixes_checked = 0
         for client_id, cost in serve_log:
             both = backlog["alpha"] > 0 and backlog["beta"] > 0
             served[client_id] += cost
@@ -351,6 +369,8 @@ class TestConcurrentClients:
             if both:
                 gap = abs(served["alpha"] / 2 - served["beta"])
                 assert gap <= quantum
+                prefixes_checked += 1
+        assert prefixes_checked > 0
 
     def test_websocket_and_ndjson_clients_share_one_job(self):
         spec = SPEC.with_overrides(perturbation_replicas=2)
