@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.protocols import PROTOCOL_ALIASES as _PROTOCOL_ALIASES
 from repro.protocols import PROTOCOLS as _PROTOCOLS
+from repro.protocols import canonical_protocol_name as _canonical_protocol_name
 from repro.system.config import SystemConfig
 from repro.workloads.profiles import WorkloadProfile, get_profile, workload_names
 
@@ -73,10 +73,9 @@ _RESERVED_OVERRIDES = ("network", "protocol")
 
 def canonical_protocol_name(name: str) -> str:
     """Resolve a protocol name or alias to its canonical form."""
-    key = name.strip().lower().replace("_", "-")
     try:
-        return _PROTOCOL_ALIASES[key]
-    except KeyError:
+        return _canonical_protocol_name(name)
+    except ValueError:
         raise ExperimentSpecError(
             f"unknown protocol {name!r}; valid choices: "
             f"{', '.join(PROTOCOL_NAMES)}"

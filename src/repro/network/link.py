@@ -109,12 +109,6 @@ class TrafficAccountant:
             return 0.0
         return self.total_bytes() / self.num_links
 
-    def per_link_bytes_by_category(self) -> Dict[str, float]:
-        links = self.num_links
-        if links <= 0:
-            return {key: 0.0 for key in self.bytes_by_category}
-        return {key: value / links for key, value in self.bytes_by_category.items()}
-
     def breakdown_fractions(self) -> Dict[str, float]:
         total = self.total_bytes()
         if total == 0:

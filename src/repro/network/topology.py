@@ -158,11 +158,3 @@ class Topology(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} n={self.num_endpoints}>"
-
-
-def pairwise_hop_matrix(topology: Topology) -> List[List[int]]:
-    """Precompute the full hop-count matrix (used by the performance model)."""
-    return [
-        [topology.hop_count(src, dst) for dst in topology.endpoints()]
-        for src in topology.endpoints()
-    ]

@@ -24,14 +24,20 @@ Patterns (names follow the usual litmus literature):
 The harness never interprets protocol internals: correctness falls out of
 the coherence fabric delivering version tokens, so the same assertions hold
 across every protocol in ``repro.protocols.PROTOCOLS``.
+
+``python -m repro.processor.litmus`` runs the whole matrix (every pattern
+on every protocol under SC and TSO), prints one line per cell and exits 1
+if any cell observed a forbidden outcome.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.memory.coherence import AccessType
+from repro.protocols import PROTOCOLS
 from repro.sim.kernel import SimulationError
 from repro.system.builder import SystemBuilder
 from repro.system.config import SystemConfig
@@ -285,3 +291,25 @@ def litmus_matrix(
                     pattern, protocol, consistency, delays_ns=delays
                 )
     return results
+
+
+def main() -> int:
+    """The consistency matrix as a pass/fail check: exit 1 on a violation."""
+    results = litmus_matrix(tuple(PROTOCOLS))
+    violations = 0
+    for (pattern, protocol, consistency), result in sorted(results.items()):
+        outcomes = " ".join(str(o) for o in sorted(result.outcomes))
+        verdict = "ok"
+        if not result.clean:
+            violations += 1
+            verdict = (
+                "FORBIDDEN "
+                + " ".join(str(o) for o in sorted(result.forbidden_observed))
+            )
+        print(f"{pattern:3s} {protocol:12s} {consistency:3s} {outcomes:24s} {verdict}")
+    print(f"[litmus] {len(results)} cells, {violations} violations", flush=True)
+    return 1 if violations else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -275,29 +275,3 @@ class CacheControllerBase(Component, ABC):
 
     def state_of(self, block: int) -> CacheState:
         return self.cache.state_of(block)
-
-
-@dataclass
-class ProtocolStatistics:
-    """Aggregated per-run protocol statistics (collected by the harness)."""
-
-    protocol: ProtocolName
-    misses: int = 0
-    cache_to_cache_misses: int = 0
-    memory_misses: int = 0
-    writebacks: int = 0
-    nacks: int = 0
-    retries: int = 0
-    miss_latency_total: int = 0
-
-    @property
-    def cache_to_cache_fraction(self) -> float:
-        if self.misses == 0:
-            return 0.0
-        return self.cache_to_cache_misses / self.misses
-
-    @property
-    def average_miss_latency(self) -> float:
-        if self.misses == 0:
-            return 0.0
-        return self.miss_latency_total / self.misses

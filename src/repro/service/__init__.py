@@ -39,7 +39,7 @@ This package turns the one-shot experiment API into a long-lived service:
   cache / fault / health / per-client counters rendered as a schema-v4
   JSON snapshot.
 * :mod:`repro.service.cli` -- the ``python -m repro.service`` front-end:
-  one-shot requests, the ``--listen`` gateway and the ``--litmus`` gate.
+  one-shot requests and the ``--listen`` gateway.
 """
 
 from __future__ import annotations

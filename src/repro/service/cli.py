@@ -6,7 +6,6 @@
     python -m repro.service oltp,protocol=mesi-dir,consistency=tso
     python -m repro.service --jobs 4 --cache-dir .repro-cache oltp dss
     python -m repro.service --listen 127.0.0.1:8642 --client-weight nightly=2
-    python -m repro.service --litmus
 
 Each positional argument is one experiment request: a workload name
 followed by comma-separated ``key=value`` settings.  ``protocol``,
@@ -212,23 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the event stream"
     )
-    parser.add_argument(
-        "--litmus",
-        action="store_true",
-        help="run the consistency litmus matrix (sb/mp/lb on every "
-        "protocol under sc and tso) and exit non-zero if any model "
-        "produces a forbidden outcome",
-    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.litmus:
-        if args.requests:
-            parser.error("--litmus takes no REQUEST arguments")
-        return _litmus()
     requests: List[Tuple[ExperimentSpec, int]] = []
     try:
         if args.listen is not None:
@@ -236,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error("--listen takes no REQUEST arguments")
             _parse_listen(args.listen)
         elif not args.requests:
-            parser.error("no REQUEST given (or use --listen / --litmus)")
+            parser.error("no REQUEST given (or use --listen)")
         else:
             requests = [parse_request(text, args.scale) for text in args.requests]
         manager = _make_manager(args)
@@ -397,27 +385,3 @@ async def _listen(manager: JobManager, args: argparse.Namespace) -> int:
             if manager.journal is not None:
                 manager.journal.close()
     return 0
-
-
-def _litmus() -> int:
-    """``--litmus``: the consistency matrix as a pass/fail CLI check."""
-    from repro.processor.litmus import litmus_matrix
-    from repro.protocols import PROTOCOLS
-
-    results = litmus_matrix(tuple(PROTOCOLS))
-    violations = 0
-    for (pattern, protocol, consistency), result in sorted(results.items()):
-        outcomes = " ".join(str(o) for o in sorted(result.outcomes))
-        verdict = "ok"
-        if not result.clean:
-            violations += 1
-            verdict = (
-                "FORBIDDEN "
-                + " ".join(str(o) for o in sorted(result.forbidden_observed))
-            )
-        print(f"{pattern:3s} {protocol:12s} {consistency:3s} {outcomes:24s} {verdict}")
-    print(
-        f"[litmus] {len(results)} cells, {violations} violations",
-        flush=True,
-    )
-    return 1 if violations else 0

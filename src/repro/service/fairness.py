@@ -105,13 +105,6 @@ class DeficitRoundRobinQueue:
     def weight_of(self, client_id: str) -> int:
         return self._weights.get(client_id, self.default_weight)
 
-    def weights_dict(self) -> Dict[str, int]:
-        """Explicit weights plus every client seen, for metrics snapshots."""
-        known = dict(self._weights)
-        for client in self.served_cost:
-            known.setdefault(client, self.default_weight)
-        return known
-
     @property
     def quantum(self) -> int:
         """The DRR quantum: the largest unit cost seen so far."""

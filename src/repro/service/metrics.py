@@ -2,9 +2,8 @@
 
 :class:`ServiceMetrics` is plain counters and gauges updated inline by the
 job manager; :meth:`ServiceMetrics.snapshot` renders them as a
-schema-versioned JSON document (the same versioned-artifact convention as the
-``BENCH_*.json`` reports of :mod:`repro.perf.schema`), so the perf harness
-and CI can archive service behaviour next to the benchmark numbers.
+schema-versioned JSON document that ``python -m repro.service
+--metrics-out`` writes and CI archives as an artifact.
 """
 
 from __future__ import annotations

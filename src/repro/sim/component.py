@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatGroup
@@ -11,8 +11,7 @@ from repro.sim.stats import StatGroup
 class Component:
     """A named model object bound to a :class:`~repro.sim.kernel.Simulator`.
 
-    Components provide a uniform way to schedule work, keep statistics and
-    print debug traces.  All hardware-ish objects in the library (switches,
+    Components provide a uniform way to schedule work and keep statistics.  All hardware-ish objects in the library (switches,
     caches, memory controllers, processors, network interfaces) derive from
     this class.
     """
@@ -21,7 +20,6 @@ class Component:
         self.sim = sim
         self.name = name
         self.stats = StatGroup(name)
-        self._trace_hook: Optional[Callable[[int, str, str], None]] = None
 
     # ------------------------------------------------------------ scheduling
     @property
@@ -47,18 +45,6 @@ class Component:
         priority: int = 0,
     ) -> None:
         self.sim.schedule_at(time, callback, arg, priority)
-
-    # --------------------------------------------------------------- tracing
-    def set_trace_hook(
-        self, hook: Optional[Callable[[int, str, str], None]]
-    ) -> None:
-        """Install a ``hook(time, component_name, message)`` debug callback."""
-        self._trace_hook = hook
-
-    def trace(self, message: str) -> None:
-        """Emit a debug trace line if a hook is installed (cheap otherwise)."""
-        if self._trace_hook is not None:
-            self._trace_hook(self.sim.now, self.name, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

@@ -25,6 +25,8 @@ from repro.api.spec import (
     canonical_network_name,
     canonical_protocol_name,
 )
+from repro.protocols import PROTOCOL_ALIASES, PROTOCOLS
+from repro.protocols import canonical_protocol_name as registry_protocol_name
 from repro.system.config import SystemConfig
 from repro.workloads.profiles import get_profile
 
@@ -131,6 +133,25 @@ class TestCanonicalisation:
     def test_label(self):
         spec = ExperimentSpec.make("dss", protocol="diropt", scale=0.25)
         assert spec.label == "dss/diropt/butterfly@0.25"
+
+
+class TestProtocolResolver:
+    """The spec resolves protocol names through the registry's resolver."""
+
+    @pytest.mark.parametrize("alias", sorted(PROTOCOL_ALIASES))
+    def test_agrees_with_the_registry(self, alias):
+        expected = PROTOCOL_ALIASES[alias]
+        for spelling in (alias, f"  {alias.upper().replace('-', '_')} "):
+            assert canonical_protocol_name(spelling) == expected
+            assert registry_protocol_name(spelling) == expected
+
+    def test_unknown_name_lists_choices_in_registry_order(self):
+        with pytest.raises(ExperimentSpecError) as excinfo:
+            canonical_protocol_name("dragon")
+        assert str(excinfo.value) == (
+            "unknown protocol 'dragon'; valid choices: " + ", ".join(PROTOCOLS)
+        )
+        assert excinfo.value.__suppress_context__
 
 
 class TestEffectiveConfig:

@@ -6,11 +6,18 @@ simulator), so the goldens pin the sets themselves -- any protocol or
 store-buffer change that widens or narrows an outcome set fails here.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.processor.litmus as litmus
 from repro.processor.litmus import (
     DEFAULT_DELAYS_NS,
     PATTERNS,
+    LitmusResult,
     run_litmus,
 )
 from repro.protocols import PROTOCOLS
@@ -82,3 +89,40 @@ class TestHarness:
         result = run_litmus("sb", "ts-snoop", "sc")
         assert result.forbidden == frozenset({(0, 0)})
         assert result.forbidden_observed == frozenset()
+
+
+class TestGateEntry:
+    """``python -m repro.processor.litmus``: the CI consistency gate."""
+
+    def test_module_entry_prints_every_cell_and_passes(self):
+        src = Path(litmus.__file__).parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.processor.litmus"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        cells = len(PATTERNS) * len(ALL_PROTOCOLS) * 2
+        assert lines[-1] == f"[litmus] {cells} cells, 0 violations"
+        assert len(lines) == cells + 1
+        assert all(line.endswith(" ok") for line in lines[:-1])
+
+    def test_forbidden_outcome_exits_1(self, monkeypatch, capsys):
+        bad = LitmusResult(
+            pattern="mp",
+            protocol="ts-snoop",
+            consistency="sc",
+            outcomes=frozenset({(0, 0), (1, 0)}),
+            forbidden=frozenset({(1, 0)}),
+        )
+        monkeypatch.setattr(
+            litmus, "litmus_matrix", lambda protocols: {("mp", "ts-snoop", "sc"): bad}
+        )
+        assert litmus.main() == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("FORBIDDEN (1, 0)")
+        assert lines[-1] == "[litmus] 1 cells, 1 violations"

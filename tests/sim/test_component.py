@@ -11,16 +11,6 @@ class TestComponent:
         sim.run()
         assert fired == [5]
 
-    def test_trace_hook_receives_messages(self, sim):
-        component = Component(sim, "widget")
-        lines = []
-        component.set_trace_hook(lambda t, name, msg: lines.append((t, name, msg)))
-        component.trace("hello")
-        assert lines == [(0, "widget", "hello")]
-
-    def test_trace_without_hook_is_noop(self, sim):
-        Component(sim, "widget").trace("ignored")
-
     def test_stats_group_is_per_component(self, sim):
         a = Component(sim, "a")
         b = Component(sim, "b")
