@@ -18,7 +18,6 @@ from repro.analysis.latency_model import (
 )
 from repro.analysis.traffic_model import TrafficBound, per_miss_bytes
 from repro.network import make_topology
-from repro.system.config import SystemConfig
 from repro.system.results import ProtocolComparison
 from repro.workloads.profiles import PROFILES, workload_names
 
@@ -74,7 +73,6 @@ def table3(
     scale: float = 1.0,
     network: str = "butterfly",
     protocol: str = "ts-snoop",
-    config: Optional[SystemConfig] = None,
 ) -> List[Table3Row]:
     """Benchmark characteristics measured from simulation (Table 3)."""
     rows: List[Table3Row] = []
@@ -84,7 +82,6 @@ def table3(
             protocol=protocol,
             network=network,
             scale=scale,
-            config=config,
         )
         profile = PROFILES[workload]
         rows.append(
@@ -107,14 +104,12 @@ def figure3(
     scale: float = 1.0,
     workloads: Optional[Sequence[str]] = None,
     replicas: int = 1,
-    config: Optional[SystemConfig] = None,
 ) -> Dict[str, ProtocolComparison]:
     """Normalised runtime comparison for one network (Figure 3)."""
     return api.sweep_workloads(
         network=network,
         workloads=workloads,
         scale=scale,
-        config=config,
         perturbation_replicas=replicas,
     )
 
@@ -123,7 +118,6 @@ def figure4(
     comparisons: Optional[Dict[str, ProtocolComparison]] = None,
     network: str = "butterfly",
     scale: float = 1.0,
-    config: Optional[SystemConfig] = None,
 ) -> Dict[str, ProtocolComparison]:
     """Normalised link traffic (Figure 4).
 
@@ -131,7 +125,7 @@ def figure4(
     same simulations (as in the paper).
     """
     if comparisons is None:
-        comparisons = figure3(network=network, scale=scale, config=config)
+        comparisons = figure3(network=network, scale=scale)
     return comparisons
 
 

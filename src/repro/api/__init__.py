@@ -22,12 +22,11 @@ working unchanged; new code can construct specs directly::
     spec = api.ExperimentSpec.make("oltp", protocol="diropt", slack=2)
     result = api.run_experiment(spec=spec)
 
-Every entry point accepts ``jobs=`` to fan the underlying simulations out
-over a process pool (1 = serial, N = N workers, 0 = one per CPU) and
-``cache=`` to route runs through a :class:`repro.service.ResultCache`
-(replicas already in the cache are replayed bit-identically instead of
-recomputed; see :mod:`repro.service`).  Results are bit-identical
-regardless of ``jobs`` or ``cache`` -- see :mod:`repro.parallel`.
+The spec is the whole experiment.  Every entry point also accepts
+``jobs=`` to fan the underlying simulations out over a process pool (1 =
+serial, N = N workers, 0 = one per CPU); results are bit-identical
+regardless of ``jobs`` -- see :mod:`repro.parallel`.  Cached replay of
+already-computed replicas lives in :class:`repro.service.JobManager`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.api.spec import (
     ExperimentSpecError,
 )
 from repro.parallel.sweep import run_matrix
-from repro.system.config import SystemConfig
 from repro.system.results import ProtocolComparison, RunResult
 from repro.workloads.profiles import workload_names
 
@@ -68,33 +66,17 @@ __all__ = [
 
 
 def run_specs(
-    specs: Sequence[ExperimentSpec],
-    *,
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[Any] = None,
+    specs: Sequence[ExperimentSpec], *, jobs: Optional[int] = 1
 ) -> List[RunResult]:
     """Run a batch of experiment specs; one merged result per spec, in order.
 
-    The shared execution path of every wrapper below: specs are resolved
-    against the optional base ``config``, flattened into one replica-job
-    pool (all workers stay busy across spec boundaries) and merged with the
-    serial selection rule, so results are bit-identical to one-at-a-time
-    serial runs.  With ``cache=`` (a :class:`repro.service.ResultCache`)
-    replicas already cached are replayed instead of simulated and fresh
-    results are stored for the next caller.
+    The shared execution path of every wrapper below: specs are flattened
+    into one replica-job pool (all workers stay busy across spec
+    boundaries) and merged with the serial selection rule, so results are
+    bit-identical to one-at-a-time serial runs.
     """
-    if not specs:
-        return []
-    entries = [(spec.config(config), spec.profile()) for spec in specs]
-    effective_jobs = entries[0][0].jobs if jobs is None else jobs
-    if cache is None:
-        return run_matrix(entries, jobs=effective_jobs)
-    # Imported lazily: repro.service depends on repro.api.spec, so a
-    # module-level import here would be circular.
-    from repro.service.cache import run_matrix_cached
-
-    return run_matrix_cached(entries, cache=cache, jobs=effective_jobs)
+    entries = [(spec.config(), spec.profile()) for spec in specs]
+    return run_matrix(entries, jobs=jobs)
 
 
 def run_experiment(
@@ -102,9 +84,7 @@ def run_experiment(
     protocol: str = "ts-snoop",
     network: str = "butterfly",
     scale: float = 1.0,
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[Any] = None,
+    jobs: Optional[int] = 1,
     spec: Optional[ExperimentSpec] = None,
     **overrides: Any,
 ) -> RunResult:
@@ -112,9 +92,8 @@ def run_experiment(
 
     ``scale`` multiplies the length of the reference streams (1.0 is the
     library default of a few thousand references per processor).  ``jobs``
-    parallelises the perturbation replicas across worker processes and
-    ``cache`` replays already-cached replicas bit-identically.  Additional
-    keyword arguments override :class:`~repro.system.config.SystemConfig`
+    parallelises the perturbation replicas across worker processes.
+    Additional keyword arguments override :class:`~repro.system.config.SystemConfig`
     fields, e.g. ``perturbation_replicas=3`` or ``slack=2``; they are
     validated eagerly (unknown names raise :class:`ExperimentSpecError`
     listing the valid choices).  Alternatively pass a ready-made
@@ -124,7 +103,7 @@ def run_experiment(
         spec = ExperimentSpec.make(
             workload, protocol=protocol, network=network, scale=scale, **overrides
         )
-    return run_specs([spec], config=config, jobs=jobs, cache=cache)[0]
+    return run_specs([spec], jobs=jobs)[0]
 
 
 def compare_protocols(
@@ -132,9 +111,7 @@ def compare_protocols(
     network: str = "butterfly",
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     scale: float = 1.0,
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[Any] = None,
+    jobs: Optional[int] = 1,
     **overrides: Any,
 ) -> ProtocolComparison:
     """Run every protocol on the identical reference streams (Figures 3/4).
@@ -148,7 +125,7 @@ def compare_protocols(
         )
         for protocol in protocols
     ]
-    results = run_specs(specs, config=config, jobs=jobs, cache=cache)
+    results = run_specs(specs, jobs=jobs)
     comparison = ProtocolComparison(
         workload=specs[0].workload,
         network=specs[0].network,
@@ -164,9 +141,7 @@ def sweep_workloads(
     workloads: Optional[Iterable[str]] = None,
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     scale: float = 1.0,
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[Any] = None,
+    jobs: Optional[int] = 1,
     **overrides: Any,
 ) -> Dict[str, ProtocolComparison]:
     """Figure 3 / Figure 4 data: every workload on one network.
@@ -185,7 +160,7 @@ def sweep_workloads(
         for workload in names
         for protocol in protocols
     ]
-    results = run_specs(specs, config=config, jobs=jobs, cache=cache)
+    results = run_specs(specs, jobs=jobs)
 
     comparisons: Dict[str, ProtocolComparison] = {}
     index = 0

@@ -23,8 +23,7 @@ The same object is what the service layer hashes for its content-addressed
 result cache: :func:`canonical_experiment` resolves a spec (or an explicit
 ``(config, profile)`` pair) into a canonical dictionary that is independent
 of override order, of overrides that restate a default, and of the
-host-side knobs that never change simulated results (``jobs`` and the
-checking knobs).
+checking knobs that never change simulated results.
 """
 
 from __future__ import annotations
@@ -61,10 +60,10 @@ _NETWORK_ALIASES = {
     "direct": "torus",
 }
 
-#: ``SystemConfig`` fields that never change simulated results -- host-side
-#: parallelism and the checking knobs.  They are excluded from the
-#: canonical form so cache entries are shared across them.
-RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"jobs", "enable_checker", "sanitize"})
+#: ``SystemConfig`` fields that never change simulated results -- the
+#: checking knobs.  They are excluded from the canonical form so cache
+#: entries are shared across them.
+RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"enable_checker", "sanitize"})
 
 #: Config fields owned by dedicated spec fields; overriding them through
 #: ``overrides`` would silently fight the spec, so it is rejected.
@@ -168,13 +167,10 @@ class ExperimentSpec:
         )
 
     # ----------------------------------------------------------- resolve
-    def config(self, base: Optional[SystemConfig] = None) -> SystemConfig:
+    def config(self) -> SystemConfig:
         """The effective ``SystemConfig`` (spec fields + overrides applied)."""
-        effective = base or SystemConfig()
-        return effective.with_options(
-            protocol=self.protocol,
-            network=self.network,
-            **dict(self.overrides),
+        return SystemConfig(
+            protocol=self.protocol, network=self.network, **dict(self.overrides)
         )
 
     def profile(self) -> WorkloadProfile:
@@ -221,16 +217,11 @@ class ExperimentSpec:
         merged.update(overrides)
         return replace(self, overrides=tuple(sorted(merged.items())))
 
-    def run(
-        self,
-        config: Optional[SystemConfig] = None,
-        jobs: Optional[int] = None,
-        cache: Optional[Any] = None,
-    ):
+    def run(self, jobs: Optional[int] = 1):
         """Run this experiment (thin sugar over :func:`repro.api.run_experiment`)."""
         from repro import api
 
-        return api.run_experiment(spec=self, config=config, jobs=jobs, cache=cache)
+        return api.run_experiment(spec=self, jobs=jobs)
 
     @property
     def label(self) -> str:
@@ -281,8 +272,8 @@ def canonical_config(config: SystemConfig) -> Dict[str, Any]:
 
     Nested frozen dataclasses (network/protocol timing) are flattened to
     dictionaries; the :data:`RESULT_NEUTRAL_CONFIG_FIELDS` are dropped, so
-    two configs that can only differ in how the host computes the result
-    (never in the result itself) canonicalise identically.
+    two configs that differ only in how the run is checked (never in the
+    result itself) canonicalise identically.
     """
     out: Dict[str, Any] = {}
     for field in fields(config):
@@ -305,7 +296,7 @@ def canonical_experiment(
     """The canonical form hashed by the service result cache.
 
     Stable under override order, alias spelling, restated defaults and
-    result-neutral host knobs; any change that *can* alter a simulated
+    the result-neutral checking knobs; any change that *can* alter a simulated
     result (topology, timing, protocol, stream shape, seed, replica count)
     changes the canonical form.
     """

@@ -28,10 +28,6 @@ class PendingTransaction:
     payload: Any = field(compare=False)
     inserted_at_gt: int = field(compare=False, default=0)
 
-    @property
-    def slack_remaining_at(self) -> int:
-        return self.maturity
-
 
 class OrderingQueue:
     """Per-endpoint reorder buffer driven by token arrivals."""

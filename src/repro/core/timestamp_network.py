@@ -400,9 +400,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
     def guarantee_time(self, endpoint: int) -> int:
         return self.ports[endpoint].queue.guarantee_time
 
-    def pending_transactions(self, endpoint: int) -> int:
-        return len(self.ports[endpoint].queue)
-
     def _tree(self, source: int) -> BroadcastTree:
         if source not in self._trees:
             self._trees[source] = self.topology.broadcast_tree(source)

@@ -120,6 +120,3 @@ class AddressSpace:
             raise ValueError("num_blocks must be positive")
         self._check_block(start_block + num_blocks - 1)
         return range(start_block, start_block + num_blocks)
-
-    def footprint_bytes(self, num_blocks: int) -> int:
-        return num_blocks * self.block_size

@@ -22,14 +22,15 @@ pool:
 The ``jobs=`` knob
 ==================
 
-Every layer accepts the same knob: :class:`repro.system.config.SystemConfig`
-carries ``jobs`` as configuration, ``SimulationRunner.run`` parallelises its
-perturbation replicas, and the high-level :mod:`repro.api` entry points
-(:func:`~repro.api.run_experiment`, :func:`~repro.api.compare_protocols`,
-:func:`~repro.api.sweep_workloads`) forward ``jobs=`` down to one shared job
-pool spanning the whole sweep.  ``jobs=1`` (the default) is strictly serial
-in-process execution; ``jobs=N`` uses N worker processes; ``jobs=0`` uses
-one worker per host CPU.
+``jobs`` is a call argument, never part of the experiment: no
+:class:`repro.system.config.SystemConfig` field carries it.
+``SimulationRunner.run`` and :func:`run_matrix` take it directly, and the
+high-level :mod:`repro.api` entry points (:func:`~repro.api.run_experiment`,
+:func:`~repro.api.compare_protocols`, :func:`~repro.api.sweep_workloads`)
+forward ``jobs=`` down to one shared job pool spanning the whole sweep.
+``jobs=1`` (the default) is strictly serial in-process execution;
+``jobs=N`` uses N worker processes; ``jobs=0`` uses one worker per host
+CPU.
 
 Determinism guarantee
 =====================

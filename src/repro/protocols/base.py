@@ -256,10 +256,6 @@ class CacheControllerBase(Component, ABC):
         elif record.source is MissSource.MEMORY:
             self._ctr_memory_misses.value += 1
 
-    def next_version(self) -> int:
-        self._version_counter += 1
-        return self._version_counter
-
     # ------------------------------------------------------------ inspection
     @property
     def total_misses(self) -> int:

@@ -24,8 +24,8 @@ This package turns the one-shot experiment API into a long-lived service:
   content-addressed (SHA-256 of the canonical experiment document)
   schema-versioned result store; cache hits replay bit-identically to
   recomputation, and disk faults degrade it to memory-only operation
-  instead of failing jobs.  :func:`run_matrix_cached` is the synchronous
-  equivalent used by ``repro.api`` wrappers when passed ``cache=``.
+  instead of failing jobs.  :class:`JobManager` is its only reader: it
+  resolves every replica against the cache at admission.
 * :mod:`repro.service.journal` -- :class:`JobJournal`, the append-only,
   fsync'd, CRC-checked job journal behind
   :meth:`JobManager.recover`; torn trailing records are truncated, not
@@ -51,7 +51,6 @@ from repro.service.cache import (
     ResultCache,
     entry_keys,
     replica_key,
-    run_matrix_cached,
 )
 from repro.service.events import (
     SOURCE_CACHE,
@@ -187,6 +186,5 @@ __all__ = [
     "make_backend",
     "replica_cost",
     "replica_key",
-    "run_matrix_cached",
     "validate_metrics_snapshot",
 ]

@@ -4,7 +4,7 @@ The cache key of one replica is the SHA-256 of the canonical JSON form of
 ``(effective SystemConfig, scaled WorkloadProfile, replica_index,
 result-schema version)`` -- see :func:`repro.api.spec.canonical_experiment`
 for what "canonical" means (override order, alias spelling, restated
-defaults and result-neutral host knobs all hash identically; the seed and
+defaults and result-neutral checking knobs all hash identically; the seed and
 replica count live inside the config and are part of the key).
 
 Cached values are the schema-versioned JSON encoding of a
@@ -31,12 +31,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.api.spec import canonical_experiment
-from repro.parallel.executor import run_replica_jobs
-from repro.parallel.jobs import ReplicaJob
-from repro.parallel.sweep import MatrixEntry, select_minimum_replica
 from repro.service.faults import (
     KIND_CORRUPT,
     SITE_CACHE_DISK_GET,
@@ -465,44 +462,3 @@ class ResultCache:
                     scratch.unlink()
                 except OSError:
                     pass
-
-
-# ------------------------------------------------------- cached execution
-def run_matrix_cached(
-    entries: Sequence[MatrixEntry],
-    *,
-    cache: ResultCache,
-    jobs: Optional[int] = 1,
-) -> List[RunResult]:
-    """:func:`repro.parallel.sweep.run_matrix`, deduplicated through ``cache``.
-
-    Replicas whose key is already cached are replayed (bit-identical to
-    recomputation); only the uncached frontier is submitted to the process
-    pool, in the same submission order ``run_matrix`` would use, and every
-    fresh result is stored before the per-entry minimum-replica merge.
-    The returned list is bit-identical to an uncached ``run_matrix`` call.
-    """
-    slots: List[List[List[Any]]] = []
-    misses: List[ReplicaJob] = []
-    for config, profile in entries:
-        per_entry: List[List[Any]] = []
-        for index in range(config.perturbation_replicas):
-            key = replica_key(config, profile, index)
-            per_entry.append([key, cache.get(key)])
-            if per_entry[-1][1] is None:
-                misses.append(
-                    ReplicaJob(config=config, profile=profile, replica_index=index)
-                )
-        slots.append(per_entry)
-
-    fresh: Iterator[RunResult] = iter(
-        run_replica_jobs(misses, jobs=jobs) if misses else ()
-    )
-    merged: List[RunResult] = []
-    for per_entry in slots:
-        for slot in per_entry:
-            if slot[1] is None:
-                slot[1] = next(fresh)
-                cache.put(slot[0], slot[1])
-        merged.append(select_minimum_replica([slot[1] for slot in per_entry]))
-    return merged

@@ -488,9 +488,6 @@ class JobManager:
         cache: Optional[ResultCache] = None,
         backend: Optional[PoolBackend] = None,
         max_pending_cost: Optional[int] = DEFAULT_MAX_PENDING_COST,
-        metrics: Optional[ServiceMetrics] = None,
-        base_config: Optional[SystemConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
         journal: Optional[JobJournal] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         replica_timeout: Optional[float] = None,
@@ -505,16 +502,14 @@ class JobManager:
         self.backend = backend if backend is not None else make_backend(jobs)
         self.cache = cache
         self.max_pending_cost = max_pending_cost
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.metrics.workers_total = self.backend.max_workers
-        self.base_config = base_config
         self.journal = journal
         self.max_attempts = max_attempts
         self.replica_timeout = replica_timeout
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
-        self._clock = clock
         self.scheduler = DeficitRoundRobinQueue(
             weights=client_weights, record_schedule=record_schedule
         )
@@ -586,7 +581,7 @@ class JobManager:
         """
         if self._closed:
             raise RuntimeError("manager is closed")
-        config = spec.config(self.base_config)
+        config = spec.config()
         profile = spec.profile()
         unit_cost = replica_cost(config, profile)
         total_cost = unit_cost * config.perturbation_replicas
@@ -612,7 +607,7 @@ class JobManager:
         """
         if self._closed:
             raise RuntimeError("manager is closed")
-        config = spec.config(self.base_config)
+        config = spec.config()
         profile = spec.profile()
         unit_cost = replica_cost(config, profile)
         handle = self._prepare_handle(spec, priority, config, profile, client_id)
@@ -773,7 +768,7 @@ class JobManager:
                     None, "job-failed", job=entry.job_id, error=repr(error)
                 )
                 continue
-            config = spec.config(self.base_config)
+            config = spec.config()
             profile = spec.profile()
             handle = self._launch(
                 spec,
@@ -916,7 +911,7 @@ class JobManager:
         handle = unit.handle
         for attempt in range(1, self.max_attempts + 1):
             self.metrics.note_worker_busy(+1)
-            started = self._clock()
+            started = time.monotonic()
             try:
                 if self.replica_timeout is not None:
                     result = await asyncio.wait_for(
@@ -956,7 +951,7 @@ class JobManager:
                     await self._sleep(backoff)
                 continue
             self.metrics.note_worker_busy(-1)
-            self._observe_rate(unit.cost, self._clock() - started)
+            self._observe_rate(unit.cost, time.monotonic() - started)
             return result, None, attempt
         raise AssertionError("unreachable: the attempt loop always returns")
 

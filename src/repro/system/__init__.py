@@ -2,7 +2,7 @@
 
 from repro.system.config import SystemConfig
 from repro.system.builder import BuiltSystem, SystemBuilder
-from repro.system.simulation import SimulationRunner, run_workload
+from repro.system.simulation import SimulationRunner
 from repro.system.results import RunResult, ProtocolComparison
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "SystemBuilder",
     "BuiltSystem",
     "SimulationRunner",
-    "run_workload",
     "RunResult",
     "ProtocolComparison",
 ]

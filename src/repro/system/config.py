@@ -51,11 +51,6 @@ class SystemConfig:
     perturbation_max_delay_ns: int = 5
     seed: int = 42
 
-    # Host-side parallelism: worker processes used to fan out replica /
-    # sweep jobs (see :mod:`repro.parallel`).  1 = serial, 0 = one worker
-    # per host CPU.  Results are bit-identical regardless of the value.
-    jobs: int = 1
-
     # Consistency checking (slows runs slightly; on for tests, off for
     # benchmarks by default).
     enable_checker: bool = False
@@ -74,8 +69,6 @@ class SystemConfig:
             raise ValueError("perturbation_replicas must be positive")
         if self.slack < 0:
             raise ValueError("slack must be non-negative")
-        if self.jobs < 0:
-            raise ValueError("jobs must be non-negative (0 = auto)")
         if self.consistency not in CONSISTENCY_MODELS:
             raise ValueError(
                 f"unknown consistency model {self.consistency!r}; "
@@ -98,12 +91,6 @@ class SystemConfig:
             raise ValueError("instructions_per_ns must be positive")
 
     # ------------------------------------------------------------- variants
-    def with_protocol(self, protocol: str) -> "SystemConfig":
-        return replace(self, protocol=protocol)
-
-    def with_network(self, network: str) -> "SystemConfig":
-        return replace(self, network=network)
-
     def with_options(self, **kwargs) -> "SystemConfig":
         return replace(self, **kwargs)
 

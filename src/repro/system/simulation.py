@@ -50,20 +50,19 @@ class SimulationRunner:
         self,
         streams: Optional[Sequence[Sequence[Reference]]] = None,
         *,
-        jobs: Optional[int] = None,
+        jobs: Optional[int] = 1,
     ) -> RunResult:
         """Run all perturbation replicas and return the minimum-runtime one.
 
-        ``jobs`` controls replica-level parallelism (default: the config's
-        ``jobs`` knob; 1 = serial, 0 = one worker per CPU).  Parallel runs
-        are bit-identical to serial ones -- see :mod:`repro.parallel`.
+        ``jobs`` controls replica-level parallelism (1 = serial, 0 = one
+        worker per CPU).  Parallel runs are bit-identical to serial ones --
+        see :mod:`repro.parallel`.
         """
         from repro.parallel.executor import run_replica_jobs
         from repro.parallel.sweep import expand_entry, select_minimum_replica
 
         specs = expand_entry(self.config, self.profile, streams=streams)
-        workers = self.config.jobs if jobs is None else jobs
-        return select_minimum_replica(run_replica_jobs(specs, jobs=workers))
+        return select_minimum_replica(run_replica_jobs(specs, jobs=jobs))
 
     # ------------------------------------------------------------- one run
     def run_replica(
@@ -211,13 +210,3 @@ class SimulationRunner:
             f"{self.config.label}: simulation deadlocked; processors stuck: "
             f"{stuck}; outstanding transactions: {details[:12]}"
         )
-
-
-def run_workload(
-    workload: Union[str, WorkloadProfile],
-    config: Optional[SystemConfig] = None,
-    streams: Optional[Sequence[Sequence[Reference]]] = None,
-) -> RunResult:
-    """Convenience wrapper: run ``workload`` under ``config`` and return the result."""
-    runner = SimulationRunner(config or SystemConfig(), workload)
-    return runner.run(streams)

@@ -66,10 +66,6 @@ class WorkloadProfile:
     paper_three_hop_percent: float = 0.0
 
     # ------------------------------------------------------------ derived
-    @property
-    def measured_references_per_node(self) -> int:
-        return self.references_per_node - self.warmup_references_per_node
-
     def footprint_blocks(self, num_nodes: int) -> int:
         return (
             self.private_blocks_per_node * num_nodes

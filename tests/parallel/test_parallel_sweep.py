@@ -49,10 +49,6 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(-2)
 
-    def test_config_knob_validated(self):
-        with pytest.raises(ValueError):
-            SystemConfig(jobs=-1)
-
 
 class TestReplicaJob:
     def test_replica_index_validated(self):
@@ -155,14 +151,6 @@ class TestSerialParallelDeterminism:
         results = run_matrix(entries, jobs=2)
         assert [result.protocol for result in results] == \
             ["diropt", "ts-snoop"]
-
-    def test_config_jobs_knob_is_honoured(self):
-        kwargs = dict(workload=WORKLOAD, scale=SCALE,
-                      perturbation_replicas=2)
-        via_knob = api.run_experiment(jobs=None, **kwargs,
-                                      config=SystemConfig(jobs=2))
-        serial = api.run_experiment(jobs=1, **kwargs)
-        assert via_knob == serial
 
 
 # ------------------------------------------------------------ worker deaths

@@ -113,11 +113,18 @@ class TestServeMode:
         assert "rejected oltp/diropt/butterfly@0.05" in out
         assert "retry after" in out
 
-    def test_bad_request_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "request_text, message",
+        [
+            ("oltp,protocol=dragon", "valid choices"),
+            ("oltp,jobs=4", "unknown SystemConfig override 'jobs'"),
+        ],
+    )
+    def test_bad_request_is_a_usage_error(self, request_text, message, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["oltp,protocol=dragon"])
+            main([request_text])
         assert info.value.code == 2
-        assert "valid choices" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_no_requests_is_a_usage_error(self):
         with pytest.raises(SystemExit):

@@ -535,12 +535,15 @@ class TestJournalRecovery:
         assert submissions < 3
         assert results == [_clean_result(SPEC3)]
 
-    def test_stale_spec_fails_its_job_and_the_rest_recover(self, tmp_path):
+    @pytest.mark.parametrize("name,value", [("cache_array", "dict"), ("jobs", 4)])
+    def test_stale_spec_fails_its_job_and_the_rest_recover(
+        self, tmp_path, name, value
+    ):
         # A journal written before a config field was removed: its spec no
         # longer validates, so that job fails alone and the valid job beside
         # it is still recovered.
         stale = SPEC.as_document()
-        stale["overrides"] = [["cache_array", "dict"]]
+        stale["overrides"] = [[name, value]]
         key = replica_key(SPEC.config(), SPEC.profile(), 0)
         with JobJournal(tmp_path / "journal.jsonl", fsync=False) as journal:
             journal.append(
@@ -575,7 +578,7 @@ class TestJournalRecovery:
         assert journal.unfinished_jobs() == []
         (failed,) = [r for r in journal.records if r["type"] == "job-failed"]
         assert failed["job"] == "job-1"
-        assert "cache_array" in failed["error"]
+        assert name in failed["error"]
 
     def test_recover_is_a_noop_without_unfinished_work(self, tmp_path):
         async def scenario():

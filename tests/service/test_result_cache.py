@@ -1,9 +1,9 @@
 """Tests for the content-addressed result cache.
 
 The headline properties: cache keys are stable under everything that
-cannot change a simulated result, cache hits replay **bit-identically** to
-fresh computation for all three protocols, and a cached matrix run
-performs zero simulation work on its second pass.
+cannot change a simulated result, and cache hits replay
+**bit-identically** to fresh computation for all three protocols.  Cached
+replay through the job manager is covered in ``test_manager.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import pytest
 
 from repro.api.spec import ExperimentSpec
-from repro.parallel.sweep import run_matrix
 from repro.service.cache import (
     RESULT_KIND,
     RESULT_SCHEMA_VERSION,
@@ -26,7 +25,6 @@ from repro.service.cache import (
     payload_to_result,
     replica_key,
     result_to_payload,
-    run_matrix_cached,
 )
 from repro.service.faults import (
     SITE_CACHE_DISK_GET,
@@ -61,7 +59,7 @@ class TestReplicaKey:
 
     def test_key_stable_under_result_neutral_knobs(self):
         plain = _entry()
-        knobbed = _entry(jobs=8, enable_checker=True, sanitize=True)
+        knobbed = _entry(enable_checker=True, sanitize=True)
         assert replica_key(*plain, 0) == replica_key(*knobbed, 0)
 
     @pytest.mark.parametrize(
@@ -533,47 +531,3 @@ class TestDegradedMode:
         cache.put("a" * 64, self._result())
         assert not cache.degraded
         assert plan.invocations(SITE_CACHE_DISK_PUT) == 0
-
-
-class TestRunMatrixCached:
-    @pytest.fixture(scope="class")
-    def entries(self):
-        return [
-            _entry(protocol=protocol, perturbation_replicas=2)
-            for protocol in ("ts-snoop", "dirclassic", "diropt")
-        ]
-
-    @pytest.fixture(scope="class")
-    def fresh(self, entries):
-        return run_matrix(entries)
-
-    def test_cold_cache_is_bit_identical_to_run_matrix(self, entries, fresh):
-        cache = ResultCache()
-        assert run_matrix_cached(entries, cache=cache) == fresh
-
-    def test_warm_cache_is_bit_identical_and_simulation_free(
-        self, entries, fresh, monkeypatch
-    ):
-        cache = ResultCache()
-        run_matrix_cached(entries, cache=cache)
-
-        def boom(specs, **kwargs):
-            raise AssertionError(f"pool was asked to run {len(specs)} jobs")
-
-        monkeypatch.setattr("repro.service.cache.run_replica_jobs", boom)
-        assert run_matrix_cached(entries, cache=cache) == fresh
-
-    def test_partial_overlap_only_computes_the_frontier(self, entries, fresh):
-        cache = ResultCache()
-        run_matrix_cached(entries[:1], cache=cache)
-        before = cache.stats.stores
-        assert run_matrix_cached(entries, cache=cache) == fresh
-        assert cache.stats.stores - before == sum(
-            config.perturbation_replicas for config, _ in entries[1:]
-        )
-
-    def test_disk_cache_survives_process_cache_object(self, entries, fresh, tmp_path):
-        run_matrix_cached(entries, cache=ResultCache(tmp_path / "s"))
-        rewarmed = ResultCache(tmp_path / "s")
-        assert run_matrix_cached(entries, cache=rewarmed) == fresh
-        assert rewarmed.stats.misses == 0

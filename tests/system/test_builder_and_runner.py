@@ -4,7 +4,7 @@ import pytest
 
 from repro.system.builder import SystemBuilder, build_streams
 from repro.system.config import SystemConfig
-from repro.system.simulation import SimulationRunner, run_workload
+from repro.system.simulation import SimulationRunner
 from repro.workloads.profiles import get_profile
 
 from tests.conftest import empty_streams
@@ -85,10 +85,3 @@ class TestSimulationRunner:
         assert replicated.replicas == 3
         # Replica 0 is unperturbed, so the minimum can never exceed it.
         assert replicated.runtime_ns <= base.runtime_ns
-
-    def test_run_workload_wrapper_accepts_names(self):
-        result = run_workload("barnes",
-                              SystemConfig(protocol="ts-snoop",
-                                           network="torus"),
-                              streams=None)
-        assert result.workload == "barnes"

@@ -19,11 +19,6 @@ class TestSystemConfig:
         assert config.network_timing.switch_ns == 15
         assert config.protocol_timing.memory_access_ns == 80
 
-    def test_with_protocol_and_network(self):
-        config = SystemConfig().with_protocol("diropt").with_network("torus")
-        assert config.protocol == "diropt"
-        assert config.network == "torus"
-
     def test_with_options(self):
         config = SystemConfig().with_options(slack=3, perturbation_replicas=2)
         assert config.slack == 3
