@@ -104,6 +104,3 @@ class OrderingQueue:
     def pending_slack(self) -> List[int]:
         """Remaining slack of every queued transaction (for buffering stats)."""
         return sorted(entry.maturity - self.guarantee_time for entry in self._heap)
-
-    def effective_slack(self, entry: PendingTransaction) -> int:
-        return entry.maturity - self.guarantee_time

@@ -20,7 +20,7 @@ discipline the fast-path PRs established:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.lint.framework import (
     SEVERITY_WARNING,

@@ -12,17 +12,17 @@ The paper's three protocols, all MSI, all allowing silent S -> I downgrades
   relies on a point-to-point ordered forwarding network and never blocks at
   the home node.
 
-Two matrix extensions beyond the paper (ROADMAP item 3):
+Two matrix extensions beyond the paper:
 
 * :mod:`repro.protocols.mesi_dir` -- **MESIDir**, DirOpt plus a
   clean-exclusive (E) state with silent E -> M store upgrades;
 * :mod:`repro.protocols.moesi_snoop` -- **MOESISnoop**, TS-Snoop plus an
   owned-sharing (O) state that supplies data without memory writebacks.
 
-:data:`PROTOCOLS` is the canonical registry (same pattern as
-``repro.sim.kernel.SCHEDULERS``): canonical lower-case name -> factory
-class.  ``repro.api`` and ``repro.lint`` both derive their protocol lists
-from it, so adding a protocol here is the single registration point.
+:data:`PROTOCOLS` is the canonical registry: canonical lower-case name
+-> factory class.  ``repro.api`` and ``repro.lint`` both derive their
+protocol lists from it, so adding a protocol here is the single
+registration point.
 """
 
 from repro.protocols.base import (

@@ -26,7 +26,7 @@ class ProtocolName(str, Enum):
 
     The first three are the paper's protocols (Section 4.2, all MSI); the
     last two extend the matrix with an E-state directory variant and an
-    owned-sharing snooping variant (ROADMAP item 3).
+    owned-sharing snooping variant.
     """
 
     TS_SNOOP = "TS-Snoop"

@@ -27,9 +27,10 @@ This package turns the one-shot experiment API into a long-lived service:
   instead of failing jobs.  :class:`JobManager` is its only reader: it
   resolves every replica against the cache at admission.
 * :mod:`repro.service.journal` -- :class:`JobJournal`, the append-only,
-  fsync'd, CRC-checked job journal behind
-  :meth:`JobManager.recover`; torn trailing records are truncated, not
-  fatal.
+  fsync'd, CRC-checked job journal behind :meth:`JobManager.recover`.  It
+  records submissions, recoveries and terminal transitions; finished
+  replicas are the result cache's to record.  Torn trailing records are
+  truncated, not fatal.
 * :mod:`repro.service.faults` -- :class:`FaultPlan`, the deterministic
   fault-injection harness (planned crashes, timeouts, I/O errors at
   named sites) that exercises every recovery path in tests.

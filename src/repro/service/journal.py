@@ -1,12 +1,15 @@
 """Crash-safe job journal: append-only, fsync'd, schema-versioned.
 
-The journal is the service's durability layer: every job submission,
-replica completion, retry, quarantine and terminal transition is appended
-as one self-checking record, flushed and fsync'd before the manager moves
-on, so a service killed at *any* instant can be restarted and resume its
-in-flight sweeps (:meth:`repro.service.manager.JobManager.recover`
-replays unfinished jobs; the :class:`~repro.service.cache.ResultCache`
-supplies the replicas the journal already recorded as complete).
+The journal is the service's durability layer for *jobs*: each job
+submission, recovery and terminal transition (completed, cancelled,
+failed) is appended as one self-checking record, flushed and fsync'd
+before the manager moves on.  A service killed at *any* instant can be
+restarted and resume its in-flight sweeps:
+:meth:`repro.service.manager.JobManager.recover` resubmits every job the
+journal holds as unfinished.  Replicas are not journalled: each one is a
+pure function of (config, workload, replica index), so the
+content-addressed :class:`~repro.service.cache.ResultCache` is the record
+of which replicas finished, and recovery recomputes only those it lacks.
 
 Wire format -- one record per line::
 
@@ -21,6 +24,12 @@ record onward) instead of failing -- the dropped byte count is reported in
 construction, one the service never acknowledged.  The first record is a
 schema-versioned header; a journal written by an incompatible schema
 raises :class:`JournalError` rather than being silently misread.
+
+The journal keeps no copy of its records: opening it folds them into the
+unfinished jobs and the submission count, and each append updates both,
+so its memory does not grow with its history.  Record types and fields it
+does not read (the replica records and the ``n`` and ``keys`` fields of
+older journals) are skipped.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.service.faults import (
     KIND_TORN_WRITE,
@@ -45,18 +54,15 @@ JOURNAL_SCHEMA_VERSION = 1
 #: ``kind`` discriminator of the header record.
 JOURNAL_KIND = "repro.service.journal"
 
-#: Record types the replay state machine understands.
+#: Record types the journal writes.
 RECORD_TYPES = frozenset(
     {
         "header",
         "job-submitted",
-        "replica-retried",
-        "replica-completed",
-        "replica-failed",
+        "job-recovered",
         "job-completed",
         "job-cancelled",
         "job-failed",
-        "job-recovered",
     }
 )
 
@@ -110,107 +116,46 @@ def _header_record() -> Dict[str, Any]:
     }
 
 
-# ------------------------------------------------------------ replay state
 @dataclass
 class JournaledJob:
-    """One job's lifecycle as reconstructed from the journal."""
+    """One unfinished job: what :meth:`JobManager.recover` resubmits."""
 
     job_id: str
     priority: int
     spec: Dict[str, Any]
-    keys: List[str]
     #: Fair-scheduling client lane the job was submitted under.
     client: str = "default"
-    #: Finished replicas: index -> cache key.
-    completed: Dict[int, str] = field(default_factory=dict)
-    #: Quarantined replicas: index -> error repr.
-    failed: Dict[int, str] = field(default_factory=dict)
-    #: Retry attempts observed, per replica index.
-    retries: Dict[int, int] = field(default_factory=dict)
-    #: The terminal record type, or ``None`` while the job is in flight.
-    terminal: Optional[str] = None
-    #: Set when a later service instance resubmitted this job.
-    recovered_to: Optional[str] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.terminal is not None
-
-    def missing_replicas(self) -> List[int]:
-        """Replica indices with no completion (nor quarantine) record."""
-        return [
-            index
-            for index in range(len(self.keys))
-            if index not in self.completed and index not in self.failed
-        ]
-
-
-def replay_records(records: List[Dict[str, Any]]) -> Dict[str, JournaledJob]:
-    """Fold journal records into per-job lifecycle state, submission order."""
-    jobs: Dict[str, JournaledJob] = {}
-    for record in records:
-        kind = record.get("type")
-        job_id = record.get("job")
-        if kind == "job-submitted":
-            jobs[job_id] = JournaledJob(
-                job_id=job_id,
-                priority=record.get("priority", 0),
-                spec=record.get("spec", {}),
-                keys=list(record.get("keys", ())),
-                client=record.get("client", "default"),
-            )
-            continue
-        entry = jobs.get(job_id)
-        if kind == "job-recovered":
-            source = jobs.get(record.get("from", ""))
-            if source is not None:
-                source.recovered_to = job_id
-            continue
-        if entry is None:
-            continue  # replica record for a job submitted before a rotation
-        if kind == "replica-completed":
-            entry.completed[record["replica"]] = record.get("key", "")
-        elif kind == "replica-failed":
-            entry.failed[record["replica"]] = record.get("error", "")
-        elif kind == "replica-retried":
-            index = record["replica"]
-            entry.retries[index] = max(
-                entry.retries.get(index, 0), record.get("attempt", 0)
-            )
-        elif kind in TERMINAL_TYPES:
-            entry.terminal = kind
-    return jobs
 
 
 # ---------------------------------------------------------------- journal
 class JobJournal:
     """The append-only journal file behind one (or several) service lives.
 
-    Opening an existing journal validates its header, replays every whole
-    record and truncates the torn tail in place; appends then continue
-    where the last acknowledged record left off.  ``fsync=False`` trades
-    durability for speed (tests); the default syncs every record.
+    Opening an existing journal validates its header, folds every whole
+    record into the unfinished-job table and the submission count, and
+    truncates the torn tail in place; appends then continue where the last
+    acknowledged record left off.  Every append is fsync'd.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
         *,
-        fsync: bool = True,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._fault_plan = fault_plan
-        self.records: List[Dict[str, Any]] = []
         self.torn_bytes_dropped = 0
         self.torn_records_dropped = 0
+        #: How many jobs were ever submitted (numbering continues after it).
+        self.submitted = 0
+        #: Jobs with no terminal record and no later recovery, in order.
+        self._unfinished: Dict[str, JournaledJob] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._load_and_truncate()
+        has_header = self._load_and_truncate()
         self._handle = open(self.path, "ab")
-        if not self.records:
+        if not has_header:
             self._append_raw(_header_record())
-        self._sequence = len(self.records)
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -225,8 +170,8 @@ class JobJournal:
         self.close()
 
     # -------------------------------------------------------------- append
-    def append(self, record_type: str, **payload: Any) -> Dict[str, Any]:
-        """Append one record durably; returns the record as written.
+    def append(self, record_type: str, **payload: Any) -> None:
+        """Append one record durably.
 
         Raises :class:`JournalError` for unknown record types and
         :class:`OSError` when the disk does (the manager treats either as
@@ -236,7 +181,7 @@ class JobJournal:
             raise JournalError(f"unknown journal record type {record_type!r}")
         if self._handle is None:
             raise JournalError("journal is closed")
-        record = {"n": self._sequence, "type": record_type, **payload}
+        record = {"type": record_type, **payload}
         fault = (
             self._fault_plan.fire(SITE_JOURNAL_APPEND)
             if self._fault_plan is not None
@@ -252,50 +197,68 @@ class JobJournal:
                 raise injected_torn_write(fault)
             raise fault_exception(fault)
         self._append_raw(record)
-        return record
+        self._fold(record)
 
     def _append_raw(self, record: Dict[str, Any]) -> None:
         self._handle.write(encode_record(record))
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        self.records.append(record)
-        self._sequence = len(self.records)
+        os.fsync(self._handle.fileno())
 
     # --------------------------------------------------------------- state
-    def job_states(self) -> Dict[str, JournaledJob]:
-        """Per-job lifecycle state from every record read or appended."""
-        return replay_records(self.records)
-
     def unfinished_jobs(self) -> List[JournaledJob]:
         """Jobs with no terminal record and no later recovery, in order."""
-        return [
-            entry
-            for entry in self.job_states().values()
-            if not entry.finished and entry.recovered_to is None
-        ]
+        return list(self._unfinished.values())
 
-    def count(self, record_type: str) -> int:
-        """How many records of ``record_type`` the journal holds."""
-        return sum(1 for record in self.records if record["type"] == record_type)
+    def _fold(self, record: Dict[str, Any]) -> None:
+        """Apply one record to the submission count and unfinished jobs."""
+        kind = record["type"]
+        if kind == "job-submitted":
+            self.submitted += 1
+            job_id = record.get("job")
+            self._unfinished[job_id] = JournaledJob(
+                job_id=job_id,
+                priority=record.get("priority", 0),
+                spec=record.get("spec", {}),
+                client=record.get("client", "default"),
+            )
+        elif kind == "job-recovered":
+            self._unfinished.pop(record.get("from"), None)
+        elif kind in TERMINAL_TYPES:
+            self._unfinished.pop(record.get("job"), None)
 
     # ------------------------------------------------------------ internals
-    def _load_and_truncate(self) -> None:
+    def _load_and_truncate(self) -> bool:
+        """Fold the file's whole records in and cut its torn tail off;
+        ``True`` when the file already starts with a valid header."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
-            return
-        records, valid_bytes, dropped = _parse(raw)
-        if records and not _header_ok(records[0]):
-            raise JournalError(
-                f"journal {self.path} has an incompatible header: {records[0]!r}"
-            )
-        self.records = records
-        self.torn_records_dropped = dropped
-        self.torn_bytes_dropped = len(raw) - valid_bytes
+            return False
+        offset = 0
+        while offset < len(raw):
+            newline = raw.find(b"\n", offset)
+            if newline < 0:
+                self.torn_records_dropped = 1
+                break
+            try:
+                record = decode_line(raw[offset : newline + 1])
+            except JournalError:
+                # Invalid from here on: a torn tail, or corruption that
+                # makes everything after it untrustworthy.  Truncate
+                # conservatively.
+                self.torn_records_dropped = 1 + raw.count(b"\n", newline + 1)
+                break
+            if offset == 0 and not _header_ok(record):
+                raise JournalError(
+                    f"journal {self.path} has an incompatible header: {record!r}"
+                )
+            self._fold(record)
+            offset = newline + 1
+        self.torn_bytes_dropped = len(raw) - offset
         if self.torn_bytes_dropped:
             with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
+                handle.truncate(offset)
+        return offset > 0
 
 
 def injected_torn_write(fault: Any) -> OSError:
@@ -309,25 +272,3 @@ def _header_ok(record: Dict[str, Any]) -> bool:
         and record.get("kind") == JOURNAL_KIND
         and record.get("schema_version") == JOURNAL_SCHEMA_VERSION
     )
-
-
-def _parse(raw: bytes) -> Tuple[List[Dict[str, Any]], int, int]:
-    """(whole records, bytes they span, count of invalid lines dropped)."""
-    records: List[Dict[str, Any]] = []
-    offset = 0
-    dropped = 0
-    while offset < len(raw):
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
-            dropped += 1
-            break
-        line = raw[offset : newline + 1]
-        try:
-            records.append(decode_line(line))
-        except JournalError:
-            # Invalid from here on: a torn tail, or corruption that makes
-            # everything after it untrustworthy.  Truncate conservatively.
-            dropped += 1 + raw.count(b"\n", newline + 1)
-            break
-        offset = newline + 1
-    return records, offset, dropped

@@ -475,10 +475,11 @@ class JobManager:
     permanently) is *quarantined* -- a ``ReplicaFailed`` event, not a job
     failure -- and the job completes over the replicas that did finish;
     only a job with zero surviving replicas fails.  With a
-    :class:`~repro.service.journal.JobJournal` attached, every lifecycle
-    transition is journalled durably and :meth:`recover` resubmits the
-    jobs a dead service left unfinished (their completed replicas replay
-    from the cache, so only the missing ones are recomputed).
+    :class:`~repro.service.journal.JobJournal` attached, every job
+    submission, recovery and terminal transition is journalled durably
+    and :meth:`recover` resubmits the jobs a dead service left unfinished
+    (their completed replicas replay from the cache, so only the missing
+    ones are recomputed).
     """
 
     def __init__(
@@ -522,9 +523,7 @@ class JobManager:
         self._finished: deque[str] = deque()
         # Job ids stay unique across every service life sharing one
         # journal: numbering continues after the journalled submissions.
-        self._next_job_number = (
-            1 if journal is None else journal.count("job-submitted") + 1
-        )
+        self._next_job_number = 1 if journal is None else journal.submitted + 1
         self._inflight: Dict[str, "asyncio.Future[RunResult]"] = {}
         self._workers: List["asyncio.Task[None]"] = []
         self._cost_rate = _DEFAULT_COST_RATE
@@ -707,7 +706,6 @@ class JobManager:
             priority=handle.priority,
             client=handle.client_id,
             spec=handle.spec.as_document(),
-            keys=keys,
         )
         self._emit(
             handle,
@@ -723,7 +721,7 @@ class JobManager:
             handle.state = JobState.RUNNING
         for index, result in cached.items():
             self.metrics.replicas_from_cache += 1
-            self._record(handle, index, keys[index], result, SOURCE_CACHE)
+            self._record(handle, index, result, SOURCE_CACHE)
         for index, key in enumerate(keys):
             if index in cached:
                 continue
@@ -743,10 +741,10 @@ class JobManager:
 
         Each unfinished job (submitted but never terminal, and not already
         recovered by a previous service life) is resubmitted with its
-        original priority, bypassing admission control.  Replicas the
-        journal recorded as complete are served from the attached
-        :class:`~repro.service.cache.ResultCache` frontier, so only the
-        missing replicas are actually recomputed; the merged result is
+        original priority, bypassing admission control.  Replicas an
+        earlier life finished are served from the attached
+        :class:`~repro.service.cache.ResultCache`, so only the missing
+        replicas are actually recomputed; the merged result is
         bit-identical to an uninterrupted run.
 
         An entry whose spec no longer validates (say, one that overrides a
@@ -876,7 +874,7 @@ class JobManager:
         if handle.finished:
             self.metrics.replicas_skipped_cancelled += 1
             return
-        self._record(handle, unit.replica_index, unit.key, result, source)
+        self._record(handle, unit.replica_index, result, source)
 
     async def _compute(self, unit: _ReplicaUnit) -> Optional[RunResult]:
         """Run one replica (with retries), publishing the in-flight future."""
@@ -939,14 +937,6 @@ class JobManager:
                         backoff_s=backoff,
                     ),
                 )
-                self._journal_record(
-                    handle,
-                    "replica-retried",
-                    job=handle.job_id,
-                    replica=unit.replica_index,
-                    attempt=attempt,
-                    error=repr(error),
-                )
                 if backoff > 0:
                     await self._sleep(backoff)
                 continue
@@ -973,7 +963,6 @@ class JobManager:
         self,
         handle: JobHandle,
         replica_index: int,
-        key: str,
         result: RunResult,
         source: str,
     ) -> None:
@@ -981,14 +970,6 @@ class JobManager:
         assert results is not None
         results[replica_index] = result
         handle.completed_replicas = len(results)
-        self._journal_record(
-            handle,
-            "replica-completed",
-            job=handle.job_id,
-            replica=replica_index,
-            key=key,
-            source=source,
-        )
         self._emit(
             handle,
             ReplicaCompleted(
@@ -1024,14 +1005,6 @@ class JobManager:
         permanent = not is_transient(error)
         handle._failures[replica_index] = repr(error)
         self.metrics.replicas_quarantined += 1
-        self._journal_record(
-            handle,
-            "replica-failed",
-            job=handle.job_id,
-            replica=replica_index,
-            attempts=attempts,
-            error=repr(error),
-        )
         self._emit(
             handle,
             ReplicaFailed(

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest

@@ -12,6 +12,7 @@ from repro.service.cache import ResultCache, replica_key
 from repro.service.cli import _make_manager, build_parser, main, parse_request
 from repro.service.journal import JobJournal
 from repro.service.metrics import validate_metrics_snapshot
+from tests.service.journal_files import journal_count
 
 
 class TestParseRequest:
@@ -184,26 +185,28 @@ class TestFaultToleranceFlags:
         journal_dir = str(tmp_path / "journal")
         assert main(["oltp,scale=0.05", "--quiet", "--journal-dir", journal_dir]) == 0
         capsys.readouterr()
-        with JobJournal(tmp_path / "journal" / "journal.jsonl") as journal:
-            assert journal.count("job-submitted") == 1
-            assert journal.count("job-completed") == 1
+        journal_path = tmp_path / "journal" / "journal.jsonl"
+        assert journal_count(journal_path, "job-submitted") == 1
+        assert journal_count(journal_path, "job-completed") == 1
+        # The header and the job's two records: nothing per replica.
+        assert len(journal_path.read_bytes().splitlines()) == 3
+        with JobJournal(journal_path) as journal:
             assert journal.unfinished_jobs() == []
 
     def test_serve_recovers_unfinished_jobs_from_the_journal(
         self, tmp_path, capsys
     ):
-        # A previous service life died mid-sweep: replica 0 of a 2-replica
-        # job is journalled + cached, the rest is missing.
+        # A previous service life died mid-sweep: the 2-replica job is
+        # journalled, replica 0 is cached, the rest is missing.
         spec = ExperimentSpec.make(
             "oltp", scale=0.05, perturbation_replicas=2
         )
         config, profile = spec.config(), spec.profile()
-        keys = [replica_key(config, profile, index) for index in range(2)]
         from repro.parallel.jobs import ReplicaJob, execute_replica_job
 
         cache_dir = tmp_path / "cache"
         ResultCache(cache_dir).put(
-            keys[0],
+            replica_key(config, profile, 0),
             execute_replica_job(
                 ReplicaJob(config=config, profile=profile, replica_index=0)
             ),
@@ -212,18 +215,7 @@ class TestFaultToleranceFlags:
         journal_dir.mkdir()
         with JobJournal(journal_dir / "journal.jsonl") as journal:
             journal.append(
-                "job-submitted",
-                job="job-1",
-                priority=0,
-                spec=spec.as_document(),
-                keys=keys,
-            )
-            journal.append(
-                "replica-completed",
-                job="job-1",
-                replica=0,
-                key=keys[0],
-                source="computed",
+                "job-submitted", job="job-1", priority=0, spec=spec.as_document()
             )
 
         code = main(
@@ -245,4 +237,4 @@ class TestFaultToleranceFlags:
         assert "computed=2 cached=1" in out
         with JobJournal(journal_dir / "journal.jsonl") as journal:
             assert journal.unfinished_jobs() == []
-            assert journal.count("job-recovered") == 1
+        assert journal_count(journal_dir / "journal.jsonl", "job-recovered") == 1

@@ -61,6 +61,11 @@ from repro.service.manager import (
 )
 from repro.service.metrics import validate_metrics_snapshot
 from tests.service.backends import InlinePoolBackend, process_exists
+from tests.service.journal_files import (
+    journal_count,
+    journal_records,
+    write_parent_format_journal,
+)
 
 SCALE = 0.05
 
@@ -389,9 +394,8 @@ class TestContainsFaultSite:
 class TestJournalDegradation:
     def test_journal_fault_degrades_but_the_job_completes(self, tmp_path):
         plan = FaultPlan([Fault(SITE_JOURNAL_APPEND, 2, KIND_IO_ERROR)])
-        journal = JobJournal(
-            tmp_path / "journal.jsonl", fsync=False, fault_plan=plan
-        )
+        journal_path = tmp_path / "journal.jsonl"
+        journal = JobJournal(journal_path, fault_plan=plan)
 
         async def scenario():
             async with JobManager(journal=journal, sleep=_no_sleep) as manager:
@@ -407,10 +411,11 @@ class TestJournalDegradation:
         assert len(degraded) == 1 and degraded[0].component == "journal"
         health = manager.health()
         assert health["degraded"] and "journal" in health["components"]
-        # The journal stopped at the fault: submission recorded, nothing
-        # after it -- and no job was failed because of it.
-        assert journal.count("job-submitted") == 1
-        assert journal.count("replica-completed") == 0
+        # The journal stopped at the fault: submission recorded, the
+        # completion (the second append) lost -- and no job was failed
+        # because of it.
+        assert journal_count(journal_path, "job-submitted") == 1
+        assert journal_count(journal_path, "job-completed") == 0
         assert manager.metrics.jobs_failed == 0
 
 
@@ -419,31 +424,20 @@ class TestJournalRecovery:
         self, tmp_path
     ):
         config, profile = SPEC3.config(), SPEC3.profile()
-        keys = [replica_key(config, profile, index) for index in range(3)]
-        # First service life: replica 0 completed (journalled + cached),
-        # then the process died without a terminal record.
+        # First service life: replica 0 completed (and was cached), then
+        # the process died without a terminal record.
         cache_dir = tmp_path / "cache"
         first_cache = ResultCache(cache_dir)
         first_cache.put(
-            keys[0],
+            replica_key(config, profile, 0),
             execute_replica_job(
                 ReplicaJob(config=config, profile=profile, replica_index=0)
             ),
         )
-        with JobJournal(tmp_path / "journal.jsonl", fsync=False) as journal:
+        journal_path = tmp_path / "journal.jsonl"
+        with JobJournal(journal_path) as journal:
             journal.append(
-                "job-submitted",
-                job="job-1",
-                priority=0,
-                spec=SPEC3.as_document(),
-                keys=keys,
-            )
-            journal.append(
-                "replica-completed",
-                job="job-1",
-                replica=0,
-                key=keys[0],
-                source="computed",
+                "job-submitted", job="job-1", priority=0, spec=SPEC3.as_document()
             )
 
         # Second life: recover() resubmits the unfinished job; replica 0
@@ -458,7 +452,7 @@ class TestJournalRecovery:
                 results = [await handle.result() for handle in handles]
                 return manager, handles, streams, results
 
-        journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)
+        journal = JobJournal(journal_path)
         cache = ResultCache(cache_dir)
         manager, handles, streams, results = asyncio.run(
             scenario(journal, cache)
@@ -471,8 +465,8 @@ class TestJournalRecovery:
         assert manager.backend.submissions == 2
         assert manager.metrics.replicas_from_cache == 1
         assert manager.metrics.jobs_recovered == 1
-        assert journal.count("job-recovered") == 1
-        assert journal.count("job-completed") == 1
+        assert journal_count(journal_path, "job-recovered") == 1
+        assert journal_count(journal_path, "job-completed") == 1
         assert journal.unfinished_jobs() == []
         snapshot = manager.snapshot()
         validate_metrics_snapshot(snapshot)
@@ -481,11 +475,12 @@ class TestJournalRecovery:
     def test_killed_service_recovers_from_journal_and_cache(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
 
-        # First life: a real one-worker pool.  Once the first replica lands,
-        # SIGKILL the worker and abandon the manager before it can observe
-        # the crash -- no retry, no terminal record, as if the service died.
+        # First life: a real one-worker pool.  Once the first replica lands
+        # in the disk cache, SIGKILL the worker and abandon the manager
+        # before it can observe the crash -- no retry, no terminal record,
+        # as if the service died.
         async def crash():
-            journal = JobJournal(journal_path, fsync=False)
+            journal = JobJournal(journal_path)
             backend = WorkerPoolBackend(max_workers=1)
             manager = JobManager(
                 cache=ResultCache(tmp_path / "cache"),
@@ -496,18 +491,21 @@ class TestJournalRecovery:
             manager.submit(SPEC3)
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 120.0
-            while journal.count("replica-completed") < 1 and loop.time() < deadline:
+            metrics = manager.metrics
+            while metrics.replicas_computed < 1 and loop.time() < deadline:
                 await asyncio.sleep(0.005)
             for pid in backend.worker_pids:
                 os.kill(pid, signal.SIGKILL)
             await manager.aclose()
             journal.close()
-            return journal.count("replica-completed")
+            return metrics.replicas_computed
 
         completed_before = asyncio.run(crash())
         assert completed_before >= 1
+        assert journal_count(journal_path, "job-submitted") == 1
+        assert journal_count(journal_path, "job-completed") == 0
         with open(journal_path, "ab") as handle:
-            handle.write(b'deadbeef {"type":"replica-comp')
+            handle.write(b'deadbeef {"type":"job-compl')
 
         # Second life over the same journal and cache directory.
         async def recover(journal):
@@ -522,7 +520,7 @@ class TestJournalRecovery:
                 results = [await handle.result() for handle in handles]
                 return manager, streams, results
 
-        journal = JobJournal(journal_path, fsync=False)
+        journal = JobJournal(journal_path)
         assert journal.torn_bytes_dropped > 0
         manager, streams, results = asyncio.run(recover(journal))
         journal.close()
@@ -544,17 +542,11 @@ class TestJournalRecovery:
         # it is still recovered.
         stale = SPEC.as_document()
         stale["overrides"] = [[name, value]]
-        key = replica_key(SPEC.config(), SPEC.profile(), 0)
-        with JobJournal(tmp_path / "journal.jsonl", fsync=False) as journal:
+        journal_path = tmp_path / "journal.jsonl"
+        with JobJournal(journal_path) as journal:
+            journal.append("job-submitted", job="job-1", priority=0, spec=stale)
             journal.append(
-                "job-submitted", job="job-1", priority=0, spec=stale, keys=[key]
-            )
-            journal.append(
-                "job-submitted",
-                job="job-2",
-                priority=0,
-                spec=SPEC.as_document(),
-                keys=[key],
+                "job-submitted", job="job-2", priority=0, spec=SPEC.as_document()
             )
 
         async def scenario(journal):
@@ -566,23 +558,54 @@ class TestJournalRecovery:
                 results = [await handle.result() for handle in handles]
                 return manager, handles, results
 
-        journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)
+        journal = JobJournal(journal_path)
         manager, handles, results = asyncio.run(scenario(journal))
         journal.close()
         assert results == [_clean_result(SPEC)]
         assert manager.metrics.jobs_failed == 1
         assert manager.metrics.jobs_recovered == 1
-        states = journal.job_states()
-        assert states["job-1"].terminal == "job-failed"
-        assert states["job-2"].recovered_to == handles[0].job_id
         assert journal.unfinished_jobs() == []
-        (failed,) = [r for r in journal.records if r["type"] == "job-failed"]
+        (recovered,) = journal_records(journal_path, "job-recovered")
+        assert (recovered["from"], recovered["job"]) == ("job-2", handles[0].job_id)
+        (failed,) = journal_records(journal_path, "job-failed")
         assert failed["job"] == "job-1"
         assert name in failed["error"]
 
+    def test_parent_format_journal_recovers_and_numbering_continues(self, tmp_path):
+        # A journal written before replica records were dropped (sequence
+        # numbers, replica keys, replica records): its unfinished job is
+        # recovered with its priority and client lane, under the next id.
+        config, profile = SPEC2.config(), SPEC2.profile()
+        keys = [replica_key(config, profile, index) for index in range(2)]
+        journal_path = tmp_path / "journal.jsonl"
+        write_parent_format_journal(journal_path, SPEC2.as_document(), keys)
+
+        async def scenario(journal):
+            async with JobManager(
+                backend=InlinePoolBackend(), journal=journal, sleep=_no_sleep
+            ) as manager:
+                handles = manager.recover()
+                await manager.drain()
+                streams = [await _collect(handle) for handle in handles]
+                results = [await handle.result() for handle in handles]
+                return manager, handles, streams, results
+
+        journal = JobJournal(journal_path)
+        manager, handles, streams, results = asyncio.run(scenario(journal))
+        journal.close()
+        (handle,) = handles
+        assert handle.job_id == "job-3"  # numbering continues
+        assert (handle.priority, handle.client_id) == (3, "alice")
+        _assert_contract(streams[0], max_attempts=manager.max_attempts)
+        assert results == [_clean_result(SPEC2)]
+        assert journal.unfinished_jobs() == []
+        (recovered,) = journal_records(journal_path, "job-recovered")
+        assert (recovered["from"], recovered["job"]) == ("job-2", "job-3")
+        assert journal_count(journal_path, "job-completed") == 2
+
     def test_recover_is_a_noop_without_unfinished_work(self, tmp_path):
         async def scenario():
-            journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)
+            journal = JobJournal(tmp_path / "journal.jsonl")
             async with JobManager(journal=journal, sleep=_no_sleep) as manager:
                 assert manager.recover() == []
             journal.close()
@@ -636,9 +659,19 @@ class TestEventContractUnderRandomFaults:
                 return manager, handles, streams
 
         with tempfile.TemporaryDirectory() as root:
-            journal = JobJournal(Path(root) / "journal.jsonl", fsync=False)
+            journal_path = Path(root) / "journal.jsonl"
+            journal = JobJournal(journal_path)
             manager, handles, streams = asyncio.run(scenario(journal))
             journal.close()
+            counts = {
+                record_type: journal_count(journal_path, record_type)
+                for record_type in (
+                    "job-submitted",
+                    "job-completed",
+                    "job-cancelled",
+                    "job-failed",
+                )
+            }
 
         for events in streams:
             _assert_contract(events, max_attempts=2)
@@ -647,12 +680,11 @@ class TestEventContractUnderRandomFaults:
         for spec, handle, events in zip(self.SPECS, handles, streams):
             if isinstance(events[-1], JobCompleted) and not handle.quarantined:
                 assert events[-1].result == _clean_result(spec)
-        # Journal and metrics agree on every lifecycle count.
+        # Journal and metrics agree on every job lifecycle count.
         metrics = manager.metrics
-        assert journal.count("replica-retried") == metrics.replicas_retried
-        assert journal.count("replica-failed") == metrics.replicas_quarantined
-        assert journal.count("job-completed") == metrics.jobs_completed
-        assert journal.count("job-cancelled") == metrics.jobs_cancelled
-        assert journal.count("job-failed") == metrics.jobs_failed
-        assert journal.count("job-submitted") == metrics.jobs_submitted == 3
+        assert counts["job-completed"] == metrics.jobs_completed
+        assert counts["job-cancelled"] == metrics.jobs_cancelled
+        assert counts["job-failed"] == metrics.jobs_failed
+        assert counts["job-submitted"] == metrics.jobs_submitted == 3
+        assert journal.unfinished_jobs() == []
         validate_metrics_snapshot(manager.snapshot())

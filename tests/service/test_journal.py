@@ -2,37 +2,47 @@
 
 The headline properties: every whole record survives a reopen; a torn
 tail -- a half-written line, a checksum mismatch, a truncated JSON body --
-is truncated in place instead of poisoning the journal; the replay state
-machine reconstructs exactly which jobs and replicas are unfinished; and
-an incompatible schema is refused loudly rather than misread.
+is truncated in place instead of poisoning the journal; folding the
+records yields exactly the unfinished jobs and the submission count, also
+for a journal written in the older format with replica records; the
+journal's memory does not grow with the jobs it has finished; and an
+incompatible schema is refused loudly rather than misread.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from repro.api.spec import ExperimentSpec
 from repro.service.faults import SITE_JOURNAL_APPEND, Fault, FaultPlan
 from repro.service.journal import (
     JOURNAL_SCHEMA_VERSION,
     JobJournal,
+    JournaledJob,
     JournalError,
     decode_line,
     encode_record,
-    replay_records,
+)
+from tests.service.journal_files import (
+    journal_count,
+    journal_records,
+    write_parent_format_journal,
 )
 
 
-def _submit(journal, job="job-1", replicas=3):
-    keys = [f"{job}-key-{index}" for index in range(replicas)]
-    journal.append(
-        "job-submitted", job=job, priority=0, spec={"workload": "oltp"}, keys=keys
-    )
-    return keys
+def _submit(journal, job="job-1"):
+    journal.append("job-submitted", job=job, priority=0, spec={"workload": "oltp"})
+
+
+def _unfinished_ids(journal):
+    return [entry.job_id for entry in journal.unfinished_jobs()]
 
 
 class TestWireFormat:
     def test_encode_decode_round_trip(self):
-        record = {"type": "job-submitted", "job": "job-1", "keys": ["k"]}
+        record = {"type": "job-submitted", "job": "job-1", "priority": 0}
         assert decode_line(encode_record(record)) == record
 
     def test_missing_newline_is_torn(self):
@@ -65,24 +75,29 @@ class TestJournalLifecycle:
     def test_records_survive_close_and_reopen(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with JobJournal(path) as journal:
-            keys = _submit(journal)
-            journal.append(
-                "replica-completed", job="job-1", replica=0, key=keys[0], source="c"
-            )
+            _submit(journal, job="job-1")
+            _submit(journal, job="job-2")
+            journal.append("job-completed", job="job-1")
         with JobJournal(path) as reopened:
             assert reopened.torn_bytes_dropped == 0
-            assert reopened.count("job-submitted") == 1
-            assert reopened.count("replica-completed") == 1
-            assert reopened.records[0]["type"] == "header"
-            assert reopened.records[0]["schema_version"] == JOURNAL_SCHEMA_VERSION
+            assert reopened.submitted == 2
+            assert _unfinished_ids(reopened) == ["job-2"]
+        (header,) = journal_records(path, "header")
+        assert header["schema_version"] == JOURNAL_SCHEMA_VERSION
+        assert journal_count(path, "job-submitted") == 2
 
-    def test_sequence_numbers_continue_across_lives(self, tmp_path):
+    def test_submission_count_continues_across_lives(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with JobJournal(path) as journal:
-            _submit(journal)
+            _submit(journal, job="job-1")
         with JobJournal(path) as reopened:
-            record = reopened.append("job-cancelled", job="job-1")
-            assert record["n"] == 2  # header, job-submitted, then this
+            assert reopened.submitted == 1
+            _submit(reopened, job="job-2")
+            assert reopened.submitted == 2
+        with JobJournal(path) as final:
+            assert final.submitted == 2
+            assert _unfinished_ids(final) == ["job-1", "job-2"]
+        assert len(journal_records(path, "header")) == 1
 
     def test_unknown_record_type_rejected(self, tmp_path):
         with JobJournal(tmp_path / "journal.jsonl") as journal:
@@ -124,7 +139,7 @@ class TestTornTail:
         with JobJournal(path) as reopened:
             assert reopened.torn_bytes_dropped > 0
             assert reopened.torn_records_dropped == 1
-            assert reopened.count("job-submitted") == 1
+            assert reopened.submitted == 1
         # Truncated in place: the file is back to its acknowledged prefix.
         assert path.stat().st_size == clean_size
 
@@ -140,8 +155,9 @@ class TestTornTail:
             # Conservative truncation: records after the corrupt line are
             # untrustworthy too, even if individually valid.
             assert reopened.torn_records_dropped == 2
-            assert reopened.count("job-completed") == 0
-            assert reopened.count("job-cancelled") == 0
+            assert _unfinished_ids(reopened) == ["job-1"]
+        assert journal_count(path, "job-completed") == 0
+        assert journal_count(path, "job-cancelled") == 0
 
     def test_reopen_after_truncation_appends_cleanly(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -153,7 +169,8 @@ class TestTornTail:
             reopened.append("job-completed", job="job-1")
         with JobJournal(path) as final:
             assert final.torn_bytes_dropped == 0
-            assert final.count("job-completed") == 1
+            assert final.unfinished_jobs() == []
+        assert journal_count(path, "job-completed") == 1
 
     def test_injected_torn_write_is_truncated_on_reopen(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -161,67 +178,84 @@ class TestTornTail:
         with JobJournal(path, fault_plan=plan) as journal:
             _submit(journal)  # invocation 1: fine
             with pytest.raises(OSError, match="torn write"):
-                journal.append("replica-completed", job="job-1", replica=0)
+                journal.append("job-completed", job="job-1")
+            # The unacknowledged record changed nothing.
+            assert _unfinished_ids(journal) == ["job-1"]
         with JobJournal(path) as reopened:
             assert reopened.torn_bytes_dropped > 0
-            assert reopened.count("job-submitted") == 1
-            assert reopened.count("replica-completed") == 0
+            assert reopened.submitted == 1
+            assert _unfinished_ids(reopened) == ["job-1"]
+        assert journal_count(path, "job-completed") == 0
 
 
 class TestReplay:
-    def test_unfinished_job_reports_missing_replicas(self, tmp_path):
-        with JobJournal(tmp_path / "journal.jsonl") as journal:
-            keys = _submit(journal, replicas=3)
-            journal.append(
-                "replica-completed", job="job-1", replica=0, key=keys[0], source="c"
-            )
-            journal.append(
-                "replica-failed", job="job-1", replica=1, attempts=3, error="boom"
-            )
-            unfinished = journal.unfinished_jobs()
-            assert [entry.job_id for entry in unfinished] == ["job-1"]
-            entry = unfinished[0]
-            assert entry.completed == {0: keys[0]}
-            assert entry.failed == {1: "boom"}
-            assert entry.missing_replicas() == [2]
-            assert not entry.finished
-
     def test_terminal_jobs_are_finished(self, tmp_path):
         with JobJournal(tmp_path / "journal.jsonl") as journal:
-            _submit(journal, job="job-1")
-            _submit(journal, job="job-2")
+            for job in ("job-1", "job-2", "job-3", "job-4"):
+                _submit(journal, job=job)
             journal.append("job-completed", job="job-1")
             journal.append("job-cancelled", job="job-2")
-            assert journal.unfinished_jobs() == []
-            states = journal.job_states()
-            assert states["job-1"].terminal == "job-completed"
-            assert states["job-2"].terminal == "job-cancelled"
+            journal.append("job-failed", job="job-3", error="boom")
+            assert _unfinished_ids(journal) == ["job-4"]
+            assert journal.submitted == 4
 
     def test_recovered_jobs_are_not_recovered_twice(self, tmp_path):
         with JobJournal(tmp_path / "journal.jsonl") as journal:
             _submit(journal, job="job-1")
             _submit(journal, job="job-2")
             journal.append("job-recovered", job="job-2", **{"from": "job-1"})
-            unfinished = journal.unfinished_jobs()
             # job-1 was resubmitted as job-2; only job-2 is still live.
-            assert [entry.job_id for entry in unfinished] == ["job-2"]
-            assert journal.job_states()["job-1"].recovered_to == "job-2"
+            assert _unfinished_ids(journal) == ["job-2"]
 
-    def test_retry_records_keep_the_highest_attempt(self, tmp_path):
+    def test_terminal_records_for_unknown_jobs_are_ignored(self, tmp_path):
         with JobJournal(tmp_path / "journal.jsonl") as journal:
-            _submit(journal)
-            journal.append(
-                "replica-retried", job="job-1", replica=0, attempt=1, error="a"
-            )
-            journal.append(
-                "replica-retried", job="job-1", replica=0, attempt=2, error="b"
-            )
-            entry = journal.job_states()["job-1"]
-            assert entry.retries == {0: 2}
+            _submit(journal, job="job-1")
+            journal.append("job-completed", job="ghost")
+            journal.append("job-recovered", job="job-2", **{"from": "ghost"})
+            assert _unfinished_ids(journal) == ["job-1"]
 
-    def test_replica_records_for_unknown_jobs_are_ignored(self):
-        records = [
-            {"type": "replica-completed", "job": "ghost", "replica": 0, "key": "k"},
-            {"type": "job-completed", "job": "ghost"},
-        ]
-        assert replay_records(records) == {}
+    def test_parent_format_journal_is_read(self, tmp_path):
+        # A journal written before replica records were dropped: its
+        # replica records and its ``n`` and ``keys`` fields are skipped.
+        path = tmp_path / "journal.jsonl"
+        spec = {"workload": "oltp"}
+        write_parent_format_journal(path, spec, ["key-0", "key-1"])
+        with JobJournal(path) as journal:
+            assert journal.torn_bytes_dropped == 0
+            assert journal.submitted == 2
+            assert journal.unfinished_jobs() == [
+                JournaledJob(job_id="job-2", priority=3, spec=spec, client="alice")
+            ]
+            journal.append("job-completed", job="job-2")
+        with JobJournal(path) as reopened:
+            assert reopened.submitted == 2
+            assert reopened.unfinished_jobs() == []
+
+
+class TestBoundedMemory:
+    def test_memory_does_not_grow_with_finished_jobs(self, tmp_path):
+        # Every append is fsync'd, so the bound is checked over thousands
+        # of jobs, not millions.  Growth is measured from 2,000 to 4,000
+        # finished jobs, after any one-off allocation has happened.
+        spec = ExperimentSpec.make("oltp", scale=0.05).as_document()
+
+        def finish(journal, numbers):
+            for number in numbers:
+                journal.append(
+                    "job-submitted", job=f"job-{number}", priority=0, spec=spec
+                )
+                journal.append("job-completed", job=f"job-{number}")
+
+        with JobJournal(tmp_path / "journal.jsonl") as journal:
+            finish(journal, range(1, 2001))
+            tracemalloc.start()
+            try:
+                before, _peak = tracemalloc.get_traced_memory()
+                finish(journal, range(2001, 4001))
+                after, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # A journal that kept its records would grow by about 2 MiB here.
+            assert after - before < 64 * 1024
+            assert journal.unfinished_jobs() == []
+            assert journal.submitted == 4000
