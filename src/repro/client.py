@@ -33,11 +33,16 @@ a response's status line and headers are read from a buffered reader,
 and its body is framed by ``Content-Length`` or chunked encoding.  A
 response that ends early -- an empty status line, a body shorter than
 its framing -- raises :class:`ConnectionError` and its connection is
-discarded.  With the gateway writing each batch of events in one write,
-a cache hit costs two sends at each end; on perfbench ``service-mix``
-(two closed-loop clients, 95% cache hits, a 2-vCPU shared host,
-host-speed normalised) the hit p50 is 2.44 ms and throughput 302
-requests/s, against 3.78 ms and 248 requests/s through ``http.client``.
+discarded.
+
+A cache hit is one round trip.  A job whose every replica came from
+the result cache is complete when the gateway answers its submission,
+and that ``202`` carries the merged result.  Each thread keeps the
+result of its latest submission until it waits for that job, and
+:meth:`ServiceClient.wait` then returns it without sending a request.
+Any other job -- a miss, a job cancelled or failed, one submitted
+before the thread's latest submission, or one from a gateway that sends
+no result -- is waited for on its event stream.
 
 Connections are persistent: each thread using a client keeps one idle
 HTTP/1.1 connection to the gateway and sends its next request on it, so
@@ -157,23 +162,26 @@ class ServiceClient:
         #: Per thread (by ident): the idle connection its next request uses.
         self._idle: Dict[int, _Connection] = {}
         self._idle_lock = threading.Lock()
+        #: Per thread (by ident): ``(job_id, result)`` of its latest
+        #: submission, when the ``202`` carried the result.
+        self._completed: Dict[int, Tuple[str, RunResult]] = {}
 
     # -------------------------------------------------------------- verbs
-    def submit(
-        self, spec: ExperimentSpec, *, priority: int = 0
-    ) -> SubmitAccepted:
+    def submit(self, spec: ExperimentSpec, *, priority: int = 0) -> SubmitAccepted:
         """``POST /v1/jobs``; raises :class:`ServiceRejectedError` on 429."""
-        request = SubmitRequest(
-            spec=spec, priority=priority, client_id=self.client_id
-        )
-        status, document = self._request(
-            "POST", "/v1/jobs", body=request.to_wire()
-        )
+        request = SubmitRequest(spec=spec, priority=priority, client_id=self.client_id)
+        status, document = self._request("POST", "/v1/jobs", body=request.to_wire())
         if status == 429:
             raise ServiceRejectedError(SubmitRejected.from_wire(document))
         if status != 202:
             raise ServiceClientError(status, _error_text(document))
-        return SubmitAccepted.from_wire(document)
+        accepted = SubmitAccepted.from_wire(document)
+        ident = threading.get_ident()
+        if accepted.result is None:
+            self._completed.pop(ident, None)
+        else:
+            self._completed[ident] = (accepted.job_id, accepted.result)
+        return accepted
 
     def status(self, job_id: str) -> JobStatus:
         """``GET /v1/jobs/{id}``; raises :class:`JobGoneError` on 410."""
@@ -226,12 +234,22 @@ class ServiceClient:
                 connection.close()
 
     def wait(self, job_id: str) -> RunResult:
-        """Follow the event stream to completion and return the result.
+        """The job's result.
+
+        The first wait on this thread's latest submission, if that job
+        completed at admission, returns the result its ``202`` carried
+        and sends no request; any other wait follows the job's event
+        stream to its terminal event.
 
         Raises :class:`~repro.service.manager.JobCancelledError` if the
         job was cancelled, :class:`JobGoneError` if the gateway no longer
         holds it, and :class:`ServiceClientError` if it failed.
         """
+        ident = threading.get_ident()
+        completed = self._completed.get(ident)
+        if completed is not None and completed[0] == job_id:
+            del self._completed[ident]
+            return completed[1]
         for event in self.stream(job_id):
             if isinstance(event, JobCompleted):
                 return event.result

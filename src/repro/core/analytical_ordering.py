@@ -108,9 +108,10 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         #: attach(); avoids a handler dict lookup and an arrival-hops
         #: multiply per delivery on the ordered fan-out path.
         self._rows_by_source: Dict[int, list] = {}
-        #: broadcast trees are a pure function of the source; memoised
-        #: exactly as the detailed network does.
-        self._trees: Dict[int, object] = {}
+        #: source -> (broadcast tree, its link count); both are a pure
+        #: function of the source, memoised exactly as the detailed
+        #: network does.
+        self._trees: Dict[int, tuple] = {}
         self._delivery_scratch = OrderedDelivery(
             message=None, endpoint=0, arrival_time=0, ordered_time=0, logical_time=0
         )
@@ -145,12 +146,13 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             raise ValueError("slack must be non-negative")
         source = message.src
         message.sent_at = self.now
-        tree = self._trees.get(source)
-        if tree is None:
+        memo = self._trees.get(source)
+        if memo is None:
             tree = self.topology.broadcast_tree(source)
-            self._trees[source] = tree
+            memo = self._trees[source] = (tree, tree.link_count())
+        tree, link_count = memo
         if self.accountant is not None:
-            self.accountant.record(message, tree.link_count())
+            self.accountant.record(message, link_count)
         self._ctr_broadcasts.increment()
 
         jitter = 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ordering_queue import OrderingQueue, PendingTransaction
 from repro.core.token_switch import BufferedTransaction, TokenSwitch
@@ -147,7 +147,8 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         self.ports: Dict[int, _EndpointPort] = {
             ep: _EndpointPort(ep) for ep in topology.endpoints()
         }
-        self._trees: Dict[int, BroadcastTree] = {}
+        #: source -> (broadcast tree, its link count), built on first use.
+        self._trees: Dict[int, Tuple[BroadcastTree, int]] = {}
         #: Retired hop-copy shells, reused by :meth:`_copy_factory` so the
         #: per-hop fan-out stops allocating one BufferedTransaction per
         #: branch per switch.
@@ -188,10 +189,14 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         if slack is None:
             slack = self.default_slack
         source = message.src
-        tree = self._tree(source)
+        memo = self._trees.get(source)
+        if memo is None:
+            tree = self.topology.broadcast_tree(source)
+            memo = self._trees[source] = (tree, tree.link_count())
+        tree, link_count = memo
         message.sent_at = self.now
         if self.accountant is not None:
-            self.accountant.record(message, tree.link_count())
+            self.accountant.record(message, link_count)
         self._ctr_broadcasts.increment()
         self._sequence += 1
         transaction = self._copy_factory(
@@ -380,9 +385,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                     arg=(node, outputs),
                 )
 
-    def _release(
-        self, port: _EndpointPort, released: List[PendingTransaction]
-    ) -> None:
+    def _release(self, port: _EndpointPort, released: List[PendingTransaction]) -> None:
         for entry in released:
             message: Message = entry.payload
             if port.ordered_handler is None:
@@ -399,8 +402,3 @@ class TimestampAddressNetwork(AddressNetworkInterface):
     # ------------------------------------------------------------- inspection
     def guarantee_time(self, endpoint: int) -> int:
         return self.ports[endpoint].queue.guarantee_time
-
-    def _tree(self, source: int) -> BroadcastTree:
-        if source not in self._trees:
-            self._trees[source] = self.topology.broadcast_tree(source)
-        return self._trees[source]

@@ -113,9 +113,7 @@ class TokenSwitch:
         return self.tokens_propagated
 
     # -------------------------------------------------------- transactions
-    def receive_transaction(
-        self, port: str, transaction: BufferedTransaction
-    ) -> None:
+    def receive_transaction(self, port: str, transaction: BufferedTransaction) -> None:
         """A transaction entered on ``port``: apply rule 1 and buffer it."""
         if port not in self.token_counts:
             raise KeyError(f"{self.name}: unknown input port {port!r}")

@@ -214,9 +214,7 @@ class WallClockRule(DeterminismRule):
                             f"wall-clock import time.{alias.name}: simulated "
                             "time comes from Simulator.now",
                         )
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.value, ast.Name
-            ):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 base, attr = node.value.id, node.attr
                 if (base == "time" and attr in _WALL_CLOCK_TIME) or (
                     base in ("datetime", "date")

@@ -286,9 +286,7 @@ def lint_source(
     findings: List[Finding] = []
     suppressions = parse_directives(source)
     for line, message in suppressions.malformed:
-        findings.append(
-            Finding(BAD_DIRECTIVE, SEVERITY_ERROR, path, line, 1, message)
-        )
+        findings.append(Finding(BAD_DIRECTIVE, SEVERITY_ERROR, path, line, 1, message))
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:

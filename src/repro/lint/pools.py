@@ -203,11 +203,11 @@ class _FunctionWalker:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             value = stmt.value
             acquire = _pool_method_call(value, "acquire") if value else None
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            if acquire is not None and len(targets) == 1 and isinstance(
-                targets[0], ast.Name
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            if (
+                acquire is not None
+                and len(targets) == 1
+                and isinstance(targets[0], ast.Name)
             ):
                 self._apply_transfers(acquire, state)
                 name = targets[0].id

@@ -138,9 +138,7 @@ class DataNetwork(Component):
         else:
             handler = self._receivers.get(dst)
             if handler is None:
-                raise ValueError(
-                    f"{self.name}: no receiver attached for node {dst}"
-                )
+                raise ValueError(f"{self.name}: no receiver attached for node {dst}")
         route = message.src * self._route_stride + dst
         cached = self._routes.get(route)
         if cached is None:

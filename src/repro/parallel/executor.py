@@ -89,9 +89,7 @@ def run_replica_jobs(
     chunksize = max(1, len(specs) // (workers * 4))
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(execute_replica_job, specs, chunksize=chunksize)
-            )
+            return list(pool.map(execute_replica_job, specs, chunksize=chunksize))
     except BrokenProcessPool as error:
         raise WorkerPoolError(
             worker_crash_message(f"running {len(specs)} replica job(s)")

@@ -58,9 +58,7 @@ _StreamKey = Tuple[WorkloadProfile, int, int]
 _STREAM_CACHE: "OrderedDict[_StreamKey, List[Sequence[Reference]]]" = OrderedDict()
 
 
-def stream_cache_key(
-    profile: WorkloadProfile, config: SystemConfig
-) -> _StreamKey:
+def stream_cache_key(profile: WorkloadProfile, config: SystemConfig) -> _StreamKey:
     return (profile, config.num_nodes, config.seed)
 
 
@@ -89,9 +87,7 @@ def clear_stream_cache() -> None:
     _STREAM_CACHE.clear()
 
 
-def replica_perturbation(
-    config: SystemConfig, replica_index: int
-) -> PerturbationModel:
+def replica_perturbation(config: SystemConfig, replica_index: int) -> PerturbationModel:
     """The perturbation model of replica ``replica_index`` of ``config``."""
     replicas = list(
         PerturbationModel.replicas(

@@ -47,9 +47,7 @@ def expand_entry(
 ) -> List[ReplicaJob]:
     """All replica jobs for one experiment entry."""
     return [
-        ReplicaJob(
-            config=config, profile=profile, replica_index=index, streams=streams
-        )
+        ReplicaJob(config=config, profile=profile, replica_index=index, streams=streams)
         for index in range(config.perturbation_replicas)
     ]
 

@@ -217,9 +217,7 @@ def _run_one(
     for core in (0, 1):
         records = observations[core]
         system.controllers[core].load_observer = (
-            lambda block, version, _records=records: _records.append(
-                (block, version)
-            )
+            lambda block, version, _records=records: _records.append((block, version))
         )
 
     for processor in system.processors:

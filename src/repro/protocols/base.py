@@ -198,9 +198,7 @@ class CacheControllerBase(Component, ABC):
         self._hist_miss_latency = self.stats.histogram("miss_latency", bin_width=20)
 
     # ------------------------------------------------------------ processor
-    def access(
-        self, block: int, access_type: AccessType, done: DoneCallback
-    ) -> None:
+    def access(self, block: int, access_type: AccessType, done: DoneCallback) -> None:
         """Handle one processor reference to ``block``."""
         # _is_hit is inlined here: this runs once per reference.
         state = self._state_of(block)

@@ -125,9 +125,7 @@ class DirectoryCacheController(CacheControllerBase):
         self._ctr_deferred_forwards = self.stats.counter("deferred_forwards")
         self._ctr_dirty_evictions = self.stats.counter("dirty_evictions")
         self._ctr_forwarded_responses = self.stats.counter("forwarded_responses")
-        self._ctr_invalidations_received = self.stats.counter(
-            "invalidations_received"
-        )
+        self._ctr_invalidations_received = self.stats.counter("invalidations_received")
         self._ctr_nacks_received = self.stats.counter("nacks_received")
         self._ctr_orphan_data = self.stats.counter("orphan_data")
         self._ctr_orphan_inv_ack = self.stats.counter("orphan_inv_ack")
@@ -419,9 +417,7 @@ class DirectoryCacheController(CacheControllerBase):
             access=access_type,
             issue_time=entry.issue_time,
             complete_time=complete_time,
-            source=(
-                MissSource.CACHE if entry.data_from_cache else MissSource.MEMORY
-            ),
+            source=(MissSource.CACHE if entry.data_from_cache else MissSource.MEMORY),
             retries=entry.retries,
         )
         self.record_miss(record)
@@ -541,9 +537,7 @@ class DirectoryMemoryController(Component):
                 entry.state = DirectoryState.BUSY_SHARED
                 entry.busy_for = requester
             else:
-                entry.make_shared(
-                    entry.sharers_mask | (1 << owner) | (1 << requester)
-                )
+                entry.make_shared(entry.sharers_mask | (1 << owner) | (1 << requester))
                 entry.awaiting_data = True
             return
         # Memory owns the block: serve it after the directory+memory access.

@@ -138,9 +138,7 @@ class DirectoryBank:
         return iter(self._entries.items())
 
     def busy_blocks(self) -> Set[int]:
-        return {
-            block for block, entry in self._entries.items() if entry.state.is_busy
-        }
+        return {block for block, entry in self._entries.items() if entry.state.is_busy}
 
     def blocks_owned_by_caches(self) -> Set[int]:
         return {

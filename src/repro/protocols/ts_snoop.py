@@ -144,12 +144,8 @@ class TSSnoopNode(CacheControllerBase):
         self._ctr_address_broadcasts = self.stats.counter("address_broadcasts")
         self._ctr_cache_data_responses = self.stats.counter("cache_data_responses")
         self._ctr_dirty_evictions = self.stats.counter("dirty_evictions")
-        self._ctr_invalidations_observed = self.stats.counter(
-            "invalidations_observed"
-        )
-        self._ctr_memory_data_responses = self.stats.counter(
-            "memory_data_responses"
-        )
+        self._ctr_invalidations_observed = self.stats.counter("invalidations_observed")
+        self._ctr_memory_data_responses = self.stats.counter("memory_data_responses")
         self._ctr_memory_deferred_responses = self.stats.counter(
             "memory_deferred_responses"
         )

@@ -360,9 +360,7 @@ class ResultCache:
             with self._lock:
                 if self._disk_bytes <= self.disk_budget_bytes:
                     return
-                victim = next(
-                    (key for key in self._disk_index if key != protect), None
-                )
+                victim = next((key for key in self._disk_index if key != protect), None)
                 if victim is None:
                     return
                 self._disk_bytes -= self._disk_index.pop(victim)
@@ -445,9 +443,7 @@ class ResultCache:
             target.parent.mkdir(parents=True, exist_ok=True)
             scratch = target.parent / f"{target.name}.tmp{os.getpid()}"
             with open(scratch, "w", encoding="utf-8") as handle:
-                json.dump(
-                    document, handle, sort_keys=True, separators=(",", ":")
-                )
+                json.dump(document, handle, sort_keys=True, separators=(",", ":"))
             os.replace(scratch, target)
             if self.disk_budget_bytes is not None:
                 with self._lock:

@@ -245,9 +245,7 @@ def _parse_weights(entries: Sequence[str]) -> Dict[str, int]:
         name, sep, value = entry.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise ValueError(
-                f"--client-weight wants CLIENT=WEIGHT, got {entry!r}"
-            )
+            raise ValueError(f"--client-weight wants CLIENT=WEIGHT, got {entry!r}")
         try:
             weights[name] = int(value)
         except ValueError:
@@ -349,9 +347,7 @@ async def _serve(
             except AdmissionError as error:
                 failures += 1
                 print(f"rejected {spec.label}: {error}")
-        pumps = [
-            asyncio.create_task(_pump(handle, args.quiet)) for handle in handles
-        ]
+        pumps = [asyncio.create_task(_pump(handle, args.quiet)) for handle in handles]
         await manager.drain()
         if pumps:
             await asyncio.gather(*pumps)

@@ -120,9 +120,7 @@ class DeficitRoundRobinQueue:
         self._gate.set()
 
     # ------------------------------------------------------------- enqueue
-    def put_nowait(
-        self, client_id: str, priority: int, cost: int, item: Any
-    ) -> None:
+    def put_nowait(self, client_id: str, priority: int, cost: int, item: Any) -> None:
         """Enqueue one unit of ``cost`` for ``client_id``.
 
         Within a client, lower ``priority`` dispatches first and ties are

@@ -732,9 +732,7 @@ class JobManager:
                 job=ReplicaJob(config=config, profile=profile, replica_index=index),
                 cost=unit_cost,
             )
-            self._queue.put_nowait(
-                handle.client_id, handle.priority, unit_cost, unit
-            )
+            self._queue.put_nowait(handle.client_id, handle.priority, unit_cost, unit)
 
     def recover(self) -> List[JobHandle]:
         """Resubmit the journal's unfinished jobs; returns their handles.
@@ -1046,9 +1044,7 @@ class JobManager:
         handle.state = JobState.FAILED
         self.metrics.jobs_failed += 1
         handle._error = error
-        self._journal_record(
-            handle, "job-failed", job=handle.job_id, error=repr(error)
-        )
+        self._journal_record(handle, "job-failed", job=handle.job_id, error=repr(error))
         self._retire(handle, JobFailed(handle.job_id, error=repr(error)))
 
     def _retire(self, handle: JobHandle, terminal: JobEvent) -> None:

@@ -7,8 +7,10 @@ wire vocabulary of :mod:`repro.service.wire`:
 Method       Path                       Meaning
 ===========  =========================  =========================================
 ``POST``     ``/v1/jobs``               submit a :class:`~repro.service.wire.SubmitRequest`;
-                                        ``202`` + ``SubmitAccepted``, or ``429`` +
-                                        ``SubmitRejected`` with a ``Retry-After`` header
+                                        ``202`` + ``SubmitAccepted`` (carrying the
+                                        result when every replica was a cache hit),
+                                        or ``429`` + ``SubmitRejected`` with a
+                                        ``Retry-After`` header
 ``GET``      ``/v1/jobs/{id}``          ``JobStatus`` (state, progress, merged result)
 ``DELETE``   ``/v1/jobs/{id}``          cancel; ``CancelResponse``
 ``GET``      ``/v1/jobs/{id}/events``   the job's event stream -- NDJSON by default,
@@ -321,12 +323,16 @@ class GatewayServer:
             )
             retry_after = str(max(1, math.ceil(error.retry_after_s)))
             return 429, rejection.to_wire(), (("Retry-After", retry_after),)
+        result = None
+        if handle.state is JobState.COMPLETED:
+            result = await handle.result()
         accepted = SubmitAccepted(
             job_id=handle.job_id,
             label=handle.spec.label,
             total_replicas=handle.total_replicas,
             priority=handle.priority,
             client_id=handle.client_id,
+            result=result,
         )
         return 202, accepted.to_wire(), ()
 

@@ -133,13 +133,20 @@ class SubmitRequest:
 # --------------------------------------------------------------- responses
 @dataclass(frozen=True)
 class SubmitAccepted:
-    """``202``: the job passed admission and its replicas are queued."""
+    """``202``: the job passed admission and its replicas are queued.
+
+    ``result`` is set when the job completed at admission (every replica
+    came from the result cache), so the caller needs no second request;
+    the key is written only then, and a document without it decodes to
+    ``None``.
+    """
 
     job_id: str
     label: str
     total_replicas: int
     priority: int
     client_id: str
+    result: Optional[RunResult] = None
 
     def to_wire(self) -> Dict[str, Any]:
         document = _envelope(KIND_SUBMIT_ACCEPTED)
@@ -150,18 +157,22 @@ class SubmitAccepted:
             priority=self.priority,
             client=self.client_id,
         )
+        if self.result is not None:
+            document["result"] = result_to_payload(self.result)
         return document
 
     @classmethod
     def from_wire(cls, document: Any) -> "SubmitAccepted":
         body = _check_envelope(document, KIND_SUBMIT_ACCEPTED, "SubmitAccepted")
         try:
+            payload = body.get("result")
             return cls(
                 job_id=body["job_id"],
                 label=body["label"],
                 total_replicas=body["total_replicas"],
                 priority=body["priority"],
                 client_id=body["client"],
+                result=payload_to_result(payload) if payload is not None else None,
             )
         except KeyError as error:
             raise WireError(f"submit acceptance is missing field {error}") from None
@@ -271,9 +282,7 @@ class CancelResponse:
 
     def to_wire(self) -> Dict[str, Any]:
         document = _envelope(KIND_CANCEL_RESPONSE)
-        document.update(
-            job_id=self.job_id, cancelled=self.cancelled, state=self.state
-        )
+        document.update(job_id=self.job_id, cancelled=self.cancelled, state=self.state)
         return document
 
     @classmethod

@@ -59,9 +59,7 @@ class BuiltSystem:
         return sum(controller.total_misses for controller in self.controllers)
 
     def total_cache_to_cache_misses(self) -> int:
-        return sum(
-            controller.cache_to_cache_misses for controller in self.controllers
-        )
+        return sum(controller.cache_to_cache_misses for controller in self.controllers)
 
     def reset_measurement_state(self) -> None:
         """Clear statistics at the warm-up / measurement boundary."""
@@ -90,9 +88,7 @@ class SystemBuilder:
         """Wire up the system and attach the given per-node streams."""
         config = self.config
         if len(streams) != config.num_nodes:
-            raise ValueError(
-                f"expected {config.num_nodes} streams, got {len(streams)}"
-            )
+            raise ValueError(f"expected {config.num_nodes} streams, got {len(streams)}")
 
         sim = Simulator()
         topology = make_topology(config.network, config.num_nodes)

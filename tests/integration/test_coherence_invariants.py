@@ -43,9 +43,7 @@ PROTOCOLS = ("ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop")
 SNOOPERS = ("ts-snoop", "moesi-snoop")
 
 
-def _run_with_invariant_hook(
-    protocol, workload="barnes", scale=0.05, check_every=1500
-):
+def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_every=1500):
     """Run one workload, re-checking SWMR between event slices.
 
     Returns ``(system, mid_run_checks)`` with the system quiescent.

@@ -33,9 +33,7 @@ def expected_markers(path: Path):
 
 def lint_fixture(relative: str):
     path = FIXTURES / relative
-    findings, suppressed = lint_source(
-        path.as_posix(), path.read_text(), ALL_RULES
-    )
+    findings, suppressed = lint_source(path.as_posix(), path.read_text(), ALL_RULES)
     return {(finding.rule, finding.line) for finding in findings}, suppressed
 
 
@@ -105,8 +103,6 @@ class TestSuppressions:
     def test_syntax_error_becomes_lnt999(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def broken(:\n")
-        findings, _ = lint_source(
-            broken.as_posix(), broken.read_text(), ALL_RULES
-        )
+        findings, _ = lint_source(broken.as_posix(), broken.read_text(), ALL_RULES)
         assert [finding.rule for finding in findings] == [SYNTAX_ERROR]
         assert findings[0].severity == "error"

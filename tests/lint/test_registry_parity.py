@@ -65,6 +65,4 @@ class TestProtocolRegistryParity:
         broken["moesi-snoop"] = Nameless
         monkeypatch.setattr(protocols, "PROTOCOLS", broken)
         messages = _reg002_messages()
-        assert any(
-            "does not carry a ProtocolName" in message for message in messages
-        )
+        assert any("does not carry a ProtocolName" in message for message in messages)

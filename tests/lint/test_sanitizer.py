@@ -62,9 +62,7 @@ class TestSanitizedMessagePool:
 
 
 def _sanitized_run(protocol="ts-snoop", workload="barnes", scale=0.01):
-    config = SystemConfig(
-        protocol=protocol, enable_checker=True, sanitize=True
-    )
+    config = SystemConfig(protocol=protocol, enable_checker=True, sanitize=True)
     profile = get_profile(workload).scaled(scale)
     streams = build_streams(profile, config)
     system = SystemBuilder(config).build(streams)

@@ -80,9 +80,7 @@ class CacheArray:
         cache_set = self._set_for(block)
         if block in cache_set and cache_set[block].state is not CacheState.INVALID:
             return EvictionResult(None, CacheState.INVALID, False)
-        live = {
-            b: l for b, l in cache_set.items() if l.state is not CacheState.INVALID
-        }
+        live = {b: l for b, l in cache_set.items() if l.state is not CacheState.INVALID}
         if len(live) < self.associativity:
             return EvictionResult(None, CacheState.INVALID, False)
         victim = min(live.values(), key=lambda line: line.lru_stamp)

@@ -96,9 +96,7 @@ class TestMESIExclusiveGrants:
         streams = empty_streams()
         streams[OWNER] = [ref(BLOCK, "load")] + conflicting
         streams[READER] = [ref(BLOCK, "load", think=120_000)]
-        system = build_and_run(
-            "mesi-dir", streams, config_overrides=overrides
-        )
+        system = build_and_run("mesi-dir", streams, config_overrides=overrides)
         assert (
             system.controllers[OWNER].cache.state_of(BLOCK)
             is CacheState.INVALID

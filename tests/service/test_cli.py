@@ -193,14 +193,10 @@ class TestFaultToleranceFlags:
         with JobJournal(journal_path) as journal:
             assert journal.unfinished_jobs() == []
 
-    def test_serve_recovers_unfinished_jobs_from_the_journal(
-        self, tmp_path, capsys
-    ):
+    def test_serve_recovers_unfinished_jobs_from_the_journal(self, tmp_path, capsys):
         # A previous service life died mid-sweep: the 2-replica job is
         # journalled, replica 0 is cached, the rest is missing.
-        spec = ExperimentSpec.make(
-            "oltp", scale=0.05, perturbation_replicas=2
-        )
+        spec = ExperimentSpec.make("oltp", scale=0.05, perturbation_replicas=2)
         config, profile = spec.config(), spec.profile()
         from repro.parallel.jobs import ReplicaJob, execute_replica_job
 

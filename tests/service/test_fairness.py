@@ -104,9 +104,7 @@ class TestSingleClientOrdering:
         # Heap tuples carry a unique sequence number before the item, so
         # unorderable payloads (dicts) never raise on priority ties.
         queue = DeficitRoundRobinQueue()
-        order = _fill_and_drain(
-            queue, [("c", 0, 1, {"n": 1}), ("c", 0, 1, {"n": 2})]
-        )
+        order = _fill_and_drain(queue, [("c", 0, 1, {"n": 1}), ("c", 0, 1, {"n": 2})])
         assert order == [{"n": 1}, {"n": 2}]
 
 
@@ -196,16 +194,12 @@ _JOBS = st.lists(
     min_size=2,
     max_size=60,
 )
-_WEIGHTS = st.lists(
-    st.integers(min_value=1, max_value=4), min_size=2, max_size=4
-)
+_WEIGHTS = st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(weight_list=_WEIGHTS, jobs=_JOBS)
-def test_drr_service_tracks_weighted_share_within_quantum_envelope(
-    weight_list, jobs
-):
+def test_drr_service_tracks_weighted_share_within_quantum_envelope(weight_list, jobs):
     """The starvation bound, for arbitrary arrival patterns.
 
     While two clients both stay backlogged, each ring round gives lane
@@ -256,9 +250,7 @@ def test_drr_service_tracks_weighted_share_within_quantum_envelope(
                     served[left] / weights[left]
                     - served[right] / weights[right]
                 )
-                bound = quantum * (
-                    1 + 1 / weights[left] + 1 / weights[right]
-                )
+                bound = quantum * (1 + 1 / weights[left] + 1 / weights[right])
                 assert gap <= bound + 1e-9, (
                     f"per-weight service gap {gap} between {left} and "
                     f"{right} exceeds the envelope {bound}"

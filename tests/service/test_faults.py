@@ -186,9 +186,7 @@ class TestRetryPolicy:
         assert manager.metrics.replica_timeouts == 0
 
     def test_permanent_error_quarantines_without_retry(self):
-        manager, _plan = _faulting_manager(
-            [Fault(SITE_BACKEND_RUN, 1, KIND_PERMANENT)]
-        )
+        manager, _plan = _faulting_manager([Fault(SITE_BACKEND_RUN, 1, KIND_PERMANENT)])
         handle, events = self._run(SPEC2, manager)
         _assert_contract(events, max_attempts=manager.max_attempts)
         # Replica 0 is quarantined on its *first* attempt; replica 1
@@ -420,9 +418,7 @@ class TestJournalDegradation:
 
 
 class TestJournalRecovery:
-    def test_recovery_resumes_only_missing_replicas_bit_identically(
-        self, tmp_path
-    ):
+    def test_recovery_resumes_only_missing_replicas_bit_identically(self, tmp_path):
         config, profile = SPEC3.config(), SPEC3.profile()
         # First service life: replica 0 completed (and was cached), then
         # the process died without a terminal record.
@@ -454,9 +450,7 @@ class TestJournalRecovery:
 
         journal = JobJournal(journal_path)
         cache = ResultCache(cache_dir)
-        manager, handles, streams, results = asyncio.run(
-            scenario(journal, cache)
-        )
+        manager, handles, streams, results = asyncio.run(scenario(journal, cache))
         journal.close()
         assert len(handles) == 1
         assert handles[0].job_id == "job-2"  # numbering continues
@@ -534,9 +528,7 @@ class TestJournalRecovery:
         assert results == [_clean_result(SPEC3)]
 
     @pytest.mark.parametrize("name,value", [("cache_array", "dict"), ("jobs", 4)])
-    def test_stale_spec_fails_its_job_and_the_rest_recover(
-        self, tmp_path, name, value
-    ):
+    def test_stale_spec_fails_its_job_and_the_rest_recover(self, tmp_path, name, value):
         # A journal written before a config field was removed: its spec no
         # longer validates, so that job fails alone and the valid job beside
         # it is still recovered.

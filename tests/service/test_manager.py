@@ -209,9 +209,7 @@ class TestDeduplication:
             async with JobManager(backend=backend, cache=cache) as manager:
                 first = manager.submit(SPEC)
                 second = manager.submit(SPEC)
-                streams = [
-                    asyncio.ensure_future(_collect(h)) for h in (first, second)
-                ]
+                streams = [asyncio.ensure_future(_collect(h)) for h in (first, second)]
                 while backend.started == 0:
                     await asyncio.sleep(0)
                 backend.gate.set()

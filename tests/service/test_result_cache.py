@@ -87,8 +87,8 @@ class TestReplicaKey:
         ],
     )
     def test_keys_are_pinned(self, spec, keys):
-        """On-disk caches and journals written by earlier releases stay
-        valid: these keys were recorded before the kernel-selection knobs
+        """On-disk result caches written by earlier releases stay valid:
+        these keys were recorded before the kernel-selection knobs
         (scheduler, event_pool, batched_dispatch) left SystemConfig."""
         assert entry_keys(spec.config(), spec.profile()) == keys
 
@@ -297,9 +297,7 @@ class TestDiskBudget:
 
     def test_put_evicts_least_recently_used_shard(self, tmp_path):
         size = self._shard_size(tmp_path)
-        cache = ResultCache(
-            tmp_path / "store", disk_budget_bytes=2 * size + size // 2
-        )
+        cache = ResultCache(tmp_path / "store", disk_budget_bytes=2 * size + size // 2)
         keys = [ch * 64 for ch in "abcd"]
         for key in keys:
             cache.put(key, self._result())
@@ -313,9 +311,7 @@ class TestDiskBudget:
 
     def test_disk_read_refreshes_lru_position(self, tmp_path):
         size = self._shard_size(tmp_path)
-        cache = ResultCache(
-            tmp_path / "store", disk_budget_bytes=2 * size + size // 2
-        )
+        cache = ResultCache(tmp_path / "store", disk_budget_bytes=2 * size + size // 2)
         a, b, c = "a" * 64, "b" * 64, "c" * 64
         cache.put(a, self._result())
         cache.put(b, self._result())
@@ -330,9 +326,7 @@ class TestDiskBudget:
     def test_memory_hit_refreshes_disk_lru_position(self, tmp_path):
         """A hit served from memory must not leave its disk shard cold."""
         size = self._shard_size(tmp_path)
-        cache = ResultCache(
-            tmp_path / "store", disk_budget_bytes=2 * size + size // 2
-        )
+        cache = ResultCache(tmp_path / "store", disk_budget_bytes=2 * size + size // 2)
         a, b, c = "a" * 64, "b" * 64, "c" * 64
         cache.put(a, self._result())
         cache.put(b, self._result())

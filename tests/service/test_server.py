@@ -21,6 +21,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -47,7 +48,7 @@ from repro.service.events import (
 )
 from repro.service.metrics import validate_metrics_snapshot
 from repro.service.server import ServerThread
-from repro.service.wire import SubmitRequest, event_from_wire
+from repro.service.wire import SubmitAccepted, SubmitRequest, event_from_wire
 from tests.service.backends import InlinePoolBackend
 
 SCALE = 0.05
@@ -187,6 +188,153 @@ class TestSubmitStreamResult:
             cache_stats = client.metrics()["cache"]
         assert cache_stats["disk_evictions"] > 0
         assert cache_stats["disk_bytes"] <= budget
+
+
+class TestCacheHitIsOneRoundTrip:
+    """A job complete at admission carries its result in the ``202``, and
+    the client's ``wait()`` returns it without a second request."""
+
+    @pytest.fixture
+    def warm(self):
+        """A gateway whose result cache holds ``SPEC`` and ``SPEC_DIROPT``."""
+        with (
+            ServerThread(backend=InlinePoolBackend(), cache=ResultCache()) as server,
+            ServiceClient(server.base_url) as client,
+        ):
+            for spec in (SPEC, SPEC_DIROPT):
+                client.run(spec)
+            yield server, client
+
+    @staticmethod
+    def _count_sends(monkeypatch, client):
+        sent = []
+        original = client._send
+
+        def counting(method, path, **kwargs):
+            sent.append((method, path))
+            return original(method, path, **kwargs)
+
+        monkeypatch.setattr(client, "_send", counting)
+        return sent
+
+    def test_cached_spec_202_carries_a_bit_identical_result(self, warm):
+        _server, client = warm
+        accepted = client.submit(SPEC)
+        assert accepted.result == api.run_experiment(spec=SPEC)
+        assert client.status(accepted.job_id).result == accepted.result
+
+    def test_uncached_spec_202_carries_no_result(self):
+        with (
+            ServerThread(backend=InlinePoolBackend(), cache=ResultCache()) as server,
+            ServiceClient(server.base_url) as client,
+        ):
+            accepted = client.submit(SPEC)
+            assert accepted.result is None
+            assert client.wait(accepted.job_id) == api.run_experiment(spec=SPEC)
+
+    def test_hit_wait_sends_no_request(self, warm, monkeypatch):
+        _server, client = warm
+        sent = self._count_sends(monkeypatch, client)
+        result = client.run(SPEC)
+        assert sent == [("POST", "/v1/jobs")]
+        assert result == api.run_experiment(spec=SPEC)
+        # The slot is spent: a second wait on the same job streams.
+        job_id = client.submit(SPEC_DIROPT).job_id
+        client.wait(job_id)
+        sent.clear()
+        assert client.wait(job_id) == api.run_experiment(spec=SPEC_DIROPT)
+        assert sent == [("GET", f"/v1/jobs/{job_id}/events")]
+
+    def test_wait_on_an_earlier_submission_streams(self, warm, monkeypatch):
+        _server, client = warm
+        first = client.submit(SPEC)
+        second = client.submit(SPEC_DIROPT)
+        sent = self._count_sends(monkeypatch, client)
+        assert client.wait(first.job_id) == api.run_experiment(spec=SPEC)
+        assert sent == [("GET", f"/v1/jobs/{first.job_id}/events")]
+        assert client.wait(second.job_id) == api.run_experiment(spec=SPEC_DIROPT)
+        assert len(sent) == 1
+
+    def test_slots_are_per_thread(self, warm, monkeypatch):
+        server, client = warm
+        accepted = client.submit(SPEC)
+        sent = self._count_sends(monkeypatch, client)
+        results = []
+        waiter = threading.Thread(
+            target=lambda: results.append(client.wait(accepted.job_id))
+        )
+        waiter.start()
+        waiter.join()
+        assert results == [api.run_experiment(spec=SPEC)]
+        assert sent == [("GET", f"/v1/jobs/{accepted.job_id}/events")]
+        assert client.wait(accepted.job_id) == results[0]
+        assert len(sent) == 1
+
+    def test_concurrent_threads_each_wait_for_their_own_hits(self, warm):
+        _server, client = warm
+        expected = {spec: api.run_experiment(spec=spec) for spec in (SPEC, SPEC_DIROPT)}
+        mismatches, finished = [], []
+
+        def submit_and_wait(offset):
+            for index in range(10):
+                spec = (SPEC, SPEC_DIROPT)[(offset + index) % 2]
+                if client.wait(client.submit(spec).job_id) != expected[spec]:
+                    mismatches.append((offset, index))
+            finished.append(offset)
+
+        threads = [
+            threading.Thread(target=submit_and_wait, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert mismatches == []
+
+    def test_hit_cancelled_in_the_admission_window_raises(self, warm):
+        from repro.service.manager import JobCancelledError
+
+        server, client = warm
+        manager = server.manager
+        prepare = manager._prepare_handle
+
+        def cancelled_at_registration(*args):
+            # A DELETE landing between registration and admission.
+            handle = prepare(*args)
+            handle.cancel()
+            return handle
+
+        server.call(
+            lambda: setattr(manager, "_prepare_handle", cancelled_at_registration)
+        )
+        accepted = client.submit(SPEC)
+        assert accepted.result is None
+        with pytest.raises(JobCancelledError, match=accepted.job_id):
+            client.wait(accepted.job_id)
+        assert [type(e) for e in client.stream(accepted.job_id)] == [JobCancelled]
+
+    def test_202_without_a_result_falls_back_to_the_stream(self, warm, monkeypatch):
+        # A gateway that never puts a result in its 202.
+        _server, client = warm
+        to_wire = SubmitAccepted.to_wire
+
+        def without_result(accepted):
+            document = to_wire(accepted)
+            document.pop("result", None)
+            return document
+
+        monkeypatch.setattr(SubmitAccepted, "to_wire", without_result)
+        sent = self._count_sends(monkeypatch, client)
+        assert client.run(SPEC) == api.run_experiment(spec=SPEC)
+        assert [method for method, _path in sent] == ["POST", "GET"]
 
 
 class TestAdmissionOverHttp:
@@ -350,9 +498,7 @@ class TestConcurrentClients:
                 thread.start()
             for thread in threads:
                 thread.join()
-            serve_log = server.call(
-                lambda: list(server.manager.scheduler.serve_log)
-            )
+            serve_log = server.call(lambda: list(server.manager.scheduler.serve_log))
             quantum = server.call(lambda: server.manager.scheduler.quantum)
         assert not errors
         for name in weights:
@@ -416,16 +562,12 @@ class TestErrorsOverHttp:
 
     def test_unknown_route_is_404_and_wrong_method_is_405(self):
         with ServerThread(jobs=1) as server:
-            request = urllib.request.Request(
-                f"{server.base_url}/v2/nope", method="GET"
-            )
+            request = urllib.request.Request(f"{server.base_url}/v2/nope", method="GET")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 404
             excinfo.value.close()
-            request = urllib.request.Request(
-                f"{server.base_url}/v1/jobs", method="GET"
-            )
+            request = urllib.request.Request(f"{server.base_url}/v1/jobs", method="GET")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 405

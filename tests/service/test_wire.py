@@ -67,12 +67,45 @@ class TestRequestResponses:
             priority=1,
             client_id="a",
         )
-        assert SubmitAccepted.from_wire(_json_roundtrip(accepted.to_wire())) == accepted
+        document = accepted.to_wire()
+        assert "result" not in document
+        assert SubmitAccepted.from_wire(_json_roundtrip(document)) == accepted
+
+    def test_submit_accepted_roundtrip_with_result(self):
+        result = api.run_experiment(spec=SPEC)
+        accepted = SubmitAccepted(
+            job_id="job-8",
+            label=SPEC.label,
+            total_replicas=1,
+            priority=0,
+            client_id="a",
+            result=result,
+        )
+        decoded = SubmitAccepted.from_wire(_json_roundtrip(accepted.to_wire()))
+        assert decoded == accepted
+        assert decoded.result == result  # bit-identical through the wire
+
+    def test_submit_accepted_parent_format_parses(self):
+        # A 202 body from a gateway that never sends a result.
+        document = {
+            "wire_version": WIRE_SCHEMA_VERSION,
+            "kind": "repro.service.submit-accepted",
+            "job_id": "job-9",
+            "label": SPEC.label,
+            "total_replicas": 2,
+            "priority": 0,
+            "client": "default",
+        }
+        assert SubmitAccepted.from_wire(document) == SubmitAccepted(
+            job_id="job-9",
+            label=SPEC.label,
+            total_replicas=2,
+            priority=0,
+            client_id="default",
+        )
 
     def test_submit_rejected_roundtrip(self):
-        rejected = SubmitRejected(
-            pending_cost=9000, budget=5000, retry_after_s=1.25
-        )
+        rejected = SubmitRejected(pending_cost=9000, budget=5000, retry_after_s=1.25)
         assert SubmitRejected.from_wire(_json_roundtrip(rejected.to_wire())) == rejected
 
     def test_job_status_roundtrip_with_result(self):
@@ -177,9 +210,7 @@ class TestEventRoundtrip:
                 permanent=False,
             ),
             ServiceDegraded("job-1", component="cache", reason="disk full"),
-            JobProgress(
-                "job-1", completed=1, total=2, best_runtime_ns=123, misses=9
-            ),
+            JobProgress("job-1", completed=1, total=2, best_runtime_ns=123, misses=9),
             JobCompleted("job-1", result=result),
             JobCancelled("job-1"),
             JobFailed("job-1", error="RuntimeError('boom')"),
@@ -201,9 +232,7 @@ class TestEventRoundtrip:
         assert event_to_wire(JobCancelled("job-1"))["terminal"] is True
         assert (
             event_to_wire(
-                JobProgress(
-                    "job-1", completed=1, total=2, best_runtime_ns=1, misses=0
-                )
+                JobProgress("job-1", completed=1, total=2, best_runtime_ns=1, misses=0)
             )["terminal"]
             is False
         )

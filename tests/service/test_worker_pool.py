@@ -139,9 +139,7 @@ class TestWorkerLifecycle:
 
         async def scenario():
             backend = WorkerPoolBackend(max_workers=1)
-            manager = JobManager(
-                backend=backend, replica_timeout=0.3, max_attempts=1
-            )
+            manager = JobManager(backend=backend, replica_timeout=0.3, max_attempts=1)
             async with manager:
                 handle = manager.submit(slow)
                 events = asyncio.ensure_future(_collect(handle))
@@ -182,9 +180,7 @@ class TestWorkerProtocol:
         assert result == execute_replica_job(_job())
         assert backend.pool_rebuilds == 0
 
-    def test_unpicklable_error_arrives_as_permanent_replica_error(
-        self, monkeypatch
-    ):
+    def test_unpicklable_error_arrives_as_permanent_replica_error(self, monkeypatch):
         class LocalError(Exception):
             """Defined in a function: pickle cannot find it by name."""
 
