@@ -26,9 +26,9 @@ wall time as JSON, so a scenario can be profiled on its own::
 After an intentional slowdown, write the new commit's sha into
 ``benchmarks/perf_reference`` and say why in the pull request.
 
-The scenarios call only public ``repro.api`` functions and the
-``repro.sim.kernel.Simulator`` scheduling calls, so the reference tree
-runs them too.
+The scenarios call only public ``repro.api`` functions, the
+``repro.sim.kernel.Simulator`` scheduling calls and the gateway's
+``ServerThread``/``ServiceClient``, so the reference tree runs them too.
 """
 
 from __future__ import annotations
@@ -161,6 +161,22 @@ def scale_mesi_directory(scale: float) -> float:
     return _scale_run("mesi-dir", "torus", 64, scale)
 
 
+def gateway_cold_start(scale: float) -> float:
+    """A service gateway's cold start: import the server and the client,
+    start a ``ServerThread`` on an empty disk result cache, answer one
+    health check, stop.  ``scale`` is unused: a process starts only once."""
+    with tempfile.TemporaryDirectory(prefix="perf-gate-cache-") as cache_dir:
+        start = time.perf_counter()
+        from repro.client import ServiceClient
+        from repro.service.cache import ResultCache
+        from repro.service.server import ServerThread
+
+        with ServerThread(jobs=1, cache=ResultCache(cache_dir)) as server:
+            with ServiceClient(server.base_url) as client:
+                client.health()
+        return time.perf_counter() - start
+
+
 SCENARIOS: Dict[str, Callable[[float], float]] = {
     scenario.__name__: scenario
     for scenario in (
@@ -172,6 +188,7 @@ SCENARIOS: Dict[str, Callable[[float], float]] = {
         scale_snooping_256,
         scale_directory,
         scale_mesi_directory,
+        gateway_cold_start,
     )
 }
 
@@ -190,6 +207,7 @@ SUITES: Dict[str, Dict[str, float]] = {
         "figure4_traffic": 0.4,
         "parallel_sweep": 0.4,
         **dict.fromkeys(_SCALE_SUITE, 0.15),
+        "gateway_cold_start": 1.0,
     },
     "nightly": {
         "figure3_runtime": 1.0,

@@ -15,7 +15,7 @@ Usage::
 from repro.analysis.latency_model import LatencyModel, table2_latencies
 from repro.analysis.report import format_table
 from repro.network.timing import NetworkTiming
-from repro.protocols.base import ProtocolTiming
+from repro.protocols.timing import ProtocolTiming
 
 
 def print_table2() -> None:

@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.network.timing import NetworkTiming
 from repro.network.topology import Topology
-from repro.protocols.base import ProtocolTiming
+from repro.protocols.timing import ProtocolTiming
 
 
 @dataclass(frozen=True)

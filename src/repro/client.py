@@ -47,7 +47,10 @@ no result -- is waited for on its event stream.
 Connections are persistent: each thread using a client keeps one idle
 HTTP/1.1 connection to the gateway and sends its next request on it, so
 a cache hit costs no TCP set-up; :meth:`ServiceClient.close` (or a
-``with`` block) closes them.  A response carrying ``Connection: close``
+``with`` block) closes them.  Each time the client opens a new
+connection, it first closes those of threads that have exited and drops
+their kept results, so a client shared by many short-lived threads does
+not accumulate sockets.  A response carrying ``Connection: close``
 is not kept.  A connection the gateway has closed while idle (its read
 timeout) is noticed before the next request is sent and replaced.  If a
 reused connection fails before any response byte, a GET or DELETE is
@@ -349,6 +352,7 @@ class ServiceClient:
             connection.close()
             connection = None
         if connection is None:
+            self._forget_exited_threads()
             return _exchange(self._connect(), request)
         try:
             return _exchange(connection, request)
@@ -357,6 +361,20 @@ class ServiceClient:
                 raise
         # The reused connection was closed before any response byte.
         return _exchange(self._connect(), request)
+
+    def _forget_exited_threads(self) -> None:
+        """Close the idle connections, and drop the kept results, of
+        threads that have exited.  Runs only before a new connection is
+        opened, so a thread reusing its connection never pays for it."""
+        live = {thread.ident for thread in threading.enumerate()}
+        for ident in list(self._completed):
+            if ident not in live:
+                self._completed.pop(ident, None)
+        with self._idle_lock:
+            exited = [ident for ident in self._idle if ident not in live]
+            connections = [self._idle.pop(ident) for ident in exited]
+        for connection in connections:
+            connection.close()
 
     def _encode(self, method: str, path: str, body: Optional[Dict[str, Any]]) -> bytes:
         """One whole request, head and body, as the bytes to send."""

@@ -17,33 +17,3 @@ Section 2:
   model of the same network used for full workload runs (the paper models
   no contention, so both produce the same first-order timing).
 """
-
-from repro.core.logical_time import (
-    LogicalTimestamp,
-    ordering_time,
-    order_key,
-    SlackRules,
-)
-from repro.core.token_switch import BufferedTransaction, TokenSwitch
-from repro.core.ordering_queue import OrderingQueue, PendingTransaction
-from repro.core.timestamp_network import (
-    AddressNetworkInterface,
-    OrderedDelivery,
-    TimestampAddressNetwork,
-)
-from repro.core.analytical_ordering import AnalyticalTimestampNetwork
-
-__all__ = [
-    "LogicalTimestamp",
-    "ordering_time",
-    "order_key",
-    "SlackRules",
-    "BufferedTransaction",
-    "TokenSwitch",
-    "OrderingQueue",
-    "PendingTransaction",
-    "AddressNetworkInterface",
-    "OrderedDelivery",
-    "TimestampAddressNetwork",
-    "AnalyticalTimestampNetwork",
-]

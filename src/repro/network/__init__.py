@@ -9,44 +9,19 @@ the virtual networks used by the directory protocols.
 
 import math
 
-from repro.network.message import Message, MessageKind, TrafficCategory
-from repro.network.topology import Topology, BroadcastTree
-from repro.network.butterfly import ButterflyTopology
-from repro.network.torus import TorusTopology
-from repro.network.routing import build_torus_broadcast_tree, delta_d_table
-from repro.network.link import Link, TrafficAccountant
-from repro.network.data_network import DataNetwork
-from repro.network.virtual_network import (
-    VirtualNetwork,
-    PointToPointOrderedNetwork,
-)
 
-__all__ = [
-    "Message",
-    "MessageKind",
-    "TrafficCategory",
-    "Topology",
-    "BroadcastTree",
-    "ButterflyTopology",
-    "TorusTopology",
-    "build_torus_broadcast_tree",
-    "delta_d_table",
-    "Link",
-    "TrafficAccountant",
-    "DataNetwork",
-    "VirtualNetwork",
-    "PointToPointOrderedNetwork",
-]
-
-
-def make_topology(name: str, num_endpoints: int = 16) -> Topology:
-    """Factory for the two evaluated topologies by name.
+def make_topology(name: str, num_endpoints: int = 16):
+    """The :class:`~repro.network.topology.Topology` of one of the two
+    evaluated topologies, by name.
 
     ``name`` is one of ``"butterfly"`` or ``"torus"`` (case-insensitive).
     The two-stage butterfly requires a perfect-square endpoint count (the
     radix follows as its square root: 16 nodes -> radix 4 as in the paper,
     64 -> radix 8, 256 -> radix 16 for the ``scale`` perf suite).
     """
+    from repro.network.butterfly import ButterflyTopology
+    from repro.network.torus import TorusTopology
+
     key = name.strip().lower()
     if key in ("butterfly", "bfly", "indirect"):
         radix = math.isqrt(num_endpoints)

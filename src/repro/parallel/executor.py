@@ -16,10 +16,7 @@ the same before retrying.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence
 
 from repro.parallel.jobs import (
@@ -73,6 +70,12 @@ def run_replica_jobs(
     workers = min(resolve_jobs(jobs), len(specs))
     if workers <= 1:
         return [execute_replica_job(spec) for spec in specs]
+
+    # Only the pool path loads the pool machinery: a serial caller, the
+    # service gateway and the replica worker never import it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # Warm the parent's stream cache so fork-based pools inherit every
     # stream set copy-on-write instead of rebuilding per worker.  Spawn

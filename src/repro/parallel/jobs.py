@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.randomness import PerturbationModel
-from repro.system.builder import build_streams
 from repro.system.config import SystemConfig
 from repro.system.results import RunResult
 from repro.workloads.generator import Reference
@@ -73,6 +72,8 @@ def build_streams_cached(
     key = stream_cache_key(profile, config)
     streams = _STREAM_CACHE.get(key)
     if streams is None:
+        from repro.system.builder import build_streams
+
         streams = build_streams(profile, config)
         _STREAM_CACHE[key] = streams
         while len(_STREAM_CACHE) > _STREAM_CACHE_LIMIT:
@@ -103,9 +104,9 @@ def execute_replica_job(job: ReplicaJob) -> RunResult:
     """Worker entry point: run one replica and return its RunResult.
 
     Must stay a module-level function so :mod:`concurrent.futures` can pickle
-    it by reference.  The import is deferred to break the import cycle with
-    :mod:`repro.system.simulation` (which reaches back into this package for
-    replica-level parallelism).
+    it by reference.  The simulator is imported here and in
+    :func:`build_streams_cached`, not at module level, so a process that
+    only describes jobs (the service gateway) never loads it.
     """
     from repro.system.simulation import SimulationRunner
 

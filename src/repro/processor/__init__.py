@@ -1,22 +1,1 @@
 """Processor model and memory-consistency checking."""
-
-from repro.processor.processor import Processor, ProcessorConfig
-from repro.processor.consistency import (
-    CONSISTENCY_MODELS,
-    STORE_BUFFER_CAPACITY,
-    TSO_DRAIN_DELAY_NS,
-    CoherenceChecker,
-    StoreBuffer,
-    check_swmr_invariant,
-)
-
-__all__ = [
-    "Processor",
-    "ProcessorConfig",
-    "CoherenceChecker",
-    "StoreBuffer",
-    "CONSISTENCY_MODELS",
-    "STORE_BUFFER_CAPACITY",
-    "TSO_DRAIN_DELAY_NS",
-    "check_swmr_invariant",
-]

@@ -20,69 +20,53 @@ Two matrix extensions beyond the paper:
   owned-sharing (O) state that supplies data without memory writebacks.
 
 :data:`PROTOCOLS` is the canonical registry: canonical lower-case name
--> factory class.  ``repro.api`` and ``repro.lint`` both derive their
-protocol lists from it, so adding a protocol here is the single
-registration point.
+-> zero-argument factory.  ``repro.api`` and ``repro.lint`` both derive
+their protocol lists from it, so adding a protocol here is the single
+registration point.  A factory imports its controller module only when
+called, so a process that only names protocols (the service gateway
+validating specs) loads no controller.
 """
 
-from repro.protocols.base import (
-    CacheControllerBase,
-    MissRecord,
-    MissSource,
-    ProtocolName,
-    ProtocolTiming,
-)
-from repro.protocols.directory_state import (
-    DirectoryBank,
-    DirectoryEntry,
-    DirectoryState,
-)
-from repro.protocols.ts_snoop import TSSnoopNode, TSSnoopProtocol
-from repro.protocols.directory import (
-    DirectoryCacheController,
-    DirectoryMemoryController,
-    DirectoryPolicy,
-    DirectoryProtocol,
-)
-from repro.protocols.dir_classic import DirClassicProtocol
-from repro.protocols.dir_opt import DirOptProtocol
-from repro.protocols.mesi_dir import MESIDirProtocol
-from repro.protocols.moesi_snoop import MOESISnoopProtocol
 
-__all__ = [
-    "ProtocolName",
-    "ProtocolTiming",
-    "MissRecord",
-    "MissSource",
-    "CacheControllerBase",
-    "DirectoryState",
-    "DirectoryEntry",
-    "DirectoryBank",
-    "TSSnoopProtocol",
-    "TSSnoopNode",
-    "DirectoryProtocol",
-    "DirectoryPolicy",
-    "DirectoryCacheController",
-    "DirectoryMemoryController",
-    "DirClassicProtocol",
-    "DirOptProtocol",
-    "MESIDirProtocol",
-    "MOESISnoopProtocol",
-    "PROTOCOLS",
-    "PROTOCOL_ALIASES",
-    "canonical_protocol_name",
-    "make_protocol",
-]
+def _ts_snoop():
+    from repro.protocols.ts_snoop import TSSnoopProtocol
+
+    return TSSnoopProtocol()
+
+
+def _dir_classic():
+    from repro.protocols.dir_classic import DirClassicProtocol
+
+    return DirClassicProtocol()
+
+
+def _dir_opt():
+    from repro.protocols.dir_opt import DirOptProtocol
+
+    return DirOptProtocol()
+
+
+def _mesi_dir():
+    from repro.protocols.mesi_dir import MESIDirProtocol
+
+    return MESIDirProtocol()
+
+
+def _moesi_snoop():
+    from repro.protocols.moesi_snoop import MOESISnoopProtocol
+
+    return MOESISnoopProtocol()
+
 
 #: Canonical protocol registry, in paper order first: canonical name ->
-#: factory class.  ``repro.api.spec`` derives its accepted names (and hence
-#: ``ExperimentSpec`` cache keys) from the keys of this dict.
+#: zero-argument factory.  ``repro.api.spec`` derives its accepted names
+#: (and hence ``ExperimentSpec`` cache keys) from the keys of this dict.
 PROTOCOLS = {
-    "ts-snoop": TSSnoopProtocol,
-    "dirclassic": DirClassicProtocol,
-    "diropt": DirOptProtocol,
-    "mesi-dir": MESIDirProtocol,
-    "moesi-snoop": MOESISnoopProtocol,
+    "ts-snoop": _ts_snoop,
+    "dirclassic": _dir_classic,
+    "diropt": _dir_opt,
+    "mesi-dir": _mesi_dir,
+    "moesi-snoop": _moesi_snoop,
 }
 
 #: Accepted spellings -> canonical name (canonical names map to themselves).

@@ -49,7 +49,6 @@ from repro.protocols.base import (
     MissSource,
     ProtocolBuildContext,
     ProtocolName,
-    ProtocolTiming,
 )
 from repro.protocols.directory_state import (
     DirectoryBank,
@@ -57,6 +56,7 @@ from repro.protocols.directory_state import (
     DirectoryState,
     iter_sharers,
 )
+from repro.protocols.timing import ProtocolTiming
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 

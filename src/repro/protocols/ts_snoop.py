@@ -57,8 +57,8 @@ from repro.protocols.base import (
     MissSource,
     ProtocolBuildContext,
     ProtocolName,
-    ProtocolTiming,
 )
+from repro.protocols.timing import ProtocolTiming
 from repro.sim.kernel import Simulator
 
 

@@ -9,11 +9,11 @@ perturbation."  :class:`PerturbationModel` implements exactly that knob.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class DeterministicRandom:
-    """A seeded random source with a few convenience helpers.
+    """A seeded random source with the samplers the models draw from.
 
     A thin wrapper over :class:`random.Random` so that model code never
     touches the global random state and every simulation is reproducible
@@ -32,21 +32,6 @@ class DeterministicRandom:
     def uniform_int(self, low: int, high: int) -> int:
         """Inclusive integer in [low, high]."""
         return self._rng.randint(low, high)
-
-    def uniform(self, low: float, high: float) -> float:
-        return self._rng.uniform(low, high)
-
-    def choice(self, items: Sequence):
-        return self._rng.choice(items)
-
-    def weighted_choice(self, items: Sequence, weights: Sequence[float]):
-        return self._rng.choices(items, weights=weights, k=1)[0]
-
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
-
-    def sample(self, items: Sequence, k: int) -> list:
-        return self._rng.sample(items, k)
 
     def random(self) -> float:
         return self._rng.random()

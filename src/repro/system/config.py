@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.network.timing import NetworkTiming
 from repro.processor.consistency import CONSISTENCY_MODELS
-from repro.protocols.base import ProtocolTiming
+from repro.protocols.timing import ProtocolTiming
 
 
 @dataclass(frozen=True)

@@ -9,38 +9,3 @@ signatures: each workload profile is calibrated so the simulated Table 3
 (footprint, miss volume, cache-to-cache fraction) matches the paper's
 characterisation.  See DESIGN.md for the substitution rationale.
 """
-
-from repro.workloads.generator import Reference, WorkloadGenerator
-from repro.workloads.patterns import (
-    AccessPattern,
-    LockPattern,
-    MigratoryPattern,
-    PrivatePattern,
-    ProducerConsumerPattern,
-    ReadSharedPattern,
-)
-from repro.workloads.profiles import (
-    WorkloadProfile,
-    PROFILES,
-    get_profile,
-    workload_names,
-)
-from repro.workloads.trace import TraceReference, TraceRecorder, replay_trace
-
-__all__ = [
-    "Reference",
-    "WorkloadGenerator",
-    "AccessPattern",
-    "PrivatePattern",
-    "ReadSharedPattern",
-    "MigratoryPattern",
-    "ProducerConsumerPattern",
-    "LockPattern",
-    "WorkloadProfile",
-    "PROFILES",
-    "get_profile",
-    "workload_names",
-    "TraceReference",
-    "TraceRecorder",
-    "replay_trace",
-]

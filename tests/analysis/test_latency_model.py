@@ -60,7 +60,7 @@ class TestModelFlexibility:
 
     def test_custom_timing(self):
         from repro.network.timing import NetworkTiming
-        from repro.protocols.base import ProtocolTiming
+        from repro.protocols.timing import ProtocolTiming
         model = LatencyModel(NetworkTiming(overhead_ns=0, switch_ns=10),
                              ProtocolTiming(memory_access_ns=100,
                                             cache_access_ns=20))

@@ -177,7 +177,7 @@ class TestWorkerCrashTranslation:
                 raise BrokenProcessPool("a child process terminated abruptly")
 
         monkeypatch.setattr(
-            "repro.parallel.executor.ProcessPoolExecutor", BrokenPool)
+            "concurrent.futures.ProcessPoolExecutor", BrokenPool)
         profile = get_profile(WORKLOAD).scaled(SCALE)
         config = tiny_config(perturbation_replicas=2)
         jobs = [ReplicaJob(config=config, profile=profile, replica_index=i)

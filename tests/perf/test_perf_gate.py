@@ -48,6 +48,7 @@ class TestSuites:
             "kernel_microbench": 0.4,
             **dict.fromkeys(self.FIGURES, 0.4),
             **dict.fromkeys(self.SCALE, 0.15),
+            "gateway_cold_start": 1.0,
         }
 
     def test_nightly_suite_gates_every_scale_scenario(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.processor.processor import Processor, ProcessorConfig
-from repro.protocols.base import ProtocolTiming
+from repro.protocols.timing import ProtocolTiming
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.workloads.generator import PackedReferenceStream

@@ -299,6 +299,29 @@ class TestCacheHitIsOneRoundTrip:
         assert sorted(finished) == [0, 1, 2, 3]
         assert mismatches == []
 
+    def test_exited_threads_leave_no_connection_or_result(self, warm):
+        _server, client = warm
+        main = threading.get_ident()
+        idents = []
+
+        def one_hit():
+            idents.append(threading.get_ident())
+            client.run(SPEC)
+            client.submit(SPEC_DIROPT)  # a kept result it never waits for
+
+        for _ in range(8):
+            thread = threading.Thread(target=one_hit)
+            thread.start()
+            thread.join()
+        # Each thread's new connection closed the previous thread's
+        # leftovers; only the last thread's remain.
+        assert set(client._idle) == {main, idents[-1]}
+        assert set(client._completed) == {idents[-1]}
+        client.close()
+        client.health()  # a new connection
+        assert set(client._idle) == {main}
+        assert client._completed == {}
+
     def test_hit_cancelled_in_the_admission_window_raises(self, warm):
         from repro.service.manager import JobCancelledError
 

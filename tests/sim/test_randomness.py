@@ -52,12 +52,6 @@ class TestDeterministicRandom:
     def test_zipf_single_element(self):
         assert DeterministicRandom(1).zipf_index(1) == 0
 
-    def test_weighted_choice_respects_weights(self):
-        rng = DeterministicRandom(2)
-        picks = [rng.weighted_choice(["a", "b"], [0.95, 0.05])
-                 for _ in range(500)]
-        assert picks.count("a") > 400
-
 
 class TestPerturbationModel:
     def test_disabled_model_returns_zero(self):
