@@ -57,7 +57,8 @@ def sweep_via_service(scale):
     import asyncio
 
     from repro.api.spec import ExperimentSpec
-    from repro.service import JobManager, ResultCache
+    from repro.service.cache import ResultCache
+    from repro.service.manager import JobManager
 
     specs = [ExperimentSpec.make("oltp", protocol=protocol, network=network,
                                  scale=scale)

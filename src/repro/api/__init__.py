@@ -26,7 +26,7 @@ The spec is the whole experiment.  Every entry point also accepts
 ``jobs=`` to fan the underlying simulations out over a process pool (1 =
 serial, N = N workers, 0 = one per CPU); results are bit-identical
 regardless of ``jobs`` -- see :mod:`repro.parallel`.  Cached replay of
-already-computed replicas lives in :class:`repro.service.JobManager`.
+already-computed replicas lives in :class:`repro.service.manager.JobManager`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.api.spec import (
     ExperimentSpec,
     ExperimentSpecError,
 )
-from repro.parallel.sweep import run_matrix
 from repro.system.results import ProtocolComparison, RunResult
 from repro.workloads.profiles import workload_names
 
@@ -75,6 +74,8 @@ def run_specs(
     boundaries) and merged with the serial selection rule, so results are
     bit-identical to one-at-a-time serial runs.
     """
+    from repro.parallel.sweep import run_matrix
+
     entries = [(spec.config(), spec.profile()) for spec in specs]
     return run_matrix(entries, jobs=jobs)
 

@@ -70,9 +70,14 @@ import urllib.parse
 from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
 
 from repro.api.spec import ExperimentSpec
-from repro.service.events import JobCancelled, JobCompleted, JobEvent, JobFailed
-from repro.service.fairness import DEFAULT_CLIENT_ID
-from repro.service.manager import JobCancelledError
+from repro.service.events import (
+    DEFAULT_CLIENT_ID,
+    JobCancelled,
+    JobCancelledError,
+    JobCompleted,
+    JobEvent,
+    JobFailed,
+)
 from repro.service.wire import (
     CancelResponse,
     JobStatus,
@@ -244,9 +249,10 @@ class ServiceClient:
         and sends no request; any other wait follows the job's event
         stream to its terminal event.
 
-        Raises :class:`~repro.service.manager.JobCancelledError` if the
-        job was cancelled, :class:`JobGoneError` if the gateway no longer
-        holds it, and :class:`ServiceClientError` if it failed.
+        Raises :class:`~repro.service.events.JobCancelledError` (the
+        class the job manager raises) if the job was cancelled,
+        :class:`JobGoneError` if the gateway no longer holds it, and
+        :class:`ServiceClientError` if it failed.
         """
         ident = threading.get_ident()
         completed = self._completed.get(ident)

@@ -1,6 +1,10 @@
 """Simulation-as-a-service: job manager + content-addressed result cache.
 
-This package turns the one-shot experiment API into a long-lived service:
+This package turns the one-shot experiment API into a long-lived service.
+It imports none of its submodules: import names from their defining
+module (``from repro.service.manager import JobManager``), so a process
+loads only the parts it runs -- a :class:`repro.client.ServiceClient`
+loads the wire vocabulary, not the gateway or the job manager.
 
 * :mod:`repro.service.manager` -- :class:`JobManager`, the asyncio
   front-end with per-client fair scheduling, bounded-cost admission
@@ -31,161 +35,17 @@ This package turns the one-shot experiment API into a long-lived service:
   records submissions, recoveries and terminal transitions; finished
   replicas are the result cache's to record.  Torn trailing records are
   truncated, not fatal.
-* :mod:`repro.service.faults` -- :class:`FaultPlan`, the deterministic
-  fault-injection harness (planned crashes, timeouts, I/O errors at
-  named sites) that exercises every recovery path in tests.
 * :mod:`repro.service.events` -- the streaming progress events yielded
-  by :meth:`JobHandle.events` and their ordering contract.
+  by :meth:`JobHandle.events` and their ordering contract, plus
+  :class:`JobCancelledError` and the default client id, which the
+  manager and the client share.
 * :mod:`repro.service.metrics` -- :class:`ServiceMetrics`, queue /
   cache / fault / health / per-client counters rendered as a schema-v4
   JSON snapshot.
 * :mod:`repro.service.cli` -- the ``python -m repro.service`` front-end:
   one-shot requests and the ``--listen`` gateway.
+* :mod:`repro.service.faults` -- :class:`FaultPlan`, the deterministic
+  fault-injection schedule.  Test-only: no production module imports
+  it; tests inject disk and journal faults by wrapping the real I/O
+  calls.
 """
-
-from __future__ import annotations
-
-from repro.service.cache import (
-    RESULT_SCHEMA_VERSION,
-    CacheError,
-    CacheStats,
-    ResultCache,
-    entry_keys,
-    replica_key,
-)
-from repro.service.events import (
-    SOURCE_CACHE,
-    SOURCE_COMPUTED,
-    SOURCE_DEDUPED,
-    JobAdmitted,
-    JobCancelled,
-    JobCompleted,
-    JobEvent,
-    JobFailed,
-    JobProgress,
-    ReplicaCompleted,
-    ReplicaFailed,
-    ReplicaRetried,
-    ServiceDegraded,
-)
-from repro.service.fairness import (
-    DEFAULT_CLIENT_ID,
-    DEFAULT_WEIGHT,
-    DeficitRoundRobinQueue,
-)
-from repro.service.faults import (
-    FAULT_KINDS,
-    FAULT_SITES,
-    Fault,
-    FaultingPoolBackend,
-    FaultPlan,
-    InjectedPermanentError,
-    InjectedWorkerCrash,
-)
-from repro.service.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    JobJournal,
-    JournaledJob,
-    JournalError,
-)
-from repro.service.manager import (
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_MAX_PENDING_COST,
-    AdmissionError,
-    JobCancelledError,
-    JobHandle,
-    JobManager,
-    JobState,
-    PoolBackend,
-    WorkerCrashError,
-    WorkerPoolBackend,
-    is_transient,
-    job_cost,
-    make_backend,
-    replica_cost,
-)
-from repro.service.metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricsSchemaError,
-    ServiceMetrics,
-    validate_metrics_snapshot,
-)
-from repro.service.server import GatewayServer, ServerThread
-from repro.service.wire import (
-    WIRE_SCHEMA_VERSION,
-    CancelResponse,
-    JobStatus,
-    SubmitAccepted,
-    SubmitRejected,
-    SubmitRequest,
-    WireError,
-    error_to_wire,
-    event_from_wire,
-    event_to_wire,
-)
-
-__all__ = [
-    "AdmissionError",
-    "CacheError",
-    "CacheStats",
-    "CancelResponse",
-    "DEFAULT_CLIENT_ID",
-    "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_MAX_PENDING_COST",
-    "DEFAULT_WEIGHT",
-    "DeficitRoundRobinQueue",
-    "FAULT_KINDS",
-    "FAULT_SITES",
-    "Fault",
-    "FaultPlan",
-    "FaultingPoolBackend",
-    "GatewayServer",
-    "InjectedPermanentError",
-    "InjectedWorkerCrash",
-    "JOURNAL_SCHEMA_VERSION",
-    "JobAdmitted",
-    "JobCancelled",
-    "JobCancelledError",
-    "JobCompleted",
-    "JobEvent",
-    "JobFailed",
-    "JobHandle",
-    "JobJournal",
-    "JobManager",
-    "JobProgress",
-    "JobState",
-    "JobStatus",
-    "JournalError",
-    "JournaledJob",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsSchemaError",
-    "PoolBackend",
-    "RESULT_SCHEMA_VERSION",
-    "ReplicaCompleted",
-    "ReplicaFailed",
-    "ReplicaRetried",
-    "ResultCache",
-    "SOURCE_CACHE",
-    "SOURCE_COMPUTED",
-    "SOURCE_DEDUPED",
-    "ServerThread",
-    "ServiceDegraded",
-    "ServiceMetrics",
-    "SubmitAccepted",
-    "SubmitRejected",
-    "SubmitRequest",
-    "WIRE_SCHEMA_VERSION",
-    "WireError",
-    "WorkerCrashError",
-    "WorkerPoolBackend",
-    "entry_keys",
-    "error_to_wire",
-    "event_from_wire",
-    "event_to_wire",
-    "is_transient",
-    "job_cost",
-    "make_backend",
-    "replica_cost",
-    "replica_key",
-    "validate_metrics_snapshot",
-]

@@ -34,13 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api.spec import canonical_experiment
-from repro.service.faults import (
-    KIND_CORRUPT,
-    SITE_CACHE_DISK_GET,
-    SITE_CACHE_DISK_PUT,
-    FaultPlan,
-    fault_exception,
-)
 from repro.system.config import SystemConfig
 from repro.system.results import RunResult
 from repro.workloads.profiles import WorkloadProfile
@@ -184,8 +177,7 @@ class ResultCache:
     to memory-only operation (:attr:`degraded` with
     :attr:`degraded_reason`), and service continues -- the job manager
     surfaces the transition as a ``ServiceDegraded`` event and a ``health``
-    block in the metrics snapshot.  ``fault_plan`` injects planned disk
-    faults at the ``cache.disk_put`` / ``cache.disk_get`` sites for tests.
+    block in the metrics snapshot.
     """
 
     def __init__(
@@ -194,7 +186,6 @@ class ResultCache:
         memory_entries: int = 512,
         *,
         disk_budget_bytes: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if memory_entries < 0:
             raise ValueError("memory_entries must be non-negative")
@@ -209,7 +200,6 @@ class ResultCache:
         self.memory_entries = memory_entries
         self.disk_budget_bytes = disk_budget_bytes
         self.stats = CacheStats()
-        self.fault_plan = fault_plan
         self.degraded = False
         self.degraded_reason = ""
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -276,25 +266,6 @@ class ResultCache:
             self._remember(key, document)
             self.stats.stores += 1
         self._write_disk(key, document)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._memory:
-                return True
-        if self.path is None or self.degraded:
-            return False
-        # The probe is a disk access like any other: it goes through the
-        # ``cache.disk_get`` fault site and the degraded-mode accounting,
-        # so an unreadable store cannot keep answering "present" to
-        # membership checks while every actual read fails.
-        try:
-            self._fire(SITE_CACHE_DISK_GET)
-            return self._disk_path(key).is_file()
-        except (CacheError, OSError) as error:
-            with self._lock:
-                self.stats.disk_get_errors += 1
-            self._degrade(f"disk probe of {key[:12]}... failed: {error}")
-            return False
 
     def __len__(self) -> int:
         with self._lock:
@@ -385,25 +356,11 @@ class ResultCache:
             self.degraded = True
             self.degraded_reason = reason
 
-    def _fire(self, site: str) -> None:
-        """Raise/mangle per the fault plan at one instrumented disk site."""
-        if self.fault_plan is None:
-            return
-        fault = self.fault_plan.fire(site)
-        if fault is None:
-            return
-        if fault.kind == KIND_CORRUPT:
-            raise CacheError(
-                f"injected corrupt shard (site {site}, invocation {fault.at})"
-            )
-        raise fault_exception(fault)
-
     def _read_disk(self, key: str) -> Optional[Dict[str, Any]]:
         if self.path is None or self.degraded:
             return None
         target = self._disk_path(key)
         try:
-            self._fire(SITE_CACHE_DISK_GET)
             with open(target, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
             with self._lock:
@@ -420,12 +377,6 @@ class ResultCache:
             return document
         except FileNotFoundError:
             return None
-        except CacheError as error:
-            with self._lock:
-                self.stats.invalid_entries += 1
-                self.stats.disk_get_errors += 1
-            self._degrade(f"disk read of {key[:12]}...: {error}")
-            return None
         except (OSError, json.JSONDecodeError) as error:
             with self._lock:
                 self.stats.invalid_entries += 1
@@ -439,7 +390,6 @@ class ResultCache:
         target = self._disk_path(key)
         scratch: Optional[Path] = None
         try:
-            self._fire(SITE_CACHE_DISK_PUT)
             target.parent.mkdir(parents=True, exist_ok=True)
             scratch = target.parent / f"{target.name}.tmp{os.getpid()}"
             with open(scratch, "w", encoding="utf-8") as handle:
@@ -449,7 +399,7 @@ class ResultCache:
                 with self._lock:
                     self._note_disk_entry(key, target.stat().st_size)
                 self._evict_disk(protect=key)
-        except (OSError, CacheError) as error:
+        except OSError as error:
             with self._lock:
                 self.stats.disk_put_errors += 1
             self._degrade(f"disk write of {key[:12]}... failed: {error}")

@@ -44,6 +44,18 @@ SOURCE_COMPUTED = "computed"
 SOURCE_CACHE = "cache"
 SOURCE_DEDUPED = "deduped"
 
+#: Client id used when a submission does not name one.
+DEFAULT_CLIENT_ID = "default"
+
+
+class JobCancelledError(RuntimeError):
+    """Awaiting the result of a job that was cancelled (the job manager's
+    :meth:`JobHandle.result` and :meth:`ServiceClient.wait` both raise it)."""
+
+    def __init__(self, job_id: str):
+        super().__init__(f"job {job_id} was cancelled")
+        self.job_id = job_id
+
 
 @dataclass(frozen=True)
 class JobEvent:

@@ -33,9 +33,6 @@ import itertools
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-#: Client id used when a submission does not name one.
-DEFAULT_CLIENT_ID = "default"
-
 #: Weight assigned to clients that were never given an explicit one.
 DEFAULT_WEIGHT = 1
 

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the service stack.
+"""Deterministic fault injection for the service stack (test-only).
 
 Every recovery path in :mod:`repro.service` -- retry-with-backoff, worker
 pool rebuilds, journal torn-tail truncation, cache degradation -- is
@@ -6,19 +6,23 @@ exercised by *planned* faults rather than by hoping a real disk fills up.
 A :class:`FaultPlan` is a fully deterministic schedule: each
 :class:`Fault` names a **site** (a string identifying one instrumented
 operation, e.g. ``backend.run``), the 1-based invocation number at which
-it fires, and the fault **kind** to inject.  Components that accept a
-plan call :meth:`FaultPlan.fire` exactly once per operation, so the same
-plan always produces the same failure sequence -- tests assert recovery
+it fires, and the fault **kind** to inject.  Whatever wraps a site calls
+:meth:`FaultPlan.fire` exactly once per operation, so the same plan
+always produces the same failure sequence -- tests assert recovery
 behaviour and bit-identity against an unfaulted run.
+
+No production module imports this one, and production code carries no
+fault hooks: :class:`FaultingPoolBackend` wraps a pool backend from the
+outside, and the tests wrap the result cache's shard ``open`` and the
+journal handle's ``write`` the same way.
 
 Plans can also be generated from a seed (:meth:`FaultPlan.seeded`), which
 is how the hypothesis suite sweeps the fault space while staying
 reproducible from the failing example alone.
 
-The module is import-light on purpose: it must be importable from
-:mod:`repro.service.cache` and :mod:`repro.service.journal` without
-creating a cycle through the manager, so :class:`FaultingPoolBackend` is
-a duck-typed pool backend (the manager never isinstance-checks backends).
+:class:`FaultingPoolBackend` is a duck-typed pool backend (the manager
+never isinstance-checks backends), so this module never imports the
+manager.
 """
 
 from __future__ import annotations
@@ -100,8 +104,8 @@ def fault_exception(fault: "Fault") -> BaseException:
     """The exception a raising site throws for ``fault``.
 
     ``corrupt`` and ``torn-write`` have no single exception -- the
-    instrumented site mangles its own data instead -- so they are rejected
-    here; sites that support them special-case those kinds before calling.
+    wrapped site mangles its own data instead -- so they are rejected
+    here; wrappers that support them special-case those kinds first.
     """
     if fault.kind == KIND_CRASH:
         return InjectedWorkerCrash(

@@ -39,14 +39,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
-
-from repro.service.faults import (
-    KIND_TORN_WRITE,
-    SITE_JOURNAL_APPEND,
-    FaultPlan,
-    fault_exception,
-)
+from typing import Any, Dict, List, Union
 
 #: Version of the journal wire format (bump on incompatible change).
 JOURNAL_SCHEMA_VERSION = 1
@@ -137,14 +130,8 @@ class JobJournal:
     acknowledged record left off.  Every append is fsync'd.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._fault_plan = fault_plan
         self.torn_bytes_dropped = 0
         self.torn_records_dropped = 0
         #: How many jobs were ever submitted (numbering continues after it).
@@ -182,20 +169,6 @@ class JobJournal:
         if self._handle is None:
             raise JournalError("journal is closed")
         record = {"type": record_type, **payload}
-        fault = (
-            self._fault_plan.fire(SITE_JOURNAL_APPEND)
-            if self._fault_plan is not None
-            else None
-        )
-        if fault is not None:
-            if fault.kind == KIND_TORN_WRITE:
-                # A crash mid-write: half the encoded record reaches the
-                # disk, the append is never acknowledged.
-                data = encode_record(record)
-                self._handle.write(data[: max(1, len(data) // 2)])
-                self._handle.flush()
-                raise injected_torn_write(fault)
-            raise fault_exception(fault)
         self._append_raw(record)
         self._fold(record)
 
@@ -259,11 +232,6 @@ class JobJournal:
             with open(self.path, "r+b") as handle:
                 handle.truncate(offset)
         return offset > 0
-
-
-def injected_torn_write(fault: Any) -> OSError:
-    """The exception surfaced after an injected torn write."""
-    return OSError(f"injected torn write at invocation {fault.at}: process died")
 
 
 def _header_ok(record: Dict[str, Any]) -> bool:

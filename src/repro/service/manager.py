@@ -71,16 +71,14 @@ from repro.parallel.jobs import ReplicaJob
 from repro.parallel.sweep import select_minimum_replica
 from repro.parallel.worker import HEADER, encode_frame, reply_outcome
 from repro.service.cache import ResultCache, replica_key
-from repro.service.fairness import (
-    DEFAULT_CLIENT_ID,
-    DeficitRoundRobinQueue,
-)
 from repro.service.events import (
+    DEFAULT_CLIENT_ID,
     SOURCE_CACHE,
     SOURCE_COMPUTED,
     SOURCE_DEDUPED,
     JobAdmitted,
     JobCancelled,
+    JobCancelledError,
     JobCompleted,
     JobEvent,
     JobFailed,
@@ -90,6 +88,7 @@ from repro.service.events import (
     ReplicaRetried,
     ServiceDegraded,
 )
+from repro.service.fairness import DeficitRoundRobinQueue
 from repro.service.journal import JobJournal, JournalError
 from repro.service.metrics import ServiceMetrics
 from repro.system.config import SystemConfig
@@ -151,14 +150,6 @@ class AdmissionError(RuntimeError):
         self.pending_cost = pending_cost
         self.budget = budget
         self.retry_after_s = retry_after_s
-
-
-class JobCancelledError(RuntimeError):
-    """Awaiting the result of a job that was cancelled."""
-
-    def __init__(self, job_id: str):
-        super().__init__(f"job {job_id} was cancelled")
-        self.job_id = job_id
 
 
 class JobState(str, Enum):

@@ -28,6 +28,7 @@ from typing import Any, Dict, Mapping, Optional, Type
 from repro.api.spec import ExperimentSpec, ExperimentSpecError
 from repro.service.cache import payload_to_result, result_to_payload
 from repro.service.events import (
+    DEFAULT_CLIENT_ID,
     JobAdmitted,
     JobCancelled,
     JobCompleted,
@@ -39,7 +40,6 @@ from repro.service.events import (
     ReplicaRetried,
     ServiceDegraded,
 )
-from repro.service.fairness import DEFAULT_CLIENT_ID
 from repro.system.results import RunResult
 
 #: Version of the gateway wire format (bump on incompatible change).

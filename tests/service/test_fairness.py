@@ -16,10 +16,8 @@ import asyncio
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.service.fairness import (
-    DEFAULT_CLIENT_ID,
-    DeficitRoundRobinQueue,
-)
+from repro.service.events import DEFAULT_CLIENT_ID
+from repro.service.fairness import DeficitRoundRobinQueue
 
 
 async def _drain(queue: DeficitRoundRobinQueue):

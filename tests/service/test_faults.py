@@ -2,7 +2,9 @@
 
 Every documented fault class -- worker crash, replica deadline overrun,
 disk I/O error, corrupt cache shard, torn journal tail -- is injected
-deterministically via :class:`~repro.service.faults.FaultPlan` and its
+deterministically (a :class:`~repro.service.faults.FaultPlan` wrapped
+around the pool backend, the cache's shard ``open`` or the journal's
+``write``, or a real shard overwritten with garbage) and its
 documented recovery behaviour asserted: transient failures retry with
 deterministic backoff and the final result stays bit-identical to an
 unfaulted run; permanent failures quarantine a replica without killing
@@ -45,7 +47,6 @@ from repro.service.faults import (
     KIND_PERMANENT,
     KIND_TIMEOUT,
     SITE_BACKEND_RUN,
-    SITE_CACHE_DISK_GET,
     SITE_CACHE_DISK_PUT,
     SITE_JOURNAL_APPEND,
     Fault,
@@ -61,6 +62,7 @@ from repro.service.manager import (
 )
 from repro.service.metrics import validate_metrics_snapshot
 from tests.service.backends import InlinePoolBackend, process_exists
+from tests.service.io_faults import inject_cache_faults, inject_journal_faults
 from tests.service.journal_files import (
     journal_count,
     journal_records,
@@ -291,9 +293,12 @@ class TestCacheDegradation:
 
         return asyncio.run(scenario())
 
-    def test_disk_put_fault_degrades_service_but_not_the_job(self, tmp_path):
+    def test_disk_put_fault_degrades_service_but_not_the_job(
+        self, tmp_path, monkeypatch
+    ):
         plan = FaultPlan([Fault(SITE_CACHE_DISK_PUT, 1, KIND_IO_ERROR)])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
+        inject_cache_faults(monkeypatch, plan)
+        cache = ResultCache(tmp_path / "store")
         manager, handle, events = self._run_with_cache(cache)
         assert isinstance(events[-1], JobCompleted)
         assert events[-1].result == _clean_result(SPEC)
@@ -309,8 +314,12 @@ class TestCacheDegradation:
         assert snapshot["cache"]["disk_put_errors"] == 1
 
     def test_corrupt_shard_recomputes_and_degrades(self, tmp_path):
-        plan = FaultPlan([Fault(SITE_CACHE_DISK_GET, 1, "corrupt")])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
+        cache = ResultCache(tmp_path / "store")
+        key = replica_key(SPEC.config(), SPEC.profile(), 0)
+        cache.put(key, _clean_result(SPEC))
+        cache.clear_memory()
+        shard = tmp_path / "store" / key[:2] / f"{key}.json"
+        shard.write_text('{"kind": "wrong"}')
         manager, handle, events = self._run_with_cache(cache)
         assert isinstance(events[-1], JobCompleted)
         assert events[-1].result == _clean_result(SPEC)
@@ -320,9 +329,10 @@ class TestCacheDegradation:
         degraded = [e for e in events if isinstance(e, ServiceDegraded)]
         assert len(degraded) == 1 and degraded[0].component == "cache"
 
-    def test_degradation_is_announced_once_across_jobs(self, tmp_path):
+    def test_degradation_is_announced_once_across_jobs(self, tmp_path, monkeypatch):
         plan = FaultPlan([Fault(SITE_CACHE_DISK_PUT, 1, KIND_IO_ERROR)])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
+        inject_cache_faults(monkeypatch, plan)
+        cache = ResultCache(tmp_path / "store")
 
         async def scenario():
             async with JobManager(cache=cache, sleep=_no_sleep) as manager:
@@ -346,54 +356,11 @@ class TestCacheDegradation:
         assert len(announcements) == 1
 
 
-class TestContainsFaultSite:
-    """``key in cache`` probes disk through the ``cache.disk_get`` site."""
-
-    def test_contains_probe_fires_the_disk_get_site(self, tmp_path):
-        # Two planned invocations of cache.disk_get: the first (the probe
-        # below) passes, the second faults.  A passing probe proves the
-        # membership check consumes fault-site invocations like any read.
-        plan = FaultPlan([Fault(SITE_CACHE_DISK_GET, 2, KIND_IO_ERROR)])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
-        key = replica_key(SPEC.config(), SPEC.profile(), 0)
-        cache.put(key, _clean_result(SPEC))
-        cache.clear_memory()
-        assert key in cache  # invocation 1: clean probe
-        assert cache.get(key) is None  # invocation 2: injected I/O error
-        assert cache.degraded
-
-    def test_contains_fault_degrades_and_counts(self, tmp_path):
-        plan = FaultPlan([Fault(SITE_CACHE_DISK_GET, 1, KIND_IO_ERROR)])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
-        key = replica_key(SPEC.config(), SPEC.profile(), 0)
-        cache.put(key, _clean_result(SPEC))
-        cache.clear_memory()
-        assert key not in cache  # the probe itself hits the injected fault
-        assert cache.degraded
-        assert "disk probe" in cache.degraded_reason
-        assert cache.stats.disk_get_errors == 1
-        # Degraded mode latches: later probes answer from memory only,
-        # without touching the (faulted) disk store again.
-        assert key not in cache
-        assert cache.stats.disk_get_errors == 1
-
-    def test_memory_hit_still_answers_while_degraded(self, tmp_path):
-        plan = FaultPlan([Fault(SITE_CACHE_DISK_GET, 1, KIND_IO_ERROR)])
-        cache = ResultCache(tmp_path / "store", fault_plan=plan)
-        key = replica_key(SPEC.config(), SPEC.profile(), 0)
-        cache.put(key, _clean_result(SPEC))
-        other = replica_key(SPEC2.config(), SPEC2.profile(), 1)
-        assert other not in cache  # faults, degrades
-        assert cache.degraded
-        assert key in cache  # memory tier is unaffected
-        assert cache.get(key) == _clean_result(SPEC)
-
-
 class TestJournalDegradation:
     def test_journal_fault_degrades_but_the_job_completes(self, tmp_path):
         plan = FaultPlan([Fault(SITE_JOURNAL_APPEND, 2, KIND_IO_ERROR)])
         journal_path = tmp_path / "journal.jsonl"
-        journal = JobJournal(journal_path, fault_plan=plan)
+        journal = inject_journal_faults(JobJournal(journal_path), plan)
 
         async def scenario():
             async with JobManager(journal=journal, sleep=_no_sleep) as manager:

@@ -25,6 +25,7 @@ from repro.service.journal import (
     decode_line,
     encode_record,
 )
+from tests.service.io_faults import inject_journal_faults
 from tests.service.journal_files import (
     journal_count,
     journal_records,
@@ -175,7 +176,7 @@ class TestTornTail:
     def test_injected_torn_write_is_truncated_on_reopen(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         plan = FaultPlan([Fault(SITE_JOURNAL_APPEND, 2, "torn-write")])
-        with JobJournal(path, fault_plan=plan) as journal:
+        with inject_journal_faults(JobJournal(path), plan) as journal:
             _submit(journal)  # invocation 1: fine
             with pytest.raises(OSError, match="torn write"):
                 journal.append("job-completed", job="job-1")

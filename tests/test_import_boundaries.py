@@ -1,11 +1,13 @@
 """Each process imports only the layers it runs.
 
 The service gateway parses specs and serves cache hits; only its worker
-subprocesses simulate.  A library script simulates in process and never
-serves.  Every check imports one process's entry modules in a fresh
-interpreter and lists the modules it must not have loaded, so a package
-``__init__`` or a module-level import that re-couples the layers fails
-here rather than as a slower cold start.
+subprocesses simulate.  A client only talks to a gateway: it loads the
+wire vocabulary, never the gateway, the job manager or an event loop.
+A library script simulates in process and never serves, and loads the
+process pool only when it runs.  Every check imports one process's
+entry modules in a fresh interpreter and lists the modules it must not
+have loaded, so a package ``__init__`` or a module-level import that
+re-couples the layers fails here rather than as a slower cold start.
 """
 
 from __future__ import annotations
@@ -78,6 +80,22 @@ def test_every_forbidden_simulator_module_exists():
             [*SIMULATOR, "multiprocessing", "concurrent.futures.process"],
             id="gateway",
         ),
+        pytest.param(
+            ["repro.client"],
+            [
+                *SIMULATOR,
+                "asyncio",
+                "repro.parallel",
+                "repro.service.manager",
+                "repro.service.server",
+                "repro.service.journal",
+                "repro.service.faults",
+                "repro.service.fairness",
+                "repro.service.metrics",
+            ],
+            id="client",
+        ),
+        pytest.param(["repro.api"], ["repro.parallel"], id="api"),
         pytest.param(
             ["repro.api", "repro.system.builder"],
             ["multiprocessing", "concurrent.futures", "asyncio", "repro.service"],
