@@ -53,6 +53,16 @@ SPEC_DIROPT = ExperimentSpec.make("oltp", protocol="diropt", scale=SCALE)
 SPEC_DIRCLASSIC = ExperimentSpec.make("oltp", protocol="dirclassic", scale=SCALE)
 
 
+def test_client_and_manager_share_the_cancellation_vocabulary():
+    # A caller catches a client-raised cancellation by the manager's name.
+    from repro import client
+    from repro.service import events, manager
+
+    assert manager.JobCancelledError is client.JobCancelledError
+    assert manager.JobCancelledError is events.JobCancelledError
+    assert manager.DEFAULT_CLIENT_ID == client.DEFAULT_CLIENT_ID
+
+
 class GatedBackend(InlinePoolBackend):
     """Inline backend that blocks every run until the gate opens."""
 

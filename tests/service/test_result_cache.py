@@ -491,6 +491,18 @@ class TestDegradedMode:
         assert cache.get(key) is None
         assert plan.invocations(SITE_CACHE_DISK_GET) == 1
 
+    def test_disk_get_fault_leaves_memory_hits_serving(self, tmp_path, monkeypatch):
+        plan = FaultPlan([Fault(SITE_CACHE_DISK_GET, 1, "io-error")])
+        inject_cache_faults(monkeypatch, plan)
+        cache = ResultCache(tmp_path / "store")
+        key, cold = "a" * 64, "b" * 64
+        cache.put(key, self._result(runtime=7))
+        assert cache.get(cold) is None  # the disk read faults and degrades
+        assert cache.degraded
+        # The memory tier answers without another disk read.
+        assert cache.get(key).runtime_ns == 7
+        assert plan.invocations(SITE_CACHE_DISK_GET) == 1
+
     def test_corrupt_shard_degrades_but_memory_keeps_serving(self, tmp_path):
         key = "ab" + "c" * 62
         cache = ResultCache(tmp_path / "store")

@@ -12,6 +12,7 @@ re-couples the layers fails here rather than as a slower cold start.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -110,3 +111,24 @@ def test_every_forbidden_simulator_module_exists():
 )
 def test_process_loads_only_its_layers(imports, forbidden):
     assert loaded(imports, forbidden) == []
+
+
+def test_no_production_module_imports_the_fault_plan():
+    # Fault injection wraps I/O from the tests; a module under src that
+    # imported the plan would carry a test hook into every process.
+    faults = SRC / "repro" / "service" / "faults.py"
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path == faults:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.service.faults" in names:
+                offenders.append(str(path.relative_to(SRC)))
+    assert offenders == []
