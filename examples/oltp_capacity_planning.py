@@ -66,8 +66,8 @@ def sweep_via_service(scale):
 
     async def run():
         async with JobManager(cache=ResultCache()) as manager:
-            first = [manager.submit(spec) for spec in specs]
-            second = [manager.submit(spec) for spec in specs]
+            first = [await manager.submit_async(spec) for spec in specs]
+            second = [await manager.submit_async(spec) for spec in specs]
             await manager.drain()
             results = [await handle.result() for handle in first]
             replayed = [await handle.result() for handle in second]

@@ -11,15 +11,16 @@ loads the wire vocabulary, not the gateway or the job manager.
   control, per-job cancellation, in-flight deduplication, and a
   fault-tolerance layer (transient-failure retries with deterministic
   backoff, per-replica deadlines, worker-crash pool rebuilds, replica
-  quarantine, journal-driven crash recovery).  Cache hits resolve at
-  admission; misses compute in :class:`WorkerPoolBackend`, warm worker
-  subprocesses off the event loop.
+  quarantine, journal-driven crash recovery).  ``submit_async`` is its
+  one way in: admission, job numbering and registration are one step.
+  Cache hits resolve at admission; misses compute in
+  :class:`WorkerPoolBackend`, warm worker subprocesses off the event loop.
 * :mod:`repro.service.fairness` -- :class:`DeficitRoundRobinQueue`, the
   weighted deficit-round-robin scheduler behind the manager: one
   priority+FIFO lane per client, starvation bounded by construction.
 * :mod:`repro.service.server` -- :class:`GatewayServer`, the stdlib
-  HTTP/WebSocket network front-end (``POST /v1/jobs``, status, cancel,
-  NDJSON/WebSocket event streams, health and metrics), and
+  HTTP network front-end (``POST /v1/jobs``, status, cancel, NDJSON
+  event streams, health and metrics), and
   :class:`ServerThread`, its synchronous single-process host; the
   matching blocking client is :class:`repro.client.ServiceClient`.
 * :mod:`repro.service.wire` -- the typed, schema-versioned wire messages

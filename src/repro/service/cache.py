@@ -377,7 +377,7 @@ class ResultCache:
             return document
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
             with self._lock:
                 self.stats.invalid_entries += 1
                 self.stats.disk_get_errors += 1

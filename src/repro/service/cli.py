@@ -17,7 +17,7 @@ surfaces the exact same validation errors as the Python API.  Requests
 are validated eagerly, streamed as they progress, and deduplicated
 through the shared result cache.
 
-``--listen HOST:PORT`` serves the HTTP/WebSocket gateway
+``--listen HOST:PORT`` serves the HTTP gateway
 (:mod:`repro.service.server`) instead of running one-shot requests;
 ``--client-weight CLIENT=N`` gives named clients weighted shares of the
 deficit-round-robin scheduler and ``--cache-budget BYTES`` bounds the
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen",
         metavar="HOST:PORT",
         default=None,
-        help="serve the HTTP/WebSocket gateway on HOST:PORT (port 0 picks "
+        help="serve the HTTP gateway on HOST:PORT (port 0 picks "
         "an ephemeral port) instead of running one-shot requests",
     )
     parser.add_argument(
@@ -343,7 +343,7 @@ async def _serve(
             print(f"recovered {handle.job_id} {handle.spec.label} from the journal")
         for spec, priority in requests:
             try:
-                handles.append(manager.submit(spec, priority=priority))
+                handles.append(await manager.submit_async(spec, priority=priority))
             except AdmissionError as error:
                 failures += 1
                 print(f"rejected {spec.label}: {error}")
@@ -366,7 +366,7 @@ async def _serve(
 
 
 async def _listen(manager: JobManager, args: argparse.Namespace) -> int:
-    """``--listen``: serve the HTTP/WebSocket gateway until interrupted."""
+    """``--listen``: serve the HTTP gateway until interrupted."""
     host, port = _parse_listen(args.listen)
     async with manager:
         gateway = GatewayServer(manager, host=host, port=port)

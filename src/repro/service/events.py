@@ -24,13 +24,9 @@ replica whose attempt budget is exhausted emits one :class:`ReplicaFailed`
 
 After the terminal event the stream ends; a cancelled job emits nothing
 further even if shared replicas finish later for other jobs' benefit.
-
-One degenerate stream is legal: a job cancelled **before admission**
-(possible through :meth:`JobManager.submit_async`, where the network
-gateway registers the job id before the admission decision) emits
-exactly one event -- the terminal :class:`JobCancelled` -- and no
-``JobAdmitted``, because the job never entered the queue.  Contract
-checkers accept a single-event stream iff it is a lone ``JobCancelled``.
+A job is admitted and registered in one step, so no stream lacks the
+leading ``JobAdmitted``: a submission the admission controller rejects
+has no job id and no stream at all.
 """
 
 from __future__ import annotations

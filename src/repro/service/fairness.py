@@ -52,24 +52,20 @@ class DeficitRoundRobinQueue:
     """Weighted deficit-round-robin queue over per-client lanes.
 
     ``weights`` maps client ids to positive integer weights (missing
-    clients get ``default_weight``).  ``record_schedule=True`` keeps the
-    full serve log as ``(client_id, cost)`` tuples -- unbounded, so it is
-    off by default and enabled by the fairness tests.
+    clients get :data:`DEFAULT_WEIGHT`).  ``record_schedule=True`` keeps
+    the full serve log as ``(client_id, cost)`` tuples -- unbounded, so it
+    is off by default and enabled by the fairness tests.
     """
 
     def __init__(
         self,
         *,
         weights: Optional[Dict[str, int]] = None,
-        default_weight: int = DEFAULT_WEIGHT,
         record_schedule: bool = False,
     ) -> None:
-        if default_weight < 1:
-            raise ValueError("default_weight must be a positive integer")
         self._weights: Dict[str, int] = {}
         for client, weight in (weights or {}).items():
             self.set_weight(client, weight)
-        self.default_weight = default_weight
         self._lanes: Dict[str, _Lane] = {}
         self._ring: Deque[str] = deque()
         self._sequence = itertools.count()
@@ -100,7 +96,7 @@ class DeficitRoundRobinQueue:
         self._weights[client_id] = weight
 
     def weight_of(self, client_id: str) -> int:
-        return self._weights.get(client_id, self.default_weight)
+        return self._weights.get(client_id, DEFAULT_WEIGHT)
 
     @property
     def quantum(self) -> int:

@@ -13,7 +13,7 @@ of :mod:`repro.parallel` to a shared worker pool:
   first); within a priority class, replicas run in submission order.
 * **Admission control** -- the queue is bounded by *estimated cost* (a
   work proxy: references x nodes x replicas).  Once the pending cost
-  would exceed the budget, :meth:`JobManager.submit` raises
+  would exceed the budget, :meth:`JobManager.submit_async` raises
   :class:`AdmissionError` carrying a ``retry_after_s`` estimate derived
   from the observed completion rate, so overloaded clients back off
   instead of piling up unbounded queues.  A job is always admitted when
@@ -363,7 +363,6 @@ class JobHandle:
         self.total_replicas = len(keys)
         #: How many replicas have finished so far (gauge for status polls).
         self.completed_replicas = 0
-        self.admitted = False
         self.state = JobState.QUEUED
         self._cancel = cancel
         self._results: Optional[Dict[int, RunResult]] = {}
@@ -446,7 +445,7 @@ class JobManager:
 
         cache = ResultCache("~/.cache/repro-results")
         async with JobManager(jobs=4, cache=cache) as manager:
-            handle = manager.submit(spec, priority=1)
+            handle = await manager.submit_async(spec, priority=1)
             async for event in handle.events():
                 ...
             result = await handle.result()
@@ -487,7 +486,6 @@ class JobManager:
         backoff_cap: float = DEFAULT_BACKOFF_CAP_S,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         client_weights: Optional[Dict[str, int]] = None,
-        record_schedule: bool = False,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
@@ -502,10 +500,7 @@ class JobManager:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
-        self.scheduler = DeficitRoundRobinQueue(
-            weights=client_weights, record_schedule=record_schedule
-        )
-        self._queue = self.scheduler
+        self.scheduler = DeficitRoundRobinQueue(weights=client_weights)
         #: Every live handle plus the last :data:`RETAINED_TERMINAL_JOBS`
         #: finished ones, by job id (the registry behind
         #: ``GET /v1/jobs/{id}`` and cross-request cancellation).
@@ -540,7 +535,7 @@ class JobManager:
 
     async def drain(self) -> None:
         """Wait until every queued replica has been processed or skipped."""
-        await self._queue.join()
+        await self.scheduler.join()
 
     async def aclose(self) -> None:
         """Stop the workers and release the backend (no implicit drain)."""
@@ -553,7 +548,7 @@ class JobManager:
         await self.backend.aclose()
 
     # --------------------------------------------------------------- submit
-    def submit(
+    async def submit_async(
         self,
         spec: ExperimentSpec,
         *,
@@ -563,56 +558,21 @@ class JobManager:
         """Admit ``spec`` as a job and enqueue its replicas.
 
         Raises :class:`AdmissionError` when the pending-cost budget is
-        exhausted (unless the queue is empty, which always admits).
+        exhausted (unless the queue is empty, which always admits); a
+        rejected submission registers nothing and numbers no job.
         ``client_id`` selects the deficit-round-robin lane the job's
         replicas are scheduled in (see :mod:`repro.service.fairness`);
         within a client, lower ``priority`` values run earlier and ties
-        are FIFO.
+        are FIFO.  Admission and registration are one step: the returned
+        handle's stream starts with ``JobAdmitted``.
         """
         if self._closed:
             raise RuntimeError("manager is closed")
         config = spec.config()
         profile = spec.profile()
         unit_cost = replica_cost(config, profile)
-        total_cost = unit_cost * config.perturbation_replicas
-        self._admit(total_cost)
-        return self._launch(spec, priority, config, profile, unit_cost, client_id)
-
-    async def submit_async(
-        self,
-        spec: ExperimentSpec,
-        *,
-        priority: int = 0,
-        client_id: str = DEFAULT_CLIENT_ID,
-    ) -> JobHandle:
-        """:meth:`submit` for network front-ends: the handle is registered
-        (and therefore cancellable) *before* the admission decision.
-
-        The gateway registers a job id as soon as the request is parsed,
-        then yields to the event loop before admission -- so a cancel can
-        land in between.  A job cancelled in that window is never
-        admitted: it emits **exactly one** terminal :class:`JobCancelled`
-        event (no ``JobAdmitted``), enqueues nothing, and still resolves
-        :meth:`JobHandle.result` with :class:`JobCancelledError`.
-        """
-        if self._closed:
-            raise RuntimeError("manager is closed")
-        config = spec.config()
-        profile = spec.profile()
-        unit_cost = replica_cost(config, profile)
-        handle = self._prepare_handle(spec, priority, config, profile, client_id)
-        # The admission decision is a separate scheduling step: a
-        # DELETE racing this submit can cancel the registered handle here.
-        await asyncio.sleep(0)
-        if handle.state is not JobState.QUEUED:
-            return handle
-        try:
-            self._admit(unit_cost * config.perturbation_replicas)
-        except AdmissionError:
-            self.jobs.pop(handle.job_id, None)
-            raise
-        self._activate(handle, unit_cost)
-        return handle
+        self._admit(unit_cost * config.perturbation_replicas)
+        return self._start(spec, priority, client_id, config, profile, unit_cost)
 
     def get_job(self, job_id: str) -> Optional[JobHandle]:
         """The handle registered under ``job_id``, if it is still held."""
@@ -634,29 +594,23 @@ class JobManager:
             and job_id not in self.jobs
         )
 
-    def _launch(
+    def _start(
         self,
         spec: ExperimentSpec,
         priority: int,
+        client_id: str,
         config: SystemConfig,
         profile: WorkloadProfile,
         unit_cost: int,
-        client_id: str = DEFAULT_CLIENT_ID,
     ) -> JobHandle:
-        """Enqueue an already-admitted job (shared by submit and recover)."""
-        handle = self._prepare_handle(spec, priority, config, profile, client_id)
-        self._activate(handle, unit_cost)
-        return handle
+        """Number, register, journal and enqueue an admitted job (shared
+        by :meth:`submit_async` and :meth:`recover`).
 
-    def _prepare_handle(
-        self,
-        spec: ExperimentSpec,
-        priority: int,
-        config: SystemConfig,
-        profile: WorkloadProfile,
-        client_id: str,
-    ) -> JobHandle:
-        """Create and register a handle (no admission, nothing enqueued)."""
+        A cache hit never waits behind a computing replica: it completes
+        here, before :meth:`submit_async` returns.  Only the replicas the
+        cache lacks enter the scheduler (``_process`` still checks the
+        cache and joins in-flight twins when they dequeue).
+        """
         job_id = f"job-{self._next_job_number}"
         self._next_job_number += 1
         keys = [
@@ -667,20 +621,6 @@ class JobManager:
             job_id, spec, config, profile, priority, keys, self._cancel, client_id
         )
         self.jobs[job_id] = handle
-        return handle
-
-    def _activate(self, handle: JobHandle, unit_cost: int) -> None:
-        """Admit a prepared handle: count it, journal it, record its cached
-        replicas at once and enqueue the rest.
-
-        A cache hit never waits behind a computing replica: it completes
-        here, before :meth:`submit_async` returns.  Only the replicas the
-        cache lacks enter the scheduler (``_process`` still checks the
-        cache and joins in-flight twins when they dequeue).
-        """
-        keys, config, profile = handle.keys, handle.config, handle.profile
-        assert keys is not None and config is not None and profile is not None
-        handle.admitted = True
         cached: Dict[int, RunResult] = {}
         if self.cache is not None:
             for index, key in enumerate(keys):
@@ -693,18 +633,15 @@ class JobManager:
         self._journal_record(
             handle,
             "job-submitted",
-            job=handle.job_id,
-            priority=handle.priority,
-            client=handle.client_id,
-            spec=handle.spec.as_document(),
+            job=job_id,
+            priority=priority,
+            client=client_id,
+            spec=spec.as_document(),
         )
         self._emit(
             handle,
             JobAdmitted(
-                handle.job_id,
-                label=handle.spec.label,
-                total_replicas=len(keys),
-                priority=handle.priority,
+                job_id, label=spec.label, total_replicas=len(keys), priority=priority
             ),
         )
         self._note_cache_health(handle)
@@ -723,7 +660,8 @@ class JobManager:
                 job=ReplicaJob(config=config, profile=profile, replica_index=index),
                 cost=unit_cost,
             )
-            self._queue.put_nowait(handle.client_id, handle.priority, unit_cost, unit)
+            self.scheduler.put_nowait(client_id, priority, unit_cost, unit)
+        return handle
 
     def recover(self) -> List[JobHandle]:
         """Resubmit the journal's unfinished jobs; returns their handles.
@@ -757,13 +695,13 @@ class JobManager:
                 continue
             config = spec.config()
             profile = spec.profile()
-            handle = self._launch(
+            handle = self._start(
                 spec,
                 entry.priority,
+                entry.client,
                 config,
                 profile,
                 replica_cost(config, profile),
-                entry.client,
             )
             self.metrics.jobs_recovered += 1
             self._journal_record(
@@ -805,27 +743,15 @@ class JobManager:
         return True
 
     # -------------------------------------------------------------- workers
-    def pause_scheduling(self) -> None:
-        """Hold every queued unit back (enqueues still accepted).
-
-        Used by tests to build a deterministic multi-client backlog before
-        any unit dispatches.
-        """
-        self._queue.hold()
-
-    def resume_scheduling(self) -> None:
-        """Release units held back by :meth:`pause_scheduling`."""
-        self._queue.release()
-
     async def _worker(self) -> None:
         while True:
-            unit = await self._queue.get()
+            unit = await self.scheduler.get()
             try:
                 await self._process(unit)
             except Exception as error:  # defensive: keep the worker alive
                 self._fail(unit.handle, error)
             finally:
-                self._queue.task_done()
+                self.scheduler.task_done()
 
     async def _process(self, unit: _ReplicaUnit) -> None:
         handle = unit.handle

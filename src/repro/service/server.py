@@ -1,4 +1,4 @@
-"""HTTP/WebSocket gateway in front of :class:`~repro.service.manager.JobManager`.
+"""HTTP gateway in front of :class:`~repro.service.manager.JobManager`.
 
 Stdlib-only (``asyncio`` streams, no web framework), speaking the typed
 wire vocabulary of :mod:`repro.service.wire`:
@@ -13,34 +13,33 @@ Method       Path                       Meaning
                                         ``Retry-After`` header
 ``GET``      ``/v1/jobs/{id}``          ``JobStatus`` (state, progress, merged result)
 ``DELETE``   ``/v1/jobs/{id}``          cancel; ``CancelResponse``
-``GET``      ``/v1/jobs/{id}/events``   the job's event stream -- NDJSON by default,
-                                        RFC 6455 WebSocket text frames when the
-                                        request carries ``Upgrade: websocket``
-                                        (the three job routes answer ``410`` for a
-                                        finished job the manager no longer holds)
+``GET``      ``/v1/jobs/{id}/events``   the job's NDJSON event stream (the three
+                                        job routes answer ``410`` for a finished
+                                        job the manager no longer holds)
 ``GET``      ``/v1/health``             the manager's degradation report
 ``GET``      ``/v1/metrics``            the schema-v4 metrics snapshot
 ===========  =========================  =========================================
 
 Connections are persistent (HTTP/1.1 keep-alive): one socket serves
 request after request until the client sends ``Connection: close`` or
-speaks HTTP/1.0, upgrades to a WebSocket, or the gateway answers a
-framing error (``400``/``413``) or a ``500``.  NDJSON event streams use
+speaks HTTP/1.0, or the gateway answers a framing error (``400``/``413``)
+or a ``500``.  On a kept-alive connection an event stream uses
 ``Transfer-Encoding: chunked`` (one chunk per event line, the zero chunk
-after the terminal event), so a stream does not end its connection
-either.  A stream writes each batch of available events -- the head
-with the first, the zero chunk with the terminal event -- in one write,
-so a finished job's whole stream is one write.  Reading one request --
-including the idle wait before it -- is bounded by
-:data:`READ_TIMEOUT_S`; a client that stays silent or half-sends a
-request longer than that has its connection closed.
+after the terminal event), so it does not end its connection either;
+otherwise the stream's body runs until the gateway closes the
+connection, which is how an HTTP/1.0 client reads it.  A stream writes
+each batch of available events -- the head with the first, the zero
+chunk with the terminal event -- in one write, so a finished job's whole
+stream is one write.  Any ``Upgrade`` header is ignored: an event stream
+is always NDJSON.  Reading one request -- including the idle wait before
+it -- is bounded by :data:`READ_TIMEOUT_S`; a client that stays silent
+or half-sends a request longer than that has its connection closed.
 
 Event streams are **replayable**: each
 :class:`~repro.service.manager.JobHandle` keeps its event log, and a
 stream request replays it and then follows live, so any number of stream
 requests -- connecting at any time, even after the job finished -- see
-the identical full sequence from ``JobAdmitted`` (or the lone
-``JobCancelled`` of a cancel-before-admit race) through the terminal
+the identical full sequence from ``JobAdmitted`` through the terminal
 event.  The gateway keeps no per-job state of its own.
 
 Finished jobs are held only up to
@@ -58,11 +57,8 @@ with its own event loop, which is what lets the *blocking*
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import math
-import struct
 import threading
 from typing import (
     Any,
@@ -91,9 +87,6 @@ from repro.service.wire import (
     error_to_wire,
     event_to_wire,
 )
-
-#: RFC 6455 magic GUID appended to ``Sec-WebSocket-Key`` in the handshake.
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 #: Largest request body the gateway will read (a spec document is tiny).
 MAX_BODY_BYTES = 1 << 20
@@ -131,10 +124,9 @@ class _Request(NamedTuple):
 
     method: str
     path: str
-    headers: Dict[str, str]
     body: bytes
-    #: HTTP/1.1 with neither ``Connection: close`` nor a WebSocket
-    #: upgrade: the socket serves another request after this one.
+    #: HTTP/1.1 without ``Connection: close``: the socket serves another
+    #: request after this one.
     keep_alive: bool
 
 
@@ -147,7 +139,7 @@ class _FramingError(Exception):
 
 
 class GatewayServer:
-    """The asyncio HTTP/WebSocket front-end of one job manager.
+    """The asyncio HTTP front-end of one job manager.
 
     The manager must already be started (workers running) and stays owned
     by the caller; the gateway only owns its listening socket and open
@@ -342,87 +334,39 @@ class GatewayServer:
         handle = self.manager.get_job(job_id)
         if handle is None:
             return self._unknown_job(job_id)
-        if request.headers.get("upgrade", "").lower() == "websocket":
-            return await self._events_websocket(handle, request.headers, writer)
-        await self._events_ndjson(handle, writer, chunked=request.keep_alive)
-        return None
-
-    async def _events_ndjson(
-        self, handle: JobHandle, writer: asyncio.StreamWriter, *, chunked: bool
-    ) -> None:
-        """One JSON line per event.  ``chunked``: one chunk per line and the
-        zero chunk after the terminal event, so the connection survives;
-        otherwise the body runs until the connection closes."""
-        framing = b"Transfer-Encoding: chunked" if chunked else b"Connection: close"
-        await _write_batches(
-            writer,
-            handle,
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
-            + framing
-            + b"\r\n\r\n",
-            _ndjson_chunk if chunked else _ndjson_line,
-            b"0\r\n\r\n" if chunked else b"",
-        )
-
-    async def _events_websocket(
-        self,
-        handle: JobHandle,
-        headers: Dict[str, str],
-        writer: asyncio.StreamWriter,
-    ) -> Optional[_Reply]:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            return _error(400, "websocket upgrade without Sec-WebSocket-Key")
-        accept = base64.b64encode(
-            hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
-        ).decode("ascii")
-        await _write_batches(
-            writer,
-            handle,
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
-            ).encode("ascii"),
-            _ws_text_frame,
-            _ws_frame(0x8, struct.pack("!H", 1000)),
-        )
+        await _write_events(writer, handle, chunked=request.keep_alive)
         return None
 
 
-async def _write_batches(
-    writer: asyncio.StreamWriter,
-    handle: JobHandle,
-    head: bytes,
-    encode: Callable[[bytes], bytes],
-    end: bytes,
+async def _write_events(
+    writer: asyncio.StreamWriter, handle: JobHandle, *, chunked: bool
 ) -> None:
-    """Stream ``handle``'s events: ``head``, each event's JSON document
-    through ``encode``, and ``end`` after the terminal event.
+    """Stream ``handle``'s events as NDJSON, one JSON line per event.
 
-    Each batch of available events is one write and one drain (the head
-    goes with the first batch), so a finished job's stream is one write.
+    ``chunked``: one chunk per line and the zero chunk after the terminal
+    event, so the connection survives; otherwise the body runs until the
+    connection closes.  Each batch of available events is one write and
+    one drain (the head goes with the first batch), so a finished job's
+    stream is one write.
     """
-    out = [head]
+    framing = b"Transfer-Encoding: chunked" if chunked else b"Connection: close"
+    out = [
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        + framing
+        + b"\r\n\r\n"
+    ]
     async for batch in handle.batches():
         for event in batch:
-            document = json.dumps(event_to_wire(event), sort_keys=True)
-            out.append(encode(document.encode("utf-8")))
-        if batch[-1].terminal:
-            out.append(end)
+            line = json.dumps(event_to_wire(event), sort_keys=True).encode("utf-8")
+            if chunked:
+                out.append(b"%x\r\n%s\n\r\n" % (len(line) + 1, line))
+            else:
+                out.append(line + b"\n")
+        if batch[-1].terminal and chunked:
+            out.append(b"0\r\n\r\n")
         writer.write(b"".join(out))
         out = []
         await writer.drain()
-
-
-def _ndjson_chunk(line: bytes) -> bytes:
-    """One event line as one HTTP chunk."""
-    return b"%x\r\n%s\n\r\n" % (len(line) + 1, line)
-
-
-def _ndjson_line(line: bytes) -> bytes:
-    return line + b"\n"
 
 
 # ---------------------------------------------------------- HTTP plumbing
@@ -468,12 +412,8 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
         return None
     connection = headers.get("connection", "").lower()
     tokens = {token.strip() for token in connection.split(",")}
-    keep_alive = (
-        version != "HTTP/1.0"
-        and "close" not in tokens
-        and headers.get("upgrade", "").lower() != "websocket"
-    )
-    return _Request(method.upper(), target.split("?", 1)[0], headers, body, keep_alive)
+    keep_alive = version != "HTTP/1.0" and "close" not in tokens
+    return _Request(method.upper(), target.split("?", 1)[0], body, keep_alive)
 
 
 def _end_reading(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -517,23 +457,6 @@ def _write_response(
     if close:
         head.append("Connection: close")
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-
-
-def _ws_text_frame(payload: bytes) -> bytes:
-    return _ws_frame(0x1, payload)
-
-
-def _ws_frame(opcode: int, payload: bytes) -> bytes:
-    """One unmasked server-to-client WebSocket frame (FIN set)."""
-    head = bytes([0x80 | opcode])
-    length = len(payload)
-    if length < 126:
-        head += bytes([length])
-    elif length < (1 << 16):
-        head += bytes([126]) + struct.pack("!H", length)
-    else:
-        head += bytes([127]) + struct.pack("!Q", length)
-    return head + payload
 
 
 async def _status_of(handle: JobHandle) -> JobStatus:

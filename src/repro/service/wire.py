@@ -1,8 +1,8 @@
 """Typed wire messages of the network gateway (`repro.service.server`).
 
-Every request and response that crosses the HTTP/WebSocket boundary is a
-frozen dataclass here with a ``to_wire()`` / ``from_wire()`` pair, so both
-ends of the connection share one schema-versioned vocabulary instead of
+Every request and response that crosses the HTTP boundary is a frozen
+dataclass here with a ``to_wire()`` / ``from_wire()`` pair, so both ends
+of the connection share one schema-versioned vocabulary instead of
 hand-rolled dictionaries.  The envelope convention matches the repo's other
 JSON artifacts (cache entries, journal records, metrics snapshots): every
 document carries ``wire_version`` and a ``kind`` discriminator, and
@@ -325,7 +325,7 @@ _EVENT_TYPES: Dict[str, Type[JobEvent]] = {
 
 
 def event_to_wire(event: JobEvent) -> Dict[str, Any]:
-    """One job event as its NDJSON/WebSocket wire document."""
+    """One job event as its NDJSON wire document."""
     document = _envelope(KIND_EVENT)
     document["event"] = type(event).__name__
     document["terminal"] = event.terminal

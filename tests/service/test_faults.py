@@ -141,7 +141,7 @@ class TestRetryPolicy:
     def _run(self, spec, manager):
         async def scenario():
             async with manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 await manager.drain()
                 events = await _collect(handle)
                 return handle, events
@@ -266,7 +266,7 @@ class TestWorkerCrashRecovery:
             (killed,) = backend.worker_pids
             os.kill(killed, signal.SIGKILL)
             async with JobManager(backend=backend, sleep=_no_sleep) as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 await manager.drain()
                 result = await handle.result()
                 assert killed not in backend.worker_pids
@@ -286,7 +286,7 @@ class TestCacheDegradation:
     def _run_with_cache(self, cache, spec=SPEC):
         async def scenario():
             async with JobManager(cache=cache, sleep=_no_sleep) as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 await manager.drain()
                 events = await _collect(handle)
                 return manager, handle, events
@@ -336,8 +336,8 @@ class TestCacheDegradation:
 
         async def scenario():
             async with JobManager(cache=cache, sleep=_no_sleep) as manager:
-                first = manager.submit(SPEC)
-                second = manager.submit(
+                first = await manager.submit_async(SPEC)
+                second = await manager.submit_async(
                     ExperimentSpec.make("oltp", protocol="diropt", scale=SCALE)
                 )
                 await manager.drain()
@@ -364,7 +364,7 @@ class TestJournalDegradation:
 
         async def scenario():
             async with JobManager(journal=journal, sleep=_no_sleep) as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 await manager.drain()
                 events = await _collect(handle)
                 return manager, events
@@ -449,7 +449,7 @@ class TestJournalRecovery:
                 journal=journal,
             )
             await manager.start()
-            manager.submit(SPEC3)
+            await manager.submit_async(SPEC3)
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 120.0
             metrics = manager.metrics
@@ -610,7 +610,7 @@ class TestEventContractUnderRandomFaults:
                 max_attempts=2,
                 sleep=_no_sleep,
             ) as manager:
-                handles = [manager.submit(spec) for spec in self.SPECS]
+                handles = [await manager.submit_async(spec) for spec in self.SPECS]
                 if cancel_index >= 0:
                     assert handles[cancel_index].cancel()
                 await manager.drain()

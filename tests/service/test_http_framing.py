@@ -161,6 +161,29 @@ class TestPersistentConnections:
         assert chunked == unchunked == streamed
         assert chunked[-1].terminal
 
+    def test_websocket_upgrade_request_gets_the_ndjson_stream(self):
+        # The gateway speaks no WebSocket: the Upgrade header is ignored.
+        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
+            job_id = client.submit(SPEC).job_id
+            streamed = list(client.stream(job_id))
+            with _connect(server.port) as sock:
+                sock.sendall(
+                    f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\nHost: x\r\n"
+                    "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                    "Sec-WebSocket-Key: MDEyMzQ1Njc4OWFiY2RlZg==\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n".encode()
+                )
+                stream = sock.makefile("rb")
+                status, headers, chunks = _read_response(stream)
+                # The stream left the connection usable.
+                sock.sendall(HEALTH)
+                assert _read_response(stream)[0] == 200
+        assert status == 200
+        assert headers["content-type"] == "application/x-ndjson"
+        assert headers["transfer-encoding"] == "chunked"
+        assert "upgrade" not in headers
+        assert [event_from_wire(json.loads(chunk)) for chunk in chunks] == streamed
+
     def test_abandoned_stream_is_followed_by_a_working_request(self, accepted):
         with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
             job_id = client.submit(SPEC).job_id
@@ -679,7 +702,7 @@ class TestShutdown:
     def test_stop_returns_promptly_with_open_connections(self):
         server = ServerThread(jobs=1).start()
         client = ServiceClient(server.base_url)
-        server.call(server.manager.pause_scheduling)
+        server.call(server.manager.scheduler.hold)
         job_id = client.submit(SPEC).job_id
         with _connect(server.port) as half_sent, _connect(server.port) as streaming:
             half_sent.sendall(b"GET /v1/health HTTP/1.1\r\n")

@@ -118,7 +118,7 @@ class TestSingleJob:
     def test_result_is_bit_identical_to_direct_api(self):
         async def scenario():
             async with JobManager() as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 await manager.drain()
                 return await handle.result()
 
@@ -129,7 +129,7 @@ class TestSingleJob:
 
         async def scenario():
             async with JobManager() as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 events_task = asyncio.ensure_future(_collect(handle))
                 await manager.drain()
                 return await events_task, await handle.result(), manager
@@ -150,7 +150,7 @@ class TestSingleJob:
 
         async def scenario():
             async with JobManager() as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 events_task = asyncio.ensure_future(_collect(handle))
                 await manager.drain()
                 return await events_task
@@ -166,7 +166,7 @@ class TestSingleJob:
 
         async def scenario():
             async with JobManager(backend=FailingBackend()) as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 await manager.drain()
                 events = await _collect(handle)
                 return manager, handle, events
@@ -197,8 +197,8 @@ class TestDeduplication:
         async def scenario():
             cache = ResultCache()
             async with JobManager(cache=cache) as manager:
-                handles_a = [manager.submit(spec) for spec in sweep_a]
-                handles_b = [manager.submit(spec) for spec in sweep_b]
+                handles_a = [await manager.submit_async(spec) for spec in sweep_a]
+                handles_b = [await manager.submit_async(spec) for spec in sweep_b]
                 await manager.drain()
                 results_a = [await h.result() for h in handles_a]
                 results_b = [await h.result() for h in handles_b]
@@ -217,8 +217,8 @@ class TestDeduplication:
             backend = GatedBackend(max_workers=2)
             cache = ResultCache()
             async with JobManager(backend=backend, cache=cache) as manager:
-                first = manager.submit(SPEC)
-                second = manager.submit(SPEC)
+                first = await manager.submit_async(SPEC)
+                second = await manager.submit_async(SPEC)
                 streams = [asyncio.ensure_future(_collect(h)) for h in (first, second)]
                 while backend.started == 0:
                     await asyncio.sleep(0)
@@ -244,8 +244,8 @@ class TestDeduplication:
         async def scenario():
             backend = GatedBackend(max_workers=2)
             async with JobManager(backend=backend, cache=ResultCache()) as manager:
-                first = manager.submit(SPEC)
-                second = manager.submit(SPEC)
+                first = await manager.submit_async(SPEC)
+                second = await manager.submit_async(SPEC)
                 while backend.started == 0:
                     await asyncio.sleep(0)
                 backend.gate.set()
@@ -261,7 +261,7 @@ class TestDeduplication:
 
         async def run_sweep(cache):
             async with JobManager(cache=cache) as manager:
-                handles = [manager.submit(spec) for spec in specs]
+                handles = [await manager.submit_async(spec) for spec in specs]
                 await manager.drain()
                 results = [await handle.result() for handle in handles]
             return manager, results
@@ -282,11 +282,11 @@ class TestDeduplication:
         async def scenario():
             cache = ResultCache()
             async with JobManager(cache=cache) as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 await manager.drain()
                 await handle.result()
             async with JobManager(cache=cache) as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 events_task = asyncio.ensure_future(_collect(handle))
                 await manager.drain()
                 return await events_task
@@ -349,7 +349,7 @@ class TestAdmissionResolve:
         async def scenario():
             backend = RecordingBackend()
             manager = JobManager(backend=backend, cache=cache)
-            handle = manager.submit(spec)  # workers not started yet
+            handle = await manager.submit_async(spec)  # workers not started yet
             queued = (manager.metrics.queue_depth, manager.metrics.pending_cost)
             async with manager:
                 await manager.drain()
@@ -403,7 +403,7 @@ class TestAdmissionControl:
     def test_empty_queue_always_admits(self):
         async def scenario():
             async with JobManager(max_pending_cost=1) as manager:
-                handle = manager.submit(SPEC)  # cost far exceeds the budget
+                handle = await manager.submit_async(SPEC)  # cost far exceeds the budget
                 await manager.drain()
                 return await handle.result()
 
@@ -412,9 +412,9 @@ class TestAdmissionControl:
     def test_saturated_queue_rejects_with_retry_after(self):
         async def scenario():
             manager = JobManager(max_pending_cost=1)  # workers never started
-            manager.submit(SPEC)
+            await manager.submit_async(SPEC)
             with pytest.raises(AdmissionError) as info:
-                manager.submit(SPEC_DIROPT)
+                await manager.submit_async(SPEC_DIROPT)
             return manager, info.value
 
         manager, error = asyncio.run(scenario())
@@ -430,11 +430,11 @@ class TestAdmissionControl:
 
         async def scenario():
             manager = JobManager(max_pending_cost=3 * cost)
-            manager.submit(SPEC)
-            manager.submit(SPEC_DIROPT)  # 2 * cost pending: still in budget
-            manager.submit(SPEC_DIRCLASSIC)  # 3 * cost: exactly at budget
+            await manager.submit_async(SPEC)
+            await manager.submit_async(SPEC_DIROPT)  # 2 * cost pending: still in budget
+            await manager.submit_async(SPEC_DIRCLASSIC)  # 3 * cost: exactly at budget
             with pytest.raises(AdmissionError):
-                manager.submit(SPEC.with_overrides(seed=7))
+                await manager.submit_async(SPEC.with_overrides(seed=7))
             return manager
 
         manager = asyncio.run(scenario())
@@ -444,7 +444,7 @@ class TestAdmissionControl:
         async def scenario():
             manager = JobManager(max_pending_cost=None)
             for seed in range(20):
-                manager.submit(SPEC.with_overrides(seed=seed))
+                await manager.submit_async(SPEC.with_overrides(seed=seed))
             return manager
 
         assert asyncio.run(scenario()).metrics.jobs_submitted == 20
@@ -452,15 +452,44 @@ class TestAdmissionControl:
     def test_drained_queue_admits_again(self):
         async def scenario():
             async with JobManager(max_pending_cost=1) as manager:
-                manager.submit(SPEC)
+                await manager.submit_async(SPEC)
                 with pytest.raises(AdmissionError):
-                    manager.submit(SPEC_DIROPT)
+                    await manager.submit_async(SPEC_DIROPT)
                 await manager.drain()
-                handle = manager.submit(SPEC_DIROPT)  # queue empty again
+                handle = await manager.submit_async(SPEC_DIROPT)  # queue empty again
                 await manager.drain()
                 return await handle.result()
 
         assert asyncio.run(scenario()).protocol == "diropt"
+
+    def test_rejection_numbers_no_job(self):
+        # A rejected submission leaves no trace in the job numbering: the
+        # next accepted job takes the id the rejected one would have had,
+        # and that id never reads as a finished-and-dropped job.
+        async def scenario():
+            backend = InlinePoolBackend()
+            async with JobManager(backend=backend, max_pending_cost=1) as manager:
+                manager.scheduler.hold()
+                first = await manager.submit_async(SPEC)
+                with pytest.raises(AdmissionError):
+                    await manager.submit_async(SPEC_DIROPT)
+                after_rejection = (
+                    manager.get_job("job-2"),
+                    manager.evicted("job-2"),
+                    len(manager.jobs),
+                )
+                manager.scheduler.release()
+                await manager.drain()
+                second = await manager.submit_async(SPEC_DIROPT)
+                await manager.drain()
+                return manager, first, second, after_rejection
+
+        manager, first, second, after_rejection = asyncio.run(scenario())
+        assert after_rejection == (None, False, 1)
+        assert (first.job_id, second.job_id) == ("job-1", "job-2")
+        assert not manager.evicted("job-3")
+        assert manager.metrics.jobs_rejected == 1
+        assert manager.metrics.jobs_submitted == 2
 
 
 class TestCancellation:
@@ -470,7 +499,7 @@ class TestCancellation:
         async def scenario():
             backend = GatedBackend()
             async with JobManager(backend=backend) as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 events_task = asyncio.ensure_future(_collect(handle))
                 while backend.started == 0:
                     await asyncio.sleep(0)
@@ -492,7 +521,7 @@ class TestCancellation:
     def test_cancelled_result_raises(self):
         async def scenario():
             manager = JobManager()  # never started: job stays queued
-            handle = manager.submit(SPEC)
+            handle = await manager.submit_async(SPEC)
             assert handle.cancel()
             with pytest.raises(JobCancelledError, match=handle.job_id):
                 await handle.result()
@@ -504,7 +533,7 @@ class TestCancellation:
     def test_cancel_after_completion_is_refused(self):
         async def scenario():
             async with JobManager() as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 await manager.drain()
                 await handle.result()
                 return handle.cancel()
@@ -518,14 +547,14 @@ class TestCancellation:
             backend = GatedBackend()
             cache = ResultCache()
             async with JobManager(backend=backend, cache=cache) as manager:
-                handle = manager.submit(SPEC)
+                handle = await manager.submit_async(SPEC)
                 while backend.started == 0:
                     await asyncio.sleep(0)
                 handle.cancel()
                 backend.gate.set()
                 await manager.drain()
             async with JobManager(cache=cache) as manager:
-                replay = manager.submit(SPEC)
+                replay = await manager.submit_async(SPEC)
                 await manager.drain()
                 await replay.result()
                 return manager
@@ -533,42 +562,14 @@ class TestCancellation:
         manager = asyncio.run(scenario())
         assert manager.backend.submissions == 0
 
-    def test_cancel_before_admission_emits_lone_terminal_event(self):
-        # Regression: a DELETE racing a POST can land in the window
-        # between handle registration and the admission decision.  Such
-        # a job must never be admitted -- no JobAdmitted, nothing
-        # enqueued, exactly one terminal JobCancelled on the stream.
-        async def scenario():
-            manager = JobManager()
-            task = asyncio.ensure_future(manager.submit_async(SPEC))
-            await asyncio.sleep(0)  # submit_async parks at its admission yield
-            handle = manager.get_job("job-1")
-            assert handle is not None
-            events_task = asyncio.ensure_future(_collect(handle))
-            assert handle.cancel()
-            resolved = await task
-            assert resolved is handle
-            events = await events_task
-            with pytest.raises(JobCancelledError, match=handle.job_id):
-                await handle.result()
-            return manager, handle, events
-
-        manager, handle, events = asyncio.run(scenario())
-        assert not handle.admitted
-        assert handle.state is JobState.CANCELLED
-        assert [type(event) for event in events] == [JobCancelled]
-        assert manager.metrics.jobs_submitted == 0
-        assert manager.metrics.jobs_cancelled == 1
-        assert len(manager.scheduler) == 0
-
 
 class TestScheduling:
     def test_lower_priority_number_runs_first(self):
         async def scenario():
             backend = RecordingBackend()
             manager = JobManager(backend=backend)
-            manager.submit(SPEC, priority=5)
-            manager.submit(SPEC_DIROPT, priority=0)
+            await manager.submit_async(SPEC, priority=5)
+            await manager.submit_async(SPEC_DIROPT, priority=0)
             async with manager:
                 await manager.drain()
             return backend.order
@@ -581,7 +582,7 @@ class TestScheduling:
             backend = RecordingBackend()
             manager = JobManager(backend=backend)
             for spec in (SPEC_DIRCLASSIC, SPEC, SPEC_DIROPT):
-                manager.submit(spec, priority=1)
+                await manager.submit_async(spec, priority=1)
             async with manager:
                 await manager.drain()
             return backend.order
@@ -599,7 +600,7 @@ class TestLifecycleAndMetrics:
         async def scenario():
             cache = ResultCache()
             async with JobManager(cache=cache) as manager:
-                handles = [manager.submit(SPEC), manager.submit(SPEC)]
+                handles = [await manager.submit_async(SPEC) for _ in range(2)]
                 await manager.drain()
                 for handle in handles:
                     await handle.result()
@@ -620,7 +621,7 @@ class TestLifecycleAndMetrics:
             async with manager:
                 pass
             with pytest.raises(RuntimeError, match="closed"):
-                manager.submit(SPEC)
+                await manager.submit_async(SPEC)
 
         asyncio.run(scenario())
 

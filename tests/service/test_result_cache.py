@@ -236,12 +236,15 @@ class TestResultCache:
         cache.put(key, self._result())
         assert (tmp_path / "store" / "ab" / f"{key}.json").is_file()
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shard", [b"{not json", b"\xff\xfe garbage"], ids=["not-json", "not-utf8"]
+    )
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, shard):
         key = "ab" + "c" * 62
         cache = ResultCache(tmp_path / "store")
         cache.put(key, self._result())
         cache.clear_memory()
-        (tmp_path / "store" / "ab" / f"{key}.json").write_text("{not json")
+        (tmp_path / "store" / "ab" / f"{key}.json").write_bytes(shard)
         assert cache.get(key) is None
         assert cache.stats.invalid_entries == 1
 

@@ -44,7 +44,7 @@ def _live(manager: JobManager) -> int:
 
 async def _warm(manager: JobManager) -> None:
     """Compute ``SPEC`` once so later submissions of it are cache hits."""
-    handle = manager.submit(SPEC)
+    handle = await manager.submit_async(SPEC)
     await asyncio.wait_for(handle.result(), TIMEOUT_S)
 
 
@@ -100,14 +100,14 @@ class TestBoundedRegistry:
         async def scenario():
             manager = JobManager(backend=InlinePoolBackend(), max_pending_cost=None)
             async with manager:
-                manager.pause_scheduling()
-                live = [manager.submit(SPEC) for _ in range(live_jobs)]
+                manager.scheduler.hold()
+                live = [await manager.submit_async(SPEC) for _ in range(live_jobs)]
                 for _ in range(finished_jobs):
-                    assert manager.submit(SPEC).cancel()
+                    assert (await manager.submit_async(SPEC)).cancel()
                 held = set(manager.jobs)
                 for handle in live:
                     handle.cancel()
-                manager.resume_scheduling()
+                manager.scheduler.release()
                 await asyncio.wait_for(manager.drain(), TIMEOUT_S)
                 return live, held
 
@@ -122,10 +122,10 @@ class TestCompactHandle:
 
         async def scenario():
             async with JobManager(backend=InlinePoolBackend()) as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 assert handle.config is not None and handle.keys is not None
                 result = await asyncio.wait_for(handle.result(), TIMEOUT_S)
-                cancelled = manager.submit(spec)
+                cancelled = await manager.submit_async(spec)
                 cancelled.cancel()
                 await asyncio.wait_for(manager.drain(), TIMEOUT_S)
                 return handle, result, cancelled
@@ -153,7 +153,7 @@ class TestReplayableEvents:
 
         async def scenario():
             async with JobManager(backend=InlinePoolBackend()) as manager:
-                handle = manager.submit(spec)
+                handle = await manager.submit_async(spec)
                 first = asyncio.create_task(collect(handle))
                 second = asyncio.create_task(collect(handle))
                 # A follower cancelled mid-wait must not disturb the others.

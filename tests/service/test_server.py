@@ -1,26 +1,23 @@
-"""End-to-end tests of the HTTP/WebSocket gateway on real sockets.
+"""End-to-end tests of the HTTP gateway on real sockets.
 
 Every test binds an ephemeral loopback port via
 :class:`~repro.service.server.ServerThread` and drives it with the
 blocking :class:`~repro.client.ServiceClient` (or a raw socket, for the
-WebSocket framing and header arithmetic).  The headline acceptance
-properties: results fetched through the gateway are **bit-identical** to
-direct ``api.run_experiment`` calls; a 429 rejection carries consistent
-``retry_after_s`` body and ``Retry-After`` header arithmetic; NDJSON and
-WebSocket streams deliver the same strictly-ordered event sequence, even
-to clients connecting after the job finished and under concurrent
-multi-client load.
+header arithmetic and the close-delimited stream).  The headline
+acceptance properties: results fetched through the gateway are
+**bit-identical** to direct ``api.run_experiment`` calls; a 429 rejection
+carries consistent ``retry_after_s`` body and ``Retry-After`` header
+arithmetic and uses up no job id; NDJSON streams deliver the same
+strictly-ordered event sequence to every follower, even to clients
+connecting after the job finished and under concurrent multi-client load.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import math
 import socket
-import struct
 import sys
 import threading
 import urllib.error
@@ -70,53 +67,6 @@ def _assert_stream_shape(events, terminal_type=JobCompleted):
         assert middle[index + 1].completed == index // 2 + 1
 
 
-def _ws_events(port: int, job_id: str):
-    """Read one job's full WebSocket event stream over a raw socket."""
-    key = base64.b64encode(b"0123456789abcdef").decode("ascii")
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(
-            (
-                f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
-                "Host: loopback\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n\r\n"
-            ).encode("ascii")
-        )
-        stream = sock.makefile("rb")
-        status_line = stream.readline().decode("latin-1")
-        assert " 101 " in status_line
-        headers = {}
-        while True:
-            line = stream.readline()
-            if line in (b"\r\n", b"", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        guid = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-        expected = base64.b64encode(
-            hashlib.sha1((key + guid).encode("ascii")).digest()
-        ).decode("ascii")
-        assert headers["sec-websocket-accept"] == expected
-        events = []
-        close_code = None
-        while True:
-            head = stream.read(2)
-            opcode, length = head[0] & 0x0F, head[1] & 0x7F
-            if length == 126:
-                length = struct.unpack("!H", stream.read(2))[0]
-            elif length == 127:
-                length = struct.unpack("!Q", stream.read(8))[0]
-            payload = stream.read(length)
-            if opcode == 0x8:
-                close_code = struct.unpack("!H", payload[:2])[0]
-                break
-            assert opcode == 0x1
-            events.append(event_from_wire(json.loads(payload)))
-        return events, close_code
-
-
 class TestSubmitStreamResult:
     def test_gateway_result_bit_identical_to_direct_api(self):
         with (
@@ -147,15 +97,6 @@ class TestSubmitStreamResult:
             live = list(client.stream(accepted.job_id))
             replay = list(client.stream(accepted.job_id))
         assert replay == live
-
-    def test_websocket_stream_matches_ndjson(self):
-        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
-            accepted = client.submit(SPEC)
-            ndjson = list(client.stream(accepted.job_id))
-            ws, close_code = _ws_events(server.port, accepted.job_id)
-        assert ws == ndjson
-        assert close_code == 1000
-        _assert_stream_shape(ws)
 
     def test_cached_replay_over_http_zero_pool_submissions(self, tmp_path):
         with (
@@ -322,28 +263,6 @@ class TestCacheHitIsOneRoundTrip:
         assert set(client._idle) == {main}
         assert client._completed == {}
 
-    def test_hit_cancelled_in_the_admission_window_raises(self, warm):
-        from repro.service.manager import JobCancelledError
-
-        server, client = warm
-        manager = server.manager
-        prepare = manager._prepare_handle
-
-        def cancelled_at_registration(*args):
-            # A DELETE landing between registration and admission.
-            handle = prepare(*args)
-            handle.cancel()
-            return handle
-
-        server.call(
-            lambda: setattr(manager, "_prepare_handle", cancelled_at_registration)
-        )
-        accepted = client.submit(SPEC)
-        assert accepted.result is None
-        with pytest.raises(JobCancelledError, match=accepted.job_id):
-            client.wait(accepted.job_id)
-        assert [type(e) for e in client.stream(accepted.job_id)] == [JobCancelled]
-
     def test_202_without_a_result_falls_back_to_the_stream(self, warm, monkeypatch):
         # A gateway that never puts a result in its 202.
         _server, client = warm
@@ -366,7 +285,7 @@ class TestAdmissionOverHttp:
             ServerThread(jobs=1, max_pending_cost=1) as server,
             ServiceClient(server.base_url, client_id="flood") as client,
         ):
-            server.call(server.manager.pause_scheduling)
+            server.call(server.manager.scheduler.hold)
             first = client.submit(SPEC)  # an empty queue always admits
             with pytest.raises(ServiceRejectedError) as excinfo:
                 client.submit(SPEC_DIROPT)
@@ -386,7 +305,7 @@ class TestAdmissionOverHttp:
             body = json.loads(error.read())
             header = error.headers.get("Retry-After")
             error.close()
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
             client.wait(first.job_id)
         assert error.code == 429
         assert rejection.budget == 1
@@ -400,15 +319,37 @@ class TestAdmissionOverHttp:
             ServerThread(jobs=1, max_pending_cost=1) as server,
             ServiceClient(server.base_url) as client,
         ):
-            server.call(server.manager.pause_scheduling)
+            server.call(server.manager.scheduler.hold)
             first = client.submit(SPEC)
             with pytest.raises(ServiceRejectedError):
                 client.submit(SPEC_DIROPT)
             job_count = server.call(lambda: len(server.manager.jobs))
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
             client.wait(first.job_id)
         assert job_count == 1
 
+    def test_rejection_uses_up_no_job_id(self):
+        # The next accepted job is numbered right after the last one, and
+        # the id a rejected submission would have had is never "gone".
+        with (
+            ServerThread(backend=InlinePoolBackend(), max_pending_cost=1) as server,
+            ServiceClient(server.base_url) as client,
+        ):
+            server.call(server.manager.scheduler.hold)
+            first = client.submit(SPEC)
+            with pytest.raises(ServiceRejectedError):
+                client.submit(SPEC_DIROPT)
+            answers = {}
+            for route in sorted(JOB_ROUTES):
+                with pytest.raises(ServiceClientError) as excinfo:
+                    JOB_ROUTES[route](client, "job-2")
+                answers[route] = (excinfo.value.status, type(excinfo.value))
+            server.call(server.manager.scheduler.release)
+            client.wait(first.job_id)
+            second = client.submit(SPEC_DIROPT)
+            client.wait(second.job_id)
+        assert answers == {route: (404, ServiceClientError) for route in JOB_ROUTES}
+        assert (first.job_id, second.job_id) == ("job-1", "job-2")
 
     def test_run_retries_after_the_rejections_estimate(self, monkeypatch):
         slept = []
@@ -416,7 +357,7 @@ class TestAdmissionOverHttp:
             ServerThread(jobs=1, max_pending_cost=1) as server,
             ServiceClient(server.base_url, client_id="flood") as client,
         ):
-            server.call(server.manager.pause_scheduling)
+            server.call(server.manager.scheduler.hold)
             # An empty queue always admits; three replicas queue enough
             # cost that the estimate exceeds its 0.05 s floor.
             first = client.submit(SPEC.with_overrides(perturbation_replicas=3))
@@ -427,7 +368,7 @@ class TestAdmissionOverHttp:
             def sleep(seconds):
                 # The back-off: the queued job finishes, freeing the budget.
                 slept.append(seconds)
-                server.call(server.manager.resume_scheduling)
+                server.call(server.manager.scheduler.release)
                 with ServiceClient(server.base_url) as other:
                     other.wait(first.job_id)
 
@@ -444,7 +385,7 @@ class TestAdmissionOverHttp:
 class TestCancelOverHttp:
     def test_delete_cancels_queued_job_and_stream_terminates(self):
         with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
-            server.call(server.manager.pause_scheduling)
+            server.call(server.manager.scheduler.hold)
             accepted = client.submit(SPEC)
             response = client.cancel(accepted.job_id)
             assert response.cancelled is True
@@ -452,7 +393,7 @@ class TestCancelOverHttp:
             # Cancelling again reports the job was no longer live.
             again = client.cancel(accepted.job_id)
             assert again.cancelled is False
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
             events = list(client.stream(accepted.job_id))
             status = client.status(accepted.job_id)
         assert isinstance(events[-1], JobCancelled)
@@ -463,10 +404,10 @@ class TestCancelOverHttp:
         from repro.service.manager import JobCancelledError
 
         with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
-            server.call(server.manager.pause_scheduling)
+            server.call(server.manager.scheduler.hold)
             accepted = client.submit(SPEC)
             client.cancel(accepted.job_id)
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
             with pytest.raises(JobCancelledError):
                 client.wait(accepted.job_id)
 
@@ -491,19 +432,23 @@ class TestConcurrentClients:
         streams: dict = {}
         errors: list = []
         with (
-            ServerThread(
-                jobs=1, client_weights=weights, record_schedule=True
-            ) as server,
+            ServerThread(jobs=1, client_weights=weights) as server,
             ServiceClient(server.base_url, client_id="alpha") as alpha,
             ServiceClient(server.base_url, client_id="beta") as beta,
         ):
             clients = {"alpha": alpha, "beta": beta}
-            server.call(server.manager.pause_scheduling)
+            scheduler = server.manager.scheduler
+
+            def hold_and_log():
+                scheduler.hold()
+                scheduler.serve_log = []
+
+            server.call(hold_and_log)
             tickets = {
                 name: [clients[name].submit(spec) for spec in specs[name]]
                 for name in weights
             }
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
 
             def follow(name):
                 try:
@@ -541,33 +486,31 @@ class TestConcurrentClients:
                 prefixes_checked += 1
         assert prefixes_checked > 0
 
-    def test_websocket_and_ndjson_clients_share_one_job(self):
+    def test_two_ndjson_followers_see_one_sequence(self):
         spec = SPEC.with_overrides(perturbation_replicas=2)
-        with ServerThread(jobs=1) as server, ServiceClient(server.base_url) as client:
-            server.call(server.manager.pause_scheduling)
-            accepted = client.submit(spec)
+        with (
+            ServerThread(jobs=1) as server,
+            ServiceClient(server.base_url) as first,
+            ServiceClient(server.base_url) as second,
+        ):
+            server.call(server.manager.scheduler.hold)
+            accepted = first.submit(spec)
             collected: dict = {}
 
-            def follow_ndjson():
-                collected["ndjson"] = list(client.stream(accepted.job_id))
-
-            def follow_ws():
-                collected["ws"], collected["close"] = _ws_events(
-                    server.port, accepted.job_id
-                )
+            def follow(name, client):
+                collected[name] = list(client.stream(accepted.job_id))
 
             threads = [
-                threading.Thread(target=follow_ndjson),
-                threading.Thread(target=follow_ws),
+                threading.Thread(target=follow, args=(name, client))
+                for name, client in (("first", first), ("second", second))
             ]
             for thread in threads:
                 thread.start()
-            server.call(server.manager.resume_scheduling)
+            server.call(server.manager.scheduler.release)
             for thread in threads:
                 thread.join()
-        assert collected["ws"] == collected["ndjson"]
-        assert collected["close"] == 1000
-        _assert_stream_shape(collected["ws"])
+        assert collected["first"] == collected["second"]
+        _assert_stream_shape(collected["first"])
 
 
 class TestErrorsOverHttp:
@@ -757,17 +700,25 @@ class TestGatewayWrites:
         assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
         assert writes[0].endswith(b"\n\r\n0\r\n\r\n")
 
-    def test_finished_job_websocket_stream_is_one_write(self, writes):
+    def test_finished_job_close_delimited_stream_is_one_write(self, writes):
         with ServerThread(jobs=1) as server:
             with ServiceClient(server.base_url) as client:
                 job_id = client.submit(SPEC).job_id
                 events = list(client.stream(job_id))
             writes.clear()
-            ws_events, close_code = _ws_events(server.port, job_id)
-        assert ws_events == events
-        assert close_code == 1000
-        assert len(writes) == 1
-        assert writes[0].startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                sock.sendall(
+                    f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                    "Host: loopback\r\nConnection: close\r\n\r\n".encode("ascii")
+                )
+                response = sock.makefile("rb").read()
+        assert len(writes) == 1 and writes[0] == response
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert b"chunked" not in head
+        streamed = [event_from_wire(json.loads(line)) for line in body.splitlines()]
+        assert streamed == events
 
 
 class TestHealthAndMetricsOverHttp:

@@ -90,7 +90,7 @@ class TestWorkerLifecycle:
         async def scenario():
             backend = WorkerPoolBackend(max_workers=2)
             async with JobManager(backend=backend) as manager:
-                handle = manager.submit(SPEC2)
+                handle = await manager.submit_async(SPEC2)
                 await manager.drain()
                 await handle.result()
                 pids = list(backend.worker_pids)
@@ -141,7 +141,7 @@ class TestWorkerLifecycle:
             backend = WorkerPoolBackend(max_workers=1)
             manager = JobManager(backend=backend, replica_timeout=0.3, max_attempts=1)
             async with manager:
-                handle = manager.submit(slow)
+                handle = await manager.submit_async(slow)
                 events = asyncio.ensure_future(_collect(handle))
                 while not backend.worker_pids and not events.done():
                     await asyncio.sleep(0.001)
