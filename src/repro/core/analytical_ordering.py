@@ -119,9 +119,9 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         self._logical_counter = 0
         #: Pre-bound push for the early deliveries and the ordered fan-out.
         self._schedule = sim.schedule
-        # Pre-bound counter handles for the per-broadcast fast path.
-        self._ctr_broadcasts = self.stats.counter("broadcasts")
-        self._ctr_deliveries = self.stats.counter("deliveries")
+        #: Logical ordered deliveries: every endpoint of every broadcast,
+        #: whether or not the snoop filter calls it.
+        self.deliveries = 0
 
     # -------------------------------------------------------------- plumbing
     def attach(
@@ -153,7 +153,6 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         tree, link_count = memo
         if self.accountant is not None:
             self.accountant.record(message, link_count)
-        self._ctr_broadcasts.increment()
 
         jitter = 0
         perturbation = self._active_perturbation
@@ -204,8 +203,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             (message, tree, injected_at, ordered_time, logical_time),
             message.src,
         )
-        # Logical deliveries: every endpoint, whether or not it is called.
-        self._ctr_deliveries.increment(self.topology.num_endpoints)
+        self.deliveries += self.topology.num_endpoints
 
     def _deliver_early(self, packed) -> None:
         early, message = packed

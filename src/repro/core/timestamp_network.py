@@ -153,10 +153,8 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         #: per-hop fan-out stops allocating one BufferedTransaction per
         #: branch per switch.
         self._txn_free: List[BufferedTransaction] = []
-        # Pre-bound counter handles for the per-hop fast path.
-        self._ctr_broadcasts = self.stats.counter("broadcasts")
-        self._ctr_deliveries = self.stats.counter("deliveries")
-        self._ctr_held = self.stats.counter("held_transactions")
+        #: Transactions kept buffered by the emulated contention.
+        self.held_transactions = 0
 
     # -------------------------------------------------------------- plumbing
     def attach(
@@ -197,7 +195,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         message.sent_at = self.now
         if self.accountant is not None:
             self.accountant.record(message, link_count)
-        self._ctr_broadcasts.increment()
         self._sequence += 1
         transaction = self._copy_factory(
             payload=message, slack=slack, source=source, sequence=self._sequence
@@ -286,7 +283,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         ):
             # Emulated contention: keep the transaction buffered for one
             # switch traversal time, then forward it.
-            self._ctr_held.increment()
+            self.held_transactions += 1
             self.schedule(
                 self.timing.switch_ns,
                 self._release_held,
@@ -352,7 +349,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         port.queue.insert(
             message, padded_slack, transaction.source, transaction.sequence
         )
-        self._ctr_deliveries.increment()
         # Zero-slack arrivals are processable immediately.
         self._release(port, port.queue.release_current())
 

@@ -116,8 +116,7 @@ def _transferred_names(node: ast.AST, live: Set[str]) -> Set[str]:
                     ),
                 ):
                     transferred.add(child.id)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 # A closure capturing the name lets it escape.
                 for inner in ast.walk(child):
                     if isinstance(inner, ast.Name) and inner.id in live:
@@ -132,8 +131,7 @@ def _transferred_names(node: ast.AST, live: Set[str]) -> Set[str]:
 class _FunctionWalker:
     """Abstract interpretation of one function body."""
 
-    def __init__(self, rule: "PoolSafetyRule", ctx: FileContext,
-                 qualname: str) -> None:
+    def __init__(self, rule: "PoolSafetyRule", ctx: FileContext, qualname: str) -> None:
         self.rule = rule
         self.ctx = ctx
         self.qualname = qualname
@@ -175,8 +173,7 @@ class _FunctionWalker:
             if var.status in ("live", "maybe"):
                 self._leak(name, var, where)
 
-    def _walk_block(self, stmts: List[ast.stmt],
-                    state: _State) -> Optional[_State]:
+    def _walk_block(self, stmts: List[ast.stmt], state: _State) -> Optional[_State]:
         current: Optional[_State] = state
         for stmt in stmts:
             if current is None:
@@ -185,8 +182,7 @@ class _FunctionWalker:
         return current
 
     def _apply_transfers(self, node: ast.AST, state: _State) -> None:
-        live = {name for name, var in state.items()
-                if var.status in ("live", "maybe")}
+        live = {name for name, var in state.items() if var.status in ("live", "maybe")}
         if not live:
             return
         for name in _transferred_names(node, live):
@@ -262,8 +258,7 @@ class _FunctionWalker:
                 self._apply_transfers(item.context_expr, state)
             return self._walk_block(stmt.body, state)
 
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             # Nested scopes are analysed separately; capturing a live name
             # counts as an escape (handled by _transferred_names).
             self._apply_transfers(stmt, state)

@@ -3,8 +3,9 @@
 Provides the two evaluated topologies (four radix-4 butterflies and a 4x4
 bidirectional torus), message/packet definitions with the paper's byte
 accounting (72-byte data messages, 8-byte address/control messages), per-link
-traffic accounting for Figure 4, an unordered point-to-point data network and
-the virtual networks used by the directory protocols.
+traffic accounting for Figure 4, an unordered point-to-point data network
+(which also carries the directory protocols' unordered virtual networks) and
+DirOpt's point-to-point ordered forwarded-request network.
 """
 
 import math

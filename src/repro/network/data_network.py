@@ -2,11 +2,14 @@
 
 Section 2: "The data network must reliably deliver data messages to a single
 destination, but it can do so without regard for order."  The directory
-protocols' unordered request and response virtual networks reuse the same
-machinery (see :mod:`repro.network.virtual_network`).
+protocols build their unordered request and response virtual networks from
+the same class; DirOpt's point-to-point ordered forwarded-request network
+subclasses it (see :mod:`repro.network.virtual_network`).
 
 The performance model is the paper's: unloaded latencies only, computed from
 the topology hop count, plus the optional perturbation delay of Section 4.3.
+Every send charges its link traversals to the shared
+:class:`~repro.network.link.TrafficAccountant`.
 """
 # repro-lint: hot
 
@@ -66,9 +69,6 @@ class DataNetwork(Component):
         self._route_stride = topology.num_endpoints
         #: hops -> unloaded latency; at most max_hops distinct values.
         self._latency_by_hops: dict[int, int] = {}
-        # Pre-bound stat handles for the per-message fast path.
-        self._ctr_messages = self.stats.counter("messages")
-        self._ctr_bytes = self.stats.counter("bytes")
         self._record_traffic = accountant.record
         #: Pre-bound push: each delivery is one append to the destination
         #: tick's kernel lane -- no per-send closure.
@@ -110,8 +110,6 @@ class DataNetwork(Component):
         if perturbation is not None:
             latency += perturbation.response_delay()
         self._record_traffic(message, traversals)
-        self._ctr_messages.value += 1
-        self._ctr_bytes.value += message.kind.size_bytes
         return handler, latency
 
     def send(
@@ -149,8 +147,6 @@ class DataNetwork(Component):
         if perturbation is not None:
             latency += perturbation.response_delay()
         self._record_traffic(message, traversals)
-        self._ctr_messages.value += 1
-        self._ctr_bytes.value += message.kind.size_bytes
         now = self.sim.now
         message.sent_at = now
         self._schedule(latency, handler, message)

@@ -1,4 +1,4 @@
-"""Virtual networks for the directory protocols.
+"""The point-to-point ordered virtual network of DirOpt.
 
 Section 4.2: "The directory protocols use three virtual networks: an
 unordered request network, a network for requests forwarded by the directory
@@ -6,18 +6,17 @@ to processors, and an unordered network for responses [...].  The forwarded
 request virtual network is unordered for DirClassic and point-to-point
 ordered for DirOpt."
 
-Both classes share one :class:`~repro.network.link.TrafficAccountant`: the
-paper charges all virtual networks to the same physical links.
+The unordered virtual networks are plain
+:class:`~repro.network.data_network.DataNetwork` instances.  All three share
+one :class:`~repro.network.link.TrafficAccountant`: the paper charges all
+virtual networks to the same physical links.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.network.data_network import (
-    DataNetwork,
-    DeliveryCallback,
-)
+from repro.network.data_network import DataNetwork, DeliveryCallback
 from repro.network.link import TrafficAccountant
 from repro.network.message import Message
 from repro.network.timing import NetworkTiming
@@ -26,31 +25,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.randomness import PerturbationModel
 
 
-class VirtualNetwork(DataNetwork):
-    """An unordered virtual network (plain unicast delivery)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        timing: NetworkTiming,
-        accountant: TrafficAccountant,
-        perturbation: Optional[PerturbationModel] = None,
-        name: str = "vnet",
-        routes: Optional[dict] = None,
-    ) -> None:
-        super().__init__(
-            sim,
-            topology,
-            timing,
-            accountant,
-            perturbation=perturbation,
-            name=name,
-            routes=routes,
-        )
-
-
-class PointToPointOrderedNetwork(VirtualNetwork):
+class PointToPointOrderedNetwork(DataNetwork):
     """A virtual network that preserves per (src, dst) pair FIFO order.
 
     DirOpt relies on this property for its forwarded-request network so that
@@ -78,7 +53,6 @@ class PointToPointOrderedNetwork(VirtualNetwork):
             routes=routes,
         )
         self._last_delivery: Dict[Tuple[int, int], int] = {}
-        self._ctr_ordering_stalls = self.stats.counter("ordering_stalls")
 
     def send(
         self,
@@ -91,8 +65,6 @@ class PointToPointOrderedNetwork(VirtualNetwork):
         pair = (message.src, message.dst)
         natural_delivery = now + latency
         ordered_delivery = max(natural_delivery, self._last_delivery.get(pair, 0))
-        if ordered_delivery > natural_delivery:
-            self._ctr_ordering_stalls.increment()
         self._last_delivery[pair] = ordered_delivery
         self.sim.schedule_at(ordered_delivery, handler, message)
         return ordered_delivery

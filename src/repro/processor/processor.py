@@ -103,11 +103,7 @@ class Processor(Component):
         self._started = False
         self._stalled_at_phase = False
         self._phase_passed = False
-        # Pre-bound counter handles: the per-reference path must not pay
-        # for a dict lookup per increment.
-        self._ctr_references = self.stats.counter("references")
-        self._ctr_writes = self.stats.counter("writes")
-        self._ctr_reads = self.stats.counter("reads")
+        self.reset_counts()
         # The consistency model is chosen once here; the SC issue loop is
         # untouched (and bit-identical to the pre-TSO simulator) because the
         # model only swaps which advance callback drives the core.
@@ -120,11 +116,19 @@ class Processor(Component):
             self._draining = False
             self._retry_pending = False
             self._finish_after_drain = False
-            self._ctr_sb_forwards = self.stats.counter("store_buffer_forwards")
-            self._ctr_sb_stalls = self.stats.counter("store_buffer_stalls")
         else:
             self._advance = self._next_reference
             self.store_buffer = None
+
+    def reset_counts(self) -> None:
+        """Zero the reference counts (the warm-up / measurement boundary).
+
+        The store-buffer counts stay zero under SC.
+        """
+        self.reads = 0
+        self.writes = 0
+        self.store_buffer_forwards = 0
+        self.store_buffer_stalls = 0
 
     @staticmethod
     def _make_puller(stream) -> Callable[[], Optional[tuple]]:
@@ -205,11 +209,10 @@ class Processor(Component):
 
     def _issue(self, block: int, access_type: AccessType) -> None:
         self.references_issued += 1
-        self._ctr_references.value += 1
         if access_type.needs_write_permission:
-            self._ctr_writes.value += 1
+            self.writes += 1
         else:
-            self._ctr_reads.value += 1
+            self.reads += 1
         self.controller.access(block, access_type, self._next_reference)
 
     # ------------------------------------------------------------------ tso
@@ -244,11 +247,10 @@ class Processor(Component):
 
     def _count_issue_tso(self, access_type: AccessType) -> None:
         self.references_issued += 1
-        self._ctr_references.value += 1
         if access_type.needs_write_permission:
-            self._ctr_writes.value += 1
+            self.writes += 1
         else:
-            self._ctr_reads.value += 1
+            self.reads += 1
 
     def _issue_pending_tso(self) -> None:
         block = self._pending_block
@@ -257,7 +259,7 @@ class Processor(Component):
         if access_type is AccessType.STORE:
             if buffer.full:
                 # Wait for the head drain to complete, then retry this store.
-                self._ctr_sb_stalls.value += 1
+                self.store_buffer_stalls += 1
                 self._retry_pending = True
                 return
             self._count_issue_tso(access_type)
@@ -280,7 +282,7 @@ class Processor(Component):
                 # Same-address forwarding: the youngest buffered store
                 # satisfies the load without touching the coherence fabric.
                 self._count_issue_tso(access_type)
-                self._ctr_sb_forwards.value += 1
+                self.store_buffer_forwards += 1
                 self.sim.schedule(self.controller.timing.l2_hit_ns, self._advance)
             else:
                 self._count_issue_tso(access_type)
@@ -318,9 +320,6 @@ class Processor(Component):
     def _finish(self) -> None:
         self.finished = True
         self.finish_time = self.now
-        # repro-lint: disable=HOT003 -- runs exactly once per processor, at
-        # stream end; not worth a pre-bound handle.
-        self.stats.counter("finished").increment()
         if self._on_finish is not None:
             self._on_finish(self)
 

@@ -37,10 +37,8 @@ from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.network.message import Message, MessageKind, MessagePool
-from repro.network.virtual_network import (
-    PointToPointOrderedNetwork,
-    VirtualNetwork,
-)
+from repro.network.data_network import DataNetwork
+from repro.network.virtual_network import PointToPointOrderedNetwork
 from repro.protocols.base import (
     CacheControllerBase,
     CoherenceProtocol,
@@ -88,9 +86,9 @@ class DirectoryCacheController(CacheControllerBase):
         cache: PackedCacheArray,
         timing: ProtocolTiming,
         policy: DirectoryPolicy,
-        request_network: VirtualNetwork,
-        forward_network: VirtualNetwork,
-        response_network: VirtualNetwork,
+        request_network: DataNetwork,
+        forward_network: DataNetwork,
+        response_network: DataNetwork,
         checker: Optional[Any] = None,
         pool: Optional[MessagePool] = None,
     ) -> None:
@@ -121,19 +119,6 @@ class DirectoryCacheController(CacheControllerBase):
         self.writeback_buffer: Dict[int, int] = {}
         forward_network.attach(node, self._on_forward)
         response_network.attach(node, self._on_response)
-        # Pre-bound counter handles for the protocol hot path.
-        self._ctr_deferred_forwards = self.stats.counter("deferred_forwards")
-        self._ctr_dirty_evictions = self.stats.counter("dirty_evictions")
-        self._ctr_forwarded_responses = self.stats.counter("forwarded_responses")
-        self._ctr_invalidations_received = self.stats.counter("invalidations_received")
-        self._ctr_nacks_received = self.stats.counter("nacks_received")
-        self._ctr_orphan_data = self.stats.counter("orphan_data")
-        self._ctr_orphan_inv_ack = self.stats.counter("orphan_inv_ack")
-        self._ctr_owner_nacks_sent = self.stats.counter("owner_nacks_sent")
-        self._ctr_requests_sent = self.stats.counter("requests_sent")
-        self._ctr_retries_sent = self.stats.counter("retries_sent")
-        self._ctr_unexpected_response = self.stats.counter("unexpected_response")
-        self._ctr_unexpected_transfer = self.stats.counter("unexpected_transfer")
 
     # ------------------------------------------------------------------ miss
     def _start_miss(
@@ -159,7 +144,6 @@ class DirectoryCacheController(CacheControllerBase):
         home = self._home_of(block)
         request = self.pool.acquire(kind, self.node, home, block)
         self.request_network.send(request)
-        self._ctr_requests_sent.value += 1
 
     # -------------------------------------------------------------- forwards
     def _on_forward(self, message: Message) -> None:
@@ -193,7 +177,6 @@ class DirectoryCacheController(CacheControllerBase):
                 entry.deferred_forwards = [message]
             else:
                 entry.deferred_forwards.append(message)
-            self._ctr_deferred_forwards.increment()
             return
 
         if entry is None and self.cache.state_of(block) in (
@@ -214,7 +197,6 @@ class DirectoryCacheController(CacheControllerBase):
             MessageKind.NACK, self.node, requester, block, **{"from": "owner"}
         )
         self.response_network.send(nack)
-        self._ctr_owner_nacks_sent.increment()
         self.pool.release(message)
 
     def _service_forward(
@@ -237,7 +219,6 @@ class DirectoryCacheController(CacheControllerBase):
             acks_expected=0,
         )
         self._schedule(max(0, send_time - self.now), self._send_on_response, data)
-        self._ctr_forwarded_responses.increment()
 
         home = self._home_of(block)
         if exclusive:
@@ -291,7 +272,6 @@ class DirectoryCacheController(CacheControllerBase):
             state = self.cache.state_of(block)
             if state is not CacheState.INVALID:
                 self.cache.set_state(block, CacheState.INVALID)
-        self._ctr_invalidations_received.increment()
         ack = self.pool.acquire(MessageKind.INV_ACK, self.node, requester, block)
         self.response_network.send(ack)
         self.pool.release(message)
@@ -310,9 +290,9 @@ class DirectoryCacheController(CacheControllerBase):
         elif kind is MessageKind.TRANSFER:
             # Only memory controllers consume TRANSFER; receiving one here
             # indicates a routing bug, which tests assert never happens.
-            self._ctr_unexpected_transfer.increment()
+            self.unexpected_transfer += 1
         else:
-            self._ctr_unexpected_response.increment()
+            self.unexpected_response += 1
         # Every response kind is fully consumed above (fields are copied into
         # the MSHR, never referenced later), so the shell can be recycled.
         self.pool.release(message)
@@ -320,7 +300,7 @@ class DirectoryCacheController(CacheControllerBase):
     def _on_data(self, message: Message) -> None:
         entry = self._mshr_get(message.block)
         if entry is None:
-            self._ctr_orphan_data.increment()
+            self.orphan_data += 1
             return
         entry.data_received = True
         payload = message.payload
@@ -335,7 +315,7 @@ class DirectoryCacheController(CacheControllerBase):
     def _on_inv_ack(self, message: Message) -> None:
         entry = self._mshr_get(message.block)
         if entry is None:
-            self._ctr_orphan_inv_ack.increment()
+            self.orphan_inv_ack += 1
             return
         entry.acks_received += 1
         self._maybe_complete(message.block)
@@ -345,7 +325,7 @@ class DirectoryCacheController(CacheControllerBase):
         if entry is None:
             return
         entry.retries += 1
-        self._ctr_nacks_received.increment()
+        self.nacks_received += 1
         # Bind the block now: the message shell may be recycled before the
         # retry fires.
         self._schedule(
@@ -356,7 +336,7 @@ class DirectoryCacheController(CacheControllerBase):
         block, kind = packed
         if block not in self.mshrs:
             return
-        self._ctr_retries_sent.increment()
+        self.retries_sent += 1
         self._send_request(block, kind)
 
     # ------------------------------------------------------------ completion
@@ -452,7 +432,7 @@ class DirectoryCacheController(CacheControllerBase):
             sharing=False,
         )
         self.response_network.send(writeback)
-        self._ctr_dirty_evictions.increment()
+        self.dirty_evictions += 1
 
 
 class DirectoryMemoryController(Component):
@@ -465,9 +445,9 @@ class DirectoryMemoryController(Component):
         address_space: AddressSpace,
         timing: ProtocolTiming,
         policy: DirectoryPolicy,
-        request_network: VirtualNetwork,
-        forward_network: VirtualNetwork,
-        response_network: VirtualNetwork,
+        request_network: DataNetwork,
+        forward_network: DataNetwork,
+        response_network: DataNetwork,
         pool: Optional[MessagePool] = None,
     ) -> None:
         super().__init__(sim, f"{policy.protocol.value.lower()}.home.n{node}")
@@ -491,19 +471,6 @@ class DirectoryMemoryController(Component):
         #: responses waiting for an in-flight writeback's data
         self._deferred_data: Dict[int, List[Message]] = {}
         request_network.attach(node, self._on_request)
-        # Pre-bound counter handles for the directory hot path.
-        self._ctr_deferred_memory_responses = self.stats.counter(
-            "deferred_memory_responses"
-        )
-        self._ctr_forwards_sent = self.stats.counter("forwards_sent")
-        self._ctr_invalidations_sent = self.stats.counter("invalidations_sent")
-        self._ctr_memory_responses = self.stats.counter("memory_responses")
-        self._ctr_nacks_sent = self.stats.counter("nacks_sent")
-        self._ctr_stale_writebacks = self.stats.counter("stale_writebacks")
-        self._ctr_transfers_received = self.stats.counter("transfers_received")
-        self._ctr_writeback_data_received = self.stats.counter(
-            "writeback_data_received"
-        )
 
     # -------------------------------------------------------------- requests
     def _on_request(self, message: Message) -> None:
@@ -585,7 +552,6 @@ class DirectoryMemoryController(Component):
                 requester=requester,
             )
             schedule(delay, send_on_forward, invalidate)
-        self._ctr_invalidations_sent.increment(targets.bit_count())
         self._send_data(
             message, entry, exclusive=True, acks_expected=targets.bit_count()
         )
@@ -607,8 +573,6 @@ class DirectoryMemoryController(Component):
             entry.reset_to_uncached()
             entry.awaiting_data = entry.early_data_from != requester
             entry.early_data_from = None
-        if stale:
-            self._ctr_stale_writebacks.increment()
         ack = self.pool.acquire(
             MessageKind.WRITEBACK_ACK, self.node, requester, message.block
         )
@@ -625,7 +589,6 @@ class DirectoryMemoryController(Component):
             **{"from": "home"},
         )
         self._schedule(self.timing.memory_access_ns, self._send_on_response, nack)
-        self._ctr_nacks_sent.increment()
 
     def _forward(self, message: Message, owner: int, exclusive: bool) -> None:
         kind = MessageKind.FORWARD_GETM if exclusive else MessageKind.FORWARD_GETS
@@ -633,7 +596,6 @@ class DirectoryMemoryController(Component):
             kind, self.node, owner, message.block, requester=message.src
         )
         self._schedule(self.timing.memory_access_ns, self._send_on_forward, forward)
-        self._ctr_forwards_sent.increment()
 
     def _send_data(
         self,
@@ -653,10 +615,8 @@ class DirectoryMemoryController(Component):
         )
         if entry.awaiting_data:
             self._deferred_data.setdefault(message.block, []).append(data)
-            self._ctr_deferred_memory_responses.increment()
             return
         self._schedule(self.timing.memory_access_ns, self._send_on_response, data)
-        self._ctr_memory_responses.increment()
 
     # ------------------------------------------------------- writeback plane
     def on_writeback_data(self, message: Message) -> None:
@@ -682,7 +642,6 @@ class DirectoryMemoryController(Component):
                 if entry.owner is not None:
                     mask |= 1 << entry.owner
                 entry.make_shared(mask)
-        self._ctr_writeback_data_received.increment()
         pending = self._deferred_data.pop(message.block, [])
         for data in pending:
             data.payload["version"] = entry.version
@@ -694,7 +653,6 @@ class DirectoryMemoryController(Component):
         entry = self.directory.entry(message.block)
         if entry.state is DirectoryState.BUSY_MODIFIED:
             entry.make_modified(message.payload["new_owner"])
-        self._ctr_transfers_received.increment()
         self.pool.release(message)
 
 
@@ -739,43 +697,26 @@ class DirectoryProtocol(CoherenceProtocol):
         # they share one memoised route table (up to num_nodes**2 entries
         # that would otherwise be computed three times over).
         routes: dict = {}
-        request_network = VirtualNetwork(
-            sim,
-            context.topology,
-            context.network_timing,
-            context.accountant,
-            perturbation=context.perturbation,
-            name="dir-request-vnet",
-            routes=routes,
+        forward_class = (
+            PointToPointOrderedNetwork
+            if self.policy.ordered_forward_network
+            else DataNetwork
         )
-        if self.policy.ordered_forward_network:
-            forward_network: VirtualNetwork = PointToPointOrderedNetwork(
+        request_network, forward_network, response_network = (
+            network_class(
                 sim,
                 context.topology,
                 context.network_timing,
                 context.accountant,
                 perturbation=context.perturbation,
-                name="dir-forward-vnet",
+                name=f"dir-{role}-vnet",
                 routes=routes,
             )
-        else:
-            forward_network = VirtualNetwork(
-                sim,
-                context.topology,
-                context.network_timing,
-                context.accountant,
-                perturbation=context.perturbation,
-                name="dir-forward-vnet",
-                routes=routes,
+            for network_class, role in (
+                (DataNetwork, "request"),
+                (forward_class, "forward"),
+                (DataNetwork, "response"),
             )
-        response_network = VirtualNetwork(
-            sim,
-            context.topology,
-            context.network_timing,
-            context.accountant,
-            perturbation=context.perturbation,
-            name="dir-response-vnet",
-            routes=routes,
         )
 
         caches: List[DirectoryCacheController] = []

@@ -140,25 +140,6 @@ class TSSnoopNode(CacheControllerBase):
         self._interest_bit = 1 << node
         address_network.attach(node, self._on_ordered)
         data_network.attach(node, self._on_data_message)
-        # Pre-bound counter handles for the protocol hot path.
-        self._ctr_address_broadcasts = self.stats.counter("address_broadcasts")
-        self._ctr_cache_data_responses = self.stats.counter("cache_data_responses")
-        self._ctr_dirty_evictions = self.stats.counter("dirty_evictions")
-        self._ctr_invalidations_observed = self.stats.counter("invalidations_observed")
-        self._ctr_memory_data_responses = self.stats.counter("memory_data_responses")
-        self._ctr_memory_deferred_responses = self.stats.counter(
-            "memory_deferred_responses"
-        )
-        self._ctr_orphan_data = self.stats.counter("orphan_data")
-        self._ctr_owed_responses = self.stats.counter("owed_responses")
-        self._ctr_stale_putm = self.stats.counter("stale_putm")
-        self._ctr_writeback_buffer_responses = self.stats.counter(
-            "writeback_buffer_responses"
-        )
-        self._ctr_writeback_data_received = self.stats.counter(
-            "writeback_data_received"
-        )
-        self._ctr_writebacks_sent = self.stats.counter("writebacks_sent")
 
     # ------------------------------------------------------------------ miss
     def _start_miss(
@@ -184,7 +165,6 @@ class TSSnoopNode(CacheControllerBase):
         # them once the last endpoint has processed the ordered delivery.
         request = self.pool.acquire(kind, self.node, None, block)
         self.address_network.broadcast(request)
-        self._ctr_address_broadcasts.increment()
 
     # ------------------------------------------------- ordered address stream
     def _on_ordered(self, delivery: OrderedDelivery) -> None:
@@ -228,7 +208,6 @@ class TSSnoopNode(CacheControllerBase):
             self._respond_from_cache(delivery, requester, exclusive)
         elif state is CacheState.SHARED and exclusive:
             self.cache.set_state(block, CacheState.INVALID)
-            self._ctr_invalidations_observed.increment()
             self._drop_interest(block)
 
     def _drop_interest(self, block: int) -> None:
@@ -278,15 +257,12 @@ class TSSnoopNode(CacheControllerBase):
                 self._memory_respond(delivery, state, exclusive=True)
             state.owner = message.src
             state.early_data_from = None
-        elif kind is MessageKind.PUTM:
-            if state.owner == message.src:
-                state.owner = None
-                state.awaiting_data = state.early_data_from != message.src
-                state.early_data_from = None
-            else:
-                # Stale writeback: ownership already moved on (a request was
-                # ordered ahead of the PUTM).  Ignore it.
-                self._ctr_stale_putm.increment()
+        elif kind is MessageKind.PUTM and state.owner == message.src:
+            # A stale PUTM (ownership already moved on: a request was
+            # ordered ahead of it) is ignored.
+            state.owner = None
+            state.awaiting_data = state.early_data_from != message.src
+            state.early_data_from = None
 
     def _memory_respond(
         self, delivery: OrderedDelivery, state: _HomeBlockState, exclusive: bool
@@ -305,7 +281,6 @@ class TSSnoopNode(CacheControllerBase):
             # The writeback carrying the current data has not arrived yet;
             # remember the response and send it when it does.
             state.deferred.append((requester, exclusive, ready))
-            self._ctr_memory_deferred_responses.increment()
             return
         ready = max(ready, state.data_ready_time)
         self._send_memory_data(
@@ -325,7 +300,6 @@ class TSSnoopNode(CacheControllerBase):
             kind, self.node, requester, block, version=version, from_cache=False
         )
         self._schedule(max(0, send_time - self.now), self._send_on_data, data)
-        self._ctr_memory_data_responses.increment()
 
     def _on_writeback_data(self, message: Message) -> None:
         """WRITEBACK_DATA arrived at this (home) memory controller."""
@@ -333,7 +307,6 @@ class TSSnoopNode(CacheControllerBase):
         state = self.home_blocks.get(block)
         if state is None:
             state = self.home_blocks[block] = _HomeBlockState()
-        self._ctr_writeback_data_received.increment()
         if not state.awaiting_data and state.owner is not None:
             if state.owner == message.src:
                 # Eviction data racing ahead of its PUTM: remember that the
@@ -374,7 +347,6 @@ class TSSnoopNode(CacheControllerBase):
                 entry.logical_state = CacheState.OWNED
             else:
                 entry.logical_state = CacheState.SHARED
-            self._ctr_owed_responses.increment()
         elif self._owned_state and logical is CacheState.OWNED:
             if entry.owed is None:
                 entry.owed = [(requester, exclusive)]
@@ -382,10 +354,8 @@ class TSSnoopNode(CacheControllerBase):
                 entry.owed.append((requester, exclusive))
             if exclusive:
                 entry.logical_state = CacheState.INVALID
-            self._ctr_owed_responses.increment()
         elif logical is CacheState.SHARED and exclusive:
             entry.logical_state = CacheState.INVALID
-            self._ctr_invalidations_observed.increment()
 
     def _respond_from_cache(
         self, delivery: OrderedDelivery, requester: int, exclusive: bool
@@ -423,7 +393,6 @@ class TSSnoopNode(CacheControllerBase):
             self._drop_interest(block)
         send_time = self._cache_response_time(delivery)
         self._send_cache_data(requester, block, wb_entry.version, send_time)
-        self._ctr_writeback_buffer_responses.increment()
         # The WRITEBACK_DATA sent at eviction time is already on its way to
         # memory, so no second copy is needed for the non-exclusive case.
 
@@ -447,7 +416,6 @@ class TSSnoopNode(CacheControllerBase):
             from_cache=True,
         )
         self._schedule(max(0, send_time - self.now), self._send_on_data, data)
-        self._ctr_cache_data_responses.increment()
 
     def _send_writeback_data(self, block: int, version: int, send_time: int) -> None:
         home = self._home_of(block)
@@ -455,7 +423,6 @@ class TSSnoopNode(CacheControllerBase):
             MessageKind.WRITEBACK_DATA, self.node, home, block, version=version
         )
         self._schedule(max(0, send_time - self.now), self._send_on_data, writeback)
-        self._ctr_writebacks_sent.increment()
 
     # --------------------------------------------------- own request ordered
     def _own_transaction_ordered(self, delivery: OrderedDelivery) -> None:
@@ -475,10 +442,7 @@ class TSSnoopNode(CacheControllerBase):
         entry.ordered_time = delivery.ordered_time
         if message.kind is MessageKind.GETM:
             entry.logical_state = CacheState.MODIFIED
-            if (
-                self._owned_state
-                and self._state_of(block) is CacheState.OWNED
-            ):
+            if self._owned_state and self._state_of(block) is CacheState.OWNED:
                 # MOESI upgrade: we already hold the only valid copy in O,
                 # so ordering alone grants write permission -- no data
                 # message is coming (memory's owner bit names us).
@@ -502,7 +466,7 @@ class TSSnoopNode(CacheControllerBase):
         if entry is None:
             # Data for a miss that no longer exists should not happen in this
             # protocol; count it so tests can assert it never does.
-            self._ctr_orphan_data.increment()
+            self.orphan_data += 1
             self.pool.release(message)
             return
         entry.data_received = True
@@ -616,7 +580,7 @@ class TSSnoopNode(CacheControllerBase):
         putm = self.pool.acquire(MessageKind.PUTM, self.node, None, block)
         self.address_network.broadcast(putm)
         self._send_writeback_data(block, version, self.now)
-        self._ctr_dirty_evictions.increment()
+        self.dirty_evictions += 1
 
 
 class TSSnoopProtocol(CoherenceProtocol):

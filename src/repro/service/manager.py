@@ -165,11 +165,6 @@ def replica_cost(config: SystemConfig, profile: WorkloadProfile) -> int:
     return max(1, profile.references_per_node * config.num_nodes)
 
 
-def job_cost(config: SystemConfig, profile: WorkloadProfile) -> int:
-    """Estimated cost of a whole job (every perturbation replica)."""
-    return replica_cost(config, profile) * config.perturbation_replicas
-
-
 # ---------------------------------------------------------------- backends
 class PoolBackend:
     """Where replica jobs actually run.  Subclasses count submissions."""

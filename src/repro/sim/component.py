@@ -5,21 +5,19 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
-from repro.sim.stats import StatGroup
 
 
 class Component:
     """A named model object bound to a :class:`~repro.sim.kernel.Simulator`.
 
-    Components provide a uniform way to schedule work and keep statistics.  All hardware-ish objects in the library (switches,
-    caches, memory controllers, processors, network interfaces) derive from
-    this class.
+    Components provide a uniform way to schedule work.  All hardware-ish
+    objects in the library (switches, caches, memory controllers,
+    processors, network interfaces) derive from this class.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.stats = StatGroup(name)
 
     # ------------------------------------------------------------ scheduling
     @property

@@ -56,19 +56,19 @@ class BuiltSystem:
         return max(times)
 
     def total_misses(self) -> int:
-        return sum(controller.total_misses for controller in self.controllers)
+        return sum(controller.misses for controller in self.controllers)
 
     def total_cache_to_cache_misses(self) -> int:
         return sum(controller.cache_to_cache_misses for controller in self.controllers)
 
     def reset_measurement_state(self) -> None:
-        """Clear statistics at the warm-up / measurement boundary."""
+        """Zero the counts at the warm-up / measurement boundary."""
         self.accountant.reset()
         for controller in self.controllers:
-            controller.stats.reset()
+            controller.reset_counts()
             controller.miss_records.clear()
         for processor in self.processors:
-            processor.stats.reset()
+            processor.reset_counts()
 
 
 class SystemBuilder:

@@ -153,14 +153,12 @@ class SimulationRunner:
         retries = 0
         latency_total = 0
         for controller in system.controllers:
-            misses += controller.stats.counter("misses").value
-            c2c += controller.stats.counter("cache_to_cache_misses").value
-            writebacks += controller.stats.counter("dirty_evictions").value
-            nacks += controller.stats.counter("nacks_received").value
-            retries += controller.stats.counter("retries_sent").value
-            histogram = controller.stats.histograms.get("miss_latency")
-            if histogram is not None:
-                latency_total += histogram.total
+            misses += controller.misses
+            c2c += controller.cache_to_cache_misses
+            writebacks += controller.dirty_evictions
+            nacks += controller.nacks_received
+            retries += controller.retries_sent
+            latency_total += controller.miss_latency_total_ns
 
         data_touched = self._data_touched_mb(system)
         accountant = system.accountant

@@ -122,7 +122,7 @@ class TestSnoopFilter:
         assert seen[5] == [33]  # source of the (5, 33) broadcast only
         assert seen[9] == [40, 25]  # interest bit, then home of 25
         # The counter still counts logical deliveries: every endpoint.
-        assert network.stats.counter("deliveries").value == len(sends) * 16
+        assert network.deliveries == len(sends) * 16
 
     def test_always_mask_forces_full_fanout(self):
         sim, network, log = build_filtered()

@@ -128,7 +128,7 @@ class TestUnderContention:
         assert len(reference) == len(injections)
         for deliveries in obs.values():
             assert [d.message.msg_id for d in deliveries] == reference
-        assert network.stats.counter("held_transactions").value > 0
+        assert network.held_transactions > 0
 
     def test_arrival_never_after_processing_even_with_holds(self):
         rng = DeterministicRandom(9)

@@ -12,7 +12,10 @@ DirOpt, MESIDir, MOESISnoop):
   quiescence;
 * **directory-matches-caches**: the home's sharer vector / owner bit must
   agree with the caches' stable states (the directory protocols' bank
-  entries, TS-Snoop's per-block owner bits).
+  entries, TS-Snoop's per-block owner bits);
+* **no anomalies**: no controller ever received data or an invalidation
+  acknowledgement for a transaction it does not have outstanding, an
+  unknown response or a transfer meant for a memory controller.
 
 The checkers themselves are validated negatively: corrupting a quiescent
 system must produce violations.
@@ -60,9 +63,7 @@ def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_ever
         processed = sim.run(max_events=check_every)
         assert processed > 0, f"{protocol}: deadlocked mid-run"
         problems = check_swmr_invariant(system.controllers)
-        assert not problems, (
-            f"{protocol}: SWMR violated mid-run: "
-            f"{problems[:5]}")
+        assert not problems, f"{protocol}: SWMR violated mid-run: {problems[:5]}"
         checks += 1
     # Let in-flight writebacks and acknowledgements drain so the home state
     # is quiescent before the directory invariants are checked.
@@ -72,6 +73,20 @@ def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_ever
         # handed back; a leak here is an ownership-contract bug.
         system.message_pool.assert_no_leaks()
     return system, checks
+
+
+ANOMALIES = (
+    "orphan_data",
+    "orphan_inv_ack",
+    "unexpected_response",
+    "unexpected_transfer",
+)
+
+
+def _assert_no_anomalies(system):
+    for controller in system.controllers:
+        for name in ANOMALIES:
+            assert getattr(controller, name) == 0, (controller.name, name)
 
 
 def _final_invariants(protocol, system):
@@ -94,12 +109,11 @@ class TestInvariantsInsideProtocolScenarios:
         assert system.checker.reads_recorded > 0
         problems = _final_invariants(protocol, system)
         assert not problems, f"{protocol}: {problems[:8]}"
+        _assert_no_anomalies(system)
 
     def test_invariants_hold_on_torus_network(self):
-        config_extra = {"network": "torus"}
         config = SystemConfig(
-            protocol="diropt", enable_checker=True, sanitize=SANITIZE,
-            **config_extra
+            protocol="diropt", network="torus", enable_checker=True, sanitize=SANITIZE
         )
         profile = get_profile("oltp").scaled(0.05)
         streams = build_streams(profile, config)
@@ -112,6 +126,7 @@ class TestInvariantsInsideProtocolScenarios:
         system.checker.assert_clean()
         problems = _final_invariants("diropt", system)
         assert not problems, problems[:8]
+        _assert_no_anomalies(system)
 
 
 class TestCheckersDetectCorruption:

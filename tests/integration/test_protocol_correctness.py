@@ -66,7 +66,7 @@ class TestSmallCachePressure:
                                      scale=0.05,
                                      cache_size_bytes=16 * 1024)
         system.checker.assert_clean()
-        writebacks = sum(c.stats.counter("dirty_evictions").value
+        writebacks = sum(c.dirty_evictions
                          for c in system.controllers)
         assert writebacks > 0
 

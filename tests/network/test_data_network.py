@@ -6,11 +6,12 @@ from repro.network.data_network import DataNetwork
 from repro.network.link import TrafficAccountant
 from repro.network.message import Message, MessageKind
 from repro.network.timing import NetworkTiming
-from repro.network.virtual_network import (
-    PointToPointOrderedNetwork,
-    VirtualNetwork,
-)
+from repro.network.virtual_network import PointToPointOrderedNetwork
 from repro.sim.randomness import DeterministicRandom, PerturbationModel
+from repro.system.builder import SystemBuilder
+from repro.system.config import SystemConfig
+
+from tests.conftest import empty_streams
 
 
 def make_network(sim, topology, cls=DataNetwork, perturbation=None):
@@ -102,10 +103,19 @@ class TestOrderedVirtualNetwork:
         sim.run()
         assert deliveries[0][0] == "near"
 
-    def test_plain_virtual_network_matches_data_network(self, sim, butterfly):
-        network, _ = make_network(sim, butterfly, cls=VirtualNetwork)
-        arrivals = []
-        network.send(Message(MessageKind.GETS, 1, 9, 3),
-                     lambda m: arrivals.append(sim.now))
-        sim.run()
-        assert arrivals == [49]
+    @pytest.mark.parametrize("protocol,forward_class", [
+        ("dirclassic", DataNetwork),
+        ("diropt", PointToPointOrderedNetwork),
+    ])
+    def test_directory_networks(self, protocol, forward_class):
+        # Requests and responses ride plain data networks; only DirOpt's
+        # forwarded-request network keeps per-pair order.
+        config = SystemConfig(protocol=protocol)
+        system = SystemBuilder(config).build(empty_streams(16))
+        controller = system.controllers[0]
+        assert type(controller.request_network) is DataNetwork
+        assert type(controller.forward_network) is forward_class
+        assert type(controller.response_network) is DataNetwork
+        assert controller.request_network.name == "dir-request-vnet"
+        assert controller.forward_network.name == "dir-forward-vnet"
+        assert controller.response_network.name == "dir-response-vnet"

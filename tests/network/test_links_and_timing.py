@@ -1,9 +1,9 @@
-"""Unit tests for links, traffic accounting and timing parameters."""
+"""Unit tests for traffic accounting and timing parameters."""
 
 import pytest
 
-from repro.network.link import Link, TrafficAccountant
-from repro.network.message import Message, MessageKind, TrafficCategory
+from repro.network.link import TrafficAccountant
+from repro.network.message import Message, MessageKind
 from repro.network.timing import NetworkTiming, PAPER_TIMING
 
 
@@ -26,65 +26,30 @@ class TestNetworkTiming:
             PAPER_TIMING.ordering_latency(-1, 0)
 
 
-class TestLink:
-    def test_carry_accumulates_bytes(self):
-        link = Link("a", "b")
-        link.carry(Message(MessageKind.DATA, 0, 1, 5))
-        link.carry(Message(MessageKind.GETS, 0, 1, 5))
-        assert link.total_bytes == 72 + 8
-
-    def test_carry_batch_matches_individual_carries(self):
-        batch = [Message(MessageKind.DATA, 0, 1, 5),
-                 Message(MessageKind.GETS, 0, 1, 5),
-                 Message(MessageKind.DATA, 1, 0, 6),
-                 Message(MessageKind.NACK, 2, 0, 7)]
-        one_by_one = Link("a", "b")
-        for message in batch:
-            one_by_one.carry(message)
-        batched = Link("a", "b")
-        batched.carry_batch(batch)
-        assert batched.counter.messages == one_by_one.counter.messages
-        assert batched.counter.bytes == one_by_one.counter.bytes
-
-    def test_carry_batch_empty_is_noop(self):
-        link = Link("a", "b")
-        link.carry_batch([])
-        assert link.total_bytes == 0
-
-
 class TestTrafficAccountant:
     def test_record_message_traversals(self):
         accountant = TrafficAccountant(num_links=10)
         accountant.record(Message(MessageKind.GETS, 0, None, 1), traversals=21)
         accountant.record(Message(MessageKind.DATA, 1, 0, 1), traversals=3)
-        assert accountant.bytes_for(TrafficCategory.REQUEST) == 21 * 8
-        assert accountant.bytes_for(TrafficCategory.DATA) == 3 * 72
+        assert accountant.bytes_by_category == {"Request": 21 * 8, "Data": 3 * 72}
         assert accountant.total_bytes() == 21 * 8 + 3 * 72
         assert accountant.per_link_bytes() == pytest.approx((21 * 8 + 3 * 72) / 10)
 
-    def test_breakdown_fractions_sum_to_one(self):
-        accountant = TrafficAccountant(num_links=4)
-        accountant.record(Message(MessageKind.GETS, 0, None, 1), 21)
-        accountant.record(Message(MessageKind.NACK, 0, 1, 1), 3)
-        fractions = accountant.breakdown_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert set(fractions) == {"Request", "Nack"}
-
-    def test_zero_traversal_messages_count_messages_not_bytes(self):
+    def test_zero_traversal_messages_add_no_bytes(self):
         accountant = TrafficAccountant(num_links=4)
         accountant.record(Message(MessageKind.DATA, 2, 2, 1), traversals=0)
         assert accountant.total_bytes() == 0
-        assert accountant.messages_by_category["Data"] == 1
+        assert accountant.bytes_by_category == {"Data": 0}
 
     def test_negative_traversals_rejected(self):
         accountant = TrafficAccountant(num_links=4)
         with pytest.raises(ValueError):
             accountant.record(Message(MessageKind.DATA, 0, 1, 1), -1)
 
-    def test_record_raw_and_reset(self):
+    def test_reset_clears_every_category(self):
         accountant = TrafficAccountant(num_links=2)
-        accountant.record_raw(TrafficCategory.MISC, 8, 3)
+        accountant.record(Message(MessageKind.NACK, 0, 1, 1), traversals=3)
         assert accountant.total_bytes() == 24
         accountant.reset()
-        assert accountant.total_bytes() == 0
-        assert accountant.link_traversals == 0
+        assert accountant.bytes_by_category == {}
+        assert accountant.per_link_bytes() == 0.0

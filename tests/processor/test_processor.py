@@ -59,8 +59,8 @@ class TestProcessor:
         cpu = Processor(sim, 0, controller, iter(stream))
         cpu.start()
         sim.run()
-        assert cpu.stats.counter("reads").value == 1
-        assert cpu.stats.counter("writes").value == 2
+        assert cpu.reads == 1
+        assert cpu.writes == 2
 
     def test_on_finish_callback(self):
         sim = Simulator()
@@ -183,15 +183,15 @@ class TestTSOProcessor:
         # and the core only declares itself done once the buffer is empty.
         assert cpu.finish_time == 80
         assert cpu.references_issued == 2
-        assert cpu.stats.counter("writes").value == 1
-        assert cpu.stats.counter("reads").value == 1
+        assert cpu.writes == 1
+        assert cpu.reads == 1
 
     def test_same_block_load_forwards_from_the_buffer(self):
         cpu, controller = _run_tso([ref(1, "store"), ref(1, "load")])
         # Only the drain touches the cache: the load was satisfied from the
         # youngest buffered store without a coherence transaction.
         assert [(t, b) for t, b, _a in controller.accesses] == [(30, 1)]
-        assert cpu.stats.counter("store_buffer_forwards").value == 1
+        assert cpu.store_buffer_forwards == 1
         assert cpu.finished
         assert cpu.finish_time == 80
 
@@ -209,7 +209,7 @@ class TestTSOProcessor:
     def test_full_buffer_stalls_the_ninth_store(self):
         stream = [ref(block, "store") for block in range(9)]
         cpu, controller = _run_tso(stream)
-        assert cpu.stats.counter("store_buffer_stalls").value >= 1
+        assert cpu.store_buffer_stalls >= 1
         assert cpu.finished
         assert cpu.references_issued == 9
         # Every store eventually drained through the cache, in FIFO order.

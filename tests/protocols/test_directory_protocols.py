@@ -79,7 +79,7 @@ class TestDirectoryBookkeeping:
         streams[1] = [ref(16 * i + 1, "store") for i in range(64)]
         system = build_and_run(protocol, streams, config_overrides=overrides)
         controller = system.controllers[1]
-        assert controller.stats.counter("dirty_evictions").value > 0
+        assert controller.dirty_evictions > 0
         # Writeback buffers drain once the home acknowledges.
         assert not controller.writeback_buffer
         assert system.checker.clean
@@ -103,16 +103,16 @@ class TestNackBehaviour:
 
     def test_dirclassic_nacks_under_contention(self):
         system = build_and_run("dirclassic", self._contended_streams())
-        nacks = sum(c.stats.counter("nacks_received").value
+        nacks = sum(c.nacks_received
                     for c in system.controllers)
-        retries = sum(c.stats.counter("retries_sent").value
+        retries = sum(c.retries_sent
                       for c in system.controllers)
         assert nacks > 0
         assert retries >= nacks  # every NACK is eventually retried
 
     def test_diropt_never_nacks(self):
         system = build_and_run("diropt", self._contended_streams())
-        nacks = sum(c.stats.counter("nacks_received").value
+        nacks = sum(c.nacks_received
                     for c in system.controllers)
         assert nacks == 0
 

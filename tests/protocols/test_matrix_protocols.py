@@ -26,10 +26,7 @@ class TestMESIExclusiveGrants:
         streams = empty_streams()
         streams[READER] = [ref(BLOCK, "load")]
         system = build_and_run("mesi-dir", streams)
-        assert (
-            system.controllers[READER].cache.state_of(BLOCK)
-            is CacheState.EXCLUSIVE
-        )
+        assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.EXCLUSIVE
         record = system.controllers[READER].miss_records[0]
         assert record.source is MissSource.MEMORY
         assert not check_swmr_invariant(system.controllers)
@@ -64,14 +61,8 @@ class TestMESIExclusiveGrants:
         streams[OWNER] = [ref(BLOCK, "load")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run("mesi-dir", streams)
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.SHARED
-        )
-        assert (
-            system.controllers[READER].cache.state_of(BLOCK)
-            is CacheState.SHARED
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.SHARED
+        assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.SHARED
         # The clean-exclusive copy supplied the data (the directory's EM
         # ambiguity forwards the request to the E owner).
         record = system.controllers[READER].miss_records[0]
@@ -81,10 +72,7 @@ class TestMESIExclusiveGrants:
         streams = empty_streams()
         streams[OWNER] = [ref(BLOCK, "store")]
         system = build_and_run("mesi-dir", streams)
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.MODIFIED
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.MODIFIED
 
     def test_clean_exclusive_eviction_does_not_strand_the_directory(self):
         # A tiny direct-mapped-ish cache forces the E copy of BLOCK out
@@ -97,10 +85,7 @@ class TestMESIExclusiveGrants:
         streams[OWNER] = [ref(BLOCK, "load")] + conflicting
         streams[READER] = [ref(BLOCK, "load", think=120_000)]
         system = build_and_run("mesi-dir", streams, config_overrides=overrides)
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.INVALID
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.INVALID
         # The later reader is served from memory, not from a forward to
         # the long-gone exclusive copy.
         record = system.controllers[READER].miss_records[0]
@@ -114,14 +99,8 @@ class TestMOESIOwnedState:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run("moesi-snoop", streams)
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.OWNED
-        )
-        assert (
-            system.controllers[READER].cache.state_of(BLOCK)
-            is CacheState.SHARED
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.OWNED
+        assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.SHARED
         record = system.controllers[READER].miss_records[0]
         assert record.source is MissSource.CACHE
         # Memory's owner bit still names the O holder: no writeback
@@ -142,10 +121,7 @@ class TestMOESIOwnedState:
         for node in (READER, THIRD):
             record = system.controllers[node].miss_records[0]
             assert record.source is MissSource.CACHE
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.OWNED
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.OWNED
 
     def test_owned_store_is_a_permission_only_upgrade(self):
         streams = empty_streams()
@@ -157,13 +133,12 @@ class TestMOESIOwnedState:
         system = build_and_run("moesi-snoop", streams)
         owner = system.controllers[OWNER]
         assert owner.cache.state_of(BLOCK) is CacheState.MODIFIED
-        assert (
-            system.controllers[READER].cache.state_of(BLOCK)
-            is CacheState.INVALID
-        )
+        assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.INVALID
         # The second store found the data already resident in O: its miss
         # is an upgrade (permission-only), not a data transfer.
         assert owner.miss_records[-1].source is MissSource.UPGRADE
+        # An upgrade moves no data, so it is not a cache-to-cache miss.
+        assert owner.cache_to_cache_misses == 0
         assert system.checker.clean
         assert not check_snoop_home_invariant(system.controllers)
 
@@ -175,9 +150,6 @@ class TestMOESIOwnedState:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run("ts-snoop", streams)
-        assert (
-            system.controllers[OWNER].cache.state_of(BLOCK)
-            is CacheState.SHARED
-        )
+        assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.SHARED
         home = system.controllers[0].home_blocks[BLOCK]
         assert home.owner is None

@@ -101,7 +101,7 @@ def test_filter_matches_full_fanout(
     assert filtered_system.controllers[0].address_network.always_mask == 0
 
     evictions = sum(
-        controller.stats.counter("dirty_evictions").value
+        controller.dirty_evictions
         for controller in filtered_system.controllers
     )
     assert evictions > 0, "the small cache never evicted a dirty block"

@@ -99,7 +99,7 @@ class TestWritebacks:
         system = build_and_run("ts-snoop", streams,
                                config_overrides=overrides)
         controller = system.controllers[1]
-        assert controller.stats.counter("dirty_evictions").value > 0
+        assert controller.dirty_evictions > 0
         assert system.checker.clean
 
     def test_reread_after_eviction_refetches_latest_data(self):

@@ -244,10 +244,7 @@ def test_drr_service_tracks_weighted_share_within_quantum_envelope(weight_list, 
             for right in backlogged_before:
                 if left >= right:
                     continue
-                gap = abs(
-                    served[left] / weights[left]
-                    - served[right] / weights[right]
-                )
+                gap = abs(served[left] / weights[left] - served[right] / weights[right])
                 bound = quantum * (1 + 1 / weights[left] + 1 / weights[right])
                 assert gap <= bound + 1e-9, (
                     f"per-weight service gap {gap} between {left} and "

@@ -10,9 +10,3 @@ class TestComponent:
         component.schedule(5, lambda: fired.append(component.now))
         sim.run()
         assert fired == [5]
-
-    def test_stats_group_is_per_component(self, sim):
-        a = Component(sim, "a")
-        b = Component(sim, "b")
-        a.stats.counter("x").increment()
-        assert b.stats.counter("x").value == 0
