@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.network import NETWORK_ALIASES
+from repro.network import canonical_network_name as _canonical_network_name
 from repro.protocols import PROTOCOLS as _PROTOCOLS
 from repro.protocols import canonical_protocol_name as _canonical_protocol_name
 from repro.system.config import SystemConfig
@@ -42,23 +44,13 @@ class ExperimentSpecError(ValueError):
 
 
 #: Canonical protocol names, in registry order (the paper trio first, then
-#: the MESI/MOESI matrix variants).  Derived from the single source of
-#: truth, :data:`repro.protocols.PROTOCOLS`; the ``repro.lint`` registry
-#: parity rule keeps the two in lockstep.
+#: the MESI/MOESI matrix variants): the keys of
+#: :data:`repro.protocols.PROTOCOLS`.
 PROTOCOL_NAMES = tuple(_PROTOCOLS)
 
-#: Canonical network names.
-NETWORK_NAMES = ("butterfly", "torus")
-
-#: Accepted aliases, mirroring :func:`repro.network.make_topology`.
-_NETWORK_ALIASES = {
-    "butterfly": "butterfly",
-    "bfly": "butterfly",
-    "indirect": "butterfly",
-    "torus": "torus",
-    "2d-torus": "torus",
-    "direct": "torus",
-}
+#: Canonical network names, in the order of
+#: :data:`repro.network.NETWORK_ALIASES`.
+NETWORK_NAMES = tuple(dict.fromkeys(NETWORK_ALIASES.values()))
 
 #: ``SystemConfig`` fields that never change simulated results -- the
 #: checking knobs.  They are excluded from the canonical form so cache
@@ -83,10 +75,9 @@ def canonical_protocol_name(name: str) -> str:
 
 def canonical_network_name(name: str) -> str:
     """Resolve a network name or alias to its canonical form."""
-    key = name.strip().lower()
     try:
-        return _NETWORK_ALIASES[key]
-    except KeyError:
+        return _canonical_network_name(name)
+    except ValueError:
         raise ExperimentSpecError(
             f"unknown network {name!r}; valid choices: {', '.join(NETWORK_NAMES)}"
         ) from None

@@ -1,13 +1,11 @@
 """Static analysis for the repro simulator (``python -m repro.lint``).
 
-Four rule families guard the invariants the fast-path work depends on:
+Three rule families guard the invariants the fast-path work depends on:
 
 * ``DET*`` -- determinism (no set-order, ambient randomness or wall-clock
   dependence inside the simulation packages);
 * ``POOL*`` -- pooled-shell ownership (acquire/release discipline for
   ``MessagePool``);
-* ``REG*`` -- registry parity (the protocol registry, its name enum and
-  the API's protocol names stay in lockstep);
 * ``HOT*`` -- hot-path hygiene in ``# repro-lint: hot`` modules.
 
 See :mod:`repro.lint.framework` for the suppression-comment syntax and
@@ -25,11 +23,10 @@ from repro.lint.framework import (
     run_paths,
 )
 from repro.lint.hotpath import RULES as HOTPATH_RULES
-from repro.lint.parity import RULES as PARITY_RULES
 from repro.lint.pools import CONSUMPTION_POINTS, RULES as POOL_RULES
 
 #: Every registered rule, in reporting-id order.
-ALL_RULES = (*DETERMINISM_RULES, *POOL_RULES, *PARITY_RULES, *HOTPATH_RULES)
+ALL_RULES = (*DETERMINISM_RULES, *POOL_RULES, *HOTPATH_RULES)
 
 
 def run(paths, select=None, ignore=None) -> LintResult:

@@ -20,7 +20,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Static analyzer for the repro simulator: determinism, "
-            "pooled-shell ownership, registry parity and hot-path hygiene."
+            "pooled-shell ownership and hot-path hygiene."
         ),
     )
     parser.add_argument(

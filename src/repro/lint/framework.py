@@ -12,7 +12,7 @@ framework owns everything rule-independent:
 * rule selection (``--select`` / ``--ignore`` by id prefix) and the stable
   ordering of the final report.
 
-Rules live in the sibling modules (``determinism``, ``pools``, ``parity``,
+Rules live in the sibling modules (``determinism``, ``pools`` and
 ``hotpath``); :mod:`repro.lint` aggregates them into ``ALL_RULES``.
 """
 
@@ -339,15 +339,6 @@ def run_paths(
     return LintResult(
         findings=findings, files_scanned=len(files), suppressed=suppressed
     )
-
-
-def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    """child -> parent for every node; shared helper for position-aware rules."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def enclosing_functions(tree: ast.AST) -> Dict[ast.AST, Optional[ast.AST]]:

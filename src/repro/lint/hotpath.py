@@ -1,4 +1,4 @@
-"""Hot-path hygiene rules (HOT001-HOT004).
+"""Hot-path hygiene rules (HOT001 and HOT002).
 
 These rules apply only to modules carrying a module-level
 ``# repro-lint: hot`` marker -- the per-event / per-message code the perf
@@ -10,11 +10,6 @@ discipline the fast-path PRs established:
 * HOT002 -- per-call enum descriptor access (``MessageKind.GETS.value``):
   ``Enum.value`` is a descriptor call; resolve it once at import time (the
   ``category_key`` pattern in ``repro.network.message``).
-* HOT003 -- ``stats.counter(...)`` / ``stats.histogram(...)`` lookups
-  outside ``__init__``: registry lookups per event defeat the pre-bound
-  counter pattern.
-* HOT004 -- reading a pre-bound counter attribute (``self._ctr_*``) inside
-  a loop body: hoist the handle before the loop.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from repro.lint.framework import (
     Finding,
     Rule,
     enclosing_functions,
-    parent_map,
 )
 
 
@@ -98,83 +92,4 @@ class EnumDescriptorRule(HotPathRule):
                 )
 
 
-_SETUP_FUNCTIONS = frozenset(
-    {"__init__", "__post_init__", "__init_subclass__", "reset", "attach"}
-)
-
-
-class StatsLookupRule(HotPathRule):
-    id = "HOT003"
-    summary = "stats.counter()/histogram() lookup outside __init__ in hot code"
-
-    def check_hot(self, ctx: FileContext) -> Iterator[Finding]:
-        owners = enclosing_functions(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("counter", "histogram")
-                and isinstance(node.func.value, (ast.Name, ast.Attribute))
-            ):
-                continue
-            receiver = node.func.value
-            receiver_name = (
-                receiver.id if isinstance(receiver, ast.Name) else receiver.attr
-            )
-            if receiver_name != "stats":
-                continue
-            owner = owners[node]
-            if owner is not None and owner.name in _SETUP_FUNCTIONS:
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"stats.{node.func.attr}(...) outside __init__: pre-bind "
-                "the counter handle at construction time",
-            )
-
-
-class CounterInLoopRule(HotPathRule):
-    id = "HOT004"
-    summary = "pre-bound counter attribute (self._ctr_*) read inside a loop"
-
-    def check_hot(self, ctx: FileContext) -> Iterator[Finding]:
-        parents = parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Attribute)
-                and node.attr.startswith("_ctr_")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                continue
-            if self._inside_loop_body(node, parents):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"self.{node.attr} read inside a loop body: hoist the "
-                    "counter handle before the loop",
-                )
-
-    @staticmethod
-    def _inside_loop_body(node: ast.AST, parents) -> bool:
-        child = node
-        current = parents.get(node)
-        while current is not None and not isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-        ):
-            if isinstance(current, (ast.For, ast.While)) and child in (
-                current.body + current.orelse
-            ):
-                return True
-            child = current
-            current = parents.get(current)
-        return False
-
-
-RULES = (
-    ClosureAllocationRule(),
-    EnumDescriptorRule(),
-    StatsLookupRule(),
-    CounterInLoopRule(),
-)
+RULES = (ClosureAllocationRule(), EnumDescriptorRule())

@@ -3,64 +3,76 @@
 The paper's three protocols, all MSI, all allowing silent S -> I downgrades
 (Section 4.2):
 
-* :mod:`repro.protocols.ts_snoop` -- **TS-Snoop**, timestamp snooping with a
+* **TS-Snoop** (:mod:`repro.protocols.ts_snoop`), timestamp snooping with a
   per-block memory owner bit (the Synapse trick of Section 3) and the
   prefetch-at-arrival optimisation;
-* :mod:`repro.protocols.dir_classic` -- **DirClassic**, an SGI-Origin-2000
+* **DirClassic** (:mod:`repro.protocols.directory`), an SGI-Origin-2000
   style full-bit-vector directory that uses busy states and NACKs;
-* :mod:`repro.protocols.dir_opt` -- **DirOpt**, a NACK-free directory that
-  relies on a point-to-point ordered forwarding network and never blocks at
-  the home node.
+* **DirOpt**, a NACK-free directory that relies on a point-to-point ordered
+  forwarding network and never blocks at the home node.
 
 Two matrix extensions beyond the paper:
 
-* :mod:`repro.protocols.mesi_dir` -- **MESIDir**, DirOpt plus a
-  clean-exclusive (E) state with silent E -> M store upgrades;
-* :mod:`repro.protocols.moesi_snoop` -- **MOESISnoop**, TS-Snoop plus an
-  owned-sharing (O) state that supplies data without memory writebacks.
+* **MESIDir**, DirOpt plus a clean-exclusive (E) state with silent E -> M
+  store upgrades;
+* **MOESISnoop**, TS-Snoop plus an owned-sharing (O) state that supplies
+  data without memory writebacks.
 
-:data:`PROTOCOLS` is the canonical registry: canonical lower-case name
--> zero-argument factory.  ``repro.api`` and ``repro.lint`` both derive
-their protocol lists from it, so adding a protocol here is the single
-registration point.  A factory imports its controller module only when
+:data:`PROTOCOLS` is the only list of protocols: canonical lower-case name
+-> factory taking the :class:`~repro.system.config.SystemConfig`.  The
+directory protocols are one class with three policies, and MOESISnoop is
+TS-Snoop with ``owned_state=True``.  ``repro.api`` derives its protocol
+names from the keys.  A factory imports its controller module only when
 called, so a process that only names protocols (the service gateway
 validating specs) loads no controller.
 """
 
+from __future__ import annotations
 
-def _ts_snoop():
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.protocols.base import CoherenceProtocol
+    from repro.system.config import SystemConfig
+
+
+def _ts_snoop(config: SystemConfig, owned_state: bool = False):
     from repro.protocols.ts_snoop import TSSnoopProtocol
 
-    return TSSnoopProtocol()
+    return TSSnoopProtocol(
+        prefetch=config.prefetch_optimization,
+        slack=config.slack,
+        detailed_network=config.detailed_address_network,
+        owned_state=owned_state,
+    )
 
 
-def _dir_classic():
-    from repro.protocols.dir_classic import DirClassicProtocol
-
-    return DirClassicProtocol()
+def _moesi_snoop(config: SystemConfig):
+    return _ts_snoop(config, owned_state=True)
 
 
-def _dir_opt():
-    from repro.protocols.dir_opt import DirOptProtocol
+def _dir_classic(config: SystemConfig):
+    from repro.protocols.directory import DIR_CLASSIC, DirectoryProtocol
 
-    return DirOptProtocol()
-
-
-def _mesi_dir():
-    from repro.protocols.mesi_dir import MESIDirProtocol
-
-    return MESIDirProtocol()
+    return DirectoryProtocol(DIR_CLASSIC)
 
 
-def _moesi_snoop():
-    from repro.protocols.moesi_snoop import MOESISnoopProtocol
+def _dir_opt(config: SystemConfig):
+    from repro.protocols.directory import DIR_OPT, DirectoryProtocol
 
-    return MOESISnoopProtocol()
+    return DirectoryProtocol(DIR_OPT)
+
+
+def _mesi_dir(config: SystemConfig):
+    from repro.protocols.directory import MESI_DIR, DirectoryProtocol
+
+    return DirectoryProtocol(MESI_DIR)
 
 
 #: Canonical protocol registry, in paper order first: canonical name ->
-#: zero-argument factory.  ``repro.api.spec`` derives its accepted names
-#: (and hence ``ExperimentSpec`` cache keys) from the keys of this dict.
+#: factory of a ``SystemConfig``.  ``repro.api.spec`` derives its accepted
+#: names (and hence ``ExperimentSpec`` cache keys) from the keys of this
+#: dict.  The directory protocols ignore the snooping-only config options.
 PROTOCOLS = {
     "ts-snoop": _ts_snoop,
     "dirclassic": _dir_classic,
@@ -101,6 +113,7 @@ def canonical_protocol_name(name: str) -> str:
         ) from None
 
 
-def make_protocol(name: str):
-    """Factory returning a protocol object by any accepted name."""
-    return PROTOCOLS[canonical_protocol_name(name)]()
+def make_protocol(config: SystemConfig) -> CoherenceProtocol:
+    """The protocol ``config.protocol`` names (any accepted spelling),
+    built with the config's protocol options."""
+    return PROTOCOLS[canonical_protocol_name(config.protocol)](config)

@@ -1,4 +1,4 @@
-"""Protocol-independent plumbing shared by all three coherence protocols."""
+"""Protocol-independent plumbing shared by every coherence protocol."""
 # repro-lint: hot
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
@@ -20,21 +20,6 @@ from repro.protocols.timing import ProtocolTiming
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import PerturbationModel
-
-
-class ProtocolName(str, Enum):
-    """The evaluated protocols.
-
-    The first three are the paper's protocols (Section 4.2, all MSI); the
-    last two extend the matrix with an E-state directory variant and an
-    owned-sharing snooping variant.
-    """
-
-    TS_SNOOP = "TS-Snoop"
-    DIR_CLASSIC = "DirClassic"
-    DIR_OPT = "DirOpt"
-    MESI_DIR = "MESIDir"
-    MOESI_SNOOP = "MOESISnoop"
 
 
 class MissSource(str, Enum):
@@ -93,7 +78,6 @@ class ProtocolBuildContext:
     #: Free-list of Message shells shared by every controller of the build;
     #: disabled pools degrade to plain construction (the reference path).
     message_pool: MessagePool = field(default_factory=MessagePool)
-    options: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
@@ -101,16 +85,11 @@ class ProtocolBuildContext:
 
 
 class CoherenceProtocol(ABC):
-    """Factory interface implemented by TS-Snoop, DirClassic and DirOpt."""
-
-    name: ProtocolName
+    """Factory interface of ``TSSnoopProtocol`` and ``DirectoryProtocol``."""
 
     @abstractmethod
     def build(self, context: ProtocolBuildContext) -> List["CacheControllerBase"]:
         """Create the per-node controllers (and the networks they use)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.name.value}>"
 
 
 class CacheControllerBase(Component, ABC):

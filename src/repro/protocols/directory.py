@@ -1,12 +1,13 @@
-"""Directory protocol machinery shared by DirClassic and DirOpt.
+"""Directory protocol machinery shared by DirClassic, DirOpt and MESIDir.
 
-Both protocols are MSI with a full bit vector of sharers kept at the home
-memory controller of each block (Section 4.2).  Requests travel to the home
-node; the home either answers from memory (two "hops") or forwards the
-request to the owning cache, producing the three-hop transfers whose latency
-penalty motivates the paper.
+The paper's two directory protocols are MSI with a full bit vector of
+sharers kept at the home memory controller of each block (Section 4.2).
+Requests travel to the home node; the home either answers from memory (two
+"hops") or forwards the request to the owning cache, producing the
+three-hop transfers whose latency penalty motivates the paper.
 
-The two protocols differ only in their :class:`DirectoryPolicy`:
+The protocols differ only in their :class:`DirectoryPolicy`
+(:data:`DIR_CLASSIC`, :data:`DIR_OPT` and :data:`MESI_DIR`):
 
 * **DirClassic** (modelled after the SGI Origin 2000): the home enters a busy
   state while a forwarded request is being resolved and NACKs any request
@@ -16,6 +17,7 @@ The two protocols differ only in their :class:`DirectoryPolicy`:
   immediately when it forwards, the forwarded-request network is
   point-to-point ordered, and caches absorb any resulting hazards by
   deferring forwards that arrive for blocks whose fill is still in flight.
+* **MESIDir** (beyond the paper): DirOpt plus a clean-exclusive (E) state.
 
 Three virtual networks are used (requests, forwarded requests, responses),
 exactly as described in Section 4.2; they all share the physical links for
@@ -46,7 +48,6 @@ from repro.protocols.base import (
     MissRecord,
     MissSource,
     ProtocolBuildContext,
-    ProtocolName,
 )
 from repro.protocols.directory_state import (
     DirectoryBank,
@@ -61,9 +62,10 @@ from repro.sim.kernel import Simulator
 
 @dataclass(frozen=True)
 class DirectoryPolicy:
-    """The knobs that distinguish DirClassic from DirOpt."""
+    """The knobs that distinguish DirClassic, DirOpt and MESIDir."""
 
-    protocol: ProtocolName
+    #: prefix of the controllers' component names
+    name: str
     nack_when_busy: bool
     ordered_forward_network: bool
     #: old owners confirm ownership transfers to the home so it can leave its
@@ -73,6 +75,42 @@ class DirectoryPolicy:
     #: exclusive (E) copy; the directory reuses MODIFIED for the E owner
     #: (the classic EM ambiguity), so forwards and PUTMs work unchanged.
     has_exclusive_state: bool = False
+
+
+#: DirClassic (Section 4.2): "DirClassic is modeled after the protocol used
+#: in the commercially-deployed SGI Origin 2000.  It assumes unordered
+#: virtual networks, and it sometimes nacks (negatively acknowledges)
+#: transactions."
+DIR_CLASSIC = DirectoryPolicy(
+    name="dirclassic",
+    nack_when_busy=True,
+    ordered_forward_network=False,
+    requires_transfer_ack=True,
+)
+
+#: DirOpt (Section 4.2): "Recent directory research has sought to reduce or
+#: eliminate nacks.  To this end, we developed DirOpt, which uses
+#: point-to-point ordering on one virtual network to avoid nacks and avoid
+#: all blocking at cache and memory controllers."
+DIR_OPT = DirectoryPolicy(
+    name="diropt",
+    nack_when_busy=False,
+    ordered_forward_network=True,
+    requires_transfer_ack=False,
+)
+
+#: MESIDir (a matrix extension beyond the paper): DirOpt plus clean-exclusive
+#: grants.  A GETS that finds its block uncached installs in E, and the first
+#: store upgrades E -> M silently.  Clean-E victims still announce their
+#: eviction through the PUTM/writeback plane, so the home never forwards
+#: requests to a silently dropped copy.
+MESI_DIR = DirectoryPolicy(
+    name="mesidir",
+    nack_when_busy=False,
+    ordered_forward_network=True,
+    requires_transfer_ack=False,
+    has_exclusive_state=True,
+)
 
 
 class DirectoryCacheController(CacheControllerBase):
@@ -98,7 +136,7 @@ class DirectoryCacheController(CacheControllerBase):
             address_space,
             cache,
             timing,
-            name=f"{policy.protocol.value.lower()}.cache.n{node}",
+            name=f"{policy.name}.cache.n{node}",
             pool=pool,
         )
         self.policy = policy
@@ -450,7 +488,7 @@ class DirectoryMemoryController(Component):
         response_network: DataNetwork,
         pool: Optional[MessagePool] = None,
     ) -> None:
-        super().__init__(sim, f"{policy.protocol.value.lower()}.home.n{node}")
+        super().__init__(sim, f"{policy.name}.home.n{node}")
         self.node = node
         self.address_space = address_space
         self.timing = timing
@@ -685,11 +723,10 @@ class _HomeResponseRouter(Component):
 
 
 class DirectoryProtocol(CoherenceProtocol):
-    """Factory shared by DirClassic and DirOpt (differs only in policy)."""
+    """Factory shared by the directory protocols (differs only in policy)."""
 
     def __init__(self, policy: DirectoryPolicy) -> None:
         self.policy = policy
-        self.name = policy.protocol
 
     def build(self, context: ProtocolBuildContext) -> List[DirectoryCacheController]:
         sim = context.sim

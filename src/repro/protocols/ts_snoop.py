@@ -27,6 +27,15 @@ writeback-buffer entry and no valid line for the block.
 A node outside that mask would ignore a remote transaction anyway, so the
 network skips the call and results are unchanged.
 
+**MOESISnoop** (a matrix extension beyond the paper) is this protocol with
+``owned_state=True``: a dirty owner answering a GETS downgrades to **O**
+instead of S and keeps supplying data, with no sharing writeback, and
+memory's owner bit keeps naming the O holder.  A store that hits an O copy
+broadcasts a GETM as usual but completes as a permission-only upgrade once
+its own broadcast is ordered.  Ownership returns to memory only when the O
+holder evicts, through the PUTM + writeback-data plane of M evictions.  With
+the flag off the node is the paper's MSI TS-Snoop.
+
 Delayed data responses (memory data, cache-to-cache data, writeback data)
 are pre-bound sends scheduled with the message as their payload, so they
 allocate no per-response closure.
@@ -56,7 +65,6 @@ from repro.protocols.base import (
     MissRecord,
     MissSource,
     ProtocolBuildContext,
-    ProtocolName,
 )
 from repro.protocols.timing import ProtocolTiming
 from repro.sim.kernel import Simulator
@@ -584,24 +592,20 @@ class TSSnoopNode(CacheControllerBase):
 
 
 class TSSnoopProtocol(CoherenceProtocol):
-    """Factory for a 16-node TS-Snoop system.
+    """Factory for a TS-Snoop (or, with ``owned_state``, MOESISnoop) system.
 
     ``detailed_network=True`` runs the event-accurate token-passing network
     (slow; suitable for microbenchmarks and validation), otherwise the
     closed-form analytical network is used, as for all full workload runs.
     """
 
-    name = ProtocolName.TS_SNOOP
-
     def __init__(
         self,
-        prefetch: bool = True,
-        slack: int = 0,
-        detailed_network: bool = False,
+        prefetch: bool,
+        slack: int,
+        detailed_network: bool,
         owned_state: bool = False,
     ) -> None:
-        if slack < 0:
-            raise ValueError("slack must be non-negative")
         self.prefetch = prefetch
         self.slack = slack
         self.detailed_network = detailed_network

@@ -454,12 +454,13 @@ class JobManager:
     **Fault tolerance**: replica failures are classified by
     :func:`is_transient`; transient ones (worker crash, deadline overrun,
     I/O error) retry with deterministic exponential backoff
-    (``backoff_base * 2**(attempt-1)``, capped at ``backoff_cap``) up to
-    ``max_attempts`` attempts, each bounded by ``replica_timeout`` seconds
-    when one is set.  A replica that exhausts its budget (or fails
-    permanently) is *quarantined* -- a ``ReplicaFailed`` event, not a job
-    failure -- and the job completes over the replicas that did finish;
-    only a job with zero surviving replicas fails.  With a
+    (``DEFAULT_BACKOFF_BASE_S * 2**(attempt-1)``, capped at
+    ``DEFAULT_BACKOFF_CAP_S``) up to ``max_attempts`` attempts, each
+    bounded by ``replica_timeout`` seconds when one is set.  A replica
+    that exhausts its budget (or fails permanently) is *quarantined* -- a
+    ``ReplicaFailed`` event, not a job failure -- and the job completes
+    over the replicas that did finish; only a job with zero surviving
+    replicas fails.  With a
     :class:`~repro.service.journal.JobJournal` attached, every job
     submission, recovery and terminal transition is journalled durably
     and :meth:`recover` resubmits the jobs a dead service left unfinished
@@ -477,8 +478,6 @@ class JobManager:
         journal: Optional[JobJournal] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         replica_timeout: Optional[float] = None,
-        backoff_base: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP_S,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         client_weights: Optional[Dict[str, int]] = None,
     ) -> None:
@@ -492,8 +491,6 @@ class JobManager:
         self.journal = journal
         self.max_attempts = max_attempts
         self.replica_timeout = replica_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self._sleep = sleep
         self.scheduler = DeficitRoundRobinQueue(weights=client_weights)
         #: Every live handle plus the last :data:`RETAINED_TERMINAL_JOBS`
@@ -857,7 +854,7 @@ class JobManager:
 
     def _backoff(self, attempt: int) -> float:
         """Deterministic exponential backoff before attempt ``attempt + 1``."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+        return min(DEFAULT_BACKOFF_CAP_S, DEFAULT_BACKOFF_BASE_S * 2 ** (attempt - 1))
 
     def _note_failure(self, error: BaseException) -> bool:
         """Count one failed attempt by class; ``True`` when transient."""

@@ -109,8 +109,7 @@ class SystemBuilder:
         ]
         checker = CoherenceChecker() if config.enable_checker else None
 
-        protocol = make_protocol(config.protocol)
-        self._apply_protocol_options(protocol)
+        protocol = make_protocol(config)
         pool_type = SanitizedMessagePool if config.sanitize else MessagePool
         message_pool = pool_type()
         context = ProtocolBuildContext(
@@ -157,15 +156,6 @@ class SystemBuilder:
             checker=checker,
             message_pool=message_pool,
         )
-
-    def _apply_protocol_options(self, protocol) -> None:
-        """Push config knobs into the protocol factory where they exist."""
-        if hasattr(protocol, "prefetch"):
-            protocol.prefetch = self.config.prefetch_optimization
-        if hasattr(protocol, "slack"):
-            protocol.slack = self.config.slack
-        if hasattr(protocol, "detailed_network"):
-            protocol.detailed_network = self.config.detailed_address_network
 
 
 def build_streams(

@@ -30,7 +30,9 @@ class SystemConfig:
     memory_bytes: int = 1 << 30
 
     # Protocol selection and options (see ``repro.protocols.PROTOCOLS``):
-    # "ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop".
+    # "ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop".  The
+    # three options apply to the snooping protocols only; the directory
+    # protocols ignore them.
     protocol: str = "ts-snoop"
     prefetch_optimization: bool = True  # Section 3, optimisation 1
     slack: int = 0  # initial slack S of Section 2.2

@@ -25,6 +25,7 @@ from repro.api.spec import (
     canonical_network_name,
     canonical_protocol_name,
 )
+from repro.network import NETWORK_ALIASES, make_topology
 from repro.protocols import PROTOCOL_ALIASES, PROTOCOLS
 from repro.protocols import canonical_protocol_name as registry_protocol_name
 from repro.system.config import SystemConfig
@@ -152,6 +153,24 @@ class TestProtocolResolver:
             "unknown protocol 'dragon'; valid choices: " + ", ".join(PROTOCOLS)
         )
         assert excinfo.value.__suppress_context__
+
+    def test_api_protocol_names_are_the_registry_keys(self):
+        assert api.PROTOCOL_NAMES == tuple(PROTOCOLS)
+
+
+class TestNetworkResolver:
+    """The spec and the topology factory share one network alias table."""
+
+    @pytest.mark.parametrize("alias", sorted(NETWORK_ALIASES))
+    def test_spec_and_topology_agree(self, alias):
+        expected = NETWORK_ALIASES[alias]
+        for spelling in (alias, f"  {alias.upper()} "):
+            assert ExperimentSpec(network=spelling).network == expected
+            assert make_topology(spelling).name == expected
+
+    def test_network_names_are_the_alias_targets(self):
+        assert api.NETWORK_NAMES == ("butterfly", "torus")
+        assert set(NETWORK_ALIASES.values()) == set(api.NETWORK_NAMES)
 
 
 class TestEffectiveConfig:

@@ -7,17 +7,9 @@ class Kind:
 
 
 class Controller:
-    def reset(self, stats):
-        # Setup functions are exempt from HOT003.
-        self._ctr_events = stats.counter("events")
-
-    def handle(self, stats, items):
+    def handle(self, items):
         key = Kind.GETS.value  # expect: HOT002
-        stats.counter("misses").increment()  # expect: HOT003
-        stats.histogram("latency").record(key)  # expect: HOT003
         callback = lambda event: event  # expect: HOT001
-        for item in items:
-            self._ctr_events.increment(item)  # expect: HOT004
 
         def nested():  # expect: HOT001
             return key

@@ -4,14 +4,20 @@ Exercises all three forms: file-level, trailing line-level, and a
 standalone comment covering the next code line.
 """
 # repro-lint: hot
-# repro-lint: disable-file=HOT003 -- fixture for the file-level form.
+# repro-lint: disable-file=HOT002 -- fixture for the file-level form.
+
+
+class Kind:
+    GETS = 1
 
 
 class Controller:
-    def handle(self, stats, items):
-        stats.counter("misses").increment()
+    def handle(self, items):
+        key = Kind.GETS.value
         callback = lambda e: e  # repro-lint: disable=HOT001 -- trailing form.
-        for item in items:
-            # repro-lint: disable=HOT004 -- standalone form covers next line.
-            self._ctr_events.increment(item)
-        return callback
+
+        # repro-lint: disable=HOT001 -- standalone form covers next line.
+        def nested():
+            return key
+
+        return callback, nested

@@ -98,11 +98,18 @@ class TestRuleCatalog:
     def test_list_rules_names_every_id(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "DET001", "DET002", "DET003", "DET004", "DET005",
-            "POOL001", "POOL002", "POOL003",
-            "REG002",
-            "HOT001", "HOT002", "HOT003", "HOT004",
-            "LNT001", "LNT999",
-        ):
-            assert rule_id in out, f"{rule_id} missing from --list-rules"
+        listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert listed == {
+            "DET001",
+            "DET002",
+            "DET003",
+            "DET004",
+            "DET005",
+            "POOL001",
+            "POOL002",
+            "POOL003",
+            "HOT001",
+            "HOT002",
+            "LNT001",
+            "LNT999",
+        }

@@ -55,6 +55,8 @@ from repro.service.faults import (
 )
 from repro.service.journal import JobJournal
 from repro.service.manager import (
+    DEFAULT_BACKOFF_BASE_S,
+    DEFAULT_BACKOFF_CAP_S,
     JobManager,
     JobState,
     WorkerPoolBackend,
@@ -156,7 +158,7 @@ class TestRetryPolicy:
         assert events[-1].result == _clean_result(SPEC)
         retried = [e for e in events if isinstance(e, ReplicaRetried)]
         assert len(retried) == 1 and retried[0].attempt == 1
-        assert retried[0].backoff_s == manager.backoff_base
+        assert retried[0].backoff_s == DEFAULT_BACKOFF_BASE_S
         assert manager.metrics.worker_crashes == 1
         assert manager.metrics.replicas_retried == 1
         assert manager.metrics.replicas_quarantined == 0
@@ -243,9 +245,7 @@ class TestRetryPolicy:
         assert sleeps == [0.05, 0.1]
         retried = [e for e in events if isinstance(e, ReplicaRetried)]
         assert [e.backoff_s for e in retried] == [0.05, 0.1]
-        capped = JobManager(backoff_base=1.5, backoff_cap=2.0)
-        assert capped._backoff(1) == 1.5
-        assert capped._backoff(2) == 2.0  # 3.0 uncapped
+        assert manager._backoff(7) == DEFAULT_BACKOFF_CAP_S  # 3.2 s uncapped
 
     def test_transient_classification(self):
         assert is_transient(OSError(28, "disk full"))

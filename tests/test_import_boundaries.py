@@ -35,10 +35,6 @@ SIMULATOR = (
     "repro.protocols.directory",
     "repro.protocols.directory_state",
     "repro.protocols.ts_snoop",
-    "repro.protocols.dir_classic",
-    "repro.protocols.dir_opt",
-    "repro.protocols.mesi_dir",
-    "repro.protocols.moesi_snoop",
 )
 
 _PROBE = """
