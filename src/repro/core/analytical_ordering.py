@@ -145,7 +145,6 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         if slack < 0:
             raise ValueError("slack must be non-negative")
         source = message.src
-        message.sent_at = self.now
         memo = self._trees.get(source)
         if memo is None:
             tree = self.topology.broadcast_tree(source)

@@ -192,7 +192,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             tree = self.topology.broadcast_tree(source)
             memo = self._trees[source] = (tree, tree.link_count())
         tree, link_count = memo
-        message.sent_at = self.now
         if self.accountant is not None:
             self.accountant.record(message, link_count)
         self._sequence += 1

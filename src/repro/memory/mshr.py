@@ -31,8 +31,6 @@ class MSHREntry:
     block: int
     kind: str  # e.g. "GETS", "GETM", "UPGRADE", "PUTM"
     issue_time: int
-    requester: int
-    transient_state: str = "pending"
     acks_expected: int = 0
     acks_received: int = 0
     data_received: bool = False
@@ -62,9 +60,6 @@ class MSHREntry:
     logical_state: Any = None
     #: TS-Snoop data responses owed to requesters ordered behind our miss
     owed: Optional[List[Any]] = None
-    #: physical times recorded for latency accounting (TS-Snoop)
-    data_time: Optional[int] = None
-    ordered_time: Optional[int] = None
 
     @property
     def all_acks_received(self) -> bool:
@@ -92,16 +87,12 @@ class MSHRFile:
         self.total_allocations = 0
 
     # ------------------------------------------------------------ life cycle
-    def allocate(
-        self, block: int, kind: str, issue_time: int, requester: int
-    ) -> MSHREntry:
+    def allocate(self, block: int, kind: str, issue_time: int) -> MSHREntry:
         if block in self._entries:
             raise ValueError(f"{self.name}: block {block} already in flight")
         if len(self._entries) >= self.capacity:
             raise MSHRFullError(f"{self.name}: all {self.capacity} MSHRs in use")
-        entry = MSHREntry(
-            block=block, kind=kind, issue_time=issue_time, requester=requester
-        )
+        entry = MSHREntry(block=block, kind=kind, issue_time=issue_time)
         self._entries[block] = entry
         self.total_allocations += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))

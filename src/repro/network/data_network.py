@@ -148,7 +148,6 @@ class DataNetwork(Component):
             latency += perturbation.response_delay()
         self._record_traffic(message, traversals)
         now = self.sim.now
-        message.sent_at = now
         self._schedule(latency, handler, message)
         return now + latency
 

@@ -3,7 +3,9 @@
 Figure 4 of the paper assumes 72-byte data messages (a 64-byte block plus
 header) and 8-byte non-data messages, and splits link traffic into four
 categories: Data, Request, Nack and Misc (forwards, invalidations,
-acknowledgments).
+acknowledgments).  Like the paper's fixed-format messages, a
+:class:`Message` has a fixed set of typed fields; no protocol builds a
+per-message field dict.
 """
 # repro-lint: hot
 
@@ -13,7 +15,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 DATA_MESSAGE_BYTES = 72
 CONTROL_MESSAGE_BYTES = 8
@@ -81,19 +83,31 @@ class Message:
     """One protocol message.
 
     ``dst`` is ``None`` for broadcast address transactions (TS-Snoop); every
-    other message is a unicast.  ``payload`` carries protocol-specific fields
-    (e.g. ack counts, version tokens) without subclassing.
+    other message is a unicast.  The protocol fields after ``block`` are
+    typed slots, one per field any protocol sends; a kind that does not use
+    a field leaves it at its default:
+
+    * ``version`` -- the block's version token (data and writeback data);
+    * ``from_cache`` -- the data came from another cache (3-hop / dirty);
+    * ``acks_expected`` -- invalidation acks the requester must collect;
+    * ``requester`` -- whom a forward or invalidation acts for;
+    * ``sharing`` -- a writeback that keeps an S copy (MSI downgrade);
+    * ``new_owner`` -- whom an ownership TRANSFER hands the block to.
     """
 
     kind: MessageKind
     src: int
     dst: Optional[int]
     block: int
-    sent_at: int = 0
+    version: int = 0
+    from_cache: bool = False
+    acks_expected: int = 0
+    requester: Optional[int] = None
+    sharing: bool = False
+    new_owner: Optional[int] = None
     # repro-lint: disable=HOT001 -- default_factory runs once per *fresh*
     # shell; the pooled fast path reassigns msg_id without constructing.
     msg_id: int = field(default_factory=lambda: next(_message_ids))
-    payload: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def size_bytes(self) -> int:
@@ -107,19 +121,6 @@ class Message:
     def is_broadcast(self) -> bool:
         return self.dst is None
 
-    def reply(
-        self, kind: MessageKind, src: int, *, sent_at: int = 0, **payload: Any
-    ) -> "Message":
-        """Build a unicast reply to this message's sender."""
-        return Message(
-            kind=kind,
-            src=src,
-            dst=self.src,
-            block=self.block,
-            sent_at=sent_at,
-            payload=dict(payload),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         target = "broadcast" if self.dst is None else f"n{self.dst}"
         return (
@@ -132,13 +133,15 @@ class MessagePool:
     """A free list of :class:`Message` shells for the per-hop fast path.
 
     Protocol controllers allocate several messages per miss; pooling reuses
-    the dataclass shell *and* its payload dict instead of churning the
-    allocator.  The contract is explicit ownership: whoever consumes a
-    message calls :meth:`release` exactly once, after its last read, and only
-    for messages whose handler provably retains no reference (deferred
-    forwards and deferred home responses are released by the code that later
-    consumes them).  Every acquire -- fresh or recycled -- draws a new
-    ``msg_id``, so identifiers never collide with a still-tracked message.
+    the dataclass shell instead of churning the allocator.  An acquire sets
+    every field, the protocol fields to their defaults unless given, so a
+    recycled shell carries nothing over.  The contract is explicit
+    ownership: whoever consumes a message calls :meth:`release` exactly
+    once, after its last read, and only for messages whose handler provably
+    retains no reference (deferred forwards and deferred home responses are
+    released by the code that later consumes them).  Every acquire -- fresh
+    or recycled -- draws a new ``msg_id``, so identifiers never collide with
+    a still-tracked message.
     """
 
     __slots__ = ("_free",)
@@ -152,21 +155,27 @@ class MessagePool:
         src: int,
         dst: Optional[int],
         block: int,
-        **payload: Any,
+        *,
+        version: int = 0,
+        from_cache: bool = False,
+        acks_expected: int = 0,
+        requester: Optional[int] = None,
+        sharing: bool = False,
+        new_owner: Optional[int] = None,
     ) -> Message:
         free = self._free
-        if not free:
-            return Message(kind=kind, src=src, dst=dst, block=block, payload=payload)
-        message = free.pop()
+        message = free.pop() if free else Message(kind, src, dst, block)
         message.kind = kind
         message.src = src
         message.dst = dst
         message.block = block
-        message.sent_at = 0
+        message.version = version
+        message.from_cache = from_cache
+        message.acks_expected = acks_expected
+        message.requester = requester
+        message.sharing = sharing
+        message.new_owner = new_owner
         message.msg_id = next(_message_ids)
-        old = message.payload
-        old.clear()
-        old.update(payload)
         return message
 
     def release(self, message: Message) -> None:
@@ -211,9 +220,26 @@ class SanitizedMessagePool(MessagePool):
         src: int,
         dst: Optional[int],
         block: int,
-        **payload: Any,
+        *,
+        version: int = 0,
+        from_cache: bool = False,
+        acks_expected: int = 0,
+        requester: Optional[int] = None,
+        sharing: bool = False,
+        new_owner: Optional[int] = None,
     ) -> Message:
-        message = super().acquire(kind, src, dst, block, **payload)
+        message = super().acquire(
+            kind,
+            src,
+            dst,
+            block,
+            version=version,
+            from_cache=from_cache,
+            acks_expected=acks_expected,
+            requester=requester,
+            sharing=sharing,
+            new_owner=new_owner,
+        )
         # repro-lint: disable=DET005 -- diagnostic identity keys over strong
         # references; never feeds back into model state or event order.
         key = id(message)

@@ -61,7 +61,6 @@ class PointToPointOrderedNetwork(DataNetwork):
     ) -> int:
         handler, latency = self._prepare_send(message, on_deliver)
         now = self.sim.now
-        message.sent_at = now
         pair = (message.src, message.dst)
         natural_delivery = now + latency
         ordered_delivery = max(natural_delivery, self._last_delivery.get(pair, 0))

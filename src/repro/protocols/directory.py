@@ -21,11 +21,13 @@ The protocols differ only in their :class:`DirectoryPolicy`
 
 Three virtual networks are used (requests, forwarded requests, responses),
 exactly as described in Section 4.2; they all share the physical links for
-traffic accounting.
+traffic accounting.  The response network delivers to each node's cache
+controller, which hands writeback data and ownership transfers straight to
+the node's home memory controller; no routing layer sits between them.
 
 Every delayed directory action -- forwards, invalidation fan-outs, NACKs,
 writeback acks, memory data -- is a pre-bound send scheduled with the
-message as its payload: an append to the kernel's lane for the send tick,
+message as its argument: an append to the kernel's lane for the send tick,
 with no per-message closure.
 """
 # repro-lint: hot
@@ -145,13 +147,14 @@ class DirectoryCacheController(CacheControllerBase):
         self.forward_network = forward_network
         self.response_network = response_network
         #: Pre-bound send: delayed responses are scheduled with the message
-        #: as the payload (no per-response closure).
+        #: as the argument (no per-response closure).
         self._send_on_response = response_network.send
         self._schedule = sim.schedule
         self.checker = checker
         #: the home DirectoryMemoryController of this node, linked by the
-        #: protocol factory so invariant checkers can reach the directory
-        #: slices from the controllers the builder exposes.
+        #: protocol factory: :meth:`_on_response` hands it the home's
+        #: response traffic, and invariant checkers reach the directory
+        #: slices through it.
         self.memory_controller = None
         #: dirty blocks whose PUTM/writeback has not been acknowledged yet
         self.writeback_buffer: Dict[int, int] = {}
@@ -172,7 +175,7 @@ class DirectoryCacheController(CacheControllerBase):
             if access_type.needs_write_permission
             else MessageKind.GETS
         )
-        entry = self.mshrs.allocate(block, kind.label, self.now, self.node)
+        entry = self.mshrs.allocate(block, kind.label, self.now)
         entry.done = done
         entry.access_type = access_type
         entry.req_kind = kind
@@ -190,7 +193,7 @@ class DirectoryCacheController(CacheControllerBase):
         if message.kind is MessageKind.INVALIDATE:
             self._on_invalidate(message)
             return
-        requester = message.payload["requester"]
+        requester = message.requester
         exclusive = message.kind is MessageKind.FORWARD_GETM
 
         # A forward that finds the block in our writeback buffer refers to the
@@ -231,9 +234,7 @@ class DirectoryCacheController(CacheControllerBase):
         # forward and has already been acknowledged), or the directory
         # forwarded our own request back to us after we lost the data.
         # NACK the requester, who will retry at the home.
-        nack = self.pool.acquire(
-            MessageKind.NACK, self.node, requester, block, **{"from": "owner"}
-        )
+        nack = self.pool.acquire(MessageKind.NACK, self.node, requester, block)
         self.response_network.send(nack)
         self.pool.release(message)
 
@@ -294,7 +295,7 @@ class DirectoryCacheController(CacheControllerBase):
 
     def _on_invalidate(self, message: Message) -> None:
         block = message.block
-        requester = message.payload["requester"]
+        requester = message.requester
         entry = self._mshr_get(block)
         if entry is not None:
             # An invalidation can only target a *shared* copy.  If our
@@ -321,13 +322,21 @@ class DirectoryCacheController(CacheControllerBase):
             self._on_data(message)
         elif kind is MessageKind.INV_ACK:
             self._on_inv_ack(message)
+        elif kind is MessageKind.WRITEBACK_DATA:
+            # The home's share of the response network: the memory
+            # controller consumes (and releases) it.
+            self.memory_controller.on_writeback_data(message)
+            return
         elif kind is MessageKind.NACK:
             self._on_nack(message)
         elif kind is MessageKind.WRITEBACK_ACK:
             self.writeback_buffer.pop(message.block, None)
         elif kind is MessageKind.TRANSFER:
-            # Only memory controllers consume TRANSFER; receiving one here
-            # indicates a routing bug, which tests assert never happens.
+            if self._home_of(message.block) == self.node:
+                self.memory_controller.on_transfer(message)
+                return
+            # A confirmation for a block homed elsewhere is a routing bug,
+            # which tests assert never happens.
             self.unexpected_transfer += 1
         else:
             self.unexpected_response += 1
@@ -341,11 +350,10 @@ class DirectoryCacheController(CacheControllerBase):
             self.orphan_data += 1
             return
         entry.data_received = True
-        payload = message.payload
-        entry.data_version = payload.get("version", 0)
-        entry.data_from_cache = payload.get("from_cache", False)
+        entry.data_version = message.version
+        entry.data_from_cache = message.from_cache
         entry.data_exclusive = message.kind is MessageKind.DATA_EXCLUSIVE
-        acks = payload.get("acks_expected", 0)
+        acks = message.acks_expected
         entry.acks_required = acks
         entry.acks_expected = acks
         self._maybe_complete(message.block)
@@ -499,7 +507,7 @@ class DirectoryMemoryController(Component):
         self.forward_network = forward_network
         self.response_network = response_network
         # Pre-bound sends: every delayed directory action is scheduled with
-        # the message as the payload.  All of them share one delay (the
+        # the message as the argument.  All of them share one delay (the
         # directory+memory access), so a request tick's whole fan-out lands
         # in one kernel lane.
         self._send_on_response = response_network.send
@@ -620,11 +628,7 @@ class DirectoryMemoryController(Component):
     def _busy(self, message: Message, entry: DirectoryEntry) -> None:
         """A request found the entry busy (DirClassic only)."""
         nack = self.pool.acquire(
-            MessageKind.NACK,
-            self.node,
-            message.src,
-            message.block,
-            **{"from": "home"},
+            MessageKind.NACK, self.node, message.src, message.block
         )
         self._schedule(self.timing.memory_access_ns, self._send_on_response, nack)
 
@@ -660,17 +664,17 @@ class DirectoryMemoryController(Component):
     def on_writeback_data(self, message: Message) -> None:
         """WRITEBACK_DATA (sharing or eviction) arrived for a homed block."""
         entry = self.directory.entry(message.block)
-        entry.version = max(entry.version, message.payload.get("version", 0))
+        entry.version = max(entry.version, message.version)
         if (
             entry.state is DirectoryState.MODIFIED
             and entry.owner == message.src
-            and not message.payload.get("sharing", False)
+            and not message.sharing
         ):
             # Eviction data racing ahead of its PUTM; remember it so the PUTM
             # does not leave the entry waiting for a second copy.
             entry.early_data_from = message.src
         entry.awaiting_data = False
-        if message.payload.get("sharing", False) and self.policy.nack_when_busy:
+        if message.sharing and self.policy.nack_when_busy:
             # DirClassic: the sharing writeback resolves the BUSY_SHARED state
             # opened when the GETS was forwarded.
             if entry.state is DirectoryState.BUSY_SHARED:
@@ -682,7 +686,7 @@ class DirectoryMemoryController(Component):
                 entry.make_shared(mask)
         pending = self._deferred_data.pop(message.block, [])
         for data in pending:
-            data.payload["version"] = entry.version
+            data.version = entry.version
             self._schedule(self.timing.memory_access_ns, self._send_on_response, data)
         self.pool.release(message)
 
@@ -690,36 +694,8 @@ class DirectoryMemoryController(Component):
         """Ownership-transfer confirmation (DirClassic BUSY_MODIFIED exit)."""
         entry = self.directory.entry(message.block)
         if entry.state is DirectoryState.BUSY_MODIFIED:
-            entry.make_modified(message.payload["new_owner"])
+            entry.make_modified(message.new_owner)
         self.pool.release(message)
-
-
-class _HomeResponseRouter(Component):
-    """Demultiplexes response-network traffic addressed to a node.
-
-    Data/acks for the cache controller and writeback data / transfer
-    confirmations for the memory controller share the response virtual
-    network; this tiny router keeps each controller's handler simple.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        node: int,
-        cache: DirectoryCacheController,
-        memory: DirectoryMemoryController,
-    ) -> None:
-        super().__init__(sim, f"resp-router.n{node}")
-        self.cache = cache
-        self.memory = memory
-
-    def route(self, message: Message) -> None:
-        if message.kind is MessageKind.WRITEBACK_DATA:
-            self.memory.on_writeback_data(message)
-        elif message.kind is MessageKind.TRANSFER:
-            self.memory.on_transfer(message)
-        else:
-            self.cache._on_response(message)
 
 
 class DirectoryProtocol(CoherenceProtocol):
@@ -783,8 +759,6 @@ class DirectoryProtocol(CoherenceProtocol):
                 response_network,
                 pool=pool,
             )
-            router = _HomeResponseRouter(sim, node, cache, memory)
-            response_network.attach(node, router.route)
             cache.memory_controller = memory
             caches.append(cache)
         return caches

@@ -37,7 +37,7 @@ holder evicts, through the PUTM + writeback-data plane of M evictions.  With
 the flag off the node is the paper's MSI TS-Snoop.
 
 Delayed data responses (memory data, cache-to-cache data, writeback data)
-are pre-bound sends scheduled with the message as their payload, so they
+are pre-bound sends scheduled with the message as their argument, so they
 allocate no per-response closure.
 """
 # repro-lint: hot
@@ -129,7 +129,7 @@ class TSSnoopNode(CacheControllerBase):
         self.address_network = address_network
         self.data_network = data_network
         #: Pre-bound send: delayed data responses are scheduled with the
-        #: message as the payload (no per-response closure).
+        #: message as the argument (no per-response closure).
         self._send_on_data = data_network.send
         self._schedule = sim.schedule
         self.prefetch = prefetch
@@ -163,7 +163,7 @@ class TSSnoopNode(CacheControllerBase):
             if access_type.needs_write_permission
             else MessageKind.GETS
         )
-        entry = self.mshrs.allocate(block, kind.label, self.now, self.node)
+        entry = self.mshrs.allocate(block, kind.label, self.now)
         entry.done = done
         entry.access_type = access_type
         interest = self._interest
@@ -322,12 +322,12 @@ class TSSnoopNode(CacheControllerBase):
                 # ordered, does not wait for a second copy.
                 state.early_data_from = message.src
                 state.data_ready_time = self.now
-                state.version = max(state.version, message.payload.get("version", 0))
+                state.version = max(state.version, message.version)
             # Otherwise the data is stale (ownership already moved on).
             return
         state.awaiting_data = False
         state.data_ready_time = self.now
-        state.version = max(state.version, message.payload.get("version", 0))
+        state.version = max(state.version, message.version)
         deferred, state.deferred = state.deferred, []
         for requester, exclusive, earliest in deferred:
             self._send_memory_data(
@@ -447,7 +447,6 @@ class TSSnoopNode(CacheControllerBase):
         if entry is None:
             return
         entry.ordered = True
-        entry.ordered_time = delivery.ordered_time
         if message.kind is MessageKind.GETM:
             entry.logical_state = CacheState.MODIFIED
             if self._owned_state and self._state_of(block) is CacheState.OWNED:
@@ -478,10 +477,8 @@ class TSSnoopNode(CacheControllerBase):
             self.pool.release(message)
             return
         entry.data_received = True
-        payload = message.payload
-        entry.data_version = payload.get("version", 0)
-        entry.data_from_cache = payload.get("from_cache", False)
-        entry.data_time = self.now
+        entry.data_version = message.version
+        entry.data_from_cache = message.from_cache
         block = message.block
         self.pool.release(message)
         self._maybe_complete(block)

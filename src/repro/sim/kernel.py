@@ -36,6 +36,8 @@ class Simulator:
     Model components call :meth:`schedule` / :meth:`schedule_at` to arrange
     future work; :meth:`run` drains it until the calendar empties, a time
     limit is hit, an event budget is exhausted, or :meth:`stop` is called.
+    The clock is the plain attribute ``now``: :meth:`run` and :meth:`reset`
+    write it, and model code only reads it.
     """
 
     def __init__(self) -> None:
@@ -50,16 +52,13 @@ class Simulator:
         self._higher: Dict[int, Dict[int, deque]] = {}
         #: Heap of the bucket times.
         self._times: List[int] = []
-        self._now = 0
+        #: Current simulated time in nanoseconds.  Not a property: model
+        #: code reads the clock on nearly every event.
+        self.now = 0
         self._events_processed = 0
         self._stop_requested = False
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         return self._events_processed
@@ -88,7 +87,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time = self._now + delay
+        time = self.now + delay
         # The push below is repeated in schedule_at rather than called:
         # both are per-message hot paths.
         if priority:
@@ -109,9 +108,9 @@ class Simulator:
         priority: int = 0,
     ) -> None:
         """Absolute-time variant of :meth:`schedule`."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time}, current time is {self._now}"
+                f"cannot schedule at {time}, current time is {self.now}"
             )
         if priority:
             self._push_higher(time, callback, arg, priority)
@@ -195,7 +194,7 @@ class Simulator:
                 if processed >= budget:
                     completed = False
                     break
-                self._now = time
+                self.now = time
                 popleft = lane.popleft
                 # Work the callbacks schedule into this lane is picked up by
                 # this same drain.  Same-tick work at a lower priority orders
@@ -218,8 +217,8 @@ class Simulator:
                 if self._stop_requested:
                     completed = False
                     break
-            if completed and until is not None and until > self._now:
-                self._now = until
+            if completed and until is not None and until > self.now:
+                self.now = until
         finally:
             self._events_processed += processed
         return processed
@@ -233,5 +232,5 @@ class Simulator:
         self._buckets.clear()
         self._higher.clear()
         self._times.clear()
-        self._now = 0
+        self.now = 0
         self._events_processed = 0

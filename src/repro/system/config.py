@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.network import canonical_network_name
 from repro.network.timing import NetworkTiming
 from repro.processor.consistency import CONSISTENCY_MODELS
+from repro.protocols import canonical_protocol_name
 from repro.protocols.timing import ProtocolTiming
 
 
@@ -67,6 +69,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
+        # An unknown name fails here rather than after stream generation.
+        canonical_protocol_name(self.protocol)
+        canonical_network_name(self.network)
         if self.perturbation_replicas <= 0:
             raise ValueError("perturbation_replicas must be positive")
         if self.slack < 0:

@@ -47,16 +47,15 @@ class TestMessage:
         b = Message(MessageKind.GETS, 0, None, 1)
         assert a.msg_id != b.msg_id
 
-    def test_reply_targets_original_sender(self):
-        request = Message(MessageKind.GETS, src=3, dst=8, block=42)
-        reply = request.reply(MessageKind.DATA, src=8, version=5)
-        assert reply.dst == 3
-        assert reply.src == 8
-        assert reply.block == 42
-        assert reply.payload["version"] == 5
+    def test_protocol_fields_default(self):
+        message = Message(MessageKind.GETS, src=3, dst=8, block=42)
+        assert message.version == message.acks_expected == 0
+        assert message.from_cache is message.sharing is False
+        assert message.requester is message.new_owner is None
 
-    def test_payload_is_per_message(self):
+    def test_fields_are_per_message(self):
         a = Message(MessageKind.DATA, 0, 1, 2)
         b = Message(MessageKind.DATA, 0, 1, 2)
-        a.payload["x"] = 1
-        assert "x" not in b.payload
+        a.version = 5
+        a.requester = 3
+        assert (b.version, b.requester) == (0, None)

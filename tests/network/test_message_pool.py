@@ -1,6 +1,26 @@
 """Unit tests for the Message free-list pool."""
 
-from repro.network.message import Message, MessageKind, MessagePool
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.network.message import (
+    Message,
+    MessageKind,
+    MessagePool,
+    SanitizedMessagePool,
+)
+
+#: Every protocol field and a non-default value for it.
+FIELDS = {
+    "version": 7,
+    "from_cache": True,
+    "acks_expected": 3,
+    "requester": 9,
+    "sharing": True,
+    "new_owner": 11,
+}
 
 
 class TestMessagePool:
@@ -9,22 +29,34 @@ class TestMessagePool:
         message = pool.acquire(MessageKind.GETS, 1, 2, 99, version=4)
         assert message.kind is MessageKind.GETS
         assert (message.src, message.dst, message.block) == (1, 2, 99)
-        assert message.payload == {"version": 4}
+        assert message.version == 4
+        assert message.requester is None
 
-    def test_release_then_acquire_reuses_the_shell(self):
-        pool = MessagePool()
-        first = pool.acquire(MessageKind.DATA, 0, 1, 5, version=7,
-                             from_cache=True)
+    def test_fields_cover_every_protocol_slot(self):
+        names = [field.name for field in dataclasses.fields(Message)]
+        assert names == ["kind", "src", "dst", "block", *FIELDS, "msg_id"]
+
+    @pytest.mark.parametrize("pool_class", [MessagePool, SanitizedMessagePool])
+    def test_release_then_acquire_reuses_the_shell(self, pool_class):
+        pool = pool_class()
+        first = pool.acquire(MessageKind.DATA, 0, 1, 5, **FIELDS)
+        assert {name: getattr(first, name) for name in FIELDS} == FIELDS
         pool.release(first)
         assert len(pool) == 1
         second = pool.acquire(MessageKind.NACK, 3, 4, 6)
         assert second is first
         assert len(pool) == 0
-        # fully re-initialised: no stale payload or routing
+        # fully re-initialised: every field back at its default
         assert second.kind is MessageKind.NACK
         assert (second.src, second.dst, second.block) == (3, 4, 6)
-        assert second.payload == {}
-        assert second.sent_at == 0
+        fresh = Message(MessageKind.NACK, 3, 4, 6)
+        for name in FIELDS:
+            assert getattr(second, name) == getattr(fresh, name), name
+
+    def test_sanitized_pool_takes_the_same_arguments(self):
+        assert inspect.signature(SanitizedMessagePool.acquire) == inspect.signature(
+            MessagePool.acquire
+        )
 
     def test_reused_shells_get_fresh_ids(self):
         pool = MessagePool()

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.memory.coherence import CacheState
+from repro.network.message import MessageKind
 from repro.processor.consistency import check_swmr_invariant
 from repro.protocols.base import MissSource
+from repro.protocols.directory_state import DirectoryState
 
 from tests.conftest import build_and_run, empty_streams, ref
 
@@ -124,3 +126,47 @@ class TestNackBehaviour:
         for obj in gc.get_objects():
             if isinstance(obj, DirectoryMemoryController):
                 assert not obj.directory.busy_blocks()
+
+
+class TestHomeResponseDispatch:
+    """Writeback data and ownership transfers sent on the response network
+    reach the home directory: the cache controller hands them over."""
+
+    def _deliver_to_home(self, kind, prepare, **fields):
+        system = build_and_run(
+            "dirclassic", empty_streams(), config_overrides={"sanitize": True}
+        )
+        homes = system.controllers[0].memory_controller.address_space
+        home = system.controllers[homes.home_of(BLOCK)]
+        entry = home.memory_controller.directory.entry(BLOCK)
+        prepare(entry)
+        message = system.message_pool.acquire(kind, OWNER, home.node, BLOCK, **fields)
+        home.response_network.send(message)
+        system.sim.run()
+        for controller in system.controllers:
+            assert controller.unexpected_transfer == 0
+            assert controller.unexpected_response == 0
+        # The home consumed the message and handed its shell back.
+        system.message_pool.assert_no_leaks()
+        return entry
+
+    def test_transfer_ends_the_busy_state(self):
+        def busy(entry):
+            entry.make_modified(OWNER)
+            entry.state = DirectoryState.BUSY_MODIFIED
+            entry.busy_for = READER
+
+        entry = self._deliver_to_home(MessageKind.TRANSFER, busy, new_owner=READER)
+        assert entry.state is DirectoryState.MODIFIED
+        assert entry.owner == READER
+
+    def test_writeback_data_reaches_the_directory(self):
+        entry = self._deliver_to_home(
+            MessageKind.WRITEBACK_DATA,
+            lambda entry: entry.make_modified(OWNER),
+            version=7,
+            sharing=False,
+        )
+        assert entry.version == 7
+        # Eviction data ahead of its PUTM is remembered for the PUTM.
+        assert entry.early_data_from == OWNER

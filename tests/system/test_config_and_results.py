@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.network import NETWORK_ALIASES
 from repro.network.message import TrafficCategory
+from repro.protocols import PROTOCOL_ALIASES
 from repro.system.config import PAPER_CONFIG, SystemConfig
 from repro.system.results import ProtocolComparison, RunResult
 
@@ -33,6 +35,26 @@ class TestSystemConfig:
             SystemConfig(block_size_bytes=48)
         with pytest.raises(ValueError):
             SystemConfig(perturbation_replicas=0)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_ALIASES))
+    def test_every_protocol_alias_is_accepted(self, protocol):
+        assert SystemConfig(protocol=protocol).protocol == protocol
+
+    @pytest.mark.parametrize("network", sorted(NETWORK_ALIASES))
+    def test_every_network_alias_is_accepted(self, network):
+        assert SystemConfig(network=network).network == network
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ({"protocol": "bogus"}, "unknown protocol 'bogus'"),
+            ({"network": "hypercube"}, "unknown topology 'hypercube'"),
+            ({"protocol": "bogus", "network": "hypercube"}, "unknown protocol"),
+        ],
+    )
+    def test_unknown_names_rejected_at_construction(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**names)
 
     def test_label(self):
         assert SystemConfig().label == "ts-snoop/butterfly/16p"
