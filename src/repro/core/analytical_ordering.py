@@ -166,10 +166,10 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             )
             self._ordering_delay_cache[key] = base_delay
         ordered_delay = base_delay + jitter
-        ordered_time = self.now + ordered_delay
+        ordered_time = self.sim.now + ordered_delay
         self._logical_counter += 1
         logical_time = self._logical_counter
-        injected_at = self.now
+        injected_at = self.sim.now
 
         # Early ("peek") deliveries are only scheduled for endpoints that
         # asked for them; the arrival time itself is also carried in the
@@ -206,7 +206,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
 
     def _deliver_early(self, packed) -> None:
         early, message = packed
-        early(message, self.now)
+        early(message, self.sim.now)
 
     def _rows_for(self, source: int, tree) -> list:
         """Per-endpoint (handler, arrival offset) pairs for one source."""

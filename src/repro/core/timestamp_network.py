@@ -342,9 +342,9 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         port = self.ports[endpoint]
         padded_slack = transaction.slack + pad
         message: Message = transaction.payload
-        port.arrival_times[message.msg_id] = self.now
+        port.arrival_times[message.msg_id] = self.sim.now
         if port.early_handler is not None:
-            port.early_handler(message, self.now)
+            port.early_handler(message, self.sim.now)
         port.queue.insert(
             message, padded_slack, transaction.source, transaction.sequence
         )
@@ -388,8 +388,8 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             delivery = OrderedDelivery(
                 message=message,
                 endpoint=port.endpoint,
-                arrival_time=port.arrival_times.pop(message.msg_id, self.now),
-                ordered_time=self.now,
+                arrival_time=port.arrival_times.pop(message.msg_id, self.sim.now),
+                ordered_time=self.sim.now,
                 logical_time=port.queue.guarantee_time,
             )
             port.ordered_handler(delivery)

@@ -31,7 +31,6 @@ class MSHREntry:
     block: int
     kind: str  # e.g. "GETS", "GETM", "UPGRADE", "PUTM"
     issue_time: int
-    acks_expected: int = 0
     acks_received: int = 0
     data_received: bool = False
     ordered: bool = False  # TS-Snoop: own transaction seen in order
@@ -61,15 +60,6 @@ class MSHREntry:
     #: TS-Snoop data responses owed to requesters ordered behind our miss
     owed: Optional[List[Any]] = None
 
-    @property
-    def all_acks_received(self) -> bool:
-        return self.acks_received >= self.acks_expected
-
-    @property
-    def complete(self) -> bool:
-        """A demand miss is complete once data and all acks have arrived."""
-        return self.data_received and self.all_acks_received
-
 
 class MSHRFile:
     """A bounded set of MSHR entries indexed by block number."""
@@ -83,8 +73,6 @@ class MSHRFile:
         #: Bound ``dict.get`` over the entry table -- the per-message lookup
         #: is hot enough that controllers pre-bind this to skip a call layer.
         self.get_entry = self._entries.get
-        self.peak_occupancy = 0
-        self.total_allocations = 0
 
     # ------------------------------------------------------------ life cycle
     def allocate(self, block: int, kind: str, issue_time: int) -> MSHREntry:
@@ -94,8 +82,6 @@ class MSHRFile:
             raise MSHRFullError(f"{self.name}: all {self.capacity} MSHRs in use")
         entry = MSHREntry(block=block, kind=kind, issue_time=issue_time)
         self._entries[block] = entry
-        self.total_allocations += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
 
     def release(self, block: int) -> MSHREntry:

@@ -15,6 +15,7 @@ Every send charges its link traversals to the shared
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.network.link import TrafficAccountant
@@ -28,12 +29,28 @@ from repro.sim.randomness import PerturbationModel
 DeliveryCallback = Callable[[Message], None]
 
 
+@lru_cache(maxsize=16)
+def _route_pairs(timing: NetworkTiming, max_hops: int) -> tuple[tuple[int, int], ...]:
+    """``(latency, hops)`` for every hop count up to ``max_hops``, then the
+    local ``(local_delivery_ns, 0)`` pair last: the only values a route row
+    holds.  Cached per (timing, max_hops), so every network of a run shares
+    the same at most ``max_hops + 2`` tuples."""
+    pairs = [(timing.one_way_latency(hops), hops) for hops in range(max_hops + 1)]
+    pairs.append((timing.local_delivery_ns, 0))
+    return tuple(pairs)
+
+
 class DataNetwork(Component):
     """Delivers unicast messages after the unloaded topology latency.
 
     Receivers register a per-node handler with :meth:`attach`; a sender may
     also pass an explicit ``on_deliver`` callback (used by tests and by
     simple point-to-point examples).
+
+    Unloaded routes are static, so each source's ``(latency, hops)`` pairs
+    are computed once, on its first send, into a row indexed by
+    destination.  Networks sharing a topology and timing (the directory
+    protocols' three virtual networks) share one row table via ``routes``.
     """
 
     def __init__(
@@ -44,7 +61,7 @@ class DataNetwork(Component):
         accountant: TrafficAccountant,
         perturbation: Optional[PerturbationModel] = None,
         name: str = "data-network",
-        routes: Optional[dict] = None,
+        routes: Optional[list] = None,
     ) -> None:
         super().__init__(sim, name)
         self.topology = topology
@@ -60,15 +77,11 @@ class DataNetwork(Component):
             else None
         )
         self._receivers: dict[int, DeliveryCallback] = {}
-        #: src * num_endpoints + dst -> (latency, traversals); unloaded
-        #: routes are static, so each pair is computed once per run.  The
-        #: packed int key skips a tuple allocation per send, and networks
-        #: sharing a topology and timing (the directory protocols' three
-        #: virtual networks) can share one table via ``routes``.
-        self._routes: dict[int, tuple[int, int]] = routes if routes is not None else {}
-        self._route_stride = topology.num_endpoints
-        #: hops -> unloaded latency; at most max_hops distinct values.
-        self._latency_by_hops: dict[int, int] = {}
+        #: src -> None until src's first send, then a list indexed by dst
+        #: of shared ``(latency, hops)`` pairs (see :func:`_route_pairs`).
+        self._rows: list[Optional[list[tuple[int, int]]]] = (
+            routes if routes is not None else [None] * topology.num_endpoints
+        )
         self._record_traffic = accountant.record
         #: Pre-bound push: each delivery is one append to the destination
         #: tick's kernel lane -- no per-send closure.
@@ -85,10 +98,11 @@ class DataNetwork(Component):
         message: Message,
         on_deliver: Optional[DeliveryCallback],
     ) -> tuple[DeliveryCallback, int]:
-        """Shared per-send prologue: resolve the handler, compute the
-        (memoised) unloaded latency plus any perturbation, and account the
-        traffic.  Returns ``(handler, latency)``; used by both the plain and
-        the point-to-point-ordered send paths so the fast path exists once.
+        """Shared per-send prologue: resolve the handler, read the unloaded
+        latency from the source's route row, add any perturbation, and
+        account the traffic.  Returns ``(handler, latency)``; used by both
+        the plain and the point-to-point-ordered send paths so the fast path
+        exists once.
         """
         if message.dst is None:
             raise ValueError(f"{self.name} only carries unicast messages")
@@ -100,12 +114,10 @@ class DataNetwork(Component):
                 raise ValueError(
                     f"{self.name}: no receiver attached for node {message.dst}"
                 )
-        route = message.src * self._route_stride + message.dst
-        cached = self._routes.get(route)
-        if cached is None:
-            cached = self._latency_and_traversals(message.src, message.dst)
-            self._routes[route] = cached
-        latency, traversals = cached
+        row = self._rows[message.src]
+        if row is None:
+            row = self._fill_row(message.src)
+        latency, traversals = row[message.dst]
         perturbation = self._active_perturbation
         if perturbation is not None:
             latency += perturbation.response_delay()
@@ -137,12 +149,10 @@ class DataNetwork(Component):
             handler = self._receivers.get(dst)
             if handler is None:
                 raise ValueError(f"{self.name}: no receiver attached for node {dst}")
-        route = message.src * self._route_stride + dst
-        cached = self._routes.get(route)
-        if cached is None:
-            cached = self._latency_and_traversals(message.src, dst)
-            self._routes[route] = cached
-        latency, traversals = cached
+        row = self._rows[message.src]
+        if row is None:
+            row = self._fill_row(message.src)
+        latency, traversals = row[dst]
         perturbation = self._active_perturbation
         if perturbation is not None:
             latency += perturbation.response_delay()
@@ -153,14 +163,17 @@ class DataNetwork(Component):
 
     def latency(self, src: int, dst: int) -> int:
         """Unloaded latency between two endpoints (no perturbation)."""
-        return self._latency_and_traversals(src, dst)[0]
+        row = self._rows[src]
+        if row is None:
+            row = self._fill_row(src)
+        return row[dst][0]
 
     # --------------------------------------------------------------- helpers
-    def _latency_and_traversals(self, src: int, dst: int) -> tuple[int, int]:
-        if src == dst:
-            return self.timing.local_delivery_ns, 0
-        hops = self.topology.hop_count(src, dst)
-        latency = self._latency_by_hops.get(hops)
-        if latency is None:
-            latency = self._latency_by_hops[hops] = self.timing.one_way_latency(hops)
-        return latency, hops
+    def _fill_row(self, src: int) -> list[tuple[int, int]]:
+        topology = self.topology
+        pairs = _route_pairs(self.timing, topology.max_hops)
+        hop_count = topology.hop_count
+        row = [pairs[hop_count(src, dst)] for dst in range(topology.num_endpoints)]
+        row[src] = pairs[-1]
+        self._rows[src] = row
+        return row

@@ -41,7 +41,7 @@ class PointToPointOrderedNetwork(DataNetwork):
         accountant: TrafficAccountant,
         perturbation: Optional[PerturbationModel] = None,
         name: str = "ordered-vnet",
-        routes: Optional[dict] = None,
+        routes: Optional[list] = None,
     ) -> None:
         super().__init__(
             sim,

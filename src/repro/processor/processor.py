@@ -263,7 +263,7 @@ class Processor(Component):
                 self._retry_pending = True
                 return
             self._count_issue_tso(access_type)
-            buffer.push(block, self.now + self._drain_delay)
+            buffer.push(block, self.sim.now + self._drain_delay)
             if not self._draining:
                 self._start_drain()
             # The store retires into the buffer and the core moves straight
@@ -291,7 +291,7 @@ class Processor(Component):
     def _start_drain(self) -> None:
         self._draining = True
         _block, ready = self.store_buffer.head()
-        self.sim.schedule(max(0, ready - self.now), self._drain_head)
+        self.sim.schedule(max(0, ready - self.sim.now), self._drain_head)
 
     def _drain_head(self) -> None:
         block, _ready = self.store_buffer.head()
@@ -319,7 +319,7 @@ class Processor(Component):
 
     def _finish(self) -> None:
         self.finished = True
-        self.finish_time = self.now
+        self.finish_time = self.sim.now
         if self._on_finish is not None:
             self._on_finish(self)
 

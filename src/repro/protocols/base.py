@@ -6,7 +6,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Set
 
 from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
@@ -35,7 +35,7 @@ class MissSource(str, Enum):
 
 @dataclass(slots=True)
 class MissRecord:
-    """One completed miss, as recorded for Table 3 / Figure 3 statistics."""
+    """One completed miss, as handed to a controller's ``miss_observer``."""
 
     node: int
     block: int
@@ -128,7 +128,9 @@ class CacheControllerBase(Component, ABC):
         self._mshr_get = self.mshrs.get_entry
         self._home_of = address_space.home_of
         self._state_of = cache.state_of
-        self.miss_records: List[MissRecord] = []
+        #: Every block with a completed miss since the last measurement
+        #: reset; ``data_touched_mb`` counts these with the resident lines.
+        self.missed_blocks: Set[int] = set()
         #: optional CoherenceChecker; concrete protocols overwrite this with
         #: the checker handed to them by the system builder.
         self.checker = None
@@ -139,6 +141,9 @@ class CacheControllerBase(Component, ABC):
         #: completes (hit or fill), used by the litmus harness to observe
         #: which write each load returned.
         self.load_observer: Optional[Callable[[int, int], None]] = None
+        #: optional hook invoked with a :class:`MissRecord` as each miss
+        #: completes; a record is built only when one is installed.
+        self.miss_observer: Optional[Callable[[MissRecord], None]] = None
         self.reset_counts()
 
     def reset_counts(self) -> None:
@@ -193,7 +198,7 @@ class CacheControllerBase(Component, ABC):
             new_version = self.cache.version_of(block) + 1
             self.cache.write(block, new_version)
             if self.checker is not None:
-                self.checker.record_write(self.node, block, new_version, self.now)
+                self.checker.record_write(self.node, block, new_version, self.sim.now)
         elif self.load_observer is not None:
             self.load_observer(block, self.cache.version_of(block))
         # Hits are the most frequent event in the simulator.
@@ -207,14 +212,26 @@ class CacheControllerBase(Component, ABC):
         """Issue the coherence transaction(s) needed to satisfy a miss."""
 
     # ------------------------------------------------------------ accounting
-    def record_miss(self, record: MissRecord) -> None:
-        latency = record.complete_time - record.issue_time
+    def record_miss(
+        self,
+        block: int,
+        access: AccessType,
+        issued: int,
+        completed: int,
+        source: MissSource,
+        retries: int = 0,
+    ) -> None:
+        latency = completed - issued
         if latency < 0:
             raise ValueError(f"{self.name}: negative miss latency {latency}")
-        self.miss_records.append(record)
+        self.missed_blocks.add(block)
         self.miss_latency_total_ns += latency
-        if record.source is MissSource.CACHE:
+        if source is MissSource.CACHE:
             self.cache_to_cache_misses += 1
+        if self.miss_observer is not None:
+            self.miss_observer(
+                MissRecord(self.node, block, access, issued, completed, source, retries)
+            )
 
     # ------------------------------------------------------------ inspection
     def state_of(self, block: int) -> CacheState:

@@ -47,7 +47,6 @@ from repro.protocols.base import (
     CacheControllerBase,
     CoherenceProtocol,
     DoneCallback,
-    MissRecord,
     MissSource,
     ProtocolBuildContext,
 )
@@ -175,7 +174,7 @@ class DirectoryCacheController(CacheControllerBase):
             if access_type.needs_write_permission
             else MessageKind.GETS
         )
-        entry = self.mshrs.allocate(block, kind.label, self.now)
+        entry = self.mshrs.allocate(block, kind.label, self.sim.now)
         entry.done = done
         entry.access_type = access_type
         entry.req_kind = kind
@@ -247,7 +246,7 @@ class DirectoryCacheController(CacheControllerBase):
         from_writeback_buffer: bool = False,
     ) -> None:
         """Send data for a forwarded request that found us owning the block."""
-        send_time = self.now + self.timing.cache_access_ns
+        send_time = self.sim.now + self.timing.cache_access_ns
         data = self.pool.acquire(
             MessageKind.DATA_EXCLUSIVE if exclusive else MessageKind.DATA,
             self.node,
@@ -257,7 +256,7 @@ class DirectoryCacheController(CacheControllerBase):
             from_cache=True,
             acks_expected=0,
         )
-        self._schedule(max(0, send_time - self.now), self._send_on_response, data)
+        self._schedule(max(0, send_time - self.sim.now), self._send_on_response, data)
 
         home = self._home_of(block)
         if exclusive:
@@ -288,7 +287,7 @@ class DirectoryCacheController(CacheControllerBase):
                     sharing=True,
                 )
                 self._schedule(
-                    max(0, send_time - self.now), self._send_on_response, writeback
+                    max(0, send_time - self.sim.now), self._send_on_response, writeback
                 )
             # When serving from the writeback buffer the eviction's
             # WRITEBACK_DATA is already on its way to the home.
@@ -353,9 +352,7 @@ class DirectoryCacheController(CacheControllerBase):
         entry.data_version = message.version
         entry.data_from_cache = message.from_cache
         entry.data_exclusive = message.kind is MessageKind.DATA_EXCLUSIVE
-        acks = message.acks_expected
-        entry.acks_required = acks
-        entry.acks_expected = acks
+        entry.acks_required = message.acks_expected
         self._maybe_complete(message.block)
 
     def _on_inv_ack(self, message: Message) -> None:
@@ -437,16 +434,10 @@ class DirectoryCacheController(CacheControllerBase):
                 # and forward requests to us forever.
                 self._evict_dirty(eviction.victim_block, eviction.victim_version)
 
-        record = MissRecord(
-            node=self.node,
-            block=block,
-            access=access_type,
-            issue_time=entry.issue_time,
-            complete_time=complete_time,
-            source=(MissSource.CACHE if entry.data_from_cache else MissSource.MEMORY),
-            retries=entry.retries,
+        source = MissSource.CACHE if entry.data_from_cache else MissSource.MEMORY
+        self.record_miss(
+            block, access_type, entry.issue_time, complete_time, source, entry.retries
         )
-        self.record_miss(record)
         done: DoneCallback = entry.done
         done()
 
@@ -707,9 +698,9 @@ class DirectoryProtocol(CoherenceProtocol):
     def build(self, context: ProtocolBuildContext) -> List[DirectoryCacheController]:
         sim = context.sim
         # The three virtual networks share one topology and one timing, so
-        # they share one memoised route table (up to num_nodes**2 entries
-        # that would otherwise be computed three times over).
-        routes: dict = {}
+        # they share one table of per-source route rows (filled once, not
+        # three times over).
+        routes: list = [None] * context.num_nodes
         forward_class = (
             PointToPointOrderedNetwork
             if self.policy.ordered_forward_network

@@ -49,7 +49,7 @@ def iter_sharers(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Directory record for one block (full-bit-vector sharers)."""
 

@@ -62,7 +62,6 @@ from repro.protocols.base import (
     CacheControllerBase,
     CoherenceProtocol,
     DoneCallback,
-    MissRecord,
     MissSource,
     ProtocolBuildContext,
 )
@@ -163,7 +162,7 @@ class TSSnoopNode(CacheControllerBase):
             if access_type.needs_write_permission
             else MessageKind.GETS
         )
-        entry = self.mshrs.allocate(block, kind.label, self.now)
+        entry = self.mshrs.allocate(block, kind.label, self.sim.now)
         entry.done = done
         entry.access_type = access_type
         interest = self._interest
@@ -307,7 +306,7 @@ class TSSnoopNode(CacheControllerBase):
         data = self.pool.acquire(
             kind, self.node, requester, block, version=version, from_cache=False
         )
-        self._schedule(max(0, send_time - self.now), self._send_on_data, data)
+        self._schedule(max(0, send_time - self.sim.now), self._send_on_data, data)
 
     def _on_writeback_data(self, message: Message) -> None:
         """WRITEBACK_DATA arrived at this (home) memory controller."""
@@ -321,12 +320,12 @@ class TSSnoopNode(CacheControllerBase):
                 # current owner's data is already here so the transfer, once
                 # ordered, does not wait for a second copy.
                 state.early_data_from = message.src
-                state.data_ready_time = self.now
+                state.data_ready_time = self.sim.now
                 state.version = max(state.version, message.version)
             # Otherwise the data is stale (ownership already moved on).
             return
         state.awaiting_data = False
-        state.data_ready_time = self.now
+        state.data_ready_time = self.sim.now
         state.version = max(state.version, message.version)
         deferred, state.deferred = state.deferred, []
         for requester, exclusive, earliest in deferred:
@@ -335,7 +334,7 @@ class TSSnoopNode(CacheControllerBase):
                 block,
                 state.version,
                 exclusive,
-                max(earliest, self.now),
+                max(earliest, self.sim.now),
             )
 
     # ------------------------------------------------------------- cache side
@@ -423,14 +422,14 @@ class TSSnoopNode(CacheControllerBase):
             version=version,
             from_cache=True,
         )
-        self._schedule(max(0, send_time - self.now), self._send_on_data, data)
+        self._schedule(max(0, send_time - self.sim.now), self._send_on_data, data)
 
     def _send_writeback_data(self, block: int, version: int, send_time: int) -> None:
         home = self._home_of(block)
         writeback = self.pool.acquire(
             MessageKind.WRITEBACK_DATA, self.node, home, block, version=version
         )
-        self._schedule(max(0, send_time - self.now), self._send_on_data, writeback)
+        self._schedule(max(0, send_time - self.sim.now), self._send_on_data, writeback)
 
     # --------------------------------------------------- own request ordered
     def _own_transaction_ordered(self, delivery: OrderedDelivery) -> None:
@@ -492,7 +491,6 @@ class TSSnoopNode(CacheControllerBase):
         access_type: AccessType = entry.access_type
         logical_state: CacheState = entry.logical_state
         version = entry.data_version
-        from_cache = entry.data_from_cache
         complete_time = self.sim.now
 
         if access_type.needs_write_permission:
@@ -532,19 +530,10 @@ class TSSnoopNode(CacheControllerBase):
         self._settle_owed_responses(entry, block, version)
         self._drop_interest(block)
 
-        record = MissRecord(
-            node=self.node,
-            block=block,
-            access=access_type,
-            issue_time=entry.issue_time,
-            complete_time=complete_time,
-            source=(
-                MissSource.UPGRADE
-                if entry.upgrade
-                else MissSource.CACHE if from_cache else MissSource.MEMORY
-            ),
-        )
-        self.record_miss(record)
+        source = MissSource.CACHE if entry.data_from_cache else MissSource.MEMORY
+        if entry.upgrade:
+            source = MissSource.UPGRADE
+        self.record_miss(block, access_type, entry.issue_time, complete_time, source)
         done: DoneCallback = entry.done
         done()
 
@@ -553,7 +542,7 @@ class TSSnoopNode(CacheControllerBase):
         owed: Optional[List[Tuple[int, bool]]] = entry.owed
         if not owed:
             return
-        send_time = self.now + self.timing.cache_access_ns
+        send_time = self.sim.now + self.timing.cache_access_ns
         if self._owned_state:
             # MOESI: as the (logical) owner we answer every requester ordered
             # behind us with data and never write back -- ownership either
@@ -584,7 +573,7 @@ class TSSnoopNode(CacheControllerBase):
         self.writeback_buffer[block] = _WritebackEntry(version=version)
         putm = self.pool.acquire(MessageKind.PUTM, self.node, None, block)
         self.address_network.broadcast(putm)
-        self._send_writeback_data(block, version, self.now)
+        self._send_writeback_data(block, version, self.sim.now)
         self.dirty_evictions += 1
 
 

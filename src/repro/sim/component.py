@@ -20,10 +20,6 @@ class Component:
         self.name = name
 
     # ------------------------------------------------------------ scheduling
-    @property
-    def now(self) -> int:
-        return self.sim.now
-
     def schedule(
         self,
         delay: int,

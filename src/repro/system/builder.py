@@ -66,7 +66,7 @@ class BuiltSystem:
         self.accountant.reset()
         for controller in self.controllers:
             controller.reset_counts()
-            controller.miss_records.clear()
+            controller.missed_blocks.clear()
         for processor in self.processors:
             processor.reset_counts()
 

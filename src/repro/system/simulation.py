@@ -185,8 +185,7 @@ class SimulationRunner:
         blocks = set()
         for controller in system.controllers:
             blocks.update(controller.cache.resident_blocks())
-            for record in controller.miss_records:
-                blocks.add(record.block)
+            blocks.update(controller.missed_blocks)
         return len(blocks) * self.config.block_size_bytes / (1024 * 1024)
 
     def _report_deadlock(self, system: BuiltSystem) -> None:

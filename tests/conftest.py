@@ -9,6 +9,7 @@ import pytest
 from repro.memory.coherence import AccessType
 from repro.network import make_topology
 from repro.network.timing import NetworkTiming
+from repro.protocols.base import CacheControllerBase, MissRecord
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import DeterministicRandom
 from repro.system.builder import BuiltSystem, SystemBuilder
@@ -54,14 +55,33 @@ def empty_streams(num_nodes: int = 16) -> List[List[Reference]]:
     return [[] for _ in range(num_nodes)]
 
 
+class MissLog(list):
+    """A ``miss_observer`` that keeps every :class:`MissRecord` it is handed."""
+
+    __call__ = list.append
+
+
+def observe_misses(system: BuiltSystem) -> None:
+    """Install a fresh :class:`MissLog` on every controller of ``system``."""
+    for controller in system.controllers:
+        controller.miss_observer = MissLog()
+
+
+def miss_records(controller: CacheControllerBase) -> List[MissRecord]:
+    """The misses ``controller`` completed since :func:`observe_misses`."""
+    return controller.miss_observer
+
+
 def build_and_run(protocol: str, streams: Sequence[Sequence[Reference]],
                   network: str = "butterfly", num_nodes: int = 16,
                   enable_checker: bool = True,
                   config_overrides: Optional[Dict] = None) -> BuiltSystem:
     """Build a system with hand-written streams, run it to completion.
 
-    Returns the finished :class:`BuiltSystem` so tests can inspect cache
-    states, miss records, directory entries and the coherence checker.
+    Every controller runs with a :class:`MissLog` installed, so tests can
+    read each completed miss with :func:`miss_records` as well as inspect
+    cache states, directory entries and the coherence checker of the
+    returned :class:`BuiltSystem`.
     """
     overrides = dict(config_overrides or {})
     config = SystemConfig(num_nodes=num_nodes, network=network,
@@ -69,6 +89,7 @@ def build_and_run(protocol: str, streams: Sequence[Sequence[Reference]],
                           **overrides)
     builder = SystemBuilder(config)
     system = builder.build(list(streams))
+    observe_misses(system)
     for processor in system.processors:
         processor.start()
     sim = system.sim

@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.latency_model import table2_latencies
 from repro.protocols.base import MissSource
 
-from tests.conftest import build_and_run, empty_streams, ref
+from tests.conftest import build_and_run, empty_streams, miss_records, ref
 
 
 TABLE2 = table2_latencies()
@@ -26,7 +26,7 @@ class TestButterflyLatencies:
         streams = empty_streams()
         streams[2] = [ref(0, "load")]
         system = build_and_run("ts-snoop", streams, network="butterfly")
-        assert (system.controllers[2].miss_records[0].latency
+        assert (miss_records(system.controllers[2])[0].latency
                 == TABLE2["butterfly"].block_from_memory_ns)
 
     def test_snooping_cache_to_cache(self):
@@ -34,7 +34,7 @@ class TestButterflyLatencies:
         streams[1] = [ref(0, "store")]
         streams[2] = [ref(0, "load", think=40_000)]
         system = build_and_run("ts-snoop", streams, network="butterfly")
-        assert (system.controllers[2].miss_records[0].latency
+        assert (miss_records(system.controllers[2])[0].latency
                 == TABLE2["butterfly"].block_from_cache_snooping_ns)
 
     @pytest.mark.parametrize("protocol", ["dirclassic", "diropt"])
@@ -43,7 +43,7 @@ class TestButterflyLatencies:
         streams[1] = [ref(0, "store")]
         streams[2] = [ref(0, "load", think=40_000)]
         system = build_and_run(protocol, streams, network="butterfly")
-        assert (system.controllers[2].miss_records[0].latency
+        assert (miss_records(system.controllers[2])[0].latency
                 == TABLE2["butterfly"].block_from_cache_directory_ns)
 
     @pytest.mark.parametrize("protocol", ["dirclassic", "diropt"])
@@ -51,7 +51,7 @@ class TestButterflyLatencies:
         streams = empty_streams()
         streams[2] = [ref(0, "load")]
         system = build_and_run(protocol, streams, network="butterfly")
-        assert (system.controllers[2].miss_records[0].latency
+        assert (miss_records(system.controllers[2])[0].latency
                 == TABLE2["butterfly"].block_from_memory_ns)
 
 
@@ -65,8 +65,8 @@ class TestTorusLatencies:
         streams[2] = [ref(0, "load", think=40_000)]
         snoop = build_and_run("ts-snoop", streams, network="torus")
         directory = build_and_run("diropt", streams, network="torus")
-        snoop_latency = snoop.controllers[2].miss_records[0].latency
-        dir_latency = directory.controllers[2].miss_records[0].latency
+        snoop_latency = miss_records(snoop.controllers[2])[0].latency
+        dir_latency = miss_records(directory.controllers[2])[0].latency
         assert snoop_latency < dir_latency
         # "roughly half" (Section 4.2) -- allow generous slack for placement.
         assert snoop_latency < 0.75 * dir_latency
@@ -77,7 +77,7 @@ class TestTorusLatencies:
         latencies = set()
         for protocol in ("ts-snoop", "dirclassic", "diropt"):
             system = build_and_run(protocol, streams, network="torus")
-            record = system.controllers[6].miss_records[0]
+            record = miss_records(system.controllers[6])[0]
             assert record.source is MissSource.MEMORY
             latencies.add(record.latency)
         # All protocols fetch from memory through the same unloaded network;
@@ -96,7 +96,7 @@ class TestDerivedRatios:
         streams_c2c[2] = [ref(0, "load", think=40_000)]
         c2c_system = build_and_run("ts-snoop", streams_c2c,
                                    network="butterfly")
-        memory_latency = memory_system.controllers[2].miss_records[0].latency
-        c2c_latency = c2c_system.controllers[2].miss_records[0].latency
+        memory_latency = miss_records(memory_system.controllers[2])[0].latency
+        c2c_latency = miss_records(c2c_system.controllers[2])[0].latency
         assert c2c_latency / memory_latency == pytest.approx(123 / 178,
                                                              abs=0.02)

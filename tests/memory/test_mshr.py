@@ -11,9 +11,12 @@ class TestMSHRFile:
         entry = mshrs.allocate(10, "GETS", issue_time=100)
         assert entry.block == 10
         assert 10 in mshrs
+        mshrs.allocate(11, "GETM", issue_time=100)
+        assert sorted(mshrs.blocks_in_flight()) == [10, 11]
         released = mshrs.release(10)
         assert released is entry
         assert 10 not in mshrs
+        assert mshrs.blocks_in_flight() == [11]
 
     def test_double_allocation_rejected(self):
         mshrs = MSHRFile()
@@ -34,25 +37,12 @@ class TestMSHRFile:
             MSHRFile().release(1)
 
     def test_entry_completion_logic(self):
-        mshrs = MSHRFile()
-        entry = mshrs.allocate(1, "GETM", 0)
-        assert not entry.complete
-        entry.data_received = True
-        assert entry.complete
-        entry.acks_expected = 2
-        assert not entry.complete
-        entry.acks_received = 2
-        assert entry.complete
-
-    def test_peak_occupancy_and_totals(self):
-        mshrs = MSHRFile(capacity=4)
-        mshrs.allocate(1, "GETS", 0)
-        mshrs.allocate(2, "GETS", 0)
-        mshrs.release(1)
-        mshrs.allocate(3, "GETS", 0)
-        assert mshrs.peak_occupancy == 2
-        assert mshrs.total_allocations == 3
-        assert sorted(mshrs.blocks_in_flight()) == [2, 3]
+        # A fresh entry waits for its data; the data response tells the
+        # directory caches how many acks to collect (None until then).
+        entry = MSHRFile().allocate(1, "GETM", 0)
+        assert not entry.data_received
+        assert entry.acks_required is None
+        assert entry.acks_received == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from repro.processor.consistency import check_swmr_invariant
 from repro.protocols.base import MissSource
 from repro.protocols.directory_state import DirectoryState
 
-from tests.conftest import build_and_run, empty_streams, ref
+from tests.conftest import build_and_run, empty_streams, miss_records, ref
 
 
 BLOCK = 0
@@ -24,7 +24,7 @@ class TestThreeHopTransfers:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run(protocol, streams)
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.CACHE
         assert system.checker.clean
 
@@ -35,7 +35,7 @@ class TestThreeHopTransfers:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run(protocol, streams, network="butterfly")
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.latency == 252
 
     @pytest.mark.parametrize("protocol", DIRECTORY_PROTOCOLS)
@@ -43,7 +43,7 @@ class TestThreeHopTransfers:
         streams = empty_streams()
         streams[READER] = [ref(BLOCK, "load")]
         system = build_and_run(protocol, streams, network="butterfly")
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.MEMORY
         assert record.latency == 178
 
@@ -54,8 +54,8 @@ class TestThreeHopTransfers:
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         directory = build_and_run(protocol, streams)
         snooping = build_and_run("ts-snoop", streams)
-        assert (directory.controllers[READER].miss_records[0].latency
-                > snooping.controllers[READER].miss_records[0].latency)
+        assert (miss_records(directory.controllers[READER])[0].latency
+                > miss_records(snooping.controllers[READER])[0].latency)
 
 
 class TestDirectoryBookkeeping:
@@ -72,7 +72,7 @@ class TestDirectoryBookkeeping:
         assert not check_swmr_invariant(system.controllers)
         # The writer waited for one invalidation acknowledgement per sharer.
         writer = system.controllers[3]
-        assert writer.miss_records[0].source is MissSource.MEMORY
+        assert miss_records(writer)[0].source is MissSource.MEMORY
 
     @pytest.mark.parametrize("protocol", DIRECTORY_PROTOCOLS)
     def test_writeback_returns_ownership_to_memory(self, protocol):

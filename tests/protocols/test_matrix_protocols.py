@@ -13,7 +13,7 @@ from repro.processor.consistency import (
 )
 from repro.protocols.base import MissSource
 
-from tests.conftest import build_and_run, empty_streams, ref
+from tests.conftest import build_and_run, empty_streams, miss_records, ref
 
 BLOCK = 0  # homed at node 0
 OWNER = 1
@@ -27,7 +27,7 @@ class TestMESIExclusiveGrants:
         streams[READER] = [ref(BLOCK, "load")]
         system = build_and_run("mesi-dir", streams)
         assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.EXCLUSIVE
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.MEMORY
         assert not check_swmr_invariant(system.controllers)
 
@@ -42,7 +42,7 @@ class TestMESIExclusiveGrants:
         assert owner.cache.state_of(BLOCK) is CacheState.MODIFIED
         # The store was a cache hit: one miss (the initial load), no
         # upgrade transaction, no extra coherence traffic.
-        assert len(owner.miss_records) == 1
+        assert len(miss_records(owner)) == 1
         assert system.checker.clean
 
     def test_msi_directory_pays_an_upgrade_miss_for_the_same_stream(self):
@@ -54,7 +54,7 @@ class TestMESIExclusiveGrants:
         system = build_and_run("diropt", streams)
         # DirOpt installs the load in S, so the store is a second miss;
         # the silent-upgrade test above is the MESI delta to this.
-        assert len(system.controllers[OWNER].miss_records) == 2
+        assert len(miss_records(system.controllers[OWNER])) == 2
 
     def test_second_reader_downgrades_the_exclusive_copy(self):
         streams = empty_streams()
@@ -65,7 +65,7 @@ class TestMESIExclusiveGrants:
         assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.SHARED
         # The clean-exclusive copy supplied the data (the directory's EM
         # ambiguity forwards the request to the E owner).
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.CACHE
 
     def test_store_miss_still_installs_modified(self):
@@ -88,7 +88,7 @@ class TestMESIExclusiveGrants:
         assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.INVALID
         # The later reader is served from memory, not from a forward to
         # the long-gone exclusive copy.
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.MEMORY
         assert system.checker.clean
 
@@ -101,7 +101,7 @@ class TestMOESIOwnedState:
         system = build_and_run("moesi-snoop", streams)
         assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.OWNED
         assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.SHARED
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.CACHE
         # Memory's owner bit still names the O holder: no writeback
         # happened (the MSI snooper would have downgraded to S and handed
@@ -119,7 +119,7 @@ class TestMOESIOwnedState:
         # Both readers are cache-to-cache: the O copy keeps supplying
         # (under MSI the second reader would fall back to memory).
         for node in (READER, THIRD):
-            record = system.controllers[node].miss_records[0]
+            record = miss_records(system.controllers[node])[0]
             assert record.source is MissSource.CACHE
         assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.OWNED
 
@@ -136,7 +136,7 @@ class TestMOESIOwnedState:
         assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.INVALID
         # The second store found the data already resident in O: its miss
         # is an upgrade (permission-only), not a data transfer.
-        assert owner.miss_records[-1].source is MissSource.UPGRADE
+        assert miss_records(owner)[-1].source is MissSource.UPGRADE
         # An upgrade moves no data, so it is not a cache-to-cache miss.
         assert owner.cache_to_cache_misses == 0
         assert system.checker.clean

@@ -5,7 +5,7 @@ from repro.memory.coherence import CacheState
 from repro.processor.consistency import check_swmr_invariant
 from repro.protocols.base import MissSource
 
-from tests.conftest import build_and_run, empty_streams, ref
+from tests.conftest import build_and_run, empty_streams, miss_records, ref
 
 
 BLOCK = 0          # homed at node 0
@@ -19,7 +19,7 @@ class TestCacheToCacheTransfer:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run("ts-snoop", streams)
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.CACHE
         assert system.checker.clean
 
@@ -29,7 +29,7 @@ class TestCacheToCacheTransfer:
         streams[OWNER] = [ref(BLOCK, "store")]
         streams[READER] = [ref(BLOCK, "load", think=40_000)]
         system = build_and_run("ts-snoop", streams, network="butterfly")
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.latency == 123
 
     def test_memory_miss_latency_matches_table2_on_butterfly(self):
@@ -37,7 +37,7 @@ class TestCacheToCacheTransfer:
         streams = empty_streams()
         streams[READER] = [ref(BLOCK, "load")]
         system = build_and_run("ts-snoop", streams, network="butterfly")
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.MEMORY
         assert record.latency == 178
 
@@ -51,7 +51,7 @@ class TestCacheToCacheTransfer:
         assert system.controllers[OWNER].cache.state_of(BLOCK) is CacheState.SHARED
         assert system.controllers[READER].cache.state_of(BLOCK) is CacheState.SHARED
         # After the owner's downgrade writeback, memory sources later misses.
-        record = system.controllers[third].miss_records[0]
+        record = miss_records(system.controllers[third])[0]
         assert record.source is MissSource.MEMORY
 
 
@@ -122,8 +122,8 @@ class TestProtocolOptions:
             "ts-snoop", streams, config_overrides={"prefetch_optimization": True})
         without_prefetch = build_and_run(
             "ts-snoop", streams, config_overrides={"prefetch_optimization": False})
-        fast = with_prefetch.controllers[READER].miss_records[0].latency
-        slow = without_prefetch.controllers[READER].miss_records[0].latency
+        fast = miss_records(with_prefetch.controllers[READER])[0].latency
+        slow = miss_records(without_prefetch.controllers[READER])[0].latency
         assert fast <= slow
 
     def test_extra_slack_delays_misses(self):
@@ -132,8 +132,8 @@ class TestProtocolOptions:
         base = build_and_run("ts-snoop", streams)
         slacked = build_and_run("ts-snoop", streams,
                                 config_overrides={"slack": 4})
-        assert (slacked.controllers[READER].miss_records[0].latency
-                >= base.controllers[READER].miss_records[0].latency)
+        assert (miss_records(slacked.controllers[READER])[0].latency
+                >= miss_records(base.controllers[READER])[0].latency)
 
     def test_detailed_network_produces_same_coherence_outcome(self):
         streams = empty_streams()
@@ -142,6 +142,6 @@ class TestProtocolOptions:
         system = build_and_run(
             "ts-snoop", streams, network="torus",
             config_overrides={"detailed_address_network": True})
-        record = system.controllers[READER].miss_records[0]
+        record = miss_records(system.controllers[READER])[0]
         assert record.source is MissSource.CACHE
         assert system.checker.clean

@@ -7,6 +7,6 @@ class TestComponent:
     def test_schedule_uses_simulator(self, sim):
         component = Component(sim, "widget")
         fired = []
-        component.schedule(5, lambda: fired.append(component.now))
+        component.schedule(5, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [5]
