@@ -173,7 +173,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             return
         self._started = True
         for node in self.switches:
-            self.schedule(
+            self.sim.schedule(
                 0,
                 self._try_propagate,
                 priority=_TOKEN_PRIORITY,
@@ -203,7 +203,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         # then at the root of its broadcast tree.  Every event this network
         # schedules rides a pre-bound handler plus a packed payload, so the
         # per-broadcast path allocates no closures.
-        self.schedule(
+        self.sim.schedule(
             self.timing.overhead_ns,
             self._inject,
             priority=_MESSAGE_PRIORITY,
@@ -283,7 +283,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             # Emulated contention: keep the transaction buffered for one
             # switch traversal time, then forward it.
             self.held_transactions += 1
-            self.schedule(
+            self.sim.schedule(
                 self.timing.switch_ns,
                 self._release_held,
                 priority=_MESSAGE_PRIORITY,
@@ -317,7 +317,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             # same Dswitch interval, so they ride a single batched event;
             # the batch body preserves the branch (seq) order the individual
             # events would have had.
-            self.schedule(
+            self.sim.schedule(
                 self.timing.switch_ns,
                 self._arrive_batch,
                 priority=_MESSAGE_PRIORITY,
@@ -373,7 +373,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
                 # same Dswitch interval: deliver the whole wave with one
                 # batched event (the batch body keeps the per-output order
                 # the individual events would have had).
-                self.schedule(
+                self.sim.schedule(
                     self.timing.switch_ns,
                     self._receive_token_batch,
                     priority=_TOKEN_PRIORITY,

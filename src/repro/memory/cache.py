@@ -8,8 +8,9 @@ verify that reads observe the latest write in the global order.
 
 :class:`PackedCacheArray` stores tags, state codes, LRU generation stamps,
 dirty bits and version tokens as parallel ``array('q')``/``array('b')``
-columns with no per-line objects.  The test suite checks it against an
-independent dict/object oracle with a differential property test.
+columns with no per-line objects, plus one dict from each resident block to
+its slot.  The test suite checks it against an independent dict/object
+oracle with a differential property test.
 """
 # repro-lint: hot
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.memory.coherence import CacheState, STATE_FROM_CODE
 
@@ -54,22 +55,28 @@ class EvictionResult:
 #: the packed array hands every victimless install the same instance.
 _NO_VICTIM = EvictionResult(None, CacheState.INVALID, False)
 
+#: One shared int object per slot number.  Slot numbers repeat across a
+#: system's arrays, so ``_slots`` values taken from here cost no int object
+#: per resident line.
+_SLOT_NUMBERS: List[int] = []
+
 
 class PackedCacheArray:
     """Allocation-free cache array over parallel integer columns.
 
-    Sets are materialised lazily: the first access to a set appends
+    Sets are materialised lazily: the first install into a set appends
     ``associativity`` ways to every column and records the set's base slot in
-    ``_set_base``.  A way is empty when its state code is 0 (INVALID).  LRU
-    recency is a monotonically increasing generation counter
+    ``_set_base``.  ``_slots`` maps each resident block to its slot, so every
+    per-block query is one dict get; the ``_states`` column is the only
+    record of a line's state, and a way is empty when its code is 0
+    (INVALID).  LRU recency is a monotonically increasing generation counter
     (``_access_clock``): stamps are unique, so the minimum stamp identifies
     the victim regardless of storage layout.
 
     The protocol-facing API (``state_of`` / ``version_of`` / ``touch`` /
-    ``install`` / ``set_state`` / ``evict`` / ``write`` / ``choose_victim``)
-    never creates per-line objects; :meth:`lookup` materialises a
-    :class:`CacheLine` *copy* for tests and inspection only -- mutating it
-    does not write back to the array.
+    ``install`` / ``set_state`` / ``write``) never creates per-line objects;
+    :meth:`lookup` materialises a :class:`CacheLine` *copy* for tests and
+    inspection only -- mutating it does not write back to the array.
     """
 
     def __init__(
@@ -93,23 +100,14 @@ class PackedCacheArray:
         self._dirty = array("b")
         self._versions = array("q")
         self._set_base: Dict[int, int] = {}
-        #: block -> live state code; a redundant index over the packed
-        #: columns so ``state_of`` -- the once-per-snooped-transaction-
-        #: per-node query, the hottest in the simulator -- is one dict get
-        #: instead of a set probe.  Maintained at every state mutation
-        #: (install / set_state / evict); the columns stay the source of
-        #: truth for lookup/victim logic.
-        self._state_index: Dict[int, int] = {}
+        #: resident block -> slot; a block is absent once its line is INVALID
+        self._slots: Dict[int, int] = {}
         self._access_clock = 0
         # Extension templates: array-from-array extends are a straight
         # memcpy, list literals are not.
         self._fresh_tags = array("q", [-1] * associativity)
         self._fresh_q = array("q", [0] * associativity)
         self._fresh_b = array("b", [0] * associativity)
-
-    # ------------------------------------------------------------- indexing
-    def set_index(self, block: int) -> int:
-        return block % self.num_sets
 
     def _base_for(self, block: int) -> int:
         """Base slot of the block's set, materialising the set on demand."""
@@ -123,27 +121,15 @@ class PackedCacheArray:
             self._lru.extend(self._fresh_q)
             self._dirty.extend(self._fresh_b)
             self._versions.extend(self._fresh_q)
+            if len(_SLOT_NUMBERS) < len(self._tags):
+                _SLOT_NUMBERS.extend(range(len(_SLOT_NUMBERS), len(self._tags)))
         return base
-
-    def _slot_of(self, block: int) -> int:
-        """Slot holding ``block`` or -1 (never allocates)."""
-        slot = self._set_base.get(block % self.num_sets)
-        if slot is None:
-            return -1
-        tags = self._tags
-        states = self._states
-        end = slot + self.associativity
-        while slot < end:
-            if tags[slot] == block and states[slot]:
-                return slot
-            slot += 1
-        return -1
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, block: int) -> Optional[CacheLine]:
         """A :class:`CacheLine` *copy* of the resident line (tests only)."""
-        slot = self._slot_of(block)
-        if slot < 0:
+        slot = self._slots.get(block)
+        if slot is None:
             return None
         return CacheLine(
             block=block,
@@ -154,157 +140,93 @@ class PackedCacheArray:
         )
 
     def state_of(self, block: int) -> CacheState:
-        # One dict get against the state index: this probe runs once per
-        # snooped transaction per node, the single hottest query in the
-        # simulator (code 0 is INVALID, the default for absent blocks).
-        return STATE_FROM_CODE[self._state_index.get(block, 0)]
+        # Runs once per snooped transaction per node, the hottest query in
+        # the simulator.
+        slot = self._slots.get(block)
+        if slot is None:
+            return CacheState.INVALID
+        return STATE_FROM_CODE[self._states[slot]]
 
     def version_of(self, block: int) -> int:
-        slot = self._slot_of(block)
-        return 0 if slot < 0 else self._versions[slot]
+        slot = self._slots.get(block)
+        return 0 if slot is None else self._versions[slot]
 
     def touch(self, block: int) -> None:
-        slot = self._slot_of(block)
-        if slot < 0:
+        slot = self._slots.get(block)
+        if slot is None:
             raise KeyError(f"touch on missing block {block}")
         self._access_clock += 1
         self._lru[slot] = self._access_clock
 
     # ------------------------------------------------------------ allocation
-    def choose_victim(self, block: int) -> EvictionResult:
-        base = self._base_for(block)
-        tags = self._tags
-        states = self._states
-        lru = self._lru
-        victim_slot = -1
-        victim_stamp = 0
-        live = 0
-        for slot in range(base, base + self.associativity):
-            if not states[slot]:
-                continue
-            if tags[slot] == block:
-                return EvictionResult(None, CacheState.INVALID, False)
-            live += 1
-            if victim_slot < 0 or lru[slot] < victim_stamp:
-                victim_slot = slot
-                victim_stamp = lru[slot]
-        if live < self.associativity:
-            return EvictionResult(None, CacheState.INVALID, False)
-        return EvictionResult(
-            tags[victim_slot],
-            STATE_FROM_CODE[states[victim_slot]],
-            bool(self._dirty[victim_slot]),
-            self._versions[victim_slot],
-        )
-
     def install(
         self, block: int, state: CacheState, *, version: int = 0, dirty: bool = False
     ) -> EvictionResult:
         if state is CacheState.INVALID:
             raise ValueError("cannot install a line in state I")
-        # Single pass finds the existing line, a free way or the LRU victim
-        # (choose_victim's semantics fused with the slot search).  Victim
-        # choice depends only on LRU stamps, never on slot positions.
-        base = self._set_base.get(block % self.num_sets)
-        if base is None:
+        slots = self._slots
+        target = slots.get(block)
+        eviction = _NO_VICTIM
+        if target is None:
+            # The first free way, else the LRU victim.  Victim choice
+            # depends only on LRU stamps, never on slot positions.
             base = self._base_for(block)
-        tags = self._tags
-        states = self._states
-        lru = self._lru
-        end = base + self.associativity
-        target = -1
-        free = -1
-        victim = -1
-        victim_stamp = 0
-        slot = base
-        while slot < end:
-            code = states[slot]
-            if not code:
-                if free < 0:
-                    free = slot
-            elif tags[slot] == block:
-                target = slot
-                break
-            elif victim < 0 or lru[slot] < victim_stamp:
-                victim = slot
-                victim_stamp = lru[slot]
-            slot += 1
-        if target >= 0 or free >= 0:
-            eviction = _NO_VICTIM
-            if target < 0:
-                target = free
-        else:
-            eviction = EvictionResult(
-                tags[victim],
-                STATE_FROM_CODE[states[victim]],
-                bool(self._dirty[victim]),
-                self._versions[victim],
-            )
-            target = victim
-            del self._state_index[tags[victim]]
+            states = self._states
+            lru = self._lru
+            victim = base
+            for slot in range(base, base + self.associativity):
+                if not states[slot]:
+                    target = slot
+                    break
+                if lru[slot] < lru[victim]:
+                    victim = slot
+            else:
+                victim_block = self._tags[victim]
+                eviction = EvictionResult(
+                    victim_block,
+                    STATE_FROM_CODE[states[victim]],
+                    bool(self._dirty[victim]),
+                    self._versions[victim],
+                )
+                del slots[victim_block]
+                target = victim
+            slots[block] = _SLOT_NUMBERS[target]
+            self._tags[target] = block
         self._access_clock += 1
-        tags[target] = block
-        states[target] = state.code
-        lru[target] = self._access_clock
+        self._states[target] = state.code
+        self._lru[target] = self._access_clock
         self._dirty[target] = 1 if dirty else 0
         self._versions[target] = version
-        self._state_index[block] = state.code
         return eviction
 
     def set_state(self, block: int, state: CacheState) -> None:
-        slot = self._slot_of(block)
         if state is CacheState.INVALID:
-            if slot >= 0:
+            slot = self._slots.pop(block, None)
+            if slot is not None:
                 self._states[slot] = 0
-                del self._state_index[block]
             return
-        if slot < 0:
+        slot = self._slots.get(block)
+        if slot is None:
             raise KeyError(f"set_state on missing block {block}")
         self._states[slot] = state.code
-        self._state_index[block] = state.code
         if state is not CacheState.MODIFIED and state is not CacheState.OWNED:
             self._dirty[slot] = 0
 
-    def evict(self, block: int) -> Optional[CacheLine]:
-        slot = self._slot_of(block)
-        if slot < 0:
-            return None
-        line = CacheLine(
-            block=block,
-            state=STATE_FROM_CODE[self._states[slot]],
-            lru_stamp=self._lru[slot],
-            dirty=bool(self._dirty[slot]),
-            version=self._versions[slot],
-        )
-        self._states[slot] = 0
-        del self._state_index[block]
-        return line
-
     def write(self, block: int, version: int) -> None:
-        slot = self._slot_of(block)
-        if slot < 0:
+        slot = self._slots.get(block)
+        if slot is None:
             raise KeyError(f"write to missing block {block}")
         self._dirty[slot] = 1
         self._versions[slot] = version
 
     # ------------------------------------------------------------ inspection
     def resident_blocks(self) -> Iterator[int]:
+        """Resident blocks in slot order."""
         tags = self._tags
         states = self._states
         for slot in range(len(tags)):
             if states[slot]:
                 yield tags[slot]
 
-    def occupancy(self) -> int:
-        return sum(1 for state in self._states if state)
-
-    def set_occupancy(self, set_index: int) -> int:
-        base = self._set_base.get(set_index)
-        if base is None:
-            return 0
-        return sum(
-            1 for slot in range(base, base + self.associativity) if self._states[slot]
-        )
-
     def __contains__(self, block: int) -> bool:
-        return self._slot_of(block) >= 0
+        return block in self._slots

@@ -1,10 +1,12 @@
-"""Coherence state machinery shared by all three protocols.
+"""Cache states and processor access types, with their packed integer codes.
 
 The paper's evaluated protocols are all MSI (Section 4.2), with processors
-allowed to silently downgrade S -> I.  We keep the full MOESI enumeration
+allowed to silently downgrade S -> I.  The enumeration is the full MOESI set
 (Section 3 discusses the general MOESI case and the Synapse-style memory
-owner bit) so the library can express O and E as well; the shipped protocol
-implementations instantiate the MSI subset, exactly as evaluated.
+owner bit) because the MESI and MOESI protocol variants use E and O.  The
+transition rules themselves live in the controllers
+(:meth:`repro.protocols.base.CacheControllerBase.access` and the protocols'
+response handlers), not here.
 """
 
 from __future__ import annotations
@@ -56,69 +58,3 @@ for _code, _access in enumerate(ACCESS_FROM_CODE):
     _access.needs_write_permission = _access is not AccessType.LOAD
 del _code, _access
 
-
-_STABLE = frozenset(CacheState)
-_READABLE = frozenset(
-    {CacheState.MODIFIED, CacheState.OWNED, CacheState.EXCLUSIVE, CacheState.SHARED}
-)
-_WRITABLE = frozenset({CacheState.MODIFIED, CacheState.EXCLUSIVE})
-_OWNER = frozenset({CacheState.MODIFIED, CacheState.OWNED, CacheState.EXCLUSIVE})
-
-
-def is_stable(state: CacheState) -> bool:
-    """True for every stable MOESI state (transient states live in MSHRs)."""
-    return state in _STABLE
-
-
-def can_read(state: CacheState) -> bool:
-    """May a processor load from a block in this state without a miss?"""
-    return state in _READABLE
-
-
-def can_write(state: CacheState) -> bool:
-    """May a processor store to a block in this state without a miss?
-
-    Writing in E silently upgrades to M; writing in O or S requires an
-    upgrade (GETM) transaction first.
-    """
-    return state in _WRITABLE
-
-
-def owns_data(state: CacheState) -> bool:
-    """Is a cache in this state responsible for sourcing the block's data?
-
-    In MOESI the owner is the cache in M, O, or E.  When no cache owns the
-    block, memory is the owner (TS-Snoop records this with the per-block
-    memory owner bit; directories record it in the directory entry).
-    """
-    return state in _OWNER
-
-
-def store_transition(state: CacheState) -> CacheState:
-    """Stable-state transition for a store hit (E silently becomes M)."""
-    if state is CacheState.EXCLUSIVE:
-        return CacheState.MODIFIED
-    if state is CacheState.MODIFIED:
-        return CacheState.MODIFIED
-    raise ValueError(f"store is not a hit in state {state}")
-
-
-def downgrade_for_remote_gets(
-    state: CacheState, protocol_has_owned_state: bool
-) -> CacheState:
-    """State after observing another processor's GETS while holding data.
-
-    MOESI protocols with an O state keep ownership (M/E -> O); plain MSI
-    protocols (the evaluated configuration) downgrade to S and transfer
-    ownership back to memory.
-    """
-    if state in (CacheState.MODIFIED, CacheState.EXCLUSIVE, CacheState.OWNED):
-        return CacheState.OWNED if protocol_has_owned_state else CacheState.SHARED
-    if state is CacheState.SHARED:
-        return CacheState.SHARED
-    return CacheState.INVALID
-
-
-def invalidate() -> CacheState:
-    """State after observing a remote GETM (or an invalidation message)."""
-    return CacheState.INVALID

@@ -90,21 +90,11 @@ class MSHRFile:
         return self._entries.pop(block)
 
     # ---------------------------------------------------------------- lookup
-    def get(self, block: int) -> Optional[MSHREntry]:
-        return self._entries.get(block)
-
     def __contains__(self, block: int) -> bool:
         return block in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    def entries(self) -> List[MSHREntry]:
-        return list(self._entries.values())
 
     def blocks_in_flight(self) -> List[int]:
         return list(self._entries.keys())

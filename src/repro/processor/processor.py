@@ -164,7 +164,7 @@ class Processor(Component):
         if self._started:
             raise RuntimeError(f"{self.name} started twice")
         self._started = True
-        self.schedule(0, self._advance)
+        self.sim.schedule(0, self._advance)
 
     def resume(self) -> None:
         """Continue past a phase barrier (see ``phase_boundary``)."""
@@ -172,7 +172,7 @@ class Processor(Component):
             return
         self._stalled_at_phase = False
         self._phase_passed = True
-        self.schedule(0, self._advance)
+        self.sim.schedule(0, self._advance)
 
     def _next_reference(self) -> None:
         # Guard order matters: after the warm-up barrier _phase_passed is

@@ -78,6 +78,9 @@ class ProtocolBuildContext:
     #: Free-list of Message shells shared by every controller of the build;
     #: disabled pools degrade to plain construction (the reference path).
     message_pool: MessagePool = field(default_factory=MessagePool)
+    #: The system's one set of blocks with a completed miss, shared by
+    #: every controller of the build.
+    missed_blocks: Set[int] = field(default_factory=set)
 
     @property
     def num_nodes(self) -> int:
@@ -115,6 +118,7 @@ class CacheControllerBase(Component, ABC):
         timing: ProtocolTiming,
         name: str,
         pool: Optional[MessagePool] = None,
+        missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(sim, name)
         self.node = node
@@ -130,7 +134,8 @@ class CacheControllerBase(Component, ABC):
         self._state_of = cache.state_of
         #: Every block with a completed miss since the last measurement
         #: reset; ``data_touched_mb`` counts these with the resident lines.
-        self.missed_blocks: Set[int] = set()
+        #: A built system hands all its controllers one shared set.
+        self.missed_blocks = missed_blocks if missed_blocks is not None else set()
         #: optional CoherenceChecker; concrete protocols overwrite this with
         #: the checker handed to them by the system builder.
         self.checker = None

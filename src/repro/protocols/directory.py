@@ -35,7 +35,7 @@ with no per-message closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
@@ -130,6 +130,7 @@ class DirectoryCacheController(CacheControllerBase):
         response_network: DataNetwork,
         checker: Optional[Any] = None,
         pool: Optional[MessagePool] = None,
+        missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -139,6 +140,7 @@ class DirectoryCacheController(CacheControllerBase):
             timing,
             name=f"{policy.name}.cache.n{node}",
             pool=pool,
+            missed_blocks=missed_blocks,
         )
         self.policy = policy
         self._has_exclusive_state = policy.has_exclusive_state
@@ -738,6 +740,7 @@ class DirectoryProtocol(CoherenceProtocol):
                 response_network,
                 checker=context.checker,
                 pool=pool,
+                missed_blocks=context.missed_blocks,
             )
             memory = DirectoryMemoryController(
                 sim,

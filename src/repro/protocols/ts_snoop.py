@@ -45,7 +45,7 @@ allocate no per-response closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.analytical_ordering import AnalyticalTimestampNetwork
 from repro.core.timestamp_network import (
@@ -115,6 +115,7 @@ class TSSnoopNode(CacheControllerBase):
         owned_state: bool = False,
         checker: Optional[Any] = None,
         pool: Optional[MessagePool] = None,
+        missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -124,6 +125,7 @@ class TSSnoopNode(CacheControllerBase):
             timing,
             name=f"ts-snoop.n{node}",
             pool=pool,
+            missed_blocks=missed_blocks,
         )
         self.address_network = address_network
         self.data_network = data_network
@@ -645,6 +647,7 @@ class TSSnoopProtocol(CoherenceProtocol):
                     owned_state=self.owned_state,
                     checker=context.checker,
                     pool=pool,
+                    missed_blocks=context.missed_blocks,
                 )
             )
         if isinstance(address_network, TimestampAddressNetwork):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
@@ -40,6 +40,9 @@ class BuiltSystem:
     #: The protocol message pool; a SanitizedMessagePool when
     #: ``config.sanitize`` is set (leak reports, double-release checks).
     message_pool: MessagePool
+    #: Every block with a completed miss since the last measurement reset;
+    #: every controller adds to this one set.
+    missed_blocks: Set[int]
 
     @property
     def num_nodes(self) -> int:
@@ -66,7 +69,7 @@ class BuiltSystem:
         self.accountant.reset()
         for controller in self.controllers:
             controller.reset_counts()
-            controller.missed_blocks.clear()
+        self.missed_blocks.clear()
         for processor in self.processors:
             processor.reset_counts()
 
@@ -155,6 +158,7 @@ class SystemBuilder:
             processors=processors,
             checker=checker,
             message_pool=message_pool,
+            missed_blocks=context.missed_blocks,
         )
 
 

@@ -182,10 +182,9 @@ class SimulationRunner:
         )
 
     def _data_touched_mb(self, system: BuiltSystem) -> float:
-        blocks = set()
+        blocks = set(system.missed_blocks)
         for controller in system.controllers:
             blocks.update(controller.cache.resident_blocks())
-            blocks.update(controller.missed_blocks)
         return len(blocks) * self.config.block_size_bytes / (1024 * 1024)
 
     def _report_deadlock(self, system: BuiltSystem) -> None:
@@ -197,7 +196,7 @@ class SimulationRunner:
         details = []
         for controller in system.controllers:
             for block in controller.mshrs.blocks_in_flight():
-                entry = controller.mshrs.get(block)
+                entry = controller.mshrs.get_entry(block)
                 details.append(
                     f"node {controller.node} block {block} "
                     f"kind {entry.kind} ordered={entry.ordered} "

@@ -7,7 +7,7 @@ A few-million-reference run therefore builds three flat buffers rather than
 millions of heap objects, and the processor's issue loop reads plain ints.
 :class:`Reference` remains the logical unit: indexing or iterating a packed
 stream materialises equal ``Reference`` views on demand, and a processor
-handed a hand-written ``List[Reference]`` (tests, traces) packs it once at
+handed a hand-written ``List[Reference]`` (tests) packs it once at
 construction.
 """
 
@@ -47,7 +47,7 @@ class PackedReferenceStream(Sequence):
 
     Equality works against any sequence of :class:`Reference` (including
     other packed streams, where it reduces to three array comparisons), so
-    trace round-trip and determinism tests are layout-agnostic.
+    determinism tests are layout-agnostic.
     """
 
     __slots__ = ("blocks", "access_codes", "think")

@@ -38,17 +38,13 @@ class CacheArray:
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
         self._access_clock = 0
 
-    # ------------------------------------------------------------- indexing
-    def set_index(self, block: int) -> int:
-        return block % self.num_sets
-
     def _set_for(self, block: int) -> Dict[int, CacheLine]:
-        return self._sets.setdefault(self.set_index(block), {})
+        return self._sets.setdefault(block % self.num_sets, {})
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, block: int) -> Optional[CacheLine]:
         """Return the line holding ``block`` or ``None`` (does not touch LRU)."""
-        line = self._sets.get(self.set_index(block), {}).get(block)
+        line = self._sets.get(block % self.num_sets, {}).get(block)
         if line is not None and line.state is CacheState.INVALID:
             return None
         return line
@@ -71,31 +67,20 @@ class CacheArray:
         line.lru_stamp = self._access_clock
 
     # ------------------------------------------------------------ allocation
-    def choose_victim(self, block: int) -> EvictionResult:
-        """Decide which line would be evicted to make room for ``block``.
-
-        Does not modify the array.  If the set has a free (or invalid) way,
-        no victim is needed.
-        """
-        cache_set = self._set_for(block)
-        if block in cache_set and cache_set[block].state is not CacheState.INVALID:
-            return EvictionResult(None, CacheState.INVALID, False)
-        live = {b: l for b, l in cache_set.items() if l.state is not CacheState.INVALID}
-        if len(live) < self.associativity:
-            return EvictionResult(None, CacheState.INVALID, False)
-        victim = min(live.values(), key=lambda line: line.lru_stamp)
-        return EvictionResult(victim.block, victim.state, victim.dirty, victim.version)
-
     def install(
         self, block: int, state: CacheState, *, version: int = 0, dirty: bool = False
     ) -> EvictionResult:
         """Install ``block`` in ``state``, evicting an LRU victim if needed."""
         if state is CacheState.INVALID:
             raise ValueError("cannot install a line in state I")
-        eviction = self.choose_victim(block)
         cache_set = self._set_for(block)
-        if eviction.victim_block is not None:
-            del cache_set[eviction.victim_block]
+        eviction = EvictionResult(None, CacheState.INVALID, False)
+        if block not in cache_set and len(cache_set) == self.associativity:
+            victim = min(cache_set.values(), key=lambda line: line.lru_stamp)
+            eviction = EvictionResult(
+                victim.block, victim.state, victim.dirty, victim.version
+            )
+            del cache_set[victim.block]
         self._access_clock += 1
         cache_set[block] = CacheLine(
             block=block,
@@ -120,11 +105,6 @@ class CacheArray:
         if state not in (CacheState.MODIFIED, CacheState.OWNED):
             line.dirty = False
 
-    def evict(self, block: int) -> Optional[CacheLine]:
-        """Forcibly remove a block (silent eviction / invalidation)."""
-        cache_set = self._set_for(block)
-        return cache_set.pop(block, None)
-
     def write(self, block: int, version: int) -> None:
         """Record a store to a resident block (bumps the version token)."""
         line = self.lookup(block)
@@ -139,16 +119,6 @@ class CacheArray:
             for block, line in cache_set.items():
                 if line.state is not CacheState.INVALID:
                     yield block
-
-    def occupancy(self) -> int:
-        return sum(1 for _ in self.resident_blocks())
-
-    def set_occupancy(self, set_index: int) -> int:
-        return sum(
-            1
-            for line in self._sets.get(set_index, {}).values()
-            if line.state is not CacheState.INVALID
-        )
 
     def __contains__(self, block: int) -> bool:
         return self.lookup(block) is not None

@@ -1,27 +1,9 @@
-"""Unit tests for block/address arithmetic."""
+"""Unit tests for the address space and its home-node interleaving."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory.block import AddressSpace, BlockAddress
-
-
-class TestBlockAddress:
-    def test_round_trip(self):
-        address = BlockAddress.from_byte_address(1000, block_size=64)
-        assert address.block_number == 15
-        assert address.byte_address == 15 * 64
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BlockAddress(-1)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            BlockAddress(1, block_size=48)
-
-    def test_int_conversion(self):
-        assert int(BlockAddress(5)) == 5
+from repro.memory.block import AddressSpace
 
 
 class TestAddressSpace:
@@ -30,35 +12,10 @@ class TestAddressSpace:
         assert space.num_blocks == (1 << 30) // 64
         assert space.num_nodes == 16
 
-    def test_block_of_and_base(self):
-        space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=4)
-        assert space.block_of(130) == 2
-        assert space.block_base(2) == 128
-        assert space.offset_in_block(130) == 2
-
-    def test_bounds_checked(self):
-        space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=4)
-        with pytest.raises(ValueError):
-            space.block_of(1 << 20)
-        with pytest.raises(ValueError):
-            space.block_base(space.num_blocks)
-
-    def test_home_node_interleaving(self):
+    def test_home_of_interleaving(self):
         space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=16)
-        assert [space.home_node(block) for block in range(16)] == list(range(16))
-        assert space.home_node(16) == 0
-
-    def test_blocks_homed_at(self):
-        space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=4)
-        blocks = space.blocks_homed_at(2, limit=3)
-        assert blocks == [2, 6, 10]
-        assert all(space.home_node(block) == 2 for block in blocks)
-
-    def test_contiguous_region_validation(self):
-        space = AddressSpace(total_bytes=1 << 12, block_size=64, num_nodes=4)
-        assert list(space.contiguous_region(0, 4)) == [0, 1, 2, 3]
-        with pytest.raises(ValueError):
-            space.contiguous_region(60, 100)
+        assert [space.home_of(block) for block in range(16)] == list(range(16))
+        assert space.home_of(16) == 0
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -68,15 +25,9 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace(num_nodes=0)
 
-    @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
-    def test_home_node_is_stable_and_in_range(self, address):
+    @given(st.integers(min_value=0, max_value=(1 << 20) // 64 - 1))
+    def test_home_of_is_in_range(self, block):
         space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=16)
-        block = space.block_of(address)
-        home = space.home_node(block)
+        home = space.home_of(block)
         assert 0 <= home < 16
         assert home == block % 16
-
-    @given(st.integers(min_value=0, max_value=(1 << 20) // 64 - 1))
-    def test_block_base_round_trip(self, block):
-        space = AddressSpace(total_bytes=1 << 20, block_size=64, num_nodes=16)
-        assert space.block_of(space.block_base(block)) == block

@@ -1,5 +1,7 @@
 """Unit tests for the set-associative cache array (PackedCacheArray)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +24,12 @@ class TestGeometry:
             PackedCacheArray(size_bytes=1000, associativity=3, block_size=64)
 
     def test_set_index_wraps(self):
-        cache = small_cache()
-        assert cache.set_index(0) == cache.set_index(4) == 0
+        # Blocks num_sets apart share a set; neighbouring blocks do not.
+        cache = small_cache(associativity=1, sets=4)
+        cache.install(0, CacheState.SHARED)
+        assert cache.install(1, CacheState.SHARED).victim_block is None
+        assert cache.install(4, CacheState.SHARED).victim_block == 0
+        assert sorted(cache.resident_blocks()) == [1, 4]
 
 
 class TestLookupAndInstall:
@@ -77,6 +83,18 @@ class TestStateManagement:
         cache.set_state(5, CacheState.INVALID)
         assert cache.lookup(5) is None
 
+    def test_invalidate_frees_the_way_silently(self):
+        # Protocols drop lines with set_state(INVALID): a dirty line goes
+        # without a victim report, its way is reused, and a second
+        # invalidation is a no-op.
+        cache = small_cache(associativity=1, sets=4)
+        cache.install(0, CacheState.MODIFIED, version=2, dirty=True)
+        cache.set_state(0, CacheState.INVALID)
+        cache.set_state(0, CacheState.INVALID)
+        assert 0 not in cache
+        assert cache.install(4, CacheState.SHARED).victim_block is None
+        assert list(cache.resident_blocks()) == [4]
+
     def test_downgrade_clears_dirty(self):
         cache = small_cache()
         cache.install(5, CacheState.MODIFIED, dirty=True)
@@ -99,22 +117,13 @@ class TestStateManagement:
         assert line.version == 2
         assert line.dirty
 
-    def test_evict_removes_silently(self):
-        cache = small_cache()
-        cache.install(5, CacheState.SHARED)
-        line = cache.evict(5)
-        assert line.block == 5
-        assert cache.lookup(5) is None
-        assert cache.evict(5) is None
-
 
 class TestOccupancy:
     def test_occupancy_counts_resident_blocks(self):
         cache = small_cache()
         for block in range(3):
             cache.install(block, CacheState.SHARED)
-        assert cache.occupancy() == 3
-        assert set(cache.resident_blocks()) == {0, 1, 2}
+        assert sorted(cache.resident_blocks()) == [0, 1, 2]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63),
@@ -123,8 +132,9 @@ class TestOccupancy:
         cache = small_cache(associativity=2, sets=4)
         for block in blocks:
             cache.install(block, CacheState.SHARED)
-        for set_index in range(cache.num_sets):
-            assert cache.set_occupancy(set_index) <= cache.associativity
+        per_set = Counter(block % cache.num_sets
+                          for block in cache.resident_blocks())
+        assert max(per_set.values()) <= cache.associativity
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63),

@@ -1,37 +1,6 @@
-"""Unit tests for MOESI state helpers."""
+"""Unit tests for the cache-state and access-type enumerations."""
 
-import pytest
-
-from repro.memory.coherence import (
-    AccessType,
-    CacheState,
-    can_read,
-    can_write,
-    downgrade_for_remote_gets,
-    invalidate,
-    is_stable,
-    owns_data,
-    store_transition,
-)
-
-
-class TestStatePredicates:
-    def test_all_states_are_stable(self):
-        assert all(is_stable(state) for state in CacheState)
-
-    def test_readable_states(self):
-        readable = {state for state in CacheState if can_read(state)}
-        assert readable == {CacheState.MODIFIED, CacheState.OWNED,
-                            CacheState.EXCLUSIVE, CacheState.SHARED}
-
-    def test_writable_states(self):
-        writable = {state for state in CacheState if can_write(state)}
-        assert writable == {CacheState.MODIFIED, CacheState.EXCLUSIVE}
-
-    def test_owner_states(self):
-        owners = {state for state in CacheState if owns_data(state)}
-        assert owners == {CacheState.MODIFIED, CacheState.OWNED,
-                          CacheState.EXCLUSIVE}
+from repro.memory.coherence import AccessType
 
 
 class TestAccessType:
@@ -39,30 +8,3 @@ class TestAccessType:
         assert AccessType.STORE.needs_write_permission
         assert AccessType.ATOMIC.needs_write_permission
         assert not AccessType.LOAD.needs_write_permission
-
-
-class TestTransitions:
-    def test_store_in_exclusive_becomes_modified(self):
-        assert store_transition(CacheState.EXCLUSIVE) is CacheState.MODIFIED
-
-    def test_store_in_modified_stays(self):
-        assert store_transition(CacheState.MODIFIED) is CacheState.MODIFIED
-
-    def test_store_in_shared_is_not_a_hit(self):
-        with pytest.raises(ValueError):
-            store_transition(CacheState.SHARED)
-
-    def test_remote_gets_downgrade_msi(self):
-        assert downgrade_for_remote_gets(
-            CacheState.MODIFIED, protocol_has_owned_state=False) is CacheState.SHARED
-
-    def test_remote_gets_downgrade_moesi(self):
-        assert downgrade_for_remote_gets(
-            CacheState.MODIFIED, protocol_has_owned_state=True) is CacheState.OWNED
-
-    def test_remote_gets_on_shared_keeps_shared(self):
-        assert downgrade_for_remote_gets(
-            CacheState.SHARED, protocol_has_owned_state=False) is CacheState.SHARED
-
-    def test_invalidate(self):
-        assert invalidate() is CacheState.INVALID

@@ -28,9 +28,12 @@ class TestMSHRFile:
         mshrs = MSHRFile(capacity=2)
         mshrs.allocate(1, "GETS", 0)
         mshrs.allocate(2, "GETS", 0)
-        assert mshrs.full
         with pytest.raises(MSHRFullError):
             mshrs.allocate(3, "GETS", 0)
+        assert len(mshrs) == 2
+        mshrs.release(1)
+        mshrs.allocate(3, "GETS", 0)
+        assert sorted(mshrs.blocks_in_flight()) == [2, 3]
 
     def test_release_missing_raises(self):
         with pytest.raises(KeyError):

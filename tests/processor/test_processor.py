@@ -21,7 +21,7 @@ class FakeController(Component):
 
     def access(self, block, access_type, done):
         self.accesses.append((self.sim.now, block, access_type))
-        self.schedule(self.latency, done)
+        self.sim.schedule(self.latency, done)
 
 
 class TestProcessorConfig:

@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.memory.coherence import AccessType
+from repro.memory.block import AddressSpace
+from repro.memory.cache import PackedCacheArray
+from repro.memory.coherence import AccessType, CacheState
 from repro.protocols import (
     PROTOCOL_ALIASES,
     PROTOCOLS,
     canonical_protocol_name,
     make_protocol,
 )
-from repro.protocols.base import MissRecord, MissSource, ProtocolTiming
+from repro.protocols.base import (
+    CacheControllerBase,
+    MissRecord,
+    MissSource,
+    ProtocolTiming,
+)
 from repro.protocols.directory import (
     DIR_CLASSIC,
     DIR_OPT,
@@ -17,7 +24,10 @@ from repro.protocols.directory import (
     DirectoryProtocol,
 )
 from repro.protocols.ts_snoop import TSSnoopProtocol
+from repro.sim.kernel import Simulator
 from repro.system.config import SystemConfig
+
+from tests.conftest import build_and_run, empty_streams, ref
 
 POLICIES = {"dirclassic": DIR_CLASSIC, "diropt": DIR_OPT, "mesi-dir": MESI_DIR}
 
@@ -31,6 +41,94 @@ class TestProtocolTiming:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ProtocolTiming(cache_access_ns=-1)
+
+
+class _MissLoggingController(CacheControllerBase):
+    """A controller whose misses only record the access that missed."""
+
+    def __init__(self, sim):
+        super().__init__(sim, 0, AddressSpace(), PackedCacheArray(),
+                         ProtocolTiming(), name="hit-rule")
+        self._has_exclusive_state = True
+        self.started = []
+
+    def _start_miss(self, block, access_type, done):
+        self.started.append((block, access_type))
+
+
+class TestHitRule:
+    @pytest.mark.parametrize("access", list(AccessType))
+    @pytest.mark.parametrize("state", list(CacheState))
+    def test_access_hits_only_with_permission(self, state, access):
+        sim = Simulator()
+        controller = _MissLoggingController(sim)
+        if state is not CacheState.INVALID:
+            controller.cache.install(7, state)
+        completed = []
+        controller.access(7, access, lambda: completed.append(sim.now))
+        sim.run()
+        if access.needs_write_permission:
+            hit = state in (CacheState.MODIFIED, CacheState.EXCLUSIVE)
+        else:
+            hit = state is not CacheState.INVALID
+        if hit:
+            assert controller.started == [] and controller.misses == 0
+            assert completed == [controller.timing.l2_hit_ns]
+            if access.needs_write_permission:
+                # A store hit in E upgrades to M silently.
+                assert controller.state_of(7) is CacheState.MODIFIED
+                assert controller.cache.version_of(7) == 1
+            else:
+                assert controller.state_of(7) is state
+        else:
+            assert controller.started == [(7, access)]
+            assert controller.misses == 1
+            assert completed == []
+            assert controller.state_of(7) is state
+
+
+BLOCK = 0  # homed at node 0
+OWNER, READER, WRITER = 1, 2, 5
+
+
+class TestRemoteRequestTransitions:
+    """What a remote request does to the other caches' copies, in every
+    protocol: a load downgrades a dirty copy (to O only where the protocol
+    has an owned state), a store invalidates every other copy."""
+
+    @pytest.mark.parametrize("protocol", tuple(PROTOCOLS))
+    def test_remote_load_downgrades_the_writer(self, protocol):
+        streams = empty_streams()
+        streams[OWNER] = [ref(BLOCK, "store")]
+        streams[READER] = [ref(BLOCK, "load", think=40_000)]
+        system = build_and_run(protocol, streams)
+        downgraded = (CacheState.OWNED if protocol == "moesi-snoop"
+                      else CacheState.SHARED)
+        assert system.controllers[OWNER].state_of(BLOCK) is downgraded
+        assert system.controllers[READER].state_of(BLOCK) is CacheState.SHARED
+        assert system.checker.clean
+
+    @pytest.mark.parametrize("protocol", tuple(PROTOCOLS))
+    def test_remote_load_leaves_shared_copies_shared(self, protocol):
+        streams = empty_streams()
+        streams[OWNER] = [ref(BLOCK, "load")]
+        streams[READER] = [ref(BLOCK, "load", think=40_000)]
+        system = build_and_run(protocol, streams)
+        for node in (OWNER, READER):
+            assert system.controllers[node].state_of(BLOCK) is CacheState.SHARED
+        assert system.checker.clean
+
+    @pytest.mark.parametrize("protocol", tuple(PROTOCOLS))
+    def test_remote_store_invalidates_every_other_copy(self, protocol):
+        streams = empty_streams()
+        streams[OWNER] = [ref(BLOCK, "store")]
+        streams[READER] = [ref(BLOCK, "load", think=40_000)]
+        streams[WRITER] = [ref(BLOCK, "store", think=80_000)]
+        system = build_and_run(protocol, streams)
+        for node in (OWNER, READER):
+            assert system.controllers[node].state_of(BLOCK) is CacheState.INVALID
+        assert system.controllers[WRITER].state_of(BLOCK) is CacheState.MODIFIED
+        assert system.checker.clean
 
 
 class TestMissRecord:

@@ -1,7 +1,7 @@
 """The opt-in ``miss_observer`` of the cache controllers.
 
-A controller keeps counts and the set of missed blocks, never a record per
-miss.  A :class:`~repro.protocols.base.MissRecord` is built only for an
+A controller keeps counts and adds to the system's one set of missed
+blocks, never a record per miss.  A :class:`~repro.protocols.base.MissRecord` is built only for an
 installed observer, which then sees every completed miss exactly once.
 """
 
@@ -29,13 +29,15 @@ def test_observer_sees_each_completed_miss_once(protocol):
     system = build_and_run(protocol, streams)
 
     assert sum(controller.misses for controller in system.controllers) > 0
+    missed = set()
     for controller in system.controllers:
         records = miss_records(controller)
         assert len(records) == controller.misses
         assert len({(r.block, r.issue_time) for r in records}) == len(records)
         assert all(r.node == controller.node for r in records)
         assert sum(r.latency for r in records) == controller.miss_latency_total_ns
-        assert {r.block for r in records} == controller.missed_blocks
+        missed.update(r.block for r in records)
         assert controller.cache_to_cache_misses == sum(
             r.source is MissSource.CACHE for r in records
         )
+    assert missed == system.missed_blocks

@@ -127,14 +127,18 @@ def test_measurement_reset_zeroes_every_count(protocol, consistency):
     system.sim.run(max_events=200_000)
     assert sum(controller.misses for controller in system.controllers) > 0
     assert sum(processor.writes for processor in system.processors) > 0
-    assert any(controller.missed_blocks for controller in system.controllers)
+    assert system.missed_blocks
+    assert all(
+        controller.missed_blocks is system.missed_blocks
+        for controller in system.controllers
+    )
 
     system.reset_measurement_state()
 
+    assert system.missed_blocks == set()
     for controller in system.controllers:
         for name in CONTROLLER_COUNTS:
             assert getattr(controller, name) == 0, (controller.name, name)
-        assert controller.missed_blocks == set()
     for processor in system.processors:
         for name in PROCESSOR_COUNTS:
             assert getattr(processor, name) == 0, (processor.name, name)

@@ -1,15 +1,11 @@
-"""Tests for workload profiles, the generator and trace replay."""
-
-import io
+"""Tests for workload profiles and the generator."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.memory.coherence import AccessType
 from repro.sim.randomness import DeterministicRandom
 from repro.workloads.generator import Reference, WorkloadGenerator, stream_iterator
 from repro.workloads.profiles import PROFILES, get_profile, workload_names
-from repro.workloads.trace import TraceRecorder, TraceReference, replay_trace
 
 
 class TestProfiles:
@@ -111,49 +107,3 @@ class TestReference:
         with pytest.raises(ValueError):
             Reference(block=0, access_type=AccessType.LOAD,
                       think_instructions=-1)
-
-
-class TestTrace:
-    def test_round_trip_through_text(self):
-        profile = PROFILES["dss"].scaled(0.05)
-        streams = WorkloadGenerator(profile, 4,
-                                    DeterministicRandom(3)).build_streams()
-        recorder = TraceRecorder()
-        recorder.record_streams(streams)
-        buffer = io.StringIO()
-        lines = recorder.write(buffer)
-        assert lines == sum(len(stream) for stream in streams)
-        replayed = replay_trace(buffer.getvalue().splitlines(), num_nodes=4)
-        assert replayed == streams
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            TraceReference.from_line("1 X 2")
-        with pytest.raises(ValueError):
-            TraceReference.from_line("1 Q 2 3")
-
-    def test_node_out_of_range_rejected(self):
-        line = TraceReference(5, Reference(1, AccessType.LOAD)).to_line()
-        with pytest.raises(ValueError):
-            replay_trace([line], num_nodes=2)
-
-    def test_comments_and_blank_lines_ignored(self):
-        line = TraceReference(0, Reference(1, AccessType.STORE, 7)).to_line()
-        streams = replay_trace(["# comment", "", line], num_nodes=1)
-        assert streams[0][0].think_instructions == 7
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
-                              st.integers(min_value=0, max_value=10_000),
-                              st.sampled_from(list(AccessType)),
-                              st.integers(min_value=0, max_value=500)),
-                    max_size=40))
-    def test_trace_round_trip_property(self, rows):
-        recorder = TraceRecorder()
-        streams = [[] for _ in range(4)]
-        for node, block, access, think in rows:
-            streams[node].append(Reference(block, access, think))
-        recorder.record_streams(streams)
-        buffer = io.StringIO()
-        recorder.write(buffer)
-        assert replay_trace(buffer.getvalue().splitlines(), 4) == streams
