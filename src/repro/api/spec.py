@@ -23,7 +23,7 @@ The same object is what the service layer hashes for its content-addressed
 result cache: :func:`canonical_experiment` resolves a spec (or an explicit
 ``(config, profile)`` pair) into a canonical dictionary that is independent
 of override order, of overrides that restate a default, and of the
-checking knobs that never change simulated results.
+checking knob (``enable_checker``) that never changes simulated results.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ PROTOCOL_NAMES = tuple(_PROTOCOLS)
 NETWORK_NAMES = tuple(dict.fromkeys(NETWORK_ALIASES.values()))
 
 #: ``SystemConfig`` fields that never change simulated results -- the
-#: checking knobs.  They are excluded from the canonical form so cache
+#: checking knob.  They are excluded from the canonical form so cache
 #: entries are shared across them.
-RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"enable_checker", "sanitize"})
+RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"enable_checker"})
 
 #: Config fields owned by dedicated spec fields; overriding them through
 #: ``overrides`` would silently fight the spec, so it is rejected.
@@ -287,7 +287,7 @@ def canonical_experiment(
     """The canonical form hashed by the service result cache.
 
     Stable under override order, alias spelling, restated defaults and
-    the result-neutral checking knobs; any change that *can* alter a simulated
+    the result-neutral checking knob; any change that *can* alter a simulated
     result (topology, timing, protocol, stream shape, seed, replica count)
     changes the canonical form.
     """

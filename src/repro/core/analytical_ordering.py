@@ -40,12 +40,11 @@ from typing import Dict, Optional
 
 from repro.core.timestamp_network import (
     AddressNetworkInterface,
-    EarlyHandler,
     OrderedDelivery,
     OrderedHandler,
 )
 from repro.network.link import TrafficAccountant
-from repro.network.message import Message, MessagePool
+from repro.network.message import Message
 from repro.network.timing import NetworkTiming
 from repro.network.topology import Topology
 from repro.sim.kernel import Simulator
@@ -53,7 +52,13 @@ from repro.sim.randomness import PerturbationModel
 
 
 class AnalyticalTimestampNetwork(AddressNetworkInterface):
-    """Unloaded-latency timestamp snooping address network."""
+    """Unloaded-latency timestamp snooping address network.
+
+    One :class:`OrderedDelivery` is reused across every endpoint of every
+    broadcast, so an ordered handler must copy any delivery field it keeps
+    past its return; the delivery's ``message`` is dropped once the fan-out
+    ends.
+    """
 
     #: The detailed network's endpoints use a strict release rule: an
     #: ordering-time-``v`` transaction is processed when the endpoint GT
@@ -70,7 +75,6 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         accountant: Optional[TrafficAccountant] = None,
         default_slack: int = 0,
         perturbation: Optional[PerturbationModel] = None,
-        message_pool: Optional[MessagePool] = None,
         home_resolver=None,
         name: str = "ts-network-analytic",
     ) -> None:
@@ -85,14 +89,10 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
             if perturbation is not None and perturbation.enabled
             else None
         )
-        #: When set, broadcast shells are recycled here after the last
-        #: ordered handler has run (TS-Snoop handlers copy what they keep).
-        self.message_pool = message_pool
         #: block -> home node, resolved once per broadcast and carried in
         #: the deliveries so endpoints skip a per-endpoint resolver call.
         self._home_resolver = home_resolver
         self._ordered_handlers: Dict[int, OrderedHandler] = {}
-        self._early_handlers: Dict[int, EarlyHandler] = {}
         #: Snoop filter (read only with a home resolver): block -> bitmask
         #: of the endpoints holding state for the block (an MSHR, a
         #: writeback-buffer entry or a valid line), the same int-bitmask
@@ -115,35 +115,25 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         self._delivery_scratch = OrderedDelivery(
             message=None, endpoint=0, arrival_time=0, ordered_time=0, logical_time=0
         )
-        self._ordering_delay_cache: Dict[tuple, int] = {}
+        #: tree depth -> ordering delay at the default slack
+        self._ordering_delay_cache: Dict[int, int] = {}
         self._logical_counter = 0
-        #: Pre-bound push for the early deliveries and the ordered fan-out.
+        #: Pre-bound push for the ordered fan-out.
         self._schedule = sim.schedule
         #: Logical ordered deliveries: every endpoint of every broadcast,
         #: whether or not the snoop filter calls it.
         self.deliveries = 0
 
     # -------------------------------------------------------------- plumbing
-    def attach(
-        self,
-        endpoint: int,
-        ordered_handler: OrderedHandler,
-        early_handler: Optional[EarlyHandler] = None,
-    ) -> None:
+    def attach(self, endpoint: int, ordered_handler: OrderedHandler) -> None:
         if not 0 <= endpoint < self.topology.num_endpoints:
             raise ValueError(f"endpoint {endpoint} out of range")
         self._attached_mask |= 1 << endpoint
         self._ordered_handlers[endpoint] = ordered_handler
-        if early_handler is not None:
-            self._early_handlers[endpoint] = early_handler
         self._rows_by_source.clear()
 
     # ------------------------------------------------------------- broadcast
-    def broadcast(self, message: Message, slack: Optional[int] = None) -> None:
-        if slack is None:
-            slack = self.default_slack
-        if slack < 0:
-            raise ValueError("slack must be non-negative")
+    def broadcast(self, message: Message) -> None:
         source = message.src
         memo = self._trees.get(source)
         if memo is None:
@@ -158,34 +148,18 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         if perturbation is not None:
             jitter = perturbation.response_delay()
 
-        key = (tree.depth, slack)
-        base_delay = self._ordering_delay_cache.get(key)
+        depth = tree.depth
+        base_delay = self._ordering_delay_cache.get(depth)
         if base_delay is None:
             base_delay = self.timing.ordering_latency(
-                tree.depth, slack + self.ORDERING_MARGIN
+                depth, self.default_slack + self.ORDERING_MARGIN
             )
-            self._ordering_delay_cache[key] = base_delay
+            self._ordering_delay_cache[depth] = base_delay
         ordered_delay = base_delay + jitter
         ordered_time = self.sim.now + ordered_delay
         self._logical_counter += 1
         logical_time = self._logical_counter
         injected_at = self.sim.now
-
-        # Early ("peek") deliveries are only scheduled for endpoints that
-        # asked for them; the arrival time itself is also carried in the
-        # ordered delivery so controllers can model the prefetch optimisation
-        # without a separate event.  The scheduled instant *is* the arrival
-        # time, so the dispatcher passes only (handler, message) and
-        # _deliver_early reads the clock.
-        schedule = self._schedule
-        # repro-lint: disable=DET002 -- insertion order is attach order, which
-        # build() fixes to ascending node id; every run replays it identically.
-        for endpoint, early in self._early_handlers.items():
-            arrival_delay = (
-                self.timing.overhead_ns
-                + tree.arrival_hops[endpoint] * self.timing.switch_ns
-            )
-            schedule(arrival_delay, self._deliver_early, (early, message))
 
         # All endpoints become able to process the transaction at the same
         # physical instant; one event fans out, in endpoint order, to the
@@ -194,19 +168,16 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         # whose ordering instants coincide are tie-broken by source id (the
         # event priority), exactly as the detailed token network and the
         # paper's Section 2.2 prescribe.
-        # The pre-bound handler + packed payload replaces a per-broadcast
-        # closure.
-        schedule(
+        # The arrival time is carried in the ordered delivery, so controllers
+        # model the prefetch optimisation without a separate event.  The
+        # pre-bound handler + packed payload replaces a per-broadcast closure.
+        self._schedule(
             ordered_delay,
             self._deliver_ordered,
             (message, tree, injected_at, ordered_time, logical_time),
             message.src,
         )
         self.deliveries += self.topology.num_endpoints
-
-    def _deliver_early(self, packed) -> None:
-        early, message = packed
-        early(message, self.sim.now)
 
     def _rows_for(self, source: int, tree) -> list:
         """Per-endpoint (handler, arrival offset) pairs for one source."""
@@ -246,46 +217,20 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
                 | 1 << source
                 | 1 << home
             ) & self._attached_mask
-        pool = self.message_pool
-        if pool is not None:
-            # Pooled builds come with a no-retention contract (TS-Snoop
-            # handlers copy the scalars they keep), so one OrderedDelivery
-            # shell is mutated across the whole fan-out and the message
-            # shell is recycled once the last endpoint has processed it.
-            # A network built without a pool (standalone use, whose
-            # handlers may keep their deliveries) allocates one delivery
-            # per endpoint below.
-            delivery = self._delivery_scratch
-            delivery.message = message
-            delivery.ordered_time = ordered_time
-            delivery.logical_time = logical_time
-            delivery.home = home
-            while visit:
-                low = visit & -visit
-                visit ^= low
-                endpoint = low.bit_length() - 1
-                handler, offset = rows[endpoint]
-                delivery.endpoint = endpoint
-                delivery.arrival_time = injected_at + offset
-                handler(delivery)
-            delivery.message = None
-            pool.release(message)
-            return
+        delivery = self._delivery_scratch
+        delivery.message = message
+        delivery.ordered_time = ordered_time
+        delivery.logical_time = logical_time
+        delivery.home = home
         while visit:
             low = visit & -visit
             visit ^= low
             endpoint = low.bit_length() - 1
             handler, offset = rows[endpoint]
-            handler(
-                OrderedDelivery(
-                    message=message,
-                    endpoint=endpoint,
-                    arrival_time=injected_at + offset,
-                    ordered_time=ordered_time,
-                    logical_time=logical_time,
-                    home=home,
-                )
-            )
+            delivery.endpoint = endpoint
+            delivery.arrival_time = injected_at + offset
+            handler(delivery)
+        delivery.message = None
 
     # ------------------------------------------------------------- inspection
     def ordering_latency(self, slack: Optional[int] = None) -> int:

@@ -69,7 +69,6 @@ class OrderedDelivery:
 
 
 OrderedHandler = Callable[[OrderedDelivery], None]
-EarlyHandler = Callable[[Message, int], None]
 
 
 class AddressNetworkInterface(Component, ABC):
@@ -82,17 +81,13 @@ class AddressNetworkInterface(Component, ABC):
         self.default_slack = default_slack
 
     @abstractmethod
-    def attach(
-        self,
-        endpoint: int,
-        ordered_handler: OrderedHandler,
-        early_handler: Optional[EarlyHandler] = None,
-    ) -> None:
-        """Register the handlers of the controller at ``endpoint``."""
+    def attach(self, endpoint: int, ordered_handler: OrderedHandler) -> None:
+        """Register the handler of the controller at ``endpoint``."""
 
     @abstractmethod
-    def broadcast(self, message: Message, slack: Optional[int] = None) -> None:
-        """Broadcast an address transaction from ``message.src``."""
+    def broadcast(self, message: Message) -> None:
+        """Broadcast an address transaction from ``message.src`` with the
+        network's ``default_slack``."""
 
 
 class _EndpointPort:
@@ -102,7 +97,6 @@ class _EndpointPort:
         self.endpoint = endpoint
         self.queue = OrderingQueue(endpoint)
         self.ordered_handler: Optional[OrderedHandler] = None
-        self.early_handler: Optional[EarlyHandler] = None
         self.arrival_times: Dict[int, int] = {}  # msg_id -> arrival time
 
 
@@ -149,23 +143,12 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         }
         #: source -> (broadcast tree, its link count), built on first use.
         self._trees: Dict[int, Tuple[BroadcastTree, int]] = {}
-        #: Retired hop-copy shells, reused by :meth:`_copy_factory` so the
-        #: per-hop fan-out stops allocating one BufferedTransaction per
-        #: branch per switch.
-        self._txn_free: List[BufferedTransaction] = []
         #: Transactions kept buffered by the emulated contention.
         self.held_transactions = 0
 
     # -------------------------------------------------------------- plumbing
-    def attach(
-        self,
-        endpoint: int,
-        ordered_handler: OrderedHandler,
-        early_handler: Optional[EarlyHandler] = None,
-    ) -> None:
-        port = self.ports[endpoint]
-        port.ordered_handler = ordered_handler
-        port.early_handler = early_handler
+    def attach(self, endpoint: int, ordered_handler: OrderedHandler) -> None:
+        self.ports[endpoint].ordered_handler = ordered_handler
 
     def start(self) -> None:
         """Seed the initial tokens and begin token circulation."""
@@ -181,11 +164,9 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             )
 
     # ------------------------------------------------------------- broadcast
-    def broadcast(self, message: Message, slack: Optional[int] = None) -> None:
+    def broadcast(self, message: Message) -> None:
         if not self._started:
             self.start()
-        if slack is None:
-            slack = self.default_slack
         source = message.src
         memo = self._trees.get(source)
         if memo is None:
@@ -195,8 +176,11 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         if self.accountant is not None:
             self.accountant.record(message, link_count)
         self._sequence += 1
-        transaction = self._copy_factory(
-            payload=message, slack=slack, source=source, sequence=self._sequence
+        transaction = BufferedTransaction(
+            payload=message,
+            slack=self.default_slack,
+            source=source,
+            sequence=self._sequence,
         )
         root = endpoint_node(source)
         # The transaction enters the network after the entry overhead and is
@@ -213,27 +197,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
     def _inject(self, packed) -> None:
         root, transaction, tree = packed
         self._arrive(root, None, transaction, tree)
-
-    # -------------------------------------------------------- hop-copy reuse
-    def _copy_factory(
-        self, payload=None, slack: int = 0, source: int = 0, sequence: int = 0
-    ) -> BufferedTransaction:
-        """Build a hop copy, reusing a retired shell when one is free."""
-        free = self._txn_free
-        if not free:
-            return BufferedTransaction(
-                payload=payload, slack=slack, source=source, sequence=sequence
-            )
-        txn = free.pop()
-        txn.payload = payload
-        txn.slack = slack
-        txn.source = source
-        txn.sequence = sequence
-        return txn
-
-    def _retire_txn(self, txn: BufferedTransaction) -> None:
-        txn.payload = None
-        self._txn_free.append(txn)
 
     # ----------------------------------------------------- transaction events
     def _arrive(
@@ -271,7 +234,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
 
         if is_returned_source_copy:
             switch.buffer.remove(transaction)
-            self._retire_txn(transaction)
             self._try_propagate(node)
             return
 
@@ -305,13 +267,8 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             return
         branches = tree.branches_from(node)
         outputs = switch.release_transaction(
-            transaction,
-            [(child, delta) for child, delta in branches],
-            factory=self._copy_factory,
+            transaction, [(child, delta) for child, delta in branches]
         )
-        # The parent shell dies here: its copies (if any) carry the payload
-        # onward and nothing else references it.
-        self._retire_txn(transaction)
         if outputs:
             # All copies of one forwarding step traverse their links in the
             # same Dswitch interval, so they ride a single batched event;
@@ -343,8 +300,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         padded_slack = transaction.slack + pad
         message: Message = transaction.payload
         port.arrival_times[message.msg_id] = self.sim.now
-        if port.early_handler is not None:
-            port.early_handler(message, self.sim.now)
         port.queue.insert(
             message, padded_slack, transaction.source, transaction.sequence
         )

@@ -132,21 +132,18 @@ class TokenSwitch:
         self,
         transaction: BufferedTransaction,
         branches: Iterable[Tuple[str, int]],
-        factory=BufferedTransaction,
     ) -> List[Tuple[str, BufferedTransaction]]:
         """Remove a buffered transaction and emit one copy per branch.
 
         ``branches`` is a sequence of ``(output_port, delta_d)`` pairs from
         the broadcast routing table.  Each emitted copy has rule 3 applied.
-        ``factory`` builds the copies; the detailed network passes a
-        free-list-backed factory so hop copies reuse retired shells.
         """
         self.buffer.remove(transaction)
         outputs: List[Tuple[str, BufferedTransaction]] = []
         for port, delta_d in branches:
             if port not in self.output_ports:
                 raise KeyError(f"{self.name}: unknown output port {port!r}")
-            copy = factory(
+            copy = BufferedTransaction(
                 payload=transaction.payload,
                 slack=SlackRules.on_branch(transaction.slack, delta_d),
                 source=transaction.source,

@@ -1,11 +1,9 @@
 """Static analysis for the repro simulator (``python -m repro.lint``).
 
-Three rule families guard the invariants the fast-path work depends on:
+Two rule families guard the invariants the fast-path work depends on:
 
 * ``DET*`` -- determinism (no set-order, ambient randomness or wall-clock
   dependence inside the simulation packages);
-* ``POOL*`` -- pooled-shell ownership (acquire/release discipline for
-  ``MessagePool``);
 * ``HOT*`` -- hot-path hygiene in ``# repro-lint: hot`` modules.
 
 See :mod:`repro.lint.framework` for the suppression-comment syntax and
@@ -23,10 +21,9 @@ from repro.lint.framework import (
     run_paths,
 )
 from repro.lint.hotpath import RULES as HOTPATH_RULES
-from repro.lint.pools import CONSUMPTION_POINTS, RULES as POOL_RULES
 
 #: Every registered rule, in reporting-id order.
-ALL_RULES = (*DETERMINISM_RULES, *POOL_RULES, *HOTPATH_RULES)
+ALL_RULES = (*DETERMINISM_RULES, *HOTPATH_RULES)
 
 
 def run(paths, select=None, ignore=None) -> LintResult:
@@ -36,7 +33,6 @@ def run(paths, select=None, ignore=None) -> LintResult:
 
 __all__ = [
     "ALL_RULES",
-    "CONSUMPTION_POINTS",
     "FileContext",
     "Finding",
     "LintResult",

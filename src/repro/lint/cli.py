@@ -19,8 +19,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Static analyzer for the repro simulator: determinism, "
-            "pooled-shell ownership and hot-path hygiene."
+            "Static analyzer for the repro simulator: determinism and "
+            "hot-path hygiene."
         ),
     )
     parser.add_argument(
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="IDS",
-        help="comma-separated rule ids/prefixes to run (e.g. DET,POOL002)",
+        help="comma-separated rule ids/prefixes to run (e.g. DET,HOT001)",
     )
     parser.add_argument(
         "--ignore",

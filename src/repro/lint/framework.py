@@ -12,8 +12,8 @@ framework owns everything rule-independent:
 * rule selection (``--select`` / ``--ignore`` by id prefix) and the stable
   ordering of the final report.
 
-Rules live in the sibling modules (``determinism``, ``pools`` and
-``hotpath``); :mod:`repro.lint` aggregates them into ``ALL_RULES``.
+Rules live in the sibling modules (``determinism`` and ``hotpath``);
+:mod:`repro.lint` aggregates them into ``ALL_RULES``.
 """
 
 from __future__ import annotations
@@ -100,21 +100,11 @@ class FileContext:
 
 
 class Rule:
-    """Base class: one ``check`` pass over a file.
-
-    Most rules report a single id; a rule that emits several related ids
-    (the pool-safety walk) lists them all in ``catalog`` so ``--select`` /
-    ``--ignore`` and ``--list-rules`` see every id.
-    """
+    """Base class: one ``check`` pass over a file, reporting one id."""
 
     id: str = "???"
     severity: str = SEVERITY_ERROR
     summary: str = ""
-
-    @property
-    def catalog(self) -> Tuple[Tuple[str, str, str], ...]:
-        """(id, severity, summary) rows this rule can report."""
-        return ((self.id, self.severity, self.summary),)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -239,10 +229,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return files
 
 
-def _rule_ids(rule: Rule) -> List[str]:
-    return [row[0] for row in rule.catalog]
-
-
 def matches_filters(
     rule_id: str,
     select: Optional[Sequence[str]] = None,
@@ -262,20 +248,13 @@ def select_rules(
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Rule]:
     """Rules that can still report something under the id filters."""
-    known = {rule_id for rule in rules for rule_id in _rule_ids(rule)}
+    known = {rule.id for rule in rules}
     known.update((BAD_DIRECTIVE, SYNTAX_ERROR))
     for prefixes in (select, ignore):
         for prefix in prefixes or ():
             if not any(rule_id.startswith(prefix) for rule_id in known):
                 raise ValueError(f"no rule matches id or prefix {prefix!r}")
-    return [
-        rule
-        for rule in rules
-        if any(
-            matches_filters(rule_id, select, ignore)
-            for rule_id in _rule_ids(rule)
-        )
-    ]
+    return [rule for rule in rules if matches_filters(rule.id, select, ignore)]
 
 
 # ---------------------------------------------------------------------- runner
@@ -361,7 +340,7 @@ def enclosing_functions(tree: ast.AST) -> Dict[ast.AST, Optional[ast.AST]]:
 
 def rule_catalog(rules: Iterable[Rule]) -> List[Tuple[str, str, str]]:
     """(id, severity, summary) rows for ``--list-rules``."""
-    rows = [row for rule in rules for row in rule.catalog]
+    rows = [(rule.id, rule.severity, rule.summary) for rule in rules]
     rows.append((BAD_DIRECTIVE, SEVERITY_ERROR, "malformed repro-lint directive"))
     rows.append((SYNTAX_ERROR, SEVERITY_ERROR, "file does not parse"))
     return sorted(rows)

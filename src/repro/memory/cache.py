@@ -114,8 +114,7 @@ class PackedCacheArray:
         index = block % self.num_sets
         base = self._set_base.get(index)
         if base is None:
-            base = len(self._tags)
-            self._set_base[index] = base
+            start = len(self._tags)
             self._tags.extend(self._fresh_tags)
             self._states.extend(self._fresh_b)
             self._lru.extend(self._fresh_q)
@@ -123,6 +122,8 @@ class PackedCacheArray:
             self._versions.extend(self._fresh_q)
             if len(_SLOT_NUMBERS) < len(self._tags):
                 _SLOT_NUMBERS.extend(range(len(_SLOT_NUMBERS), len(self._tags)))
+            # The shared slot-number int, not a fresh one per set.
+            base = self._set_base[index] = _SLOT_NUMBERS[start]
         return base
 
     # ---------------------------------------------------------------- lookup

@@ -43,9 +43,7 @@ def _route_pairs(timing: NetworkTiming, max_hops: int) -> tuple[tuple[int, int],
 class DataNetwork(Component):
     """Delivers unicast messages after the unloaded topology latency.
 
-    Receivers register a per-node handler with :meth:`attach`; a sender may
-    also pass an explicit ``on_deliver`` callback (used by tests and by
-    simple point-to-point examples).
+    Receivers register a per-node handler with :meth:`attach`.
 
     Unloaded routes are static, so each source's ``(latency, hops)`` pairs
     are computed once, on its first send, into a row indexed by
@@ -93,11 +91,7 @@ class DataNetwork(Component):
         self._receivers[node] = handler
 
     # ----------------------------------------------------------------- sends
-    def _prepare_send(
-        self,
-        message: Message,
-        on_deliver: Optional[DeliveryCallback],
-    ) -> tuple[DeliveryCallback, int]:
+    def _prepare_send(self, message: Message) -> tuple[DeliveryCallback, int]:
         """Shared per-send prologue: resolve the handler, read the unloaded
         latency from the source's route row, add any perturbation, and
         account the traffic.  Returns ``(handler, latency)``; used by both
@@ -106,14 +100,11 @@ class DataNetwork(Component):
         """
         if message.dst is None:
             raise ValueError(f"{self.name} only carries unicast messages")
-        if on_deliver is not None:
-            handler = on_deliver
-        else:
-            handler = self._receivers.get(message.dst)
-            if handler is None:
-                raise ValueError(
-                    f"{self.name}: no receiver attached for node {message.dst}"
-                )
+        handler = self._receivers.get(message.dst)
+        if handler is None:
+            raise ValueError(
+                f"{self.name}: no receiver attached for node {message.dst}"
+            )
         row = self._rows[message.src]
         if row is None:
             row = self._fill_row(message.src)
@@ -124,17 +115,11 @@ class DataNetwork(Component):
         self._record_traffic(message, traversals)
         return handler, latency
 
-    def send(
-        self,
-        message: Message,
-        on_deliver: Optional[DeliveryCallback] = None,
-    ) -> int:
-        """Send ``message``; returns the absolute delivery time.
+    def send(self, message: Message) -> None:
+        """Send ``message`` to the handler registered for ``message.dst``.
 
-        Delivery goes to the handler registered for ``message.dst`` (or the
-        explicit ``on_deliver`` override).  Messages whose source and
-        destination are the same node are delivered locally (zero link
-        traversals).
+        Messages whose source and destination are the same node are
+        delivered locally (zero link traversals).
 
         The ``_prepare_send`` prologue is inlined here: this is the
         simulator's hottest function after the kernel dispatch loop, and
@@ -143,12 +128,9 @@ class DataNetwork(Component):
         dst = message.dst
         if dst is None:
             raise ValueError(f"{self.name} only carries unicast messages")
-        if on_deliver is not None:
-            handler = on_deliver
-        else:
-            handler = self._receivers.get(dst)
-            if handler is None:
-                raise ValueError(f"{self.name}: no receiver attached for node {dst}")
+        handler = self._receivers.get(dst)
+        if handler is None:
+            raise ValueError(f"{self.name}: no receiver attached for node {dst}")
         row = self._rows[message.src]
         if row is None:
             row = self._fill_row(message.src)
@@ -157,9 +139,7 @@ class DataNetwork(Component):
         if perturbation is not None:
             latency += perturbation.response_delay()
         self._record_traffic(message, traversals)
-        now = self.sim.now
         self._schedule(latency, handler, message)
-        return now + latency
 
     def latency(self, src: int, dst: int) -> int:
         """Unloaded latency between two endpoints (no perturbation)."""

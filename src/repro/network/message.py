@@ -12,10 +12,9 @@ per-message field dict.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 DATA_MESSAGE_BYTES = 72
 CONTROL_MESSAGE_BYTES = 8
@@ -105,9 +104,7 @@ class Message:
     requester: Optional[int] = None
     sharing: bool = False
     new_owner: Optional[int] = None
-    # repro-lint: disable=HOT001 -- default_factory runs once per *fresh*
-    # shell; the pooled fast path reassigns msg_id without constructing.
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     @property
     def size_bytes(self) -> int:
@@ -127,163 +124,3 @@ class Message:
             f"<{self.kind.label} #{self.msg_id} n{self.src}->{target} "
             f"block={self.block}>"
         )
-
-
-class MessagePool:
-    """A free list of :class:`Message` shells for the per-hop fast path.
-
-    Protocol controllers allocate several messages per miss; pooling reuses
-    the dataclass shell instead of churning the allocator.  An acquire sets
-    every field, the protocol fields to their defaults unless given, so a
-    recycled shell carries nothing over.  The contract is explicit
-    ownership: whoever consumes a message calls :meth:`release` exactly
-    once, after its last read, and only for messages whose handler provably
-    retains no reference (deferred forwards and deferred home responses are
-    released by the code that later consumes them).  Every acquire -- fresh
-    or recycled -- draws a new ``msg_id``, so identifiers never collide with
-    a still-tracked message.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list = []
-
-    def acquire(
-        self,
-        kind: MessageKind,
-        src: int,
-        dst: Optional[int],
-        block: int,
-        *,
-        version: int = 0,
-        from_cache: bool = False,
-        acks_expected: int = 0,
-        requester: Optional[int] = None,
-        sharing: bool = False,
-        new_owner: Optional[int] = None,
-    ) -> Message:
-        free = self._free
-        message = free.pop() if free else Message(kind, src, dst, block)
-        message.kind = kind
-        message.src = src
-        message.dst = dst
-        message.block = block
-        message.version = version
-        message.from_cache = from_cache
-        message.acks_expected = acks_expected
-        message.requester = requester
-        message.sharing = sharing
-        message.new_owner = new_owner
-        message.msg_id = next(_message_ids)
-        return message
-
-    def release(self, message: Message) -> None:
-        self._free.append(message)
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-
-class PoolSafetyError(RuntimeError):
-    """A pooled shell's ownership contract was violated at runtime."""
-
-
-def _call_site(depth: int = 2) -> str:
-    """``file:line in function`` of the caller ``depth`` frames up."""
-    frame = sys._getframe(depth)
-    return f"{frame.f_code.co_filename}:{frame.f_lineno} in {frame.f_code.co_name}"
-
-
-class SanitizedMessagePool(MessagePool):
-    """A :class:`MessagePool` that enforces the ownership contract.
-
-    ``SystemConfig.sanitize`` swaps this in: every acquire records its call
-    site, a double release raises :class:`PoolSafetyError` naming *both*
-    release sites, releasing a message the pool never handed out raises,
-    and :meth:`assert_no_leaks` reports every never-released shell with its
-    acquisition site.  The tracking tables hold strong references, so a
-    tracked shell can never be garbage-collected and have its identity
-    reused while the record is live.
-    """
-
-    __slots__ = ("_live", "_released")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._live: Dict[int, Tuple[Message, str]] = {}
-        self._released: Dict[int, Tuple[Message, str]] = {}
-
-    def acquire(
-        self,
-        kind: MessageKind,
-        src: int,
-        dst: Optional[int],
-        block: int,
-        *,
-        version: int = 0,
-        from_cache: bool = False,
-        acks_expected: int = 0,
-        requester: Optional[int] = None,
-        sharing: bool = False,
-        new_owner: Optional[int] = None,
-    ) -> Message:
-        message = super().acquire(
-            kind,
-            src,
-            dst,
-            block,
-            version=version,
-            from_cache=from_cache,
-            acks_expected=acks_expected,
-            requester=requester,
-            sharing=sharing,
-            new_owner=new_owner,
-        )
-        # repro-lint: disable=DET005 -- diagnostic identity keys over strong
-        # references; never feeds back into model state or event order.
-        key = id(message)
-        self._released.pop(key, None)
-        self._live[key] = (message, _call_site())
-        return message
-
-    def release(self, message: Message) -> None:
-        # repro-lint: disable=DET005 -- diagnostic identity key (see acquire).
-        key = id(message)
-        already = self._released.get(key)
-        if already is not None:
-            raise PoolSafetyError(
-                f"double release of {message!r}: first released at "
-                f"{already[1]}, released again at {_call_site()}"
-            )
-        entry = self._live.pop(key, None)
-        if entry is None:
-            raise PoolSafetyError(
-                f"release of {message!r}, which this pool did not hand out "
-                f"(release attempted at {_call_site()})"
-            )
-        self._released[key] = (message, _call_site())
-        super().release(message)
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def live_messages(self) -> int:
-        """Shells acquired but not yet released."""
-        return len(self._live)
-
-    def leak_report(self) -> List[str]:
-        """One line per never-released shell, with its acquisition site."""
-        return [
-            f"{message!r} acquired at {site}"
-            for message, site in self._live.values()
-        ]
-
-    def assert_no_leaks(self) -> None:
-        """Raise :class:`PoolSafetyError` if any shell was never released."""
-        leaks = self.leak_report()
-        if leaks:
-            shown = "\n  ".join(leaks[:20])
-            extra = f"\n  ... and {len(leaks) - 20} more" if len(leaks) > 20 else ""
-            raise PoolSafetyError(
-                f"{len(leaks)} message shell(s) never released:\n  {shown}{extra}"
-            )

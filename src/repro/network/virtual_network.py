@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.network.data_network import DataNetwork, DeliveryCallback
+from repro.network.data_network import DataNetwork
 from repro.network.link import TrafficAccountant
 from repro.network.message import Message
 from repro.network.timing import NetworkTiming
@@ -54,16 +54,11 @@ class PointToPointOrderedNetwork(DataNetwork):
         )
         self._last_delivery: Dict[Tuple[int, int], int] = {}
 
-    def send(
-        self,
-        message: Message,
-        on_deliver: Optional[DeliveryCallback] = None,
-    ) -> int:
-        handler, latency = self._prepare_send(message, on_deliver)
+    def send(self, message: Message) -> None:
+        handler, latency = self._prepare_send(message)
         now = self.sim.now
         pair = (message.src, message.dst)
         natural_delivery = now + latency
         ordered_delivery = max(natural_delivery, self._last_delivery.get(pair, 0))
         self._last_delivery[pair] = ordered_delivery
         self.sim.schedule_at(ordered_delivery, handler, message)
-        return ordered_delivery

@@ -13,7 +13,6 @@ from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.memory.mshr import MSHRFile
 from repro.network.link import TrafficAccountant
-from repro.network.message import MessagePool
 from repro.network.timing import NetworkTiming
 from repro.network.topology import Topology
 from repro.protocols.timing import ProtocolTiming
@@ -75,9 +74,6 @@ class ProtocolBuildContext:
     accountant: TrafficAccountant
     perturbation: Optional[PerturbationModel] = None
     checker: Optional[Any] = None
-    #: Free-list of Message shells shared by every controller of the build;
-    #: disabled pools degrade to plain construction (the reference path).
-    message_pool: MessagePool = field(default_factory=MessagePool)
     #: The system's one set of blocks with a completed miss, shared by
     #: every controller of the build.
     missed_blocks: Set[int] = field(default_factory=set)
@@ -117,7 +113,6 @@ class CacheControllerBase(Component, ABC):
         cache: PackedCacheArray,
         timing: ProtocolTiming,
         name: str,
-        pool: Optional[MessagePool] = None,
         missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -125,7 +120,6 @@ class CacheControllerBase(Component, ABC):
         self.address_space = address_space
         self.cache = cache
         self.timing = timing
-        self.pool = pool if pool is not None else MessagePool()
         self.mshrs = MSHRFile(capacity=32, name=f"{name}.mshr")
         # Hot-path pre-binds: MSHR lookup, the cache-state probe and
         # home-node interleaving run on every snooped/forwarded message.

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
-from repro.network.message import Message, MessageKind, MessagePool
+from repro.network.message import Message, MessageKind
 from repro.network.data_network import DataNetwork
 from repro.network.virtual_network import PointToPointOrderedNetwork
 from repro.protocols.base import (
@@ -129,7 +129,6 @@ class DirectoryCacheController(CacheControllerBase):
         forward_network: DataNetwork,
         response_network: DataNetwork,
         checker: Optional[Any] = None,
-        pool: Optional[MessagePool] = None,
         missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(
@@ -139,7 +138,6 @@ class DirectoryCacheController(CacheControllerBase):
             cache,
             timing,
             name=f"{policy.name}.cache.n{node}",
-            pool=pool,
             missed_blocks=missed_blocks,
         )
         self.policy = policy
@@ -184,8 +182,7 @@ class DirectoryCacheController(CacheControllerBase):
 
     def _send_request(self, block: int, kind: MessageKind) -> None:
         home = self._home_of(block)
-        request = self.pool.acquire(kind, self.node, home, block)
-        self.request_network.send(request)
+        self.request_network.send(Message(kind, self.node, home, block))
 
     # -------------------------------------------------------------- forwards
     def _on_forward(self, message: Message) -> None:
@@ -205,16 +202,13 @@ class DirectoryCacheController(CacheControllerBase):
             self._service_forward(
                 block, requester, exclusive, version, from_writeback_buffer=True
             )
-            self.pool.release(message)
             return
 
         entry = self._mshr_get(block)
         if entry is not None and requester != self.node:
             # Our own fill for this block is still in flight; we are (or will
             # become) the owner the directory believes us to be.  Defer the
-            # forward and service it right after the fill completes.  The
-            # message stays alive in the MSHR; it is released when the
-            # deferred re-dispatch consumes it.
+            # forward and service it right after the fill completes.
             if entry.deferred_forwards is None:
                 entry.deferred_forwards = [message]
             else:
@@ -228,16 +222,15 @@ class DirectoryCacheController(CacheControllerBase):
             self._service_forward(
                 block, requester, exclusive, self.cache.version_of(block)
             )
-            self.pool.release(message)
             return
 
         # We no longer own the block (the writeback raced ahead of this
         # forward and has already been acknowledged), or the directory
         # forwarded our own request back to us after we lost the data.
         # NACK the requester, who will retry at the home.
-        nack = self.pool.acquire(MessageKind.NACK, self.node, requester, block)
-        self.response_network.send(nack)
-        self.pool.release(message)
+        self.response_network.send(
+            Message(MessageKind.NACK, self.node, requester, block)
+        )
 
     def _service_forward(
         self,
@@ -249,14 +242,13 @@ class DirectoryCacheController(CacheControllerBase):
     ) -> None:
         """Send data for a forwarded request that found us owning the block."""
         send_time = self.sim.now + self.timing.cache_access_ns
-        data = self.pool.acquire(
+        data = Message(
             MessageKind.DATA_EXCLUSIVE if exclusive else MessageKind.DATA,
             self.node,
             requester,
             block,
             version=version,
             from_cache=True,
-            acks_expected=0,
         )
         self._schedule(max(0, send_time - self.sim.now), self._send_on_response, data)
 
@@ -267,20 +259,21 @@ class DirectoryCacheController(CacheControllerBase):
             else:
                 self.writeback_buffer.pop(block, None)
             if self.policy.requires_transfer_ack:
-                transfer = self.pool.acquire(
-                    MessageKind.TRANSFER,
-                    self.node,
-                    home,
-                    block,
-                    new_owner=requester,
+                self.response_network.send(
+                    Message(
+                        MessageKind.TRANSFER,
+                        self.node,
+                        home,
+                        block,
+                        new_owner=requester,
+                    )
                 )
-                self.response_network.send(transfer)
         else:
             if not from_writeback_buffer:
                 # MSI sharing writeback: the home regains ownership and an
                 # up-to-date memory copy; we keep an S copy.
                 self.cache.set_state(block, CacheState.SHARED)
-                writeback = self.pool.acquire(
+                writeback = Message(
                     MessageKind.WRITEBACK_DATA,
                     self.node,
                     home,
@@ -312,9 +305,9 @@ class DirectoryCacheController(CacheControllerBase):
             state = self.cache.state_of(block)
             if state is not CacheState.INVALID:
                 self.cache.set_state(block, CacheState.INVALID)
-        ack = self.pool.acquire(MessageKind.INV_ACK, self.node, requester, block)
-        self.response_network.send(ack)
-        self.pool.release(message)
+        self.response_network.send(
+            Message(MessageKind.INV_ACK, self.node, requester, block)
+        )
 
     # -------------------------------------------------------------- responses
     def _on_response(self, message: Message) -> None:
@@ -324,10 +317,8 @@ class DirectoryCacheController(CacheControllerBase):
         elif kind is MessageKind.INV_ACK:
             self._on_inv_ack(message)
         elif kind is MessageKind.WRITEBACK_DATA:
-            # The home's share of the response network: the memory
-            # controller consumes (and releases) it.
+            # The home's share of the response network.
             self.memory_controller.on_writeback_data(message)
-            return
         elif kind is MessageKind.NACK:
             self._on_nack(message)
         elif kind is MessageKind.WRITEBACK_ACK:
@@ -335,15 +326,12 @@ class DirectoryCacheController(CacheControllerBase):
         elif kind is MessageKind.TRANSFER:
             if self._home_of(message.block) == self.node:
                 self.memory_controller.on_transfer(message)
-                return
-            # A confirmation for a block homed elsewhere is a routing bug,
-            # which tests assert never happens.
-            self.unexpected_transfer += 1
+            else:
+                # A confirmation for a block homed elsewhere is a routing
+                # bug, which tests assert never happens.
+                self.unexpected_transfer += 1
         else:
             self.unexpected_response += 1
-        # Every response kind is fully consumed above (fields are copied into
-        # the MSHR, never referenced later), so the shell can be recycled.
-        self.pool.release(message)
 
     def _on_data(self, message: Message) -> None:
         entry = self._mshr_get(message.block)
@@ -371,8 +359,6 @@ class DirectoryCacheController(CacheControllerBase):
             return
         entry.retries += 1
         self.nacks_received += 1
-        # Bind the block now: the message shell may be recycled before the
-        # retry fires.
         self._schedule(
             self.timing.nack_retry_ns, self._retry, (message.block, entry.req_kind)
         )
@@ -458,19 +444,12 @@ class DirectoryCacheController(CacheControllerBase):
         """Write a dirty victim back to its home node."""
         home = self._home_of(block)
         self.writeback_buffer[block] = version
-        putm = self.pool.acquire(
-            MessageKind.PUTM, self.node, home, block, version=version
+        self.request_network.send(
+            Message(MessageKind.PUTM, self.node, home, block, version=version)
         )
-        self.request_network.send(putm)
-        writeback = self.pool.acquire(
-            MessageKind.WRITEBACK_DATA,
-            self.node,
-            home,
-            block,
-            version=version,
-            sharing=False,
+        self.response_network.send(
+            Message(MessageKind.WRITEBACK_DATA, self.node, home, block, version=version)
         )
-        self.response_network.send(writeback)
         self.dirty_evictions += 1
 
 
@@ -487,14 +466,12 @@ class DirectoryMemoryController(Component):
         request_network: DataNetwork,
         forward_network: DataNetwork,
         response_network: DataNetwork,
-        pool: Optional[MessagePool] = None,
     ) -> None:
         super().__init__(sim, f"{policy.name}.home.n{node}")
         self.node = node
         self.address_space = address_space
         self.timing = timing
         self.policy = policy
-        self.pool = pool if pool is not None else MessagePool()
         self._home_of = address_space.home_of
         self.request_network = request_network
         self.forward_network = forward_network
@@ -526,9 +503,6 @@ class DirectoryMemoryController(Component):
             self._on_putm(message)
         else:
             raise RuntimeError(f"{self.name}: unexpected request {message}")
-        # Requests are fully handled synchronously (forwards/data/acks copy
-        # the fields they need), so the shell can be recycled.
-        self.pool.release(message)
 
     def _on_gets(self, message: Message) -> None:
         entry = self.directory.entry(message.block)
@@ -583,7 +557,7 @@ class DirectoryMemoryController(Component):
         delay = self.timing.memory_access_ns
         send_on_forward = self._send_on_forward
         for sharer in iter_sharers(targets):
-            invalidate = self.pool.acquire(
+            invalidate = Message(
                 MessageKind.INVALIDATE,
                 self.node,
                 sharer,
@@ -612,24 +586,18 @@ class DirectoryMemoryController(Component):
             entry.reset_to_uncached()
             entry.awaiting_data = entry.early_data_from != requester
             entry.early_data_from = None
-        ack = self.pool.acquire(
-            MessageKind.WRITEBACK_ACK, self.node, requester, message.block
-        )
+        ack = Message(MessageKind.WRITEBACK_ACK, self.node, requester, message.block)
         self._schedule(self.timing.memory_access_ns, self._send_on_response, ack)
 
     # --------------------------------------------------------------- helpers
     def _busy(self, message: Message, entry: DirectoryEntry) -> None:
         """A request found the entry busy (DirClassic only)."""
-        nack = self.pool.acquire(
-            MessageKind.NACK, self.node, message.src, message.block
-        )
+        nack = Message(MessageKind.NACK, self.node, message.src, message.block)
         self._schedule(self.timing.memory_access_ns, self._send_on_response, nack)
 
     def _forward(self, message: Message, owner: int, exclusive: bool) -> None:
         kind = MessageKind.FORWARD_GETM if exclusive else MessageKind.FORWARD_GETS
-        forward = self.pool.acquire(
-            kind, self.node, owner, message.block, requester=message.src
-        )
+        forward = Message(kind, self.node, owner, message.block, requester=message.src)
         self._schedule(self.timing.memory_access_ns, self._send_on_forward, forward)
 
     def _send_data(
@@ -639,13 +607,12 @@ class DirectoryMemoryController(Component):
         exclusive: bool,
         acks_expected: int,
     ) -> None:
-        data = self.pool.acquire(
+        data = Message(
             MessageKind.DATA_EXCLUSIVE if exclusive else MessageKind.DATA,
             self.node,
             message.src,
             message.block,
             version=entry.version,
-            from_cache=False,
             acks_expected=acks_expected,
         )
         if entry.awaiting_data:
@@ -681,14 +648,12 @@ class DirectoryMemoryController(Component):
         for data in pending:
             data.version = entry.version
             self._schedule(self.timing.memory_access_ns, self._send_on_response, data)
-        self.pool.release(message)
 
     def on_transfer(self, message: Message) -> None:
         """Ownership-transfer confirmation (DirClassic BUSY_MODIFIED exit)."""
         entry = self.directory.entry(message.block)
         if entry.state is DirectoryState.BUSY_MODIFIED:
             entry.make_modified(message.new_owner)
-        self.pool.release(message)
 
 
 class DirectoryProtocol(CoherenceProtocol):
@@ -726,7 +691,6 @@ class DirectoryProtocol(CoherenceProtocol):
         )
 
         caches: List[DirectoryCacheController] = []
-        pool = context.message_pool
         for node in range(context.num_nodes):
             cache = DirectoryCacheController(
                 sim,
@@ -739,7 +703,6 @@ class DirectoryProtocol(CoherenceProtocol):
                 forward_network,
                 response_network,
                 checker=context.checker,
-                pool=pool,
                 missed_blocks=context.missed_blocks,
             )
             memory = DirectoryMemoryController(
@@ -751,7 +714,6 @@ class DirectoryProtocol(CoherenceProtocol):
                 request_network,
                 forward_network,
                 response_network,
-                pool=pool,
             )
             cache.memory_controller = memory
             caches.append(cache)

@@ -57,7 +57,7 @@ from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
 from repro.memory.coherence import AccessType, CacheState
 from repro.network.data_network import DataNetwork
-from repro.network.message import Message, MessageKind, MessagePool
+from repro.network.message import Message, MessageKind
 from repro.protocols.base import (
     CacheControllerBase,
     CoherenceProtocol,
@@ -114,7 +114,6 @@ class TSSnoopNode(CacheControllerBase):
         prefetch: bool = True,
         owned_state: bool = False,
         checker: Optional[Any] = None,
-        pool: Optional[MessagePool] = None,
         missed_blocks: Optional[Set[int]] = None,
     ) -> None:
         super().__init__(
@@ -124,7 +123,6 @@ class TSSnoopNode(CacheControllerBase):
             cache,
             timing,
             name=f"ts-snoop.n{node}",
-            pool=pool,
             missed_blocks=missed_blocks,
         )
         self.address_network = address_network
@@ -170,10 +168,7 @@ class TSSnoopNode(CacheControllerBase):
         interest = self._interest
         if interest is not None:
             interest[block] = interest.get(block, 0) | self._interest_bit
-        # Broadcast shells are owned by the address network, which releases
-        # them once the last endpoint has processed the ordered delivery.
-        request = self.pool.acquire(kind, self.node, None, block)
-        self.address_network.broadcast(request)
+        self.address_network.broadcast(Message(kind, self.node, None, block))
 
     # ------------------------------------------------- ordered address stream
     def _on_ordered(self, delivery: OrderedDelivery) -> None:
@@ -305,9 +300,7 @@ class TSSnoopNode(CacheControllerBase):
         send_time: int,
     ) -> None:
         kind = MessageKind.DATA_EXCLUSIVE if exclusive else MessageKind.DATA
-        data = self.pool.acquire(
-            kind, self.node, requester, block, version=version, from_cache=False
-        )
+        data = Message(kind, self.node, requester, block, version=version)
         self._schedule(max(0, send_time - self.sim.now), self._send_on_data, data)
 
     def _on_writeback_data(self, message: Message) -> None:
@@ -416,7 +409,7 @@ class TSSnoopNode(CacheControllerBase):
     def _send_cache_data(
         self, requester: int, block: int, version: int, send_time: int
     ) -> None:
-        data = self.pool.acquire(
+        data = Message(
             MessageKind.DATA,
             self.node,
             requester,
@@ -428,7 +421,7 @@ class TSSnoopNode(CacheControllerBase):
 
     def _send_writeback_data(self, block: int, version: int, send_time: int) -> None:
         home = self._home_of(block)
-        writeback = self.pool.acquire(
+        writeback = Message(
             MessageKind.WRITEBACK_DATA, self.node, home, block, version=version
         )
         self._schedule(max(0, send_time - self.sim.now), self._send_on_data, writeback)
@@ -468,21 +461,17 @@ class TSSnoopNode(CacheControllerBase):
             raise RuntimeError(f"{self.name}: misrouted message {message}")
         if message.kind is MessageKind.WRITEBACK_DATA:
             self._on_writeback_data(message)
-            self.pool.release(message)
             return
         entry = self._mshr_get(message.block)
         if entry is None:
             # Data for a miss that no longer exists should not happen in this
             # protocol; count it so tests can assert it never does.
             self.orphan_data += 1
-            self.pool.release(message)
             return
         entry.data_received = True
         entry.data_version = message.version
         entry.data_from_cache = message.from_cache
-        block = message.block
-        self.pool.release(message)
-        self._maybe_complete(block)
+        self._maybe_complete(message.block)
 
     # ------------------------------------------------------------ completion
     def _maybe_complete(self, block: int) -> None:
@@ -573,8 +562,9 @@ class TSSnoopNode(CacheControllerBase):
     def _evict_dirty(self, block: int, version: int) -> None:
         """Broadcast a PUTM for a dirty victim and ship its data home."""
         self.writeback_buffer[block] = _WritebackEntry(version=version)
-        putm = self.pool.acquire(MessageKind.PUTM, self.node, None, block)
-        self.address_network.broadcast(putm)
+        self.address_network.broadcast(
+            Message(MessageKind.PUTM, self.node, None, block)
+        )
         self._send_writeback_data(block, version, self.sim.now)
         self.dirty_evictions += 1
 
@@ -601,11 +591,7 @@ class TSSnoopProtocol(CoherenceProtocol):
 
     def build(self, context: ProtocolBuildContext) -> List[TSSnoopNode]:
         sim = context.sim
-        pool = context.message_pool
         if self.detailed_network:
-            # The detailed network keeps broadcast shells alive inside switch
-            # buffers with no single release point, so they are simply not
-            # pooled there (unicast data messages still are).
             address_network: AddressNetworkInterface = TimestampAddressNetwork(
                 sim,
                 context.topology,
@@ -621,7 +607,6 @@ class TSSnoopProtocol(CoherenceProtocol):
                 accountant=context.accountant,
                 default_slack=self.slack,
                 perturbation=context.perturbation,
-                message_pool=pool,
                 home_resolver=context.address_space.home_of,
             )
         data_network = DataNetwork(
@@ -646,7 +631,6 @@ class TSSnoopProtocol(CoherenceProtocol):
                     prefetch=self.prefetch,
                     owned_state=self.owned_state,
                     checker=context.checker,
-                    pool=pool,
                     missed_blocks=context.missed_blocks,
                 )
             )

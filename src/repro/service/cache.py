@@ -4,7 +4,7 @@ The cache key of one replica is the SHA-256 of the canonical JSON form of
 ``(effective SystemConfig, scaled WorkloadProfile, replica_index,
 result-schema version)`` -- see :func:`repro.api.spec.canonical_experiment`
 for what "canonical" means (override order, alias spelling, restated
-defaults and result-neutral checking knobs all hash identically; the seed and
+defaults and the result-neutral checking knob all hash identically; the seed and
 replica count live inside the config and are part of the key).
 
 Cached values are the schema-versioned JSON encoding of a

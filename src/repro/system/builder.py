@@ -9,7 +9,6 @@ from repro.memory.block import AddressSpace
 from repro.memory.cache import PackedCacheArray
 from repro.network import make_topology
 from repro.network.link import TrafficAccountant
-from repro.network.message import MessagePool, SanitizedMessagePool
 from repro.network.topology import Topology
 from repro.processor.consistency import CoherenceChecker
 from repro.processor.processor import Processor, ProcessorConfig
@@ -37,9 +36,6 @@ class BuiltSystem:
     controllers: List[CacheControllerBase]
     processors: List[Processor]
     checker: Optional[CoherenceChecker]
-    #: The protocol message pool; a SanitizedMessagePool when
-    #: ``config.sanitize`` is set (leak reports, double-release checks).
-    message_pool: MessagePool
     #: Every block with a completed miss since the last measurement reset;
     #: every controller adds to this one set.
     missed_blocks: Set[int]
@@ -113,8 +109,6 @@ class SystemBuilder:
         checker = CoherenceChecker() if config.enable_checker else None
 
         protocol = make_protocol(config)
-        pool_type = SanitizedMessagePool if config.sanitize else MessagePool
-        message_pool = pool_type()
         context = ProtocolBuildContext(
             sim=sim,
             topology=topology,
@@ -125,7 +119,6 @@ class SystemBuilder:
             accountant=accountant,
             perturbation=perturbation,
             checker=checker,
-            message_pool=message_pool,
         )
         controllers = protocol.build(context)
 
@@ -157,7 +150,6 @@ class SystemBuilder:
             controllers=controllers,
             processors=processors,
             checker=checker,
-            message_pool=message_pool,
             missed_blocks=context.missed_blocks,
         )
 

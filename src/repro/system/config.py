@@ -59,13 +59,6 @@ class SystemConfig:
     # benchmarks by default).
     enable_checker: bool = False
 
-    # Runtime pool sanitizer: swaps the message pool for a checked variant
-    # that raises on double releases (reporting both release sites) and
-    # reports never-released shells with their acquisition sites.
-    # Cross-validates the static `repro.lint` POOL rules; used by the
-    # invariant test suite (REPRO_SANITIZE=1), off for benchmarks.
-    sanitize: bool = False
-
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ValueError("num_nodes must be positive")

@@ -211,7 +211,7 @@ class TestCanonicalExperiment:
 
     def test_result_neutral_knobs_hash_identically(self):
         plain = ExperimentSpec.make("oltp")
-        knobbed = ExperimentSpec.make("oltp", enable_checker=True, sanitize=True)
+        knobbed = ExperimentSpec.make("oltp", enable_checker=True)
         assert self._doc(plain) == self._doc(knobbed)
 
     @pytest.mark.parametrize(
@@ -223,6 +223,7 @@ class TestCanonicalExperiment:
             ("cache_array", "dict"),
             ("packed_streams", False),
             ("message_pooling", False),
+            ("sanitize", True),
             ("jobs", 4),
         ],
     )

@@ -1,13 +1,15 @@
 """Tests for the closed-form address network and its agreement with the
 detailed token-passing model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.analytical_ordering import AnalyticalTimestampNetwork
 from repro.core.timestamp_network import TimestampAddressNetwork
 from repro.network import make_topology
 from repro.network.link import TrafficAccountant
-from repro.network.message import Message, MessageKind, SanitizedMessagePool
+from repro.network.message import Message, MessageKind
 from repro.network.timing import NetworkTiming
 from repro.sim.kernel import Simulator
 
@@ -20,9 +22,10 @@ def run_analytical(topology_name, injections, slack=0):
                                          accountant=accountant,
                                          default_slack=slack)
     observations = {endpoint: [] for endpoint in topology.endpoints()}
+    # The network reuses one delivery for the whole fan-out: keep copies.
     for endpoint in topology.endpoints():
         network.attach(endpoint,
-                       lambda d, e=endpoint: observations[e].append(d))
+                       lambda d, e=endpoint: observations[e].append(replace(d)))
     for index, (source, time) in enumerate(injections):
         message = Message(MessageKind.GETS, src=source, dst=None, block=index)
         sim.schedule_at(time, lambda m=message: network.broadcast(m))
@@ -72,11 +75,8 @@ class TestAnalyticalNetwork:
 
     def test_negative_slack_rejected(self):
         topology = make_topology("torus")
-        sim = Simulator()
-        network = AnalyticalTimestampNetwork(sim, topology)
-        network.attach(0, lambda d: None)
         with pytest.raises(ValueError):
-            network.broadcast(Message(MessageKind.GETS, 0, None, 1), slack=-1)
+            AnalyticalTimestampNetwork(Simulator(), topology, default_slack=-1)
 
 
 def home_of(block):
@@ -84,14 +84,14 @@ def home_of(block):
     return block % 16
 
 
-def build_filtered(pool=None):
+def build_filtered():
     """16-endpoint torus network with a home resolver, so the snoop filter
     is on.  Returns the simulator, the network and one shared call log of
     ``(endpoint, block)`` pairs in delivery order."""
     topology = make_topology("torus")
     sim = Simulator()
     network = AnalyticalTimestampNetwork(
-        sim, topology, NetworkTiming(), message_pool=pool, home_resolver=home_of
+        sim, topology, NetworkTiming(), home_resolver=home_of
     )
     log = []
     for endpoint in topology.endpoints():
@@ -102,12 +102,9 @@ def build_filtered(pool=None):
 
 
 class TestSnoopFilter:
-    def broadcast_all(self, sim, network, sends, pool=None):
+    def broadcast_all(self, sim, network, sends):
         for source, block in sends:
-            if pool is None:
-                message = Message(MessageKind.GETS, src=source, dst=None, block=block)
-            else:
-                message = pool.acquire(MessageKind.GETS, source, None, block)
+            message = Message(MessageKind.GETS, src=source, dst=None, block=block)
             network.broadcast(message)
             sim.run()
 
@@ -144,13 +141,17 @@ class TestSnoopFilter:
         self.broadcast_all(sim, network, [(1, 16)])
         assert [b for (e, b) in log if e == 4] == [16]
 
-    def test_pooled_shell_released_once_after_filtered_fanout(self):
-        # The checked pool raises on a double release and tracks live shells.
-        pool = SanitizedMessagePool()
-        sim, network, log = build_filtered(pool=pool)
-        self.broadcast_all(sim, network, [(1, 16), (6, 3)], pool=pool)
-        assert [e for e, b in log if b == 16] == [0, 1]
-        pool.assert_no_leaks()
+    def test_one_delivery_serves_the_whole_fanout(self):
+        sim, network, _log = build_filtered()
+        seen = []
+        network.attach(4, seen.append)
+        network.attach(9, seen.append)
+        network.always_mask = 1 << 4 | 1 << 9
+        self.broadcast_all(sim, network, [(1, 16), (6, 3)])
+        assert len(seen) == 4
+        assert all(delivery is seen[0] for delivery in seen)
+        # The message is dropped once the fan-out ends.
+        assert seen[0].message is None
 
 
 class TestModelAgreement:

@@ -14,6 +14,8 @@ from repro.lint.cli import main
 REPO_ROOT = Path(__file__).parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(REPO_ROOT / "src")
+DET_VIOLATIONS = str(FIXTURES / "repro" / "sim" / "det_violations.py")
+DET_CLEAN = str(FIXTURES / "repro" / "sim" / "det_clean.py")
 
 
 class TestExitCodes:
@@ -23,55 +25,49 @@ class TestExitCodes:
         assert "[repro.lint] clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path]) == 1
+        assert main([DET_VIOLATIONS]) == 1
         out = capsys.readouterr().out
-        assert "POOL002" in out
-        assert "[repro.lint] 4 findings" in out
+        assert "DET002" in out
+        assert "[repro.lint] 7 findings" in out
 
     def test_missing_path_is_a_usage_error(self, capsys):
         assert main(["no/such/path.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_rule_prefix_is_a_usage_error(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--select", "NOPE"]) == 2
+        assert main([DET_VIOLATIONS, "--select", "NOPE"]) == 2
         assert "no rule matches" in capsys.readouterr().err
 
 
 class TestFiltering:
     def test_select_narrows_to_one_id(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--select", "POOL002"]) == 1
+        assert main([DET_VIOLATIONS, "--select", "DET002"]) == 1
         out = capsys.readouterr().out
-        assert "POOL002" in out
-        assert "POOL001" not in out
-        assert "POOL003" not in out
+        assert "DET002" in out
+        assert "DET001" not in out
+        assert "DET003" not in out
 
     def test_ignore_family_prefix_silences_everything(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--ignore", "POOL"]) == 0
+        assert main([DET_VIOLATIONS, "--ignore", "DET"]) == 0
         assert "[repro.lint] clean" in capsys.readouterr().out
 
     def test_quiet_keeps_only_the_summary(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--quiet"]) == 1
+        assert main([DET_VIOLATIONS, "--quiet"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1
-        assert out[0].startswith("[repro.lint] 4 findings")
+        assert out[0].startswith("[repro.lint] 7 findings")
 
 
 class TestArtifacts:
     def test_json_artifact_schema(self, tmp_path, capsys):
         artifact = tmp_path / "lint.json"
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--json", str(artifact), "--quiet"]) == 1
+        assert main([DET_VIOLATIONS, "--json", str(artifact), "--quiet"]) == 1
         capsys.readouterr()
         payload = json.loads(artifact.read_text())
         assert payload["version"] == 1
         assert payload["files_scanned"] == 1
-        assert payload["counts"]["findings"] == len(payload["findings"]) == 4
-        assert payload["counts"]["errors"] == 4
+        assert payload["counts"]["findings"] == len(payload["findings"]) == 7
+        assert payload["counts"]["errors"] == 7
         for finding in payload["findings"]:
             assert {"rule", "severity", "path", "line", "col", "message"} <= (
                 set(finding)
@@ -80,17 +76,15 @@ class TestArtifacts:
         assert rules == sorted(rules, key=rules.index)  # stable file order
 
     def test_markdown_renders_the_findings_table(self, capsys):
-        path = str(FIXTURES / "pool_violations.py")
-        assert main([path, "--markdown"]) == 1
+        assert main([DET_VIOLATIONS, "--markdown"]) == 1
         out = capsys.readouterr().out
         assert "## repro.lint" in out
         assert "| location | rule | severity | message |" in out
-        assert "POOL003" in out
-        assert "**4 findings**" in out
+        assert "DET005" in out
+        assert "**7 findings**" in out
 
     def test_markdown_clean_message(self, capsys):
-        path = str(FIXTURES / "pool_clean.py")
-        assert main([path, "--markdown"]) == 0
+        assert main([DET_CLEAN, "--markdown"]) == 0
         assert "No findings" in capsys.readouterr().out
 
 
@@ -105,9 +99,6 @@ class TestRuleCatalog:
             "DET003",
             "DET004",
             "DET005",
-            "POOL001",
-            "POOL002",
-            "POOL003",
             "HOT001",
             "HOT002",
             "LNT001",

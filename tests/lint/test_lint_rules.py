@@ -59,18 +59,6 @@ class TestDeterminismRules:
         assert findings == []
 
 
-class TestPoolSafetyRules:
-    def test_violations_match_markers(self):
-        actual, _ = lint_fixture("pool_violations.py")
-        assert actual == expected_markers(FIXTURES / "pool_violations.py")
-
-    def test_clean_fixture_produces_nothing(self):
-        """Transfers, per-branch releases, raise paths and the allowlisted
-        consumption point must all satisfy the walk."""
-        actual, _ = lint_fixture("pool_clean.py")
-        assert actual == set()
-
-
 class TestHotPathRules:
     def test_violations_match_markers(self):
         actual, _ = lint_fixture("hot_violations.py")

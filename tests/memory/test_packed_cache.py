@@ -7,7 +7,7 @@ sequence of install / touch / set_state / write operations.
 
 import pytest
 
-from repro.memory.cache import PackedCacheArray
+from repro.memory.cache import _SLOT_NUMBERS, PackedCacheArray
 from repro.memory.coherence import CacheState
 from tests.memory.reference_cache import CacheArray
 
@@ -81,6 +81,16 @@ class TestPackedBasics:
         cache = tiny(PackedCacheArray)
         with pytest.raises(ValueError):
             cache.install(1, CacheState.INVALID)
+
+    def test_set_bases_are_the_shared_slot_numbers(self):
+        # 128 sets of 4 ways: bases run past 256, beyond CPython's cached
+        # small ints, so only the shared table can make them identical.
+        cache = PackedCacheArray(size_bytes=128 * 4 * 64, associativity=4)
+        for block in range(cache.num_sets):
+            cache.install(block, CacheState.SHARED)
+        bases = cache._set_base.values()
+        assert max(bases) > 256
+        assert all(base is _SLOT_NUMBERS[base] for base in bases)
 
 
 # ----------------------------------------------------------- property tests

@@ -25,8 +25,8 @@ class TestDataNetwork:
     def test_unloaded_latency_butterfly(self, sim, butterfly):
         network, _ = make_network(sim, butterfly)
         arrivals = []
-        network.send(Message(MessageKind.DATA, 0, 5, 1),
-                     lambda m: arrivals.append(sim.now))
+        network.attach(5, lambda m: arrivals.append(sim.now))
+        network.send(Message(MessageKind.DATA, 0, 5, 1))
         sim.run()
         assert arrivals == [49]
 
@@ -39,14 +39,16 @@ class TestDataNetwork:
     def test_local_messages_use_no_links(self, sim, torus):
         network, accountant = make_network(sim, torus)
         delivered = []
-        network.send(Message(MessageKind.DATA, 2, 2, 9), delivered.append)
+        network.attach(2, delivered.append)
+        network.send(Message(MessageKind.DATA, 2, 2, 9))
         sim.run()
         assert len(delivered) == 1
         assert accountant.total_bytes() == 0
 
     def test_traffic_recorded_per_hop(self, sim, torus):
         network, accountant = make_network(sim, torus)
-        network.send(Message(MessageKind.DATA, 0, 2, 9), lambda m: None)
+        network.attach(2, lambda m: None)
+        network.send(Message(MessageKind.DATA, 0, 2, 9))
         sim.run()
         assert accountant.total_bytes() == 2 * 72
 
@@ -66,15 +68,15 @@ class TestDataNetwork:
     def test_broadcast_rejected(self, sim, butterfly):
         network, _ = make_network(sim, butterfly)
         with pytest.raises(ValueError):
-            network.send(Message(MessageKind.GETS, 0, None, 1), lambda m: None)
+            network.send(Message(MessageKind.GETS, 0, None, 1))
 
     def test_perturbation_adds_delay(self, sim, butterfly):
         perturbation = PerturbationModel(DeterministicRandom(3), max_delay_ns=5)
         network, _ = make_network(sim, butterfly, perturbation=perturbation)
         arrivals = []
+        network.attach(5, lambda m: arrivals.append(sim.now))
         for _ in range(30):
-            network.send(Message(MessageKind.DATA, 0, 5, 1),
-                         lambda m: arrivals.append(sim.now))
+            network.send(Message(MessageKind.DATA, 0, 5, 1))
         sim.run()
         assert min(arrivals) >= 49
         assert max(arrivals) <= 49 + 5
@@ -87,19 +89,19 @@ class TestOrderedVirtualNetwork:
         network, _ = make_network(sim, torus, cls=PointToPointOrderedNetwork,
                                   perturbation=perturbation)
         deliveries = []
+        network.attach(5, lambda m: deliveries.append(m.block))
         for index in range(20):
-            network.send(Message(MessageKind.FORWARD_GETS, 0, 5, index),
-                         lambda m: deliveries.append(m.block))
+            network.send(Message(MessageKind.FORWARD_GETS, 0, 5, index))
         sim.run()
         assert deliveries == sorted(deliveries)
 
     def test_different_pairs_are_independent(self, sim, torus):
         network, _ = make_network(sim, torus, cls=PointToPointOrderedNetwork)
         deliveries = []
-        network.send(Message(MessageKind.FORWARD_GETS, 0, 10, 1),
-                     lambda m: deliveries.append(("far", sim.now)))
-        network.send(Message(MessageKind.FORWARD_GETS, 0, 1, 2),
-                     lambda m: deliveries.append(("near", sim.now)))
+        network.attach(10, lambda m: deliveries.append(("far", sim.now)))
+        network.attach(1, lambda m: deliveries.append(("near", sim.now)))
+        network.send(Message(MessageKind.FORWARD_GETS, 0, 10, 1))
+        network.send(Message(MessageKind.FORWARD_GETS, 0, 1, 2))
         sim.run()
         assert deliveries[0][0] == "near"
 

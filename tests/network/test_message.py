@@ -1,5 +1,7 @@
 """Unit tests for messages and their Figure 4 byte accounting."""
 
+import dataclasses
+
 from repro.network.message import (
     CONTROL_MESSAGE_BYTES,
     DATA_MESSAGE_BYTES,
@@ -7,6 +9,16 @@ from repro.network.message import (
     MessageKind,
     TrafficCategory,
 )
+
+#: Every protocol field and a non-default value for it.
+FIELDS = {
+    "version": 7,
+    "from_cache": True,
+    "acks_expected": 3,
+    "requester": 9,
+    "sharing": True,
+    "new_owner": 11,
+}
 
 
 class TestMessageKinds:
@@ -36,6 +48,13 @@ class TestMessageKinds:
 
 
 class TestMessage:
+    def test_fields_cover_every_protocol_slot(self):
+        names = [field.name for field in dataclasses.fields(Message)]
+        assert names == ["kind", "src", "dst", "block", *FIELDS, "msg_id"]
+        message = Message(MessageKind.DATA, 0, 1, 5, **FIELDS)
+        assert {name: getattr(message, name) for name in FIELDS} == FIELDS
+        assert not hasattr(message, "__dict__")
+
     def test_broadcast_detection(self):
         broadcast = Message(MessageKind.GETS, src=1, dst=None, block=7)
         unicast = Message(MessageKind.DATA, src=1, dst=2, block=7)
@@ -45,7 +64,7 @@ class TestMessage:
     def test_unique_ids(self):
         a = Message(MessageKind.GETS, 0, None, 1)
         b = Message(MessageKind.GETS, 0, None, 1)
-        assert a.msg_id != b.msg_id
+        assert b.msg_id == a.msg_id + 1
 
     def test_protocol_fields_default(self):
         message = Message(MessageKind.GETS, src=3, dst=8, block=42)

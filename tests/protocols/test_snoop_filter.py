@@ -1,4 +1,4 @@
-"""The TS-Snoop snoop filter: differential and leak tests.
+"""The TS-Snoop snoop filter: differential and exact-interest tests.
 
 The analytical address network TS-Snoop builds has a home resolver, so it
 delivers an ordered transaction only to its source, its home and the nodes
@@ -14,12 +14,10 @@ whose bit is set in its per-block ``interest`` mask.  Two properties are checked
   bound.
 
 Small caches force clean and dirty evictions, so the victim and
-writeback-buffer clear points run.  With ``REPRO_SANITIZE=1`` the runs use
-the checked message pools and assert no shell leaked once quiescent.
+writeback-buffer clear points run.
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -28,7 +26,6 @@ from repro.system.config import SystemConfig
 from repro.system.simulation import SimulationRunner
 from repro.workloads.profiles import get_profile
 
-SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 CELLS = list(
     itertools.product(
         ("ts-snoop", "moesi-snoop"), ("sc", "tso"), ("butterfly", "torus"), (16, 64)
@@ -72,7 +69,6 @@ def run_cell(monkeypatch, protocol, consistency, network, num_nodes, full_fanout
         num_nodes=num_nodes,
         cache_size_bytes=8 * 1024,
         enable_checker=True,
-        sanitize=SANITIZE,
     )
     profile = get_profile("oltp").scaled(SCALE[num_nodes])
     with monkeypatch.context() as patch:
@@ -111,6 +107,4 @@ def test_filter_matches_full_fanout(
         assert_exact_interest(system)
         system.sim.run()
         assert_exact_interest(system)
-        if SANITIZE:
-            system.message_pool.assert_no_leaks()
 

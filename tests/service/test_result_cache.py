@@ -60,7 +60,7 @@ class TestReplicaKey:
 
     def test_key_stable_under_result_neutral_knobs(self):
         plain = _entry()
-        knobbed = _entry(enable_checker=True, sanitize=True)
+        knobbed = _entry(enable_checker=True)
         assert replica_key(*plain, 0) == replica_key(*knobbed, 0)
 
     @pytest.mark.parametrize(

@@ -562,6 +562,7 @@ class TestErrorsOverHttp:
             ("cache_array", "dict", "unknown SystemConfig override 'cache_array'"),
             ("packed_streams", False, "unknown SystemConfig override"),
             ("message_pooling", False, "unknown SystemConfig override"),
+            ("sanitize", True, "unknown SystemConfig override 'sanitize'"),
             ("jobs", 4, "unknown SystemConfig override 'jobs'"),
             ("slack", -1, "slack must be non-negative"),
             ("block_size_bytes", 48, "block_size_bytes must be a power of two"),

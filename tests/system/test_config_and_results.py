@@ -36,6 +36,10 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(perturbation_replicas=0)
 
+    def test_removed_sanitize_field_is_rejected(self):
+        with pytest.raises(TypeError, match="sanitize"):
+            SystemConfig(sanitize=True)
+
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_ALIASES))
     def test_every_protocol_alias_is_accepted(self, protocol):
         assert SystemConfig(protocol=protocol).protocol == protocol
