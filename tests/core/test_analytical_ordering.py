@@ -67,6 +67,24 @@ class TestAnalyticalNetwork:
         _t, _n, accountant, _obs = run_analytical("butterfly", [(0, 0), (1, 1)])
         assert accountant.total_bytes() == 2 * 21 * 8
 
+    def test_handlers_may_keep_the_message(self):
+        topology = make_topology("torus")
+        sim = Simulator()
+        network = AnalyticalTimestampNetwork(sim, topology, NetworkTiming())
+        kept = {endpoint: [] for endpoint in topology.endpoints()}
+        for endpoint in topology.endpoints():
+            network.attach(endpoint,
+                           lambda d, e=endpoint: kept[e].append(d.message))
+        sent = [Message(MessageKind.GETM, src=s, dst=None, block=10 + s)
+                for s in (4, 0, 9)]
+        for message in sent:
+            network.broadcast(message)
+            sim.run()
+        for messages in kept.values():
+            assert messages == sent
+            assert all(a is b for a, b in zip(messages, sent))
+        assert [(m.src, m.block) for m in sent] == [(4, 14), (0, 10), (9, 19)]
+
     def test_attach_rejects_bad_endpoint(self):
         topology = make_topology("torus")
         network = AnalyticalTimestampNetwork(Simulator(), topology)

@@ -142,6 +142,31 @@ class TestUnderContention:
                 assert delivery.arrival_time <= delivery.ordered_time
 
 
+class TestMessageLifetime:
+    @pytest.mark.parametrize("topology_name", ["butterfly", "torus"])
+    def test_every_endpoint_keeps_the_broadcast_message_itself(
+            self, topology_name):
+        rng = DeterministicRandom(5)
+        injections = [(rng.uniform_int(0, 15), rng.uniform_int(0, 600))
+                      for _ in range(20)]
+        _t, _n, _a, obs = run_broadcasts(
+            topology_name, injections, hold_probability=0.4, seed=5,
+            default_slack=1, horizon=40_000)
+        by_block = {}
+        for deliveries in obs.values():
+            assert len(deliveries) == len(injections)
+            for delivery in deliveries:
+                message = delivery.message
+                # One message object per broadcast, shared by every
+                # endpoint and still holding what was sent.
+                assert by_block.setdefault(message.block, message) is message
+                assert message.src == injections[message.block][0]
+                assert (message.kind, message.dst) == (MessageKind.GETS, None)
+        assert sorted(by_block) == list(range(len(injections)))
+        kept = [d for deliveries in obs.values() for d in deliveries]
+        assert len({id(d) for d in kept}) == len(kept)
+
+
 class TestGuarantees:
     def test_guarantee_time_advances_with_tokens(self):
         topology = make_topology("torus")

@@ -77,6 +77,20 @@ class TestSlackInteraction:
         slacks = {port: copy.slack for port, copy in outputs}
         assert slacks == {"out0": 1, "out1": 3}
 
+    def test_release_emits_fresh_copies_of_one_payload(self):
+        switch = make_switch()
+        transaction = BufferedTransaction("msg", slack=1, source=3, sequence=8)
+        switch.inject_transaction(transaction)
+        outputs = switch.release_transaction(
+            transaction, [("out0", 0), ("out1", 0)])
+        copies = [copy for _port, copy in outputs]
+        assert copies[0] is not copies[1]
+        assert all(copy is not transaction for copy in copies)
+        assert all(copy.payload == "msg" for copy in copies)
+        assert [(c.source, c.sequence) for c in copies] == [(3, 8), (3, 8)]
+        # The released transaction is left as it was.
+        assert (transaction.payload, transaction.slack) == ("msg", 1)
+
     def test_release_unknown_port_rejected(self):
         switch = make_switch()
         transaction = BufferedTransaction("msg", slack=1, source=0)

@@ -39,6 +39,11 @@ class TestExitCodes:
         assert "no rule matches" in capsys.readouterr().err
 
 
+    def test_pool_prefix_matches_no_rule(self, capsys):
+        assert main([DET_VIOLATIONS, "--select", "POOL"]) == 2
+        assert "no rule matches id or prefix 'POOL'" in capsys.readouterr().err
+
+
 class TestFiltering:
     def test_select_narrows_to_one_id(self, capsys):
         assert main([DET_VIOLATIONS, "--select", "DET002"]) == 1

@@ -15,6 +15,7 @@ from repro.lint.framework import (
     SYNTAX_ERROR,
     lint_source,
     parse_directives,
+    select_rules,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,6 +70,18 @@ class TestHotPathRules:
         unmarked = source.replace("# repro-lint: hot\n", "")
         findings, _ = lint_source("cold_module.py", unmarked, ALL_RULES)
         assert findings == []
+
+
+class TestRuleSelection:
+    def test_each_rule_is_kept_or_dropped_by_its_own_id(self):
+        ids = sorted(rule.id for rule in ALL_RULES)
+        assert len(set(ids)) == len(ids)
+        hot = select_rules(ALL_RULES, select=["HOT"])
+        assert sorted(rule.id for rule in hot) == ["HOT001", "HOT002"]
+        rest = select_rules(ALL_RULES, ignore=["HOT", "DET002"])
+        assert sorted(rule.id for rule in rest) == [
+            rule_id for rule_id in ids if rule_id not in {"HOT001", "HOT002", "DET002"}
+        ]
 
 
 class TestSuppressions:

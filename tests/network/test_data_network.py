@@ -83,6 +83,22 @@ class TestDataNetwork:
         assert len(set(arrivals)) > 1
 
 
+@pytest.mark.parametrize("cls", [DataNetwork, PointToPointOrderedNetwork])
+def test_receiver_gets_the_sent_message_unchanged(sim, torus, cls):
+    network, _ = make_network(sim, torus, cls=cls)
+    received = []
+    network.attach(6, received.append)
+    sent = [Message(MessageKind.DATA, src, 6, 100 + src, version=src)
+            for src in (0, 6, 11, 3)]
+    for message in sent:
+        network.send(message)
+    sim.run()
+    assert sorted(received, key=lambda m: m.msg_id) == sent
+    assert {id(m) for m in received} == {id(m) for m in sent}
+    assert [(m.src, m.block, m.version) for m in sent] == [
+        (0, 100, 0), (6, 106, 6), (11, 111, 11), (3, 103, 3)]
+
+
 class TestOrderedVirtualNetwork:
     def test_per_pair_fifo_order_preserved(self, sim, torus):
         perturbation = PerturbationModel(DeterministicRandom(7), max_delay_ns=40)

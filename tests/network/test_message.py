@@ -66,6 +66,13 @@ class TestMessage:
         b = Message(MessageKind.GETS, 0, None, 1)
         assert b.msg_id == a.msg_id + 1
 
+    def test_explicit_id_does_not_consume_one(self):
+        a = Message(MessageKind.GETS, 0, None, 1)
+        pinned = Message(MessageKind.GETS, 0, None, 1, msg_id=-5)
+        b = Message(MessageKind.GETS, 0, None, 1)
+        assert pinned.msg_id == -5
+        assert b.msg_id == a.msg_id + 1
+
     def test_protocol_fields_default(self):
         message = Message(MessageKind.GETS, src=3, dst=8, block=42)
         assert message.version == message.acks_expected == 0
