@@ -56,7 +56,7 @@ def per_miss_bytes(
     come in *below* this bound.)
     """
     data_bytes = data_message_bytes(block_bytes)
-    broadcast_links = topology.broadcast_link_count(source)
+    broadcast_links = topology.broadcast_tree(source).link_count
     unicast_links = max(topology.hop_count(source, dst) for dst in topology.endpoints())
     if topology.name == "torus":
         # The paper's torus estimate uses the mean path of 2 links.

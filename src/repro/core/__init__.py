@@ -3,9 +3,8 @@
 This package implements the logically-ordered broadcast address network of
 Section 2:
 
-* :mod:`repro.core.logical_time` -- ordering time (OT), guarantee time (GT)
-  and slack arithmetic, plus the global tie-break that turns OTs into a
-  total order;
+* :mod:`repro.core.logical_time` -- ordering time (OT) and guarantee time
+  (GT) definitions and the three slack-adjustment rules;
 * :mod:`repro.core.token_switch` -- the token-passing switch with its three
   slack-adjustment rules (Figure 1);
 * :mod:`repro.core.ordering_queue` -- the endpoint priority queue that

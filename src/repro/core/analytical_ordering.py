@@ -108,15 +108,15 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         #: attach(); avoids a handler dict lookup and an arrival-hops
         #: multiply per delivery on the ordered fan-out path.
         self._rows_by_source: Dict[int, list] = {}
-        #: source -> (broadcast tree, its link count); both are a pure
-        #: function of the source, memoised exactly as the detailed
-        #: network does.
-        self._trees: Dict[int, tuple] = {}
         self._delivery_scratch = OrderedDelivery(
             message=None, endpoint=0, arrival_time=0, ordered_time=0, logical_time=0
         )
-        #: tree depth -> ordering delay at the default slack
-        self._ordering_delay_cache: Dict[int, int] = {}
+        #: Injection to global processability.  Every broadcast tree of both
+        #: topologies is ``Dmax`` (``topology.max_hops``) deep, so this is
+        #: one number per network, as the paper's ``OT = GT + Dmax + S``.
+        self._ordering_delay = self.timing.ordering_latency(
+            topology.max_hops, default_slack + self.ORDERING_MARGIN
+        )
         self._logical_counter = 0
         #: Pre-bound push for the ordered fan-out.
         self._schedule = sim.schedule
@@ -134,28 +134,16 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
 
     # ------------------------------------------------------------- broadcast
     def broadcast(self, message: Message) -> None:
-        source = message.src
-        memo = self._trees.get(source)
-        if memo is None:
-            tree = self.topology.broadcast_tree(source)
-            memo = self._trees[source] = (tree, tree.link_count())
-        tree, link_count = memo
+        tree = self.topology.broadcast_tree(message.src)
         if self.accountant is not None:
-            self.accountant.record(message, link_count)
+            self.accountant.record(message, tree.link_count)
 
         jitter = 0
         perturbation = self._active_perturbation
         if perturbation is not None:
             jitter = perturbation.response_delay()
 
-        depth = tree.depth
-        base_delay = self._ordering_delay_cache.get(depth)
-        if base_delay is None:
-            base_delay = self.timing.ordering_latency(
-                depth, self.default_slack + self.ORDERING_MARGIN
-            )
-            self._ordering_delay_cache[depth] = base_delay
-        ordered_delay = base_delay + jitter
+        ordered_delay = self._ordering_delay + jitter
         ordered_time = self.sim.now + ordered_delay
         self._logical_counter += 1
         logical_time = self._logical_counter
@@ -233,14 +221,6 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         delivery.message = None
 
     # ------------------------------------------------------------- inspection
-    def ordering_latency(self, slack: Optional[int] = None) -> int:
+    def ordering_latency(self) -> int:
         """Physical delay from injection to global processability."""
-        if slack is None:
-            slack = self.default_slack
-        return self.timing.ordering_latency(
-            self.topology.max_hops, slack + self.ORDERING_MARGIN
-        )
-
-    def arrival_latency(self, src: int, dst: int) -> int:
-        hops = self.topology.broadcast_arrival_hops(src, dst)
-        return self.timing.overhead_ns + hops * self.timing.switch_ns
+        return self._ordering_delay

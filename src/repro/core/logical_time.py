@@ -17,44 +17,6 @@ injection and kept invariant by the three slack-adjustment rules collected in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
-
-@dataclass(frozen=True, order=True)
-class LogicalTimestamp:
-    """An explicit (ordering time, source id, sequence) total-order key.
-
-    The paper breaks OT ties "with a function of source ID numbers"; the
-    extra ``sequence`` component orders multiple transactions injected by the
-    same source at the same OT (which cannot happen in the real hardware but
-    keeps the value a strict total order for any input).
-    """
-
-    ordering_time: int
-    source: int
-    sequence: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ordering_time < 0:
-            raise ValueError("ordering_time must be non-negative")
-        if self.source < 0:
-            raise ValueError("source must be non-negative")
-
-
-def ordering_time(source_guarantee_time: int, max_distance: int, slack: int) -> int:
-    """``OT = GT_source + Dmax + S`` (Section 2.2, source node operation)."""
-    if max_distance < 0:
-        raise ValueError("max_distance must be non-negative")
-    if slack < 0:
-        raise ValueError("slack must be non-negative")
-    return source_guarantee_time + max_distance + slack
-
-
-def order_key(ot: int, source: int, sequence: int = 0) -> Tuple[int, int, int]:
-    """Total-order sort key for transactions (OT first, then source id)."""
-    return (ot, source, sequence)
-
 
 class SlackRules:
     """The three slack-adjustment rules of Section 2.2.
@@ -91,8 +53,3 @@ class SlackRules:
         if slack < 0 or delta_d < 0:
             raise ValueError("slack and delta_d must be non-negative")
         return slack + delta_d
-
-    @staticmethod
-    def check_invariant(slack: int) -> None:
-        if slack < 0:
-            raise AssertionError(f"slack invariant violated: {slack} < 0")

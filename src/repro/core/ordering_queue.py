@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
 
 @dataclass(order=True, slots=True)
@@ -26,7 +26,6 @@ class PendingTransaction:
     source: int
     sequence: int
     payload: Any = field(compare=False)
-    inserted_at_gt: int = field(compare=False, default=0)
 
 
 class OrderingQueue:
@@ -36,9 +35,6 @@ class OrderingQueue:
         self.endpoint = endpoint
         self.guarantee_time = initial_gt
         self._heap: List[PendingTransaction] = []
-        self.inserted = 0
-        self.released = 0
-        self.max_occupancy = 0
 
     # ------------------------------------------------------------ insertion
     def insert(
@@ -52,11 +48,8 @@ class OrderingQueue:
             source=source,
             sequence=sequence,
             payload=payload,
-            inserted_at_gt=self.guarantee_time,
         )
         heapq.heappush(self._heap, entry)
-        self.inserted += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._heap))
         return entry
 
     # ---------------------------------------------------------------- tokens
@@ -75,32 +68,11 @@ class OrderingQueue:
         by source id everywhere rather than by arrival order.
         """
         self.guarantee_time += 1
-        return self._drain_matured()
-
-    def release_current(self) -> List[PendingTransaction]:
-        """Release transactions whose ordering time has already passed.
-
-        With the strict release rule this is normally empty (a transaction
-        can never arrive after its maturity); it is kept as a safety valve so
-        a queue is never left holding stale entries if a caller advances GT
-        externally.
-        """
-        return self._drain_matured()
-
-    def _drain_matured(self) -> List[PendingTransaction]:
+        heap = self._heap
         released: List[PendingTransaction] = []
-        while self._heap and self._heap[0].maturity < self.guarantee_time:
-            released.append(heapq.heappop(self._heap))
-        self.released += len(released)
+        while heap and heap[0].maturity < self.guarantee_time:
+            released.append(heapq.heappop(heap))
         return released
 
-    # ------------------------------------------------------------ inspection
     def __len__(self) -> int:
         return len(self._heap)
-
-    def peek(self) -> Optional[PendingTransaction]:
-        return self._heap[0] if self._heap else None
-
-    def pending_slack(self) -> List[int]:
-        """Remaining slack of every queued transaction (for buffering stats)."""
-        return sorted(entry.maturity - self.guarantee_time for entry in self._heap)

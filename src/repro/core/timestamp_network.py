@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.ordering_queue import OrderingQueue, PendingTransaction
 from repro.core.token_switch import BufferedTransaction, TokenSwitch
@@ -141,8 +141,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         self.ports: Dict[int, _EndpointPort] = {
             ep: _EndpointPort(ep) for ep in topology.endpoints()
         }
-        #: source -> (broadcast tree, its link count), built on first use.
-        self._trees: Dict[int, Tuple[BroadcastTree, int]] = {}
         #: Transactions kept buffered by the emulated contention.
         self.held_transactions = 0
 
@@ -168,13 +166,9 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         if not self._started:
             self.start()
         source = message.src
-        memo = self._trees.get(source)
-        if memo is None:
-            tree = self.topology.broadcast_tree(source)
-            memo = self._trees[source] = (tree, tree.link_count())
-        tree, link_count = memo
+        tree = self.topology.broadcast_tree(source)
         if self.accountant is not None:
-            self.accountant.record(message, link_count)
+            self.accountant.record(message, tree.link_count)
         self._sequence += 1
         transaction = BufferedTransaction(
             payload=message,
@@ -229,8 +223,8 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             at_injection = input_port is None
             source_hears_itself_via_network = tree.arrival_hops[tree.source] > 0
             if not (at_injection and source_hears_itself_via_network):
-                pad = 0 if is_returned_source_copy else tree.remaining_depth(node)
-                self._deliver_local(node, transaction, tree, pad)
+                pad = 0 if is_returned_source_copy else tree.depth_below[node]
+                self._deliver_local(node, transaction, pad)
 
         if is_returned_source_copy:
             switch.buffer.remove(transaction)
@@ -265,10 +259,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         switch = self.switches[node]
         if transaction not in switch.buffer:
             return
-        branches = tree.branches_from(node)
-        outputs = switch.release_transaction(
-            transaction, [(child, delta) for child, delta in branches]
-        )
+        outputs = switch.release_transaction(transaction, tree.children.get(node, ()))
         if outputs:
             # All copies of one forwarding step traverse their links in the
             # same Dswitch interval, so they ride a single batched event;
@@ -289,11 +280,7 @@ class TimestampAddressNetwork(AddressNetworkInterface):
             self._arrive(child, node, copy, tree)
 
     def _deliver_local(
-        self,
-        node: NodeId,
-        transaction: BufferedTransaction,
-        tree: BroadcastTree,
-        pad: int,
+        self, node: NodeId, transaction: BufferedTransaction, pad: int
     ) -> None:
         endpoint = endpoint_index(node)
         port = self.ports[endpoint]
@@ -303,8 +290,6 @@ class TimestampAddressNetwork(AddressNetworkInterface):
         port.queue.insert(
             message, padded_slack, transaction.source, transaction.sequence
         )
-        # Zero-slack arrivals are processable immediately.
-        self._release(port, port.queue.release_current())
 
     # ----------------------------------------------------------- token events
     def _receive_token(self, node: NodeId, input_port: NodeId) -> None:

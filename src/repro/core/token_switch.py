@@ -68,7 +68,6 @@ class TokenSwitch:
         }
         self.buffer: List[BufferedTransaction] = []
         self.tokens_propagated = 0  # == this switch's GT progress
-        self.transactions_seen = 0
 
     # -------------------------------------------------------------- tokens
     def receive_token(self, port: str) -> None:
@@ -121,12 +120,10 @@ class TokenSwitch:
             transaction.slack, self.token_counts[port]
         )
         self.buffer.append(transaction)
-        self.transactions_seen += 1
 
     def inject_transaction(self, transaction: BufferedTransaction) -> None:
         """Buffer a transaction originating at this switch (no input port)."""
         self.buffer.append(transaction)
-        self.transactions_seen += 1
 
     def release_transaction(
         self,
@@ -151,13 +148,6 @@ class TokenSwitch:
             )
             outputs.append((port, copy))
         return outputs
-
-    # ------------------------------------------------------------- helpers
-    def buffered_count(self) -> int:
-        return len(self.buffer)
-
-    def zero_slack_transactions(self) -> List[BufferedTransaction]:
-        return [txn for txn in self.buffer if txn.slack == 0]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -29,7 +29,7 @@ class MSHREntry:
     """
 
     block: int
-    kind: str  # e.g. "GETS", "GETM", "UPGRADE", "PUTM"
+    kind: str  # e.g. "GETS", "GETM", "PUTM"
     issue_time: int
     acks_received: int = 0
     data_received: bool = False

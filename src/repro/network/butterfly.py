@@ -60,14 +60,6 @@ class ButterflyTopology(Topology):
     def max_hops(self) -> int:
         return 3
 
-    def broadcast_link_count(self, src: int) -> int:
-        """1 (inject) + radix (fan to egress stage) + endpoints (deliver)."""
-        self._check_endpoint(src)
-        return 1 + self.radix + self.num_endpoints
-
-    def broadcast_arrival_hops(self, src: int, dst: int) -> int:
-        return self.hop_count(src, dst)
-
     @property
     def num_links(self) -> int:
         """Directed links over all planes.
@@ -106,14 +98,14 @@ class ButterflyTopology(Topology):
                 links.append((f"sw:in:{g_in}", f"sw:out:{g_out}"))
         return links
 
-    def broadcast_tree(self, src: int) -> BroadcastTree:
+    def _build_broadcast_tree(self, src: int) -> BroadcastTree:
         """Source -> its ingress switch -> all egress switches -> all endpoints.
 
-        Every branch of the tree has the same remaining depth, so all
-        ``delta_d`` values are zero (Section 2.2's third rule only produces
-        non-zero adjustments on unbalanced trees such as the torus).
+        The tree uses ``1 + radix + num_endpoints`` links.  Every branch has
+        the same remaining depth, so all ``delta_d`` values are zero
+        (Section 2.2's third rule only produces non-zero adjustments on
+        unbalanced trees such as the torus).
         """
-        self._check_endpoint(src)
         children: Dict[NodeId, List[Tuple[NodeId, int]]] = {}
         ingress = self.ingress_switch(src)
         groups = range(self._num_switch_groups)
@@ -137,10 +129,3 @@ class ButterflyTopology(Topology):
             depth=3,
             depth_below=depth_below,
         )
-
-    # --------------------------------------------------------------- helpers
-    def _check_endpoint(self, endpoint: int) -> None:
-        if not 0 <= endpoint < self.num_endpoints:
-            raise ValueError(
-                f"endpoint {endpoint} out of range " f"0..{self.num_endpoints - 1}"
-            )

@@ -92,11 +92,10 @@ class DataNetwork(Component):
 
     # ----------------------------------------------------------------- sends
     def _prepare_send(self, message: Message) -> tuple[DeliveryCallback, int]:
-        """Shared per-send prologue: resolve the handler, read the unloaded
-        latency from the source's route row, add any perturbation, and
-        account the traffic.  Returns ``(handler, latency)``; used by both
-        the plain and the point-to-point-ordered send paths so the fast path
-        exists once.
+        """Per-send prologue of ``PointToPointOrderedNetwork.send``: resolve
+        the handler, read the unloaded latency from the source's route row,
+        add any perturbation, and account the traffic.  Returns
+        ``(handler, latency)``.  :meth:`send` inlines the same steps.
         """
         if message.dst is None:
             raise ValueError(f"{self.name} only carries unicast messages")

@@ -28,7 +28,7 @@ class TrafficAccountant:
     def record(self, message: Message, traversals: int) -> None:
         """Account one message crossing ``traversals`` links.
 
-        A broadcast is recorded with ``traversals=tree.link_count()`` --
+        A broadcast is recorded with ``traversals=tree.link_count`` --
         one call for the whole same-tick delivery wave rather than one per
         copy (the try/except favours the hot established-category path).
         """

@@ -36,7 +36,6 @@ class MessageKind(Enum):
     # the directory protocols).
     GETS = ("GETS", TrafficCategory.REQUEST, CONTROL_MESSAGE_BYTES)
     GETM = ("GETM", TrafficCategory.REQUEST, CONTROL_MESSAGE_BYTES)
-    UPGRADE = ("UPGRADE", TrafficCategory.REQUEST, CONTROL_MESSAGE_BYTES)
     PUTM = ("PUTM", TrafficCategory.REQUEST, CONTROL_MESSAGE_BYTES)
 
     # Data-carrying messages.
@@ -53,10 +52,6 @@ class MessageKind(Enum):
     TRANSFER = ("TRANSFER", TrafficCategory.MISC, CONTROL_MESSAGE_BYTES)
     NACK = ("NACK", TrafficCategory.NACK, CONTROL_MESSAGE_BYTES)
 
-    # Token used by the timestamp network (piggybacked; a couple of bits in
-    # practice, so it is not charged any link bytes).
-    TOKEN = ("TOKEN", TrafficCategory.MISC, 0)
-
     def __init__(self, label: str, category: TrafficCategory, size_bytes: int) -> None:
         self.label = label
         self.category = category
@@ -64,14 +59,6 @@ class MessageKind(Enum):
         #: costs a function call, and accounting reads this per message.
         self.category_key = category.value
         self.size_bytes = size_bytes
-
-    @property
-    def is_data(self) -> bool:
-        return self.category is TrafficCategory.DATA
-
-    @property
-    def is_request(self) -> bool:
-        return self.category is TrafficCategory.REQUEST
 
 
 _message_ids = itertools.count()
@@ -105,18 +92,6 @@ class Message:
     sharing: bool = False
     new_owner: Optional[int] = None
     msg_id: int = field(default_factory=_message_ids.__next__)
-
-    @property
-    def size_bytes(self) -> int:
-        return self.kind.size_bytes
-
-    @property
-    def category(self) -> TrafficCategory:
-        return self.kind.category
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst is None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         target = "broadcast" if self.dst is None else f"n{self.dst}"

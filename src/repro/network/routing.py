@@ -3,14 +3,14 @@
 The paper assumes "a statically balanced broadcast routing algorithm using
 minimum distance spanning trees implemented with a table lookup on
 transaction source ID" (Section 2.2).  This module builds those trees for
-the torus (dimension-order: X ring first, then Y rings) and computes the
-per-branch ``delta-D`` tables used by switches to keep a transaction's
-ordering time invariant on unbalanced trees.
+the torus (dimension-order: X ring first, then Y rings), annotating every
+branch with the ``delta-D`` that keeps a transaction's ordering time
+invariant on the unbalanced tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.network.topology import BroadcastTree, NodeId, endpoint_node
 
@@ -39,12 +39,6 @@ def ring_parent(offset: int) -> int:
     if offset > 0:
         return offset - 1
     return offset + 1
-
-
-def ring_distance(a: int, b: int, size: int) -> int:
-    """Shortest distance between positions ``a`` and ``b`` on a ring."""
-    diff = abs(a - b) % size
-    return min(diff, size - diff)
 
 
 def build_torus_broadcast_tree(source: int, width: int, height: int) -> BroadcastTree:
@@ -102,19 +96,13 @@ def build_torus_broadcast_tree(source: int, width: int, height: int) -> Broadcas
             (endpoint_node(kid), longest - depth)
             for kid, depth in zip(kids, branch_depths)
         ]
-    for node in range(num_nodes):
-        children.setdefault(endpoint_node(node), children.get(endpoint_node(node), []))
-
-    depth_by_node = {endpoint_node(node): depth for node, depth in depth_below.items()}
-    for node in range(num_nodes):
-        depth_by_node.setdefault(endpoint_node(node), 0)
 
     return BroadcastTree(
         source=source,
         children=children,
         arrival_hops=arrival,
-        depth=max(arrival.values()) if arrival else 0,
-        depth_below=depth_by_node,
+        depth=max(arrival.values()),
+        depth_below={endpoint_node(node): depth for node, depth in depth_below.items()},
     )
 
 
@@ -122,22 +110,3 @@ def abs_ring(offset: int, size: int) -> int:
     """Number of hops represented by a ring offset (never exceeds size // 2)."""
     return min(abs(offset), size - abs(offset))
 
-
-def delta_d_table(tree: BroadcastTree) -> Dict[NodeId, Dict[NodeId, int]]:
-    """Per-switch lookup table: output branch -> delta-D.
-
-    Switches combine this with their routing table (Section 2.2): "a delta-D
-    is obtained for each outgoing branch in the same lookup that selects
-    output ports".
-    """
-    table: Dict[NodeId, Dict[NodeId, int]] = {}
-    for node, branches in tree.children.items():
-        table[node] = {child: delta for child, delta in branches}
-    return table
-
-
-def tree_edges(tree: BroadcastTree) -> Iterable[Tuple[NodeId, NodeId]]:
-    """All directed (parent, child) edges of a broadcast tree."""
-    for parent, branches in tree.children.items():
-        for child, _delta in branches:
-            yield parent, child

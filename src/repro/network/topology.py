@@ -3,13 +3,18 @@
 A :class:`Topology` serves two consumers:
 
 * the **analytic timing model** used for full performance runs, which only
-  needs hop counts (number of link traversals, each costing ``Dswitch``),
-  broadcast link counts and per-destination broadcast arrival distances,
-  matching the unloaded-latency methodology of Table 2; and
+  needs hop counts (number of link traversals, each costing ``Dswitch``)
+  and, from each source's broadcast tree, the broadcast's link count and
+  per-destination arrival distances, matching the unloaded-latency
+  methodology of Table 2; and
 * the **detailed token-passing network** (``repro.core.timestamp_network``),
   which needs the explicit switch/endpoint graph: nodes, directed links and
-  per-source broadcast spanning trees annotated with the ``delta-D`` values of
-  Section 2.2.
+  the same per-source broadcast spanning trees, annotated with the
+  ``delta-D`` values of Section 2.2.
+
+A topology builds each source's tree on first use and keeps it: the paper's
+switches route broadcasts "with a table lookup on transaction source ID"
+(Section 2.2), and every network of a run shares the one table.
 
 Graph nodes are identified with strings: ``"ep:<i>"`` for endpoint *i* and
 ``"sw:..."`` for switches.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 NodeId = str
 
@@ -48,7 +53,8 @@ class BroadcastTree:
     the ``delta_d`` slack adjustment of Section 2.2 (zero for the branch that
     continues on the longest remaining path, positive for shorter branches).
     ``arrival_hops`` gives, per destination endpoint, the number of link
-    traversals from the source along the tree.
+    traversals from the source along the tree.  ``link_count`` is the number
+    of directed links one broadcast uses, computed once from ``children``.
     """
 
     source: int
@@ -58,25 +64,10 @@ class BroadcastTree:
     #: remaining maximum depth (in links) below each tree node; used by
     #: co-located switch/endpoint nodes to adjust slack on local delivery.
     depth_below: Dict[NodeId, int] = field(default_factory=dict)
+    link_count: int = field(init=False)
 
-    def branches_from(self, node: NodeId) -> List[Tuple[NodeId, int]]:
-        return self.children.get(node, [])
-
-    def remaining_depth(self, node: NodeId) -> int:
-        """Maximum links from ``node`` down to any leaf of the tree."""
-        if node in self.depth_below:
-            return self.depth_below[node]
-        branches = self.children.get(node, [])
-        if not branches:
-            return 0
-        return 1 + max(self.remaining_depth(child) for child, _delta in branches)
-
-    def link_count(self) -> int:
-        """Total directed links used by one broadcast along this tree."""
-        return sum(len(branches) for branches in self.children.values())
-
-    def all_endpoints_reached(self, num_endpoints: int) -> bool:
-        return set(self.arrival_hops.keys()) == set(range(num_endpoints))
+    def __post_init__(self) -> None:
+        self.link_count = sum(len(branches) for branches in self.children.values())
 
 
 class Topology(ABC):
@@ -88,6 +79,7 @@ class Topology(ABC):
         if num_endpoints <= 0:
             raise ValueError("num_endpoints must be positive")
         self.num_endpoints = num_endpoints
+        self._trees: List[Optional[BroadcastTree]] = [None] * num_endpoints
 
     # ----------------------------------------------------- analytic interface
     @abstractmethod
@@ -98,14 +90,6 @@ class Topology(ABC):
     @abstractmethod
     def max_hops(self) -> int:
         """Worst-case unicast/broadcast hop count (``Dmax`` of Section 2.2)."""
-
-    @abstractmethod
-    def broadcast_link_count(self, src: int) -> int:
-        """Directed links used to broadcast one transaction from ``src``."""
-
-    @abstractmethod
-    def broadcast_arrival_hops(self, src: int, dst: int) -> int:
-        """Link traversals from ``src`` to ``dst`` along the broadcast tree."""
 
     @property
     @abstractmethod
@@ -121,9 +105,18 @@ class Topology(ABC):
     def fabric_links(self) -> List[Tuple[NodeId, NodeId]]:
         """All directed links of the fabric graph."""
 
-    @abstractmethod
     def broadcast_tree(self, src: int) -> BroadcastTree:
-        """Broadcast spanning tree (with delta-D annotations) rooted at ``src``."""
+        """Broadcast spanning tree (with delta-D annotations) rooted at
+        ``src``, built on the first call and the same object thereafter."""
+        self._check_endpoint(src)
+        tree = self._trees[src]
+        if tree is None:
+            tree = self._trees[src] = self._build_broadcast_tree(src)
+        return tree
+
+    @abstractmethod
+    def _build_broadcast_tree(self, src: int) -> BroadcastTree:
+        """Build the broadcast tree rooted at ``src`` (already range-checked)."""
 
     # ------------------------------------------------------------ conveniences
     def endpoints(self) -> range:
@@ -137,24 +130,11 @@ class Topology(ABC):
                 total += self.hop_count(src, dst)
         return total / (self.num_endpoints**2)
 
-    def mean_broadcast_arrival_hops(self, src: int) -> float:
-        total = sum(self.broadcast_arrival_hops(src, dst) for dst in self.endpoints())
-        return total / self.num_endpoints
-
-    def validate(self) -> None:
-        """Sanity checks used by tests: trees reach every endpoint, etc."""
-        for src in self.endpoints():
-            tree = self.broadcast_tree(src)
-            if not tree.all_endpoints_reached(self.num_endpoints):
-                missing = set(self.endpoints()) - set(tree.arrival_hops)
-                raise AssertionError(
-                    f"{self.name}: broadcast tree from {src} misses {missing}"
-                )
-            if tree.link_count() != self.broadcast_link_count(src):
-                raise AssertionError(
-                    f"{self.name}: tree from {src} uses {tree.link_count()} "
-                    f"links, expected {self.broadcast_link_count(src)}"
-                )
+    def _check_endpoint(self, endpoint: int) -> None:
+        if not 0 <= endpoint < self.num_endpoints:
+            raise ValueError(
+                f"endpoint {endpoint} out of range 0..{self.num_endpoints - 1}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} n={self.num_endpoints}>"

@@ -10,7 +10,7 @@ using 15 links with mean arrival distance 2 and worst case 4.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.network.routing import build_torus_broadcast_tree
 from repro.network.topology import BroadcastTree, NodeId, Topology, endpoint_node
@@ -27,7 +27,6 @@ class TorusTopology(Topology):
         super().__init__(width * height)
         self.width = width
         self.height = height
-        self._tree_cache: Dict[int, BroadcastTree] = {}
         # Per-axis ring-distance tables plus a lazily-filled per-source
         # distance row: hop_count is two index operations on warm paths
         # instead of coordinate maths per call (a 256-node torus asks for
@@ -95,14 +94,6 @@ class TorusTopology(Topology):
     def max_hops(self) -> int:
         return self.width // 2 + self.height // 2
 
-    def broadcast_link_count(self, src: int) -> int:
-        self._check_endpoint(src)
-        return self.num_endpoints - 1
-
-    def broadcast_arrival_hops(self, src: int, dst: int) -> int:
-        tree = self.broadcast_tree(src)
-        return tree.arrival_hops[dst]
-
     @property
     def num_links(self) -> int:
         """Directed node-to-node links (each bidirectional link counts twice)."""
@@ -119,17 +110,5 @@ class TorusTopology(Topology):
                 links.append((endpoint_node(node), endpoint_node(neighbor)))
         return links
 
-    def broadcast_tree(self, src: int) -> BroadcastTree:
-        self._check_endpoint(src)
-        if src not in self._tree_cache:
-            self._tree_cache[src] = build_torus_broadcast_tree(
-                src, self.width, self.height
-            )
-        return self._tree_cache[src]
-
-    # --------------------------------------------------------------- helpers
-    def _check_endpoint(self, endpoint: int) -> None:
-        if not 0 <= endpoint < self.num_endpoints:
-            raise ValueError(
-                f"endpoint {endpoint} out of range " f"0..{self.num_endpoints - 1}"
-            )
+    def _build_broadcast_tree(self, src: int) -> BroadcastTree:
+        return build_torus_broadcast_tree(src, self.width, self.height)

@@ -64,12 +64,6 @@ class ProcessorConfig:
                 f"choose one of {CONSISTENCY_MODELS}"
             )
 
-    def compute_time(self, instructions: int) -> int:
-        """Nanoseconds needed to execute ``instructions`` between references."""
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        return (instructions + self.instructions_per_ns - 1) // self.instructions_per_ns
-
 
 class Processor(Component):
     """An in-order core that blocks on every L2 reference."""

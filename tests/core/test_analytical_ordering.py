@@ -56,12 +56,23 @@ class TestAnalyticalNetwork:
         # 4 + (4 + 2 + 1) * 15 = 109.
         assert network.ordering_latency() == 109
 
+    @pytest.mark.parametrize("slack", [0, 2])
+    def test_every_source_is_ordered_after_ordering_latency(self, slack):
+        """Every torus tree is Dmax deep, so one delay serves every source."""
+        injections = [(source, 100 * source) for source in range(16)]
+        _t, network, _a, obs = run_analytical("torus", injections, slack=slack)
+        assert network.ordering_latency() == 4 + (4 + slack + 1) * 15
+        for deliveries in obs.values():
+            assert [d.ordered_time - time for d, (_s, time)
+                    in zip(deliveries, injections)] == [
+                        network.ordering_latency()] * 16
+
     def test_arrival_times_match_topology(self):
-        topology, network, _a, obs = run_analytical("torus", [(0, 0)])
+        topology, _n, _a, obs = run_analytical("torus", [(0, 0)])
+        tree = topology.broadcast_tree(0)
         for endpoint, deliveries in obs.items():
-            expected = 4 + 15 * topology.broadcast_arrival_hops(0, endpoint)
+            expected = 4 + 15 * tree.arrival_hops[endpoint]
             assert deliveries[0].arrival_time == expected
-            assert network.arrival_latency(0, endpoint) == expected
 
     def test_traffic_recorded_once_per_broadcast(self):
         _t, _n, accountant, _obs = run_analytical("butterfly", [(0, 0), (1, 1)])

@@ -23,13 +23,13 @@ def test_figure1_token_passing_example():
 
     # (a) empty buffer, a message with slack 1 arrives on the top input.
     message = BufferedTransaction(payload="msg", slack=1, source=0)
-    assert switch.buffered_count() == 0
+    assert len(switch.buffer) == 0
 
     # (b) the switch buffers the message; it moves past the one waiting token
     # on its input, so its slack becomes 2.
     switch.receive_transaction("top", message)
     assert message.slack == 2
-    assert switch.buffered_count() == 1
+    assert len(switch.buffer) == 1
 
     # (c) the switch processes the incoming tokens by incrementing counters.
     switch.receive_token("top")
@@ -52,7 +52,7 @@ def test_figure1_token_passing_example():
                                         [("top", 1), ("bottom", 0)])
     slack_by_port = {port: copy.slack for port, copy in copies}
     assert slack_by_port == {"top": 2, "bottom": 1}
-    assert switch.buffered_count() == 0
+    assert len(switch.buffer) == 0
 
 
 def test_figure1_zero_slack_variant_blocks_token():

@@ -12,9 +12,19 @@ class TestOrderingQueue:
         reaches g + s + 1 (strictly after its ordering time)."""
         queue = OrderingQueue(endpoint=0)
         queue.insert("a", slack=0, source=1)
-        assert queue.release_current() == []
         released = queue.on_token()
         assert [entry.payload for entry in released] == ["a"]
+
+    def test_zero_slack_entry_waits_for_the_next_token(self):
+        """Inserted with zero slack, an entry matures at the current GT and
+        is released only by the next token, never at insertion."""
+        queue = OrderingQueue(endpoint=0)
+        queue.on_token()
+        queue.on_token()
+        queue.insert("a", slack=0, source=1)
+        assert len(queue) == 1
+        assert [entry.payload for entry in queue.on_token()] == ["a"]
+        assert len(queue) == 0
 
     def test_releases_in_maturity_then_source_order(self):
         queue = OrderingQueue(endpoint=0)
@@ -35,33 +45,6 @@ class TestOrderingQueue:
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
             OrderingQueue(0).insert("x", slack=-1, source=0)
-
-    def test_occupancy_statistics(self):
-        queue = OrderingQueue(endpoint=0)
-        for index in range(5):
-            queue.insert(index, slack=2, source=index)
-        assert len(queue) == 5
-        assert queue.max_occupancy == 5
-        queue.on_token()
-        queue.on_token()
-        queue.on_token()
-        assert queue.released == 5
-        assert len(queue) == 0
-
-    def test_pending_slack_reporting(self):
-        queue = OrderingQueue(endpoint=0)
-        queue.insert("a", slack=3, source=0)
-        queue.insert("b", slack=1, source=1)
-        assert queue.pending_slack() == [1, 3]
-        queue.on_token()
-        assert queue.pending_slack() == [0, 2]
-
-    def test_peek_returns_earliest(self):
-        queue = OrderingQueue(endpoint=0)
-        assert queue.peek() is None
-        queue.insert("later", slack=4, source=0)
-        queue.insert("sooner", slack=1, source=0)
-        assert queue.peek().payload == "sooner"
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),

@@ -55,12 +55,12 @@ class TestSingleBroadcast:
                 for delivery in deliveries:
                     assert delivery.arrival_time <= delivery.ordered_time
 
-    def test_butterfly_arrival_latency_is_49ns(self):
+    def test_butterfly_arrival_time_is_49ns(self):
         _t, _n, _a, obs = run_broadcasts("butterfly", [(3, 0)])
         for endpoint, deliveries in obs.items():
             assert deliveries[0].arrival_time == 49
 
-    def test_torus_arrival_latency_matches_distance(self):
+    def test_torus_arrival_time_matches_distance(self):
         topology, _n, _a, obs = run_broadcasts("torus", [(0, 0)])
         for endpoint, deliveries in obs.items():
             hops = topology.hop_count(0, endpoint)

@@ -62,18 +62,13 @@ class TestSlackInteraction:
         switch.inject_transaction(BufferedTransaction("msg", slack=0, source=0))
         assert not switch.can_propagate()
 
-    def test_zero_slack_transaction_listed(self):
-        switch = make_switch()
-        switch.inject_transaction(BufferedTransaction("msg", slack=0, source=0))
-        assert len(switch.zero_slack_transactions()) == 1
-
     def test_release_applies_delta_d_per_branch(self):
         switch = make_switch()
         transaction = BufferedTransaction("msg", slack=1, source=0)
         switch.inject_transaction(transaction)
         outputs = switch.release_transaction(
             transaction, [("out0", 0), ("out1", 2)])
-        assert switch.buffered_count() == 0
+        assert len(switch.buffer) == 0
         slacks = {port: copy.slack for port, copy in outputs}
         assert slacks == {"out0": 1, "out1": 3}
 

@@ -38,14 +38,6 @@ class TestMessageKinds:
         assert MessageKind.INV_ACK.category is TrafficCategory.MISC
         assert MessageKind.FORWARD_GETS.category is TrafficCategory.MISC
 
-    def test_token_is_free(self):
-        assert MessageKind.TOKEN.size_bytes == 0
-
-    def test_is_data_and_request_flags(self):
-        assert MessageKind.DATA.is_data
-        assert not MessageKind.DATA.is_request
-        assert MessageKind.GETS.is_request
-
 
 class TestMessage:
     def test_fields_cover_every_protocol_slot(self):
@@ -54,12 +46,6 @@ class TestMessage:
         message = Message(MessageKind.DATA, 0, 1, 5, **FIELDS)
         assert {name: getattr(message, name) for name in FIELDS} == FIELDS
         assert not hasattr(message, "__dict__")
-
-    def test_broadcast_detection(self):
-        broadcast = Message(MessageKind.GETS, src=1, dst=None, block=7)
-        unicast = Message(MessageKind.DATA, src=1, dst=2, block=7)
-        assert broadcast.is_broadcast
-        assert not unicast.is_broadcast
 
     def test_unique_ids(self):
         a = Message(MessageKind.GETS, 0, None, 1)

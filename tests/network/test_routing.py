@@ -1,17 +1,13 @@
-"""Unit tests for broadcast routing and delta-D tables."""
+"""Unit tests for torus broadcast routing and its delta-D annotations."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.network.routing import (
     abs_ring,
     build_torus_broadcast_tree,
-    delta_d_table,
-    ring_distance,
     ring_offsets,
     ring_parent,
-    tree_edges,
 )
-from repro.network.topology import endpoint_node
 
 
 class TestRingHelpers:
@@ -24,11 +20,6 @@ class TestRingHelpers:
         assert ring_parent(-2) == -1
         assert ring_parent(1) == 0
 
-    def test_ring_distance(self):
-        assert ring_distance(0, 3, 4) == 1
-        assert ring_distance(0, 2, 4) == 2
-        assert ring_distance(1, 1, 4) == 0
-
     def test_abs_ring(self):
         assert abs_ring(2, 4) == 2
         assert abs_ring(-1, 4) == 1
@@ -38,35 +29,27 @@ class TestRingHelpers:
 class TestTorusBroadcastTree:
     def test_uses_exactly_n_minus_1_links(self):
         tree = build_torus_broadcast_tree(0, 4, 4)
-        assert tree.link_count() == 15
+        assert tree.link_count == 15
 
     def test_reaches_every_node_at_min_distance(self):
         tree = build_torus_broadcast_tree(5, 4, 4)
         for node in range(16):
             sx, sy = 5 % 4, 5 // 4
             nx, ny = node % 4, node // 4
-            expected = ring_distance(sx, nx, 4) + ring_distance(sy, ny, 4)
+            expected = abs_ring(nx - sx, 4) + abs_ring(ny - sy, 4)
             assert tree.arrival_hops[node] == expected
 
     def test_delta_d_nonnegative_and_zero_on_longest_branch(self):
         tree = build_torus_broadcast_tree(0, 4, 4)
-        table = delta_d_table(tree)
-        for node, branches in table.items():
-            if not branches:
-                continue
-            assert all(delta >= 0 for delta in branches.values())
-            assert min(branches.values()) == 0
+        for branches in tree.children.values():
+            deltas = [delta for _child, delta in branches]
+            assert all(delta >= 0 for delta in deltas)
+            assert min(deltas) == 0
 
-    def test_depth_below_matches_remaining_depth(self):
-        tree = build_torus_broadcast_tree(3, 4, 4)
-        for node in range(16):
-            node_id = endpoint_node(node)
-            assert tree.depth_below[node_id] == tree.remaining_depth(node_id)
-
-    def test_tree_edges_are_acyclic(self):
+    def test_tree_is_acyclic(self):
         tree = build_torus_broadcast_tree(0, 4, 4)
-        edges = list(tree_edges(tree))
-        children = [child for _parent, child in edges]
+        children = [child for branches in tree.children.values()
+                    for child, _delta in branches]
         # A spanning tree visits every non-root node exactly once.
         assert len(children) == len(set(children)) == 15
 
@@ -75,7 +58,7 @@ class TestTorusBroadcastTree:
     def test_any_source_spans_the_torus(self, source):
         tree = build_torus_broadcast_tree(source, 4, 4)
         assert set(tree.arrival_hops) == set(range(16))
-        assert tree.link_count() == 15
+        assert tree.link_count == 15
         assert tree.depth == max(tree.arrival_hops.values())
 
     @settings(max_examples=20, deadline=None)
@@ -86,4 +69,4 @@ class TestTorusBroadcastTree:
         source = source % (width * height)
         tree = build_torus_broadcast_tree(source, width, height)
         assert set(tree.arrival_hops) == set(range(width * height))
-        assert tree.link_count() == width * height - 1
+        assert tree.link_count == width * height - 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import make_topology
 from repro.network.butterfly import ButterflyTopology
+from repro.network.topology import endpoint_node, is_endpoint
 from repro.network.torus import TorusTopology
 
 
@@ -18,7 +19,7 @@ class TestButterfly:
     def test_broadcast_uses_21_links(self, butterfly):
         """Section 4.2: 'broadcasts a transaction ... using 21 links (1+4+16)'."""
         for src in butterfly.endpoints():
-            assert butterfly.broadcast_link_count(src) == 21
+            assert butterfly.broadcast_tree(src).link_count == 21
 
     def test_four_planes_give_each_node_four_links(self, butterfly):
         # 48 directed links per plane, four planes.
@@ -28,11 +29,13 @@ class TestButterfly:
         tree = butterfly.broadcast_tree(5)
         assert set(tree.arrival_hops) == set(range(16))
         assert all(hops == 3 for hops in tree.arrival_hops.values())
-        assert tree.link_count() == 21
+        assert tree.link_count == 21
         assert tree.depth == 3
 
-    def test_validate_passes(self, butterfly):
-        butterfly.validate()
+    def test_every_tree_reaches_every_endpoint(self, butterfly):
+        for src in butterfly.endpoints():
+            tree = butterfly.broadcast_tree(src)
+            assert set(tree.arrival_hops) == set(butterfly.endpoints())
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -61,7 +64,7 @@ class TestTorus:
 
     def test_broadcast_uses_15_links(self, torus):
         for src in torus.endpoints():
-            assert torus.broadcast_link_count(src) == 15
+            assert torus.broadcast_tree(src).link_count == 15
 
     def test_num_links_64_directed(self, torus):
         assert torus.num_links == 64
@@ -84,8 +87,10 @@ class TestTorus:
             for dst in torus.endpoints():
                 assert tree.arrival_hops[dst] == torus.hop_count(src, dst)
 
-    def test_validate_passes(self, torus):
-        torus.validate()
+    def test_every_tree_reaches_every_endpoint(self, torus):
+        for src in torus.endpoints():
+            tree = torus.broadcast_tree(src)
+            assert set(tree.arrival_hops) == set(torus.endpoints())
 
     def test_for_endpoints_builds_square(self):
         assert TorusTopology.for_endpoints(16).width == 4
@@ -95,15 +100,71 @@ class TestTorus:
         with pytest.raises(ValueError):
             TorusTopology(width=1, height=4)
 
-    def test_mean_broadcast_arrival(self, torus):
-        assert torus.mean_broadcast_arrival_hops(0) == pytest.approx(2.0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=15),
            st.integers(min_value=0, max_value=15))
     def test_hop_count_triangle_inequality_through_broadcast(self, src, dst):
         torus = TorusTopology(4, 4)
         assert 0 <= torus.hop_count(src, dst) <= torus.max_hops
+
+
+def longest_paths(tree):
+    """Links on the longest path below every node of the tree, counted from
+    ``tree.children``.  The butterfly's branch back to the source endpoint
+    (the source's own copy, consumed on arrival) is left out."""
+    root = endpoint_node(tree.source)
+    below = {}
+
+    def longest(node):
+        kids = [kid for kid, _delta in tree.children.get(node, ()) if kid != root]
+        below[node] = 1 + max(map(longest, kids)) if kids else 0
+        return below[node]
+
+    longest(root)
+    return below
+
+
+TOPOLOGIES = [
+    *(make_topology(name, n) for name in ("butterfly", "torus")
+      for n in (16, 64, 256)),
+    *(TorusTopology(width, height)
+      for width, height in ((2, 3), (3, 5), (5, 7), (4, 6), (7, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "topology", TOPOLOGIES, ids=lambda t: f"{t.name}{t.num_endpoints}")
+class TestBroadcastTrees:
+    """What the networks read from a tree: the analytical network orders
+    every broadcast ``max_hops`` after injection, and the detailed network
+    pads each local delivery by ``depth_below`` without a fallback."""
+
+    def test_every_source_tree(self, topology):
+        n = topology.num_endpoints
+        if topology.name == "butterfly":
+            expected_links = 1 + topology.radix + n
+        else:
+            expected_links = n - 1
+        for src in topology.endpoints():
+            tree = topology.broadcast_tree(src)
+            below = longest_paths(tree)
+            reached = {node for node in below if is_endpoint(node)}
+            assert reached == {endpoint_node(ep) for ep in topology.endpoints()}
+            assert set(tree.arrival_hops) == set(topology.endpoints())
+            assert tree.depth == below[endpoint_node(src)] == topology.max_hops
+            assert max(tree.arrival_hops.values()) == topology.max_hops
+            assert tree.link_count == expected_links
+            for node, depth in below.items():
+                assert tree.depth_below[node] == depth
+
+    def test_tree_is_built_once(self, topology):
+        for src in (0, topology.num_endpoints - 1):
+            assert topology.broadcast_tree(src) is topology.broadcast_tree(src)
+
+    def test_out_of_range_source(self, topology):
+        for src in (-1, topology.num_endpoints):
+            with pytest.raises(ValueError):
+                topology.broadcast_tree(src)
 
 
 class TestFactory:

@@ -25,13 +25,6 @@ class FakeController(Component):
 
 
 class TestProcessorConfig:
-    def test_compute_time_rounds_up(self):
-        config = ProcessorConfig(instructions_per_ns=4)
-        assert config.compute_time(0) == 0
-        assert config.compute_time(1) == 1
-        assert config.compute_time(8) == 2
-        assert config.compute_time(9) == 3
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             ProcessorConfig(instructions_per_ns=0)
@@ -159,6 +152,24 @@ def _run_tso(stream, latency=50):
     cpu.start()
     sim.run()
     return cpu, controller
+
+
+@pytest.mark.parametrize("consistency", ["sc", "tso"])
+def test_think_time_rounds_up_to_whole_ns(consistency):
+    """Think instructions run at 4 per ns, rounded up: loads with 0, 1, 8
+    and 9 think instructions issue 0, 1, 2 and 3 ns after the previous
+    load completes."""
+    sim = Simulator()
+    controller = FakeTSOController(sim, latency=50)
+    config = ProcessorConfig(instructions_per_ns=4, consistency=consistency)
+    stream = [ref(block, "load", think=think)
+              for block, think in enumerate([0, 1, 8, 9])]
+    cpu = Processor(sim, 0, controller, iter(stream), config=config)
+    cpu.start()
+    sim.run()
+    issued = [t for t, _b, _a in controller.accesses]
+    completed = [0] + [t + controller.latency for t in issued[:-1]]
+    assert [i - c for i, c in zip(issued, completed)] == [0, 1, 2, 3]
 
 
 class TestTSOProcessor:
