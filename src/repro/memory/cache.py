@@ -222,12 +222,12 @@ class PackedCacheArray:
 
     # ------------------------------------------------------------ inspection
     def resident_blocks(self) -> Iterator[int]:
-        """Resident blocks in slot order."""
-        tags = self._tags
-        states = self._states
-        for slot in range(len(tags)):
-            if states[slot]:
-                yield tags[slot]
+        """Resident blocks, in insertion order.
+
+        ``_slots`` holds exactly the resident blocks; do not change the cache
+        while iterating.
+        """
+        return iter(self._slots)
 
     def __contains__(self, block: int) -> bool:
         return block in self._slots

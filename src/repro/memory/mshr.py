@@ -80,14 +80,15 @@ class MSHRFile:
             raise ValueError(f"{self.name}: block {block} already in flight")
         if len(self._entries) >= self.capacity:
             raise MSHRFullError(f"{self.name}: all {self.capacity} MSHRs in use")
-        entry = MSHREntry(block=block, kind=kind, issue_time=issue_time)
+        entry = MSHREntry(block, kind, issue_time)
         self._entries[block] = entry
         return entry
 
     def release(self, block: int) -> MSHREntry:
-        if block not in self._entries:
+        entry = self._entries.pop(block, None)
+        if entry is None:
             raise KeyError(f"{self.name}: no in-flight entry for block {block}")
-        return self._entries.pop(block)
+        return entry
 
     # ---------------------------------------------------------------- lookup
     def __contains__(self, block: int) -> bool:

@@ -28,9 +28,15 @@ class DirectoryState(Enum):
     BUSY_SHARED = "BS"  # DirClassic: GETS forwarded, awaiting writeback
     BUSY_MODIFIED = "BM"  # DirClassic: GETM forwarded, awaiting transfer
 
-    @property
-    def is_busy(self) -> bool:
-        return self in (DirectoryState.BUSY_SHARED, DirectoryState.BUSY_MODIFIED)
+
+# ``is_busy`` is read on every GETS and GETM the directory handles; a plain
+# member attribute avoids a property call on the hot path.
+for _state in DirectoryState:
+    _state.is_busy = _state in (
+        DirectoryState.BUSY_SHARED,
+        DirectoryState.BUSY_MODIFIED,
+    )
+del _state
 
 
 def sharer_mask(nodes: Iterable[int]) -> int:

@@ -23,6 +23,18 @@ class DeterministicRandom:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
+        #: The generator's own bound method: a draw goes through no Python
+        #: wrapper.
+        self.random = self._rng.random
+
+    # ``copy.deepcopy`` treats a bound C method as atomic, so a copy must
+    # rebind ``random`` to its own generator rather than share the original's.
+    def __getstate__(self) -> dict:
+        return {"seed": self.seed, "_rng": self._rng}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.random = self._rng.random
 
     def fork(self, salt: int) -> "DeterministicRandom":
         """Derive an independent stream; used to give each node its own RNG."""
@@ -33,9 +45,6 @@ class DeterministicRandom:
         """Inclusive integer in [low, high]."""
         return self._rng.randint(low, high)
 
-    def random(self) -> float:
-        return self._rng.random()
-
     def geometric(self, mean: float) -> int:
         """Geometric-ish positive integer with the given mean (>= 1)."""
         if mean <= 1.0:
@@ -44,6 +53,28 @@ class DeterministicRandom:
         limit = 64 * mean
         rand = self._rng.random
         value = 1
+        # Eight draws per pass while no ``limit`` break can fall inside it.
+        # ``random()`` never returns NaN, so ``u <= p`` is ``not u > p``: the
+        # same draws are consumed and the same value is returned as by the
+        # one-draw loop below, which finishes the tail.
+        while value + 8 <= limit:
+            if rand() <= p:
+                return value
+            if rand() <= p:
+                return value + 1
+            if rand() <= p:
+                return value + 2
+            if rand() <= p:
+                return value + 3
+            if rand() <= p:
+                return value + 4
+            if rand() <= p:
+                return value + 5
+            if rand() <= p:
+                return value + 6
+            if rand() <= p:
+                return value + 7
+            value += 8
         while rand() > p:
             value += 1
             if value > limit:
@@ -56,8 +87,10 @@ class DeterministicRandom:
             return 0
         # Inverse-CDF sampling over a truncated power law; coarse but cheap.
         u = self._rng.random()
+        # ``u`` is in [0, 1), so the index is never negative, but the
+        # product can still round up to ``n``.
         index = int(n * (u ** (1.0 / (1.0 - skew + 1e-9))))
-        return min(max(index, 0), n - 1)
+        return index if index < n else n - 1
 
 
 class PerturbationModel:

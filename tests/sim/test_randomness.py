@@ -1,5 +1,9 @@
 """Unit tests for deterministic randomness and perturbation."""
 
+import copy
+import math
+import pickle
+
 import pytest
 
 from repro.sim.randomness import DeterministicRandom, PerturbationModel
@@ -37,6 +41,14 @@ class TestDeterministicRandom:
         rng = DeterministicRandom(1)
         assert rng.geometric(0.5) == 1
 
+    def test_copies_draw_from_their_own_generator(self):
+        rng = DeterministicRandom(3)
+        rng.random()
+        for make_copy in (copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            twin = make_copy(rng)
+            drawn = [twin.random() for _ in range(3)]
+            assert drawn == [rng.random() for _ in range(3)]
+
     def test_zipf_index_bounds(self):
         rng = DeterministicRandom(5)
         for _ in range(500):
@@ -51,6 +63,51 @@ class TestDeterministicRandom:
 
     def test_zipf_single_element(self):
         assert DeterministicRandom(1).zipf_index(1) == 0
+
+
+class _StubSource:
+    """Stands in for ``random.Random``: ``n`` draws above ``p``, then ``p``."""
+
+    def __init__(self, n: int, p: float) -> None:
+        self._draws = iter([1.0 - 1e-12] * n + [p])
+        self.consumed = 0
+
+    def random(self) -> float:
+        self.consumed += 1
+        return next(self._draws)
+
+
+def _stubbed(source) -> DeterministicRandom:
+    rng = DeterministicRandom(0)
+    rng._rng = source
+    return rng
+
+
+class TestGeometricSampler:
+    @pytest.mark.parametrize("mean", [1.0, 0.5, 0.0])
+    def test_mean_at_most_one_makes_no_draw(self, mean):
+        source = _StubSource(0, 1.0)
+        assert _stubbed(source).geometric(mean) == 1
+        assert source.consumed == 0
+
+    @pytest.mark.parametrize("mean", [1.5, 1.7, 2.0, 3.0])
+    def test_value_and_draws_match_the_one_draw_loop(self, mean):
+        # The one-draw loop returns n + 1 after n draws above p and one at
+        # or below it, except that it breaks at the first integer above
+        # 64 * mean without drawing again.
+        p = 1.0 / mean
+        cap = math.floor(64 * mean) + 1
+        for n in range(int(64 * mean) + 11):
+            source = _StubSource(n, p)
+            assert _stubbed(source).geometric(mean) == min(n + 1, cap), n
+            assert source.consumed == min(n + 1, cap - 1), n
+
+    def test_draw_position_after_seeded_samples_is_pinned(self):
+        # Recorded with the one-draw loop: the sampler consumes exactly the
+        # draws it always did.
+        rng = DeterministicRandom(42)
+        assert sum(rng.geometric(80) for _ in range(10_000)) == 803_601
+        assert rng.random() == 0.42353964328828053
 
 
 class TestPerturbationModel:
